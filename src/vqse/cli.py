@@ -111,6 +111,7 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
     from .rdm import compute_rdm, composite_full_rdms
     from .spaces import OrbitalPartition
     from .subspace import (
+        NOISY_EPS,
         VqseOptions,
         _slice_integrals,
         assemble_subspace,
@@ -143,18 +144,14 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
 
     if config.vqse:
         options = VqseOptions(
-            basis=config.basis,
-            n_active_spatial=config.n_active_spatial,
-            eps=config.eps,
             cumulant=config.cumulant_rank is not None and config.cumulant_rank < 4,
             shots=config.shots,
             seed=config.seed,
-            compute_full_fci=False,
         )
         rdms = reference_rdms(wfn, options)
         pool = build_pool(partition, restrict_to=config.restrict_to)
         pair = assemble_subspace(pool, mol, rdms, partition)
-        eps = config.eps if config.shots is None else max(config.eps, 1e-3)
+        eps = config.eps if config.shots is None else max(config.eps, NOISY_EPS)
         solution = solve_gevp(pair, eps)
         row.e_vqse = solution.ground_energy
         report.update(

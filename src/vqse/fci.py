@@ -9,7 +9,7 @@ expectation used as the oracle by the RDM and Wick modules.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -79,26 +79,6 @@ class Wavefunction:
         small, big = self.amplitudes, other.amplitudes
         return sum(np.conj(small[d]) * big[d] for d in small.keys() & big.keys())
 
-    def to_text(self) -> str:
-        lines = [f"# n_spin_orbitals={self.n_spin_orbitals} n_electrons={self.n_electrons}"]
-        for det in sorted(self.amplitudes):
-            a = complex(self.amplitudes[det])
-            lines.append(f"{det:b} {a.real:.16e} {a.imag:.16e}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Wavefunction":
-        header = text.splitlines()[0].split()
-        nso = int(header[1].split("=")[1])
-        ne = int(header[2].split("=")[1])
-        amps = {}
-        for line in text.splitlines()[1:]:
-            if not line.strip():
-                continue
-            mask, re_, im_ = line.split()
-            amps[int(mask, 2)] = float(re_) + 1j * float(im_)
-        return cls(amps, nso, ne)
-
 
 def sector_determinants(n_spin_orbitals: int, n_electrons: int, sz=None) -> list[int]:
     """All determinants of the sector, sorted ascending by bitmask value.
@@ -118,19 +98,6 @@ def sector_determinants(n_spin_orbitals: int, n_electrons: int, sz=None) -> list
         dets.append(det)
     dets.sort()
     return dets
-
-
-def apply_operator_terms(terms, wfn: Wavefunction) -> Wavefunction:
-    """Apply sum_t coeff_t * string_t to a wavefunction (exact, term-wise)."""
-    out: dict = {}
-    for coeff, string in terms:
-        for det, amp in wfn.amplitudes.items():
-            sign, new = apply_ladder_string(string, det, wfn.n_spin_orbitals)
-            if sign:
-                out[new] = out.get(new, 0.0) + coeff * sign * amp
-    ne = wfn.n_electrons
-    delta = sum(+1 if dag else -1 for _, string in terms[:1] for _, dag in string)
-    return Wavefunction(out, wfn.n_spin_orbitals, ne + delta)
 
 
 def full_space_expectation(bra: Wavefunction, terms, ket: Wavefunction) -> complex:

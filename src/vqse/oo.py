@@ -2,13 +2,12 @@
 
 The energy is a functional of the active 1-/2-RDMs embedded into the full
 space (doubly occupied core, empty virtuals) and of a one-body orbital
-rotation U.  U is parameterized either by an antihermitian generator or by
-a product of Givens rotations over the non-redundant (active, core or
-virtual) spatial pairs.  A sweep procedure minimizes one angle at a time
-exactly -- the energy along a single Givens angle is a trigonometric
-polynomial with harmonics up to 4*theta, so nine equally spaced samples
-determine it completely -- and an optional derivative-free simplex stage
-polishes all angles jointly.
+rotation U.  U is parameterized as a product of Givens rotations over the
+non-redundant (active, core or virtual) spatial pairs.  A sweep procedure
+minimizes one angle at a time exactly -- the energy along a single Givens
+angle is a trigonometric polynomial with harmonics up to 4*theta, so nine
+equally spaced samples determine it completely -- and an optional
+derivative-free simplex stage polishes all angles jointly.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .exceptions import VqseError
@@ -31,31 +29,23 @@ UNITARITY_TOL = 1e-8
 class RotationParameters:
     """Orbital rotation over spatial orbitals.
 
-    Either ``generator`` (an antihermitian matrix t with U = exp(t)) or a
-    list of Givens ``pairs`` with ``angles``; the Givens unitary is the
-    ordered product U = G(pair_1, angle_1) @ G(pair_2, angle_2) @ ...,
-    i.e. later factors rotate the orbitals produced by earlier ones.
+    A list of Givens ``pairs`` with ``angles``; the unitary is the ordered
+    product U = G(pair_1, angle_1) @ G(pair_2, angle_2) @ ..., i.e. later
+    factors rotate the orbitals produced by earlier ones.
     """
 
     n_spatial: int
     pairs: tuple = ()
     angles: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    generator: np.ndarray | None = None
 
     def __post_init__(self):
         self.angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        if self.generator is not None:
-            g = np.asarray(self.generator)
-            if np.max(np.abs(g + g.conj().T), initial=0.0) > 1e-12:
-                raise VqseError("generator is not antihermitian")
         if len(self.pairs) != self.angles.size:
             raise VqseError("pairs and angles disagree in length")
         # map angles to the principal branch (-pi, pi]
         self.angles = -(np.mod(-self.angles + np.pi, 2 * np.pi) - np.pi)
 
     def unitary(self) -> np.ndarray:
-        if self.generator is not None:
-            return scipy.linalg.expm(np.asarray(self.generator))
         u = np.eye(self.n_spatial)
         for (i, b), theta in zip(self.pairs, self.angles):
             u = u @ givens_matrix(self.n_spatial, i, b, theta)
@@ -84,72 +74,26 @@ class RelaxationReport:
     n_evaluations: int = 0
     budget_exhausted: bool = False
 
-    def to_text(self) -> str:
-        lines = [
-            f"initial energy  {self.initial_energy:.12f}",
-            f"final energy    {self.final_energy:.12f}",
-            f"sweeps          {self.n_sweeps}",
-            f"evaluations     {self.n_evaluations}",
-        ]
-        for k, e in enumerate(self.sweep_energies):
-            lines.append(f"  sweep {k + 1}: {e:.12f}")
-        for (i, b), theta in self.angle_table:
-            lines.append(f"  angle ({i},{b}) = {theta:+.10f}")
-        return "\n".join(lines) + "\n"
 
-
-def _spin_expand(u: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=u.dtype)
-    out[0::2, 0::2] = u
-    out[1::2, 1::2] = u
-    return out
-
-
-def energy_of_rotation(
-    u,
-    mol: MolecularIntegrals,
-    rdm1: Rdm,
-    rdm2: Rdm,
-    by_rdm_rotation: bool = False,
-) -> float:
+def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> float:
     """Energy of the rotated orbitals with the state held fixed.
 
-    ``u`` is a RotationParameters or an explicit spatial unitary.  The
-    default path transforms the integrals by U and contracts with the
-    untouched RDMs; ``by_rdm_rotation`` instead counter-rotates the RDMs
-    and keeps the integrals -- the two agree to machine precision.
+    ``u`` is a RotationParameters or an explicit spatial unitary; the
+    integrals are transformed by U and contracted with the untouched RDMs.
     """
     if isinstance(u, RotationParameters):
         u = u.unitary()
     u = np.asarray(u)
     if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > UNITARITY_TOL:
         raise VqseError("rotation matrix is not unitary")
-    if not by_rdm_rotation:
-        return energy_from_rdms(rotate_integrals(mol, u.real if np.isrealobj(mol.h1) else u), rdm1, rdm2)
-    us = _spin_expand(u)
-    d1 = us @ rdm1.tensor @ us.conj().T
-    d2 = np.einsum(
-        "ip,jq,kr,ls,pqrs->ijkl",
-        us,
-        us,
-        us.conj(),
-        us.conj(),
-        rdm2.tensor,
-        optimize=True,
-    )
-    return energy_from_rdms(mol, Rdm(1, rdm1.n, d1), Rdm(2, rdm2.n, d2))
+    return energy_from_rdms(rotate_integrals(mol, u.real if np.isrealobj(mol.h1) else u), rdm1, rdm2)
 
 
-def rotation_pairs(partition: OrbitalPartition, include_active_active: bool = False):
+def rotation_pairs(partition: OrbitalPartition):
     """Non-redundant Givens pairs: active (outer, ascending) against
     core-then-virtual partners (inner, ascending)."""
     partners = list(partition.core) + list(partition.virtual)
-    pairs = [(i, b) for i in partition.active for b in partners]
-    if include_active_active:
-        act = list(partition.active)
-        pairs += [(i, j) for k, i in enumerate(act) for j in act[k + 1 :]]
-    return tuple(pairs)
+    return tuple((i, b) for i in partition.active for b in partners)
 
 
 def _fit_trig_series(samples: np.ndarray) -> np.ndarray:
@@ -216,20 +160,18 @@ def givens_sweep(
     partition: OrbitalPartition,
     max_sweeps: int = 100,
     angle_tol: float = 1e-12,
-    include_active_active: bool = False,
-    step: str = "basin",
 ):
     """Cyclic exact single-angle minimization over the non-redundant pairs.
 
     Returns (RotationParameters with the accumulated Givens factors,
     RelaxationReport).  The energy trace is non-increasing because each
     angle update is accepted only if the recomputed energy does not rise.
-    The default ``step="basin"`` descends into the nearest minimum along
-    each angle; taking the period-global minimum instead (``"global"``)
-    can hop into an orbital-swap basin from which the cyclic descent
-    cannot escape, ending well above the joint optimum.
+    Each angle descends into the nearest minimum (``step="basin"``);
+    taking the period-global minimum instead can hop into an orbital-swap
+    basin from which the cyclic descent cannot escape, ending well above
+    the joint optimum.
     """
-    pairs = rotation_pairs(partition, include_active_active)
+    pairs = rotation_pairs(partition)
     n = mol.n_spatial
     u = np.eye(n)
     e0 = energy_of_rotation(u, mol, rdm1, rdm2)
@@ -245,7 +187,7 @@ def givens_sweep(
             def e_of(theta):
                 return energy_of_rotation(u @ givens_matrix(n, i, b, theta), mol, rdm1, rdm2)
 
-            theta, _, _ = minimize_single_angle(e_of, step=step)
+            theta, _, _ = minimize_single_angle(e_of, step="basin")
             evaluations += 9
             e_new = e_of(theta)
             evaluations += 1
@@ -278,7 +220,6 @@ def joint_optimize(
     partition: OrbitalPartition,
     initial: RotationParameters | None = None,
     budget: int = 5000,
-    include_active_active: bool = False,
 ):
     """Derivative-free simplex minimization over all pair angles jointly.
 
@@ -289,7 +230,7 @@ def joint_optimize(
     if budget < 0:
         raise VqseError("optimizer budget must be non-negative")
     if initial is None:
-        pairs = rotation_pairs(partition, include_active_active)
+        pairs = rotation_pairs(partition)
         x0 = np.zeros(len(pairs))
     else:
         pairs = initial.pairs
@@ -343,7 +284,6 @@ def relax_then_resolve(
     cycles: int = 1,
     sz: int = 0,
     energy_tol: float = 1e-12,
-    include_active_active: bool = False,
 ):
     """Alternate active-space exact solves with full-space Givens sweeps.
 
@@ -378,13 +318,7 @@ def relax_then_resolve(
         d1 = compute_rdm(wfn, 1)
         d2 = compute_rdm(wfn, 2)
         full_d1, full_d2 = composite_full_rdms(d1, d2, partition)
-        params, report = givens_sweep(
-            mol_current,
-            full_d1,
-            full_d2,
-            partition,
-            include_active_active=include_active_active,
-        )
+        params, report = givens_sweep(mol_current, full_d1, full_d2, partition)
         reports.append(report)
         mol_current = rotate_integrals(mol_current, params.unitary())
         if len(energies) >= 2 and energies[-2] - energies[-1] < energy_tol:

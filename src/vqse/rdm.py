@@ -65,23 +65,12 @@ class Rdm:
         dag = np.conj(self.tensor.transpose(tuple(range(k, 2 * k)) + tuple(range(k))))
         return Rdm(self.k, self.n, 0.5 * (self.tensor + dag), self.vanishes)
 
-    def to_text(self, threshold: float = 0.0) -> str:
-        lines = [f"# rdm k={self.k} n={self.n}"]
-        it = np.nditer(self.tensor, flags=["multi_index"])
-        for val in it:
-            v = complex(val)
-            if abs(v) > threshold:
-                idx = " ".join(map(str, it.multi_index))
-                lines.append(f"{self.k} {idx} {v.real:.16e} {v.imag:.16e}")
-        return "\n".join(lines) + "\n"
-
 
 def _annihilation_amplitudes(wfn: Wavefunction, k: int):
     """Map reduced determinant -> dense tensor B with
     a_{p1} ... a_{pk} |psi> = sum_r B_r[p1..pk] |r>."""
     n = wfn.n_spin_orbitals
     out: dict[int, np.ndarray] = {}
-    dtype = complex if any(isinstance(a, complex) or np.iscomplexobj(np.asarray(a)) for a in ()) else None
     for det, amp in wfn.amplitudes.items():
         occ = [i for i in range(n) if det >> i & 1]
         for combo in combinations(occ, k):
@@ -167,12 +156,6 @@ def _inverse(perm):
     for i, p in enumerate(perm):
         inv[p] = i
     return tuple(inv)
-
-
-def wedge_rdm(a: Rdm, b: Rdm) -> Rdm:
-    if a.n != b.n:
-        raise ValueError("wedge operands over different orbital counts")
-    return Rdm(a.k + b.k, a.n, wedge(a.tensor, b.tensor))
 
 
 @dataclass
@@ -315,12 +298,3 @@ def inject_shot_noise(rdm: Rdm, n_shots: float, seed: int) -> Rdm:
     noise = rng.normal(scale=n_shots**-0.5, size=rdm.tensor.shape)
     noisy = Rdm(rdm.k, rdm.n, rdm.tensor + antisymmetry_project(noise), rdm.vanishes)
     return noisy.hermitized()
-
-
-def partial_trace(rdm: Rdm) -> Rdm:
-    """Contract one upper-lower index pair; equals (N - k + 1) * D_{k-1}."""
-    k, n = rdm.k, rdm.n
-    if k < 2:
-        raise ValueError("partial trace needs rank >= 2")
-    t = np.trace(rdm.tensor, axis1=0, axis2=k)
-    return Rdm(k - 1, n, t)

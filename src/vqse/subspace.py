@@ -18,8 +18,7 @@ orbital Hamiltonian tractable in pure numpy.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class ExpansionOperator:
 
 def build_pool(
     partition: OrbitalPartition,
-    include_identity: bool = True,
     restrict_to=None,
     level: int = 2,
     prune_sz: bool = True,
@@ -101,9 +99,7 @@ def build_pool(
         targets = tuple(sorted(restrict_to))
         if not set(targets) <= set(active):
             raise PartitionError("restriction must be a subset of the active spin orbitals")
-    pool = []
-    if include_identity:
-        pool.append(ExpansionOperator("identity"))
+    pool = [ExpansionOperator("identity")]
     for i in sorted(active + virtual):
         for p in targets:
             pool.append(ExpansionOperator("single", (i, p)))
@@ -311,52 +307,6 @@ def assemble_subspace(
     return _hermitized_pair(h, s, pool)
 
 
-def assemble_subspace_direct(
-    pool, mol: MolecularIntegrals, rdms: RdmSet, partition: OrbitalPartition
-) -> SubspacePair:
-    """Element-wise reference assembly through ``wick.evaluate``.
-
-    Exponentially slower than :func:`assemble_subspace`; intended for
-    cross-checks on small instances.
-    """
-    if partition.core:
-        raise PartitionError("dress core orbitals into the integrals first")
-    terms = []
-    h1s = mol.h1_spin()
-    h2s = mol.h2_spin()
-    kept = list(partition.active_spin) + list(partition.virtual_spin)
-    for a in kept:
-        for b in kept:
-            if h1s[a, b] != 0.0:
-                terms.append((h1s[a, b], ((a, True), (b, False))))
-    for a in kept:
-        for b in kept:
-            for c in kept:
-                for d in kept:
-                    if h2s[a, b, c, d] != 0.0:
-                        terms.append(
-                            (0.5 * h2s[a, b, c, d], ((a, True), (b, True), (c, False), (d, False)))
-                        )
-    n = len(pool)
-    h = np.zeros((n, n), dtype=complex)
-    s = np.zeros((n, n), dtype=complex)
-    for i, oi in enumerate(pool):
-        for j, oj in enumerate(pool):
-            bra, ket = oi.adjoint_ops(), oj.ladder_ops()
-            s[i, j] = wick.evaluate(
-                wick.LabeledString.from_ops(bra + ket, partition), rdms, partition
-            )
-            acc = mol.constant * s[i, j]
-            for coeff, string in terms:
-                acc += wick.evaluate(
-                    wick.LabeledString.from_ops(bra + string + ket, partition, coeff),
-                    rdms,
-                    partition,
-                )
-            h[i, j] = acc
-    return _hermitized_pair(h, s, pool)
-
-
 def _hermitized_pair(h: np.ndarray, s: np.ndarray, pool) -> SubspacePair:
     h_asym = float(np.max(np.abs(h - h.conj().T), initial=0.0))
     s_asym = float(np.max(np.abs(s - s.conj().T), initial=0.0))
@@ -416,38 +366,23 @@ def solve_gevp(pair: SubspacePair, eps: float = DEFAULT_EPS) -> GevpSolution:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end drivers
+# reference state
 
 
 @dataclass
 class VqseOptions:
+    """How the reference RDMs are prepared (see :func:`reference_rdms`).
+
+    ``basis``, ``n_active_spatial`` and ``compute_full_fci`` are read by
+    nothing in the package; the benchmark harness still passes them.
+    """
+
     basis: str = "cc-pvdz"
     n_active_spatial: int = 2
-    eps: float = DEFAULT_EPS
     cumulant: bool = False  # rebuild rank-3/4 RDMs from rank-1/2 cumulants
-    include_identity: bool = True
-    level: int = 2
     compute_full_fci: bool = True
     shots: float | None = None  # Gaussian shot-noise model on the 1-/2-RDMs
     seed: int = 0
-
-
-@dataclass
-class VqsePoint:
-    r_bohr: float
-    e_scf: float
-    e_ref: float
-    e_vqse: float
-    e_fci_full: float | None
-    pool_size: int
-    retained_dimension: int
-    error: str | None = None
-
-    def to_report(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_report(), indent=2, sort_keys=True)
 
 
 def _slice_integrals(mol: MolecularIntegrals, spatial) -> MolecularIntegrals:
@@ -485,62 +420,3 @@ def reference_rdms(wfn, options: VqseOptions) -> RdmSet:
             for k, r in rdms.items()
         }
     return RdmSet(rdms)
-
-
-def vqse_point(r_bohr: float, options: VqseOptions, n_electrons: int = 2) -> VqsePoint:
-    """Full pipeline at one H2 bond length (integrals -> SCF -> reference
-    -> pool -> GEVP), all energies in hartree."""
-    from .fci import build_hamiltonian_action, ground_state
-    from .integrals import compute_ao_integrals, h2_geometry, load_basis, run_rhf, transform_to_mo
-
-    ao = compute_ao_integrals(h2_geometry(r_bohr), load_basis(options.basis))
-    scf = run_rhf(ao, n_electrons)
-    mol = transform_to_mo(ao, scf.mo_coefficients)
-    partition = OrbitalPartition.from_counts(0, options.n_active_spatial, mol.n_spatial)
-
-    active_mol = _slice_integrals(mol, partition.active)
-    e_ref, wfn = ground_state(build_hamiltonian_action(active_mol), n_electrons, sz=0)
-    rdms = reference_rdms(wfn, options)
-
-    pool = build_pool(
-        partition, include_identity=options.include_identity, level=options.level
-    )
-    pair = assemble_subspace(pool, mol, rdms, partition)
-    eps = options.eps if options.shots is None else max(options.eps, NOISY_EPS)
-    solution = solve_gevp(pair, eps)
-
-    e_fci = None
-    if options.compute_full_fci:
-        e_fci, _ = ground_state(build_hamiltonian_action(mol), n_electrons, sz=0)
-    return VqsePoint(
-        r_bohr=r_bohr,
-        e_scf=scf.scf_energy,
-        e_ref=float(e_ref),
-        e_vqse=solution.ground_energy,
-        e_fci_full=None if e_fci is None else float(e_fci),
-        pool_size=len(pool),
-        retained_dimension=solution.retained_dimension,
-    )
-
-
-def vqse_energy_curve(r_values_bohr, options: VqseOptions) -> list:
-    """One :class:`VqsePoint` per bond length; failures are recorded on the
-    row (energies NaN) and the scan continues."""
-    rows = []
-    for r in r_values_bohr:
-        try:
-            rows.append(vqse_point(float(r), options))
-        except Exception as exc:  # fail-soft scan
-            rows.append(
-                VqsePoint(
-                    r_bohr=float(r),
-                    e_scf=float("nan"),
-                    e_ref=float("nan"),
-                    e_vqse=float("nan"),
-                    e_fci_full=None,
-                    pool_size=0,
-                    retained_dimension=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return rows

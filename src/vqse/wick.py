@@ -4,52 +4,21 @@ Virtual-space operators are contracted exactly against the vacuum
 (<a_mu a+_nu> = delta_mu_nu, every other pairing vanishing); the active
 residue is reduced to reduced-density-matrix elements by symbolic normal
 ordering.  Symbolic results are cached per operator pattern (space labels
-and dagger flags only) and instantiated numerically per index tuple, which
-is what makes the subspace-matrix assembly affordable.
+and dagger flags only) and instantiated numerically as dense tensors over
+every index tuple at once, which is what makes the subspace-matrix
+assembly affordable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import VqseError
-from .rdm import Rdm
-from .spaces import OrbitalPartition
 
 ACTIVE = "A"
 VIRTUAL = "V"
-
-
-@dataclass(frozen=True)
-class LabeledOp:
-    index: int  # full-space spin orbital
-    dagger: bool
-    space: str  # ACTIVE or VIRTUAL
-
-
-@dataclass(frozen=True)
-class LabeledString:
-    ops: tuple[LabeledOp, ...]
-    coefficient: complex = 1.0
-
-    @classmethod
-    def from_ops(cls, ops, partition: OrbitalPartition, coefficient=1.0) -> "LabeledString":
-        """Label (index, dagger) pairs using the partition (no core allowed)."""
-        active = set(partition.active_spin)
-        virtual = set(partition.virtual_spin)
-        labeled = []
-        for index, dagger in ops:
-            if index in active:
-                space = ACTIVE
-            elif index in virtual:
-                space = VIRTUAL
-            else:
-                raise VqseError(f"spin orbital {index} is neither active nor virtual")
-            labeled.append(LabeledOp(index, dagger, space))
-        return cls(tuple(labeled), coefficient)
 
 
 class MissingRdmError(VqseError):
@@ -159,74 +128,6 @@ class RdmSet:
         from .rdm import compute_rdm
 
         return cls({k: compute_rdm(wfn, k) for k in range(1, max_rank + 1)})
-
-
-def active_expectation(indices, daggers, rdms: RdmSet) -> complex:
-    """<pattern with concrete active-local indices> from the RDM set."""
-    total = 0.0
-    for sign, dpairs, cres, anns in normal_order_symbolic(tuple(daggers)):
-        ok = all(indices[a] == indices[c] for a, c in dpairs)
-        if not ok:
-            continue
-        k = len(cres)
-        d = rdms.tensor(k)
-        if k == 0:
-            total += sign
-            continue
-        idx = tuple(indices[s] for s in reversed(cres)) + tuple(indices[s] for s in anns)
-        total += sign * d[idx]
-    return total
-
-
-@dataclass
-class ContractionResult:
-    """Numeric contraction: surviving active-only strings with coefficients."""
-
-    terms: list  # list of (coefficient, tuple[(index, dagger), ...]) active ops
-
-    def to_text(self) -> str:
-        lines = []
-        for coeff, ops in self.terms:
-            body = " ".join(f"a{'+' if d else ''}_{i}" for i, d in ops)
-            lines.append(f"{coeff!r} * [{body}]")
-        return "\n".join(lines) + "\n"
-
-
-def contract_virtuals(string: LabeledString, partition: OrbitalPartition) -> ContractionResult:
-    """Contract all virtual operators against the virtual vacuum."""
-    _check_labels(string, partition)
-    pattern = tuple((op.space, op.dagger) for op in string.ops)
-    out = []
-    for sign, vpairs, active_slots in contract_virtuals_symbolic(pattern):
-        if any(string.ops[a].index != string.ops[c].index for a, c in vpairs):
-            continue
-        ops = tuple((string.ops[s].index, string.ops[s].dagger) for s in active_slots)
-        out.append((string.coefficient * sign, ops))
-    return ContractionResult(out)
-
-
-def _check_labels(string: LabeledString, partition: OrbitalPartition):
-    active = set(partition.active_spin)
-    virtual = set(partition.virtual_spin)
-    for op in string.ops:
-        expected = ACTIVE if op.index in active else VIRTUAL if op.index in virtual else None
-        if expected != op.space:
-            raise VqseError(
-                f"operator on spin orbital {op.index} labeled {op.space}, "
-                f"but the partition says {expected}"
-            )
-
-
-def evaluate(string: LabeledString, rdms: RdmSet, partition: OrbitalPartition) -> complex:
-    """<Psi_ref (x) vac| string |Psi_ref (x) vac> from active RDMs."""
-    contraction = contract_virtuals(string, partition)
-    active_local = {so: a for a, so in enumerate(partition.active_spin)}
-    total = 0.0
-    for coeff, ops in contraction.terms:
-        indices = tuple(active_local[i] for i, _ in ops)
-        daggers = tuple(d for _, d in ops)
-        total += coeff * active_expectation(indices, daggers, rdms)
-    return complex(total)
 
 
 def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from vqse import ANGSTROM_PER_BOHR
+from vqse import ANGSTROM_PER_BOHR, wick
 from vqse.fci import (
     Wavefunction,
     build_hamiltonian_action,
@@ -27,9 +27,16 @@ from vqse.subspace import _slice_integrals
 DATA_DIR = Path(__file__).parent / "data"
 
 
-@functools.lru_cache(maxsize=32)
 def h2_case(r_angstrom: float, basis: str, n_active_spatial: int = 2):
     """Shared pipeline state at one bond length (cached across tests)."""
+    return _h2_case(r_angstrom, basis, n_active_spatial)
+
+
+# Keyed on the normalized arguments, so h2_case(r, b) and h2_case(r, b, 2)
+# share one entry; sized to hold a 23-point grid for each of the four
+# (basis, active size) combinations the acceptance tests scan.
+@functools.lru_cache(maxsize=128)
+def _h2_case(r_angstrom: float, basis: str, n_active_spatial: int):
     r_bohr = r_angstrom / ANGSTROM_PER_BOHR
     ao = compute_ao_integrals(h2_geometry(r_bohr), load_basis(basis))
     scf = run_rhf(ao, 2)
@@ -49,14 +56,14 @@ def h2_case(r_angstrom: float, basis: str, n_active_spatial: int = 2):
     }
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=128)
 def h2_fci(r_angstrom: float, basis: str) -> float:
     case = h2_case(r_angstrom, basis)
     energy, _ = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
     return float(energy)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=128)
 def casscf_2_2(r_angstrom: float, basis: str) -> float:
     """Brute-force CASSCF(2,2) energy: the lowest 2-electron ground state of
     the 2-orbital active space over all rotations that mix the active
@@ -117,3 +124,18 @@ def random_wavefunction(n_spin_orbitals, n_electrons, rng, sz=None, complex_amps
     if complex_amps:
         amps = amps + 1j * rng.normal(size=len(dets))
     return Wavefunction(dict(zip(dets, amps)), n_spin_orbitals, n_electrons).normalized()
+
+
+def wick_expectation(ops, rdms, partition: OrbitalPartition) -> complex:
+    """<Psi_ref (x) vac| ops |Psi_ref (x) vac> through the two primitives the
+    subspace assembly uses: virtual pairings from ``contract_virtuals_symbolic``
+    and active residues from ``active_pattern_tensor``.  ``ops`` is a
+    sequence of (full-space spin orbital, dagger) pairs, leftmost first."""
+    active = {so: k for k, so in enumerate(partition.active_spin)}
+    pattern = tuple((wick.ACTIVE if i in active else wick.VIRTUAL, d) for i, d in ops)
+    total = 0.0
+    for sign, vpairs, slots in wick.contract_virtuals_symbolic(pattern):
+        if all(ops[a][0] == ops[c][0] for a, c in vpairs):
+            tensor = wick.active_pattern_tensor(tuple(ops[s][1] for s in slots), rdms)
+            total += sign * tensor[tuple(active[ops[s][0]] for s in slots)]
+    return complex(total)

@@ -24,8 +24,9 @@ from conftest import (
     h2_case,
     h2_fci,
     random_wavefunction,
+    wick_expectation,
 )
-from vqse import ANGSTROM_PER_BOHR
+from vqse.cli import ScanConfig, _scan_point
 from vqse.fci import (
     Wavefunction,
     build_hamiltonian_action,
@@ -42,6 +43,7 @@ from vqse.rdm import (
 )
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
+    DEFAULT_EPS,
     VqseOptions,
     _slice_integrals,
     assemble_subspace,
@@ -49,9 +51,8 @@ from vqse.subspace import (
     canonical_orthogonalize,
     reference_rdms,
     solve_gevp,
-    vqse_energy_curve,
 )
-from vqse.wick import LabeledString, RdmSet, evaluate
+from vqse.wick import RdmSet
 
 TOL_EXACT = 1e-12
 TOL_EIG = 1e-10
@@ -66,13 +67,10 @@ GRID_ANGSTROM = [round(0.3 + 0.1 * k, 10) for k in range(23)]
 
 @functools.lru_cache(maxsize=8)
 def expansion_curve(basis: str):
-    """Subspace-expansion scan over the full grid, cached across tests."""
-    options = VqseOptions(basis=basis)
-    rows = vqse_energy_curve(
-        [r / ANGSTROM_PER_BOHR for r in GRID_ANGSTROM], options
-    )
-    assert all(row.error is None for row in rows)
-    return rows
+    """Subspace-expansion scan over the full grid through the ``vqse scan``
+    point pipeline (CurveRow per point), cached across tests."""
+    config = ScanConfig(points_angstrom=GRID_ANGSTROM, basis=basis)
+    return [_scan_point(r, config)[0] for r in GRID_ANGSTROM]
 
 
 @functools.lru_cache(maxsize=8)
@@ -95,15 +93,14 @@ def expansion_on_virtual_prefix(r_angstrom: float, basis: str, n_virtual: int) -
     so slicing the Hamiltonian to them changes no matrix element, and a
     shorter prefix's pool is a sub-pool of a longer one's."""
     case = h2_case(r_angstrom, basis)
-    options = VqseOptions(basis=basis)
     partition = OrbitalPartition((), (0, 1), range(2, 2 + n_virtual))
     pair = assemble_subspace(
         build_pool(partition),
         _slice_integrals(case["mol"], range(2 + n_virtual)),
-        reference_rdms(case["wfn"], options),
+        reference_rdms(case["wfn"], VqseOptions()),
         partition,
     )
-    return solve_gevp(pair, options.eps).ground_energy
+    return solve_gevp(pair, DEFAULT_EPS).ground_energy
 
 
 def chain_violations(r_angstrom: float, labels, chain) -> list:
@@ -136,7 +133,7 @@ def test_contraction_engine_matches_fock_space_oracle():
         ops = tuple(
             (int(rng.choice(spins)), bool(rng.integers(2))) for _ in range(length)
         )
-        got = evaluate(LabeledString.from_ops(ops, partition), rdms, partition)
+        got = wick_expectation(ops, rdms, partition)
         ref = full_space_expectation(full, [(1.0, list(ops))], full)
         assert got == pytest.approx(ref, abs=TOL_EXACT), ops
     elapsed = time.monotonic() - start
@@ -177,7 +174,7 @@ def test_double_double_matrix_element_closed_form():
             (i, True), (j, True), (k, False), (l, False),
             (mu, True), (p, False), (nu, True), (q, False),
         )
-        engine = evaluate(LabeledString.from_ops(ops, partition), rdms, partition)
+        engine = wick_expectation(ops, rdms, partition)
 
         # fully-paired virtual block times the 4-body active residue
         hand = pair_delta(xi, eta, mu, nu) * expect(
@@ -322,7 +319,7 @@ def test_expansion_is_variational():
     the active-space reference energy."""
     for basis in ("6-31g", "cc-pvdz"):
         for row in expansion_curve(basis):
-            assert row.e_vqse <= row.e_ref + TOL_EIG, (basis, row.r_bohr)
+            assert row.e_vqse <= row.e_ref + TOL_EIG, (basis, row.r_angstrom)
 
 
 def test_sweep_traces_monotone_non_increasing():
@@ -429,9 +426,7 @@ def test_noise_scatter_follows_square_root_law():
     for shots in shots_grid:
         energies = []
         for seed in range(30):
-            options = VqseOptions(
-                basis="6-31g", cumulant=True, shots=shots, seed=seed * 17 + 1
-            )
+            options = VqseOptions(cumulant=True, shots=shots, seed=seed * 17 + 1)
             rdms = reference_rdms(case["wfn"], options)
             pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
             energies.append(solve_gevp(pair, 1e-2).ground_energy)
@@ -444,7 +439,7 @@ def test_noise_scatter_follows_square_root_law():
 def test_retained_dimension_monotone_in_threshold():
     case = h2_case(0.7414, "6-31g")
     pool = build_pool(case["partition"])
-    options = VqseOptions(basis="6-31g", shots=1e4, seed=3)
+    options = VqseOptions(shots=1e4, seed=3)
     rdms = reference_rdms(case["wfn"], options)
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     dims = []

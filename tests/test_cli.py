@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, extra_key=1)
     with pytest.raises(VqseError):
         ScanConfig.from_file(path)
+
+
+def test_readme_configs_are_valid_scan_configs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        ScanConfig(**json.loads(block))
 
 
 def test_config_round_trips_through_the_sidecar(tmp_path):

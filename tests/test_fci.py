@@ -12,7 +12,6 @@ from vqse.fci import (
     Wavefunction,
     apply_ladder,
     apply_ladder_string,
-    apply_operator_terms,
     build_hamiltonian_action,
     full_space_expectation,
     ground_state,
@@ -80,15 +79,6 @@ def test_sector_determinants_sorted_and_sz_filtered():
         n_alpha = sum(1 for i in (0, 2) if det >> i & 1)
         n_beta = sum(1 for i in (1, 3) if det >> i & 1)
         assert n_alpha == n_beta == 1
-
-
-def test_wavefunction_text_round_trip():
-    rng = np.random.default_rng(3)
-    wfn = random_wavefunction(6, 3, rng, complex_amps=True)
-    back = Wavefunction.from_text(wfn.to_text())
-    assert back.n_spin_orbitals == 6 and back.n_electrons == 3
-    for det, amp in wfn.amplitudes.items():
-        assert back.amplitudes[det] == pytest.approx(amp, abs=TOL_EXACT)
 
 
 def test_normalized_and_overlap():
@@ -220,13 +210,6 @@ def test_number_operator_on_occupied_orbital():
     for i, expect in ((0, 1.0), (1, 0.0), (2, 1.0), (3, 0.0)):
         val = full_space_expectation(wfn, [(1.0, [(i, True), (i, False)])], wfn)
         assert val == pytest.approx(expect, abs=TOL_EXACT)
-
-
-def test_apply_operator_terms_tracks_particle_number():
-    wfn = Wavefunction({0b0011: 1.0}, 4, 2)
-    out = apply_operator_terms([(1.0, [(2, True)])], wfn)
-    assert out.n_electrons == 3
-    assert out.amplitudes == {0b0111: 1.0}
 
 
 def test_expectation_energy_matches_eigenvalue():

@@ -20,9 +20,7 @@ from vqse.rdm import (
     cumulants_from_rdms,
     energy_from_rdms,
     inject_shot_noise,
-    partial_trace,
     wedge,
-    wedge_rdm,
 )
 from vqse.spaces import OrbitalPartition
 
@@ -104,15 +102,16 @@ def test_rdm_hermiticity_and_antisymmetry():
     assert np.allclose(d2.tensor, -d2.tensor.transpose(1, 0, 2, 3), atol=TOL_EXACT)
 
 
-def test_partial_trace_recursion():
+def test_contracted_rdm_recursion():
+    """Contracting one upper-lower index pair of D_k gives (N - k + 1) D_{k-1}."""
     rng = np.random.default_rng(24)
     wfn = random_wavefunction(8, 4, rng)
     n_e = 4
     for k in (2, 3, 4):
         dk = compute_rdm(wfn, k)
         dk1 = compute_rdm(wfn, k - 1)
-        traced = partial_trace(dk)
-        assert np.max(np.abs(traced.tensor - (n_e - k + 1) * dk1.tensor)) < 1e-9
+        traced = np.trace(dk.tensor, axis1=0, axis2=k)
+        assert np.max(np.abs(traced - (n_e - k + 1) * dk1.tensor)) < 1e-9
 
 
 def test_energy_from_rdms_matches_fci_eigenvalue():
@@ -151,14 +150,6 @@ def test_wedge_matches_permutation_sum_oracle():
     a2 = antisymmetry_project(rng.normal(size=(n,) * 4))
     assert np.max(np.abs(wedge(a1, a2) - wedge_oracle(a1, a2))) < TOL_EXACT
     assert np.max(np.abs(wedge(a2, b1) - wedge_oracle(a2, b1))) < TOL_EXACT
-
-
-def test_wedge_rdm_rank_bookkeeping():
-    rng = np.random.default_rng(27)
-    wfn = random_wavefunction(6, 3, rng)
-    d1 = compute_rdm(wfn, 1)
-    prod = wedge_rdm(d1, d1)
-    assert prod.k == 2 and prod.n == 6
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Operator pool, subspace matrices, GEVP, and end-to-end drivers."""
+"""Operator pool, subspace matrices, GEVP, and the end-to-end scan point."""
 
 import itertools
 import math
@@ -8,6 +8,7 @@ import pytest
 
 from conftest import embed_wavefunction, h2_case, random_wavefunction
 from vqse import ANGSTROM_PER_BOHR
+from vqse.cli import ScanConfig, _scan_point
 from vqse.exceptions import DegenerateMetricError, PartitionError, VqseError
 from vqse.fci import (
     Wavefunction,
@@ -21,14 +22,10 @@ from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     ExpansionOperator,
     SubspacePair,
-    VqseOptions,
     assemble_subspace,
-    assemble_subspace_direct,
     build_pool,
     canonical_orthogonalize,
     solve_gevp,
-    vqse_energy_curve,
-    vqse_point,
 )
 from vqse.wick import RdmSet
 
@@ -170,14 +167,16 @@ def test_assembly_matches_full_space_oracle_631g():
 
 
 def test_vectorized_assembly_matches_elementwise_path():
+    """A pool restricted to some active targets against the element-by-
+    element oracle."""
     case = h2_case(R_A, "6-31g")
     mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
     rdms = RdmSet.from_wavefunction(wfn)
-    pool = build_pool(partition, restrict_to=(2, 3))  # small pool for the slow path
-    fast = assemble_subspace(pool, mol, rdms, partition)
-    slow = assemble_subspace_direct(pool, mol, rdms, partition)
-    assert np.max(np.abs(fast.h - slow.h)) < TOL_ORACLE
-    assert np.max(np.abs(fast.s - slow.s)) < TOL_ORACLE
+    pool = build_pool(partition, restrict_to=(2, 3))
+    pair = assemble_subspace(pool, mol, rdms, partition)
+    h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
+    assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
+    assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
 
 
 def test_assembly_rejects_core_partition():
@@ -316,37 +315,32 @@ def test_cumulant_substitution_recovers_exact_assembly():
     assert np.max(np.abs(a.s - b.s)) < TOL_ORACLE
 
 
+def scan_point(basis, **config):
+    """One point of the ``vqse scan`` pipeline at R = 1.4 bohr."""
+    return _scan_point(R_A, ScanConfig(points_angstrom=[R_A], basis=basis, **config))
+
+
 def test_cumulant_truncation_error_reported():
-    exact_point = vqse_point(1.4, VqseOptions(basis="6-31g"))
-    cum_point = vqse_point(1.4, VqseOptions(basis="6-31g", cumulant=True))
-    gap = cum_point.e_vqse - exact_point.e_vqse
+    exact_row, _ = scan_point("6-31g")
+    cum_row, _ = scan_point("6-31g", cumulant_rank=2)
+    gap = cum_row.e_vqse - exact_row.e_vqse
     print(f"rank-2 cumulant mode raises E_vqse by {gap:+.3e}")
     assert abs(gap) < 5e-3  # small but generally nonzero
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# scan point
 
 
-def test_vqse_point_without_virtuals_collapses_to_reference():
-    options = VqseOptions(basis="sto-3g", n_active_spatial=2)
-    point = vqse_point(1.4, options)
-    assert point.e_vqse == pytest.approx(point.e_ref, abs=TOL_ORACLE)
-    assert point.e_vqse == pytest.approx(point.e_fci_full, abs=TOL_ORACLE)
+def test_scan_point_without_virtuals_collapses_to_reference():
+    row, _ = scan_point("sto-3g")
+    assert row.e_vqse == pytest.approx(row.e_ref, abs=TOL_ORACLE)
+    assert row.e_vqse == pytest.approx(row.e_fci_full, abs=TOL_ORACLE)
 
 
-def test_vqse_point_variational_and_report():
-    point = vqse_point(1.4, VqseOptions(basis="6-31g"))
-    assert point.e_vqse <= point.e_ref + 1e-10
-    assert point.e_vqse >= point.e_fci_full - 1e-10
-    report = point.to_report()
-    assert report["pool_size"] == point.pool_size
-    assert "e_vqse" in point.to_json()
-
-
-def test_curve_is_fail_soft():
-    options = VqseOptions(basis="sto-3g", n_active_spatial=5)  # impossible split
-    rows = vqse_energy_curve([1.4, 1.5], options)
-    assert len(rows) == 2
-    assert all(row.error is not None for row in rows)
-    assert all(math.isnan(row.e_vqse) for row in rows)
+def test_scan_point_variational_and_report():
+    row, report = scan_point("6-31g")
+    assert row.e_vqse <= row.e_ref + 1e-10
+    assert row.e_vqse >= row.e_fci_full - 1e-10
+    assert report["e_vqse"] == row.e_vqse
+    assert report["pool_size"] == len(build_pool(h2_case(R_A, "6-31g")["partition"]))

@@ -5,24 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import embed_wavefunction, random_wavefunction
-from vqse.exceptions import VqseError
+from conftest import embed_wavefunction, random_wavefunction, wick_expectation
 from vqse.fci import full_space_expectation
 from vqse.rdm import compute_rdm
 from vqse.spaces import OrbitalPartition
 from vqse.wick import (
     ACTIVE,
     VIRTUAL,
-    ContractionResult,
-    LabeledOp,
-    LabeledString,
     MissingRdmError,
     RdmSet,
-    active_expectation,
     active_pattern_tensor,
-    contract_virtuals,
     contract_virtuals_symbolic,
-    evaluate,
     normal_order_symbolic,
 )
 
@@ -33,12 +26,12 @@ TOL_EXACT = 1e-12
 PARTITION = OrbitalPartition(core=(), active=(0, 1), virtual=(2, 3))
 
 
-def oracle_expectation(ops, wfn, partition, coefficient=1.0):
+def oracle_expectation(ops, wfn, partition):
     """Embed the active state into the full Fock space and apply the
     ladder string explicitly."""
     n_full = 2 * partition.n_spatial
     full = embed_wavefunction(wfn, partition, n_full)
-    return full_space_expectation(full, [(coefficient, list(ops))], full)
+    return full_space_expectation(full, [(1.0, list(ops))], full)
 
 
 def random_labeled_ops(rng, length, partition):
@@ -54,24 +47,22 @@ def random_labeled_ops(rng, length, partition):
 
 def test_vacuum_pair_contraction():
     # <vac| a_mu a+_nu |vac> = delta_mu_nu on the empty active string
+    assert contract_virtuals_symbolic(((VIRTUAL, False), (VIRTUAL, True))) == (
+        (1, ((0, 1),), ()),
+    )
+    rdms = RdmSet.from_wavefunction(random_wavefunction(4, 2, np.random.default_rng(40)))
     for mu, nu in itertools.product(PARTITION.virtual_spin, repeat=2):
-        string = LabeledString.from_ops(((mu, False), (nu, True)), PARTITION)
-        result = contract_virtuals(string, PARTITION)
-        if mu == nu:
-            assert result.terms == [(1.0, ())]
-        else:
-            assert result.terms == []
+        got = wick_expectation(((mu, False), (nu, True)), rdms, PARTITION)
+        assert got == (1.0 if mu == nu else 0.0)
 
 
 def test_wrong_order_virtual_pair_vanishes():
     # <vac| a+_mu a_nu |vac> = 0
-    string = LabeledString.from_ops(((4, True), (4, False)), PARTITION)
-    assert contract_virtuals(string, PARTITION).terms == []
+    assert contract_virtuals_symbolic(((VIRTUAL, True), (VIRTUAL, False))) == ()
 
 
 def test_unbalanced_virtual_string_vanishes():
-    string = LabeledString.from_ops(((4, False), (0, True)), PARTITION)
-    assert contract_virtuals(string, PARTITION).terms == []
+    assert contract_virtuals_symbolic(((VIRTUAL, False), (ACTIVE, True))) == ()
 
 
 def test_two_pair_contraction_has_two_pairings():
@@ -83,15 +74,9 @@ def test_two_pair_contraction_has_two_pairings():
 
 
 def test_active_string_passes_through():
-    string = LabeledString.from_ops(((0, True), (3, False)), PARTITION)
-    result = contract_virtuals(string, PARTITION)
-    assert result.terms == [(1.0, ((0, True), (3, False)))]
-
-
-def test_contract_virtuals_checks_labels():
-    bad = LabeledString(ops=(LabeledOp(0, True, VIRTUAL),))
-    with pytest.raises(VqseError):
-        contract_virtuals(bad, PARTITION)
+    assert contract_virtuals_symbolic(((ACTIVE, True), (ACTIVE, False))) == (
+        (1, (), (0, 1)),
+    )
 
 
 def test_normal_order_balanced_terms_only():
@@ -105,12 +90,6 @@ def test_normal_order_balanced_terms_only():
     assert normal_order_symbolic((True, True, False)) == ()
 
 
-def test_contraction_result_to_text():
-    string = LabeledString.from_ops(((0, True), (1, False)), PARTITION)
-    text = contract_virtuals(string, PARTITION).to_text()
-    assert "a+_0" in text and "a_1" in text
-
-
 # ---------------------------------------------------------------------------
 # numeric layer
 
@@ -121,8 +100,7 @@ def test_all_active_single_is_rdm_element():
     rdms = RdmSet.from_wavefunction(wfn)
     d1 = compute_rdm(wfn, 1)
     for p, q in itertools.product(range(4), repeat=2):
-        string = LabeledString.from_ops(((p, True), (q, False)), PARTITION)
-        assert evaluate(string, rdms, PARTITION) == pytest.approx(
+        assert wick_expectation(((p, True), (q, False)), rdms, PARTITION) == pytest.approx(
             d1.tensor[p, q], abs=TOL_EXACT
         )
 
@@ -134,22 +112,9 @@ def test_evaluate_matches_full_space_oracle():
     for _ in range(150):
         length = int(rng.integers(0, 7)) * 2  # even lengths up to 12
         ops = random_labeled_ops(rng, length, PARTITION)
-        string = LabeledString.from_ops(ops, PARTITION)
-        got = evaluate(string, rdms, PARTITION)
+        got = wick_expectation(ops, rdms, PARTITION)
         ref = oracle_expectation(ops, wfn, PARTITION)
         assert got == pytest.approx(ref, abs=TOL_EXACT), ops
-
-
-def test_evaluate_is_linear_in_coefficient():
-    rng = np.random.default_rng(43)
-    wfn = random_wavefunction(4, 2, rng)
-    rdms = RdmSet.from_wavefunction(wfn)
-    ops = ((2, False), (0, True), (2, True), (1, False))
-    base = evaluate(LabeledString.from_ops(ops, PARTITION), rdms, PARTITION)
-    scaled = evaluate(
-        LabeledString.from_ops(ops, PARTITION, coefficient=-2.5 + 0.5j), rdms, PARTITION
-    )
-    assert scaled == pytest.approx((-2.5 + 0.5j) * base, abs=TOL_EXACT)
 
 
 def test_three_electron_reference():
@@ -160,8 +125,7 @@ def test_three_electron_reference():
     rdms = RdmSet.from_wavefunction(wfn)
     for _ in range(60):
         ops = random_labeled_ops(rng, int(rng.integers(0, 4)) * 2, partition)
-        string = LabeledString.from_ops(ops, partition)
-        got = evaluate(string, rdms, partition)
+        got = wick_expectation(ops, rdms, partition)
         ref = oracle_expectation(ops, wfn, partition)
         assert got == pytest.approx(ref, abs=TOL_EXACT), ops
 
@@ -170,18 +134,8 @@ def test_missing_rdm_raises():
     rng = np.random.default_rng(45)
     wfn = random_wavefunction(4, 2, rng)
     rdms = RdmSet({1: compute_rdm(wfn, 1)})
-    ops = ((0, True), (1, True), (2, False), (3, False))  # needs the 2-RDM
-    string = LabeledString.from_ops(
-        tuple((i, d) for i, d in ops), PARTITION
-    )
     with pytest.raises(MissingRdmError):
-        evaluate(string, rdms, PARTITION)
-
-
-def test_from_ops_rejects_unknown_orbital():
-    partition = OrbitalPartition(core=(0,), active=(1,), virtual=())
-    with pytest.raises(VqseError):
-        LabeledString.from_ops(((0, True),), partition)  # core spin orbital
+        active_pattern_tensor((True, True, False, False), rdms)  # needs the 2-RDM
 
 
 def test_rdm_set_rank_zero_and_dimension_check():
@@ -194,6 +148,8 @@ def test_rdm_set_rank_zero_and_dimension_check():
 
 
 def test_active_pattern_tensor_matches_elementwise():
+    """Every element of every pattern tensor up to length 4 equals the
+    brute-force expectation of that ladder string."""
     rng = np.random.default_rng(47)
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
     rdms = RdmSet.from_wavefunction(wfn)
@@ -202,5 +158,5 @@ def test_active_pattern_tensor_matches_elementwise():
     ):
         tensor = active_pattern_tensor(tuple(daggers), rdms)
         for idx in itertools.product(range(4), repeat=len(daggers)):
-            ref = active_expectation(idx, daggers, rdms)
+            ref = full_space_expectation(wfn, [(1.0, list(zip(idx, daggers)))], wfn)
             assert tensor[idx] == pytest.approx(ref, abs=TOL_EXACT), (daggers, idx)
