@@ -20,7 +20,7 @@ from vqse.oo import (
     relax_then_resolve,
     rotation_pairs,
 )
-from vqse.rdm import compute_rdm, composite_full_rdms, energy_from_rdms
+from vqse.rdm import Rdm, compute_rdm, composite_full_rdms, energy_from_rdms
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import _slice_integrals
 
@@ -83,6 +83,22 @@ def test_identity_rotation_reproduces_rdm_energy():
         e0, abs=TOL_EXACT
     )
     assert e0 == pytest.approx(case["e_ref"], abs=TOL_ORACLE)
+
+
+def test_integral_and_rdm_rotation_paths_agree():
+    """Rotating the integrals by U equals counter-rotating the RDMs by U
+    and keeping the integrals, for a full-size rotation."""
+    case = h2_case(R_A, "6-31g")
+    d1, d2 = full_rdms(case)
+    rng = np.random.default_rng(62)
+    a = rng.normal(size=(4, 4))
+    u = scipy.linalg.expm(a - a.T)
+    e_int = energy_of_rotation(u, case["mol"], d1, d2)
+    us = np.kron(u, np.eye(2))  # interleaved alpha/beta spin orbitals
+    r1 = us @ d1.tensor @ us.conj().T
+    r2 = np.einsum("ip,jq,kr,ls,pqrs->ijkl", us, us, us.conj(), us.conj(), d2.tensor, optimize=True)
+    e_rdm = energy_from_rdms(case["mol"], Rdm(1, d1.n, r1), Rdm(2, d2.n, r2))
+    assert e_int == pytest.approx(e_rdm, abs=TOL_ORACLE)
 
 
 def test_non_unitary_rotation_rejected():
