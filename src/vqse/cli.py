@@ -168,6 +168,8 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
             )
             row.e_oo = reports[-1].final_energy
             report["oo_cycle_energies"] = energies
+            report["oo_sweeps"] = sum(r.n_sweeps for r in reports)
+            report["oo_evaluations"] = sum(r.n_evaluations for r in reports)
         else:
             d1 = compute_rdm(wfn, 1)
             d2 = compute_rdm(wfn, 2)

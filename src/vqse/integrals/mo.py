@@ -99,11 +99,15 @@ def transform_one(h: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def transform_two(eri: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Four sequential quarter transforms, O(n^5)."""
-    out = np.einsum("pqrs,pi->iqrs", eri, c, optimize=True)
-    out = np.einsum("iqrs,qj->ijrs", out, c, optimize=True)
-    out = np.einsum("ijrs,rk->ijks", out, c, optimize=True)
-    out = np.einsum("ijks,sl->ijkl", out, c, optimize=True)
+    """Four quarter transforms by an (n, m) coefficient block, O(n^4 m).
+
+    Each step contracts the leading index with ``c`` and appends the new
+    index last, so after four steps the indices are back in (ijkl) order.
+    A step is one matrix product on a transposed view and copies nothing.
+    """
+    out = eri
+    for _ in range(4):
+        out = (out.reshape(out.shape[0], -1).T @ c).reshape(*out.shape[1:], c.shape[1])
     return out
 
 
@@ -123,12 +127,17 @@ def transform_to_mo(ao: AoIntegrals, mo_coefficients: np.ndarray) -> MolecularIn
 
 
 def rotate_integrals(mol: MolecularIntegrals, u: np.ndarray) -> MolecularIntegrals:
-    """Apply a spatial-orbital rotation to MO integrals (same conventions)."""
+    """Apply a spatial-orbital rotation to MO integrals (same conventions).
+
+    ``u`` is (n, m) with m <= n: its columns are the new orbitals in the
+    old basis, so an n x n unitary rotates every orbital and a column
+    block gives the integrals over just those m rotated orbitals.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != (mol.n_spatial, mol.n_spatial):
-        raise ValueError("rotation dimension mismatch")
+    if u.ndim != 2 or u.shape[0] != mol.n_spatial or u.shape[1] > mol.n_spatial:
+        raise ValueError(f"rotation must be ({mol.n_spatial}, m <= {mol.n_spatial}), got {u.shape}")
     return MolecularIntegrals(
-        n_spatial=mol.n_spatial,
+        n_spatial=u.shape[1],
         e_nuc=mol.e_nuc,
         h1=transform_one(mol.h1, u),
         eri=transform_two(mol.eri, u),

@@ -20,9 +20,15 @@ import scipy.optimize
 from .exceptions import VqseError
 from .integrals import MolecularIntegrals, rotate_integrals
 from .rdm import Rdm, composite_full_rdms, energy_from_rdms
-from .spaces import OrbitalPartition
+from .spaces import OrbitalPartition, spatial_to_spin
 
 UNITARITY_TOL = 1e-8
+# The single-angle minimizer scans E(theta) on N_SCAN equispaced angles of
+# (-pi, pi]; the exp(i k theta) table of the fitted harmonics k = -4..4 on
+# that grid is fixed, so it is built once.
+N_SCAN = 10000
+_SCAN_GRID = np.linspace(-np.pi, np.pi, N_SCAN, endpoint=False)
+_SCAN_TABLE = np.exp(1j * np.outer(_SCAN_GRID, np.arange(-4, 5)))
 
 
 @dataclass
@@ -75,18 +81,38 @@ class RelaxationReport:
     budget_exhausted: bool = False
 
 
+def occupied_support(rdm1: Rdm) -> np.ndarray:
+    """Spatial orbitals with nonzero occupation in the spin-orbital 1-RDM.
+
+    For an N-representable state a zero occupation <a+_p a_p> = |a_p Psi|^2
+    means a_p Psi = 0, so every 1- and 2-RDM element with an index on p
+    vanishes: the RDMs have no weight outside this support.
+    """
+    occupation = np.abs(np.diagonal(rdm1.tensor)).reshape(-1, 2).sum(axis=1)
+    return np.flatnonzero(occupation)
+
+
 def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> float:
     """Energy of the rotated orbitals with the state held fixed.
 
     ``u`` is a RotationParameters or an explicit spatial unitary; the
     integrals are transformed by U and contracted with the untouched RDMs.
+    Only the occupied columns of U enter: the RDMs are sliced to their
+    support (``occupied_support``) and the integrals are rotated by the
+    column block U[:, support], which costs O(n^4 m) for m occupied
+    orbitals and builds a (2m)^4 spin tensor instead of a (2n)^4 one.
     """
     if isinstance(u, RotationParameters):
         u = u.unitary()
     u = np.asarray(u)
     if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > UNITARITY_TOL:
         raise VqseError("rotation matrix is not unitary")
-    return energy_from_rdms(rotate_integrals(mol, u.real if np.isrealobj(mol.h1) else u), rdm1, rdm2)
+    support = occupied_support(rdm1)
+    spin = np.array(spatial_to_spin(support), dtype=int)
+    block1 = Rdm(1, spin.size, rdm1.tensor[np.ix_(spin, spin)])
+    block2 = Rdm(2, spin.size, rdm2.tensor[np.ix_(spin, spin, spin, spin)])
+    c = u[:, support].real if np.isrealobj(mol.h1) else u[:, support]
+    return energy_from_rdms(rotate_integrals(mol, c), block1, block2)
 
 
 def rotation_pairs(partition: OrbitalPartition):
@@ -110,7 +136,7 @@ def _eval_trig_series(c: np.ndarray, theta) -> np.ndarray:
     return np.real(np.exp(1j * np.outer(np.atleast_1d(theta), ks)) @ c)
 
 
-def minimize_single_angle(energy_fn, n_scan: int = 10000, step: str = "global"):
+def minimize_single_angle(energy_fn, step: str = "global"):
     """Minimum of a trigonometric polynomial E(theta), harmonics <= 4.
 
     Nine samples pin the polynomial exactly; a dense scan plus bounded
@@ -123,14 +149,13 @@ def minimize_single_angle(energy_fn, n_scan: int = 10000, step: str = "global"):
     thetas = 2 * np.pi * np.arange(9) / 9
     samples = np.array([energy_fn(t) for t in thetas])
     c = _fit_trig_series(samples)
-    grid = np.linspace(-np.pi, np.pi, n_scan, endpoint=False)
-    values = _eval_trig_series(c, grid)
+    values = np.real(_SCAN_TABLE @ c)
     if step == "global":
         k = int(np.argmin(values))
     elif step == "basin":
-        k0 = k = n_scan // 2  # theta = 0
+        k0 = k = N_SCAN // 2  # theta = 0
         while True:
-            kl, kr = (k - 1) % n_scan, (k + 1) % n_scan
+            kl, kr = (k - 1) % N_SCAN, (k + 1) % N_SCAN
             if values[kl] < values[k] and values[kl] <= values[kr]:
                 k = kl
             elif values[kr] < values[k]:
@@ -141,14 +166,14 @@ def minimize_single_angle(energy_fn, n_scan: int = 10000, step: str = "global"):
                 break
     else:
         raise VqseError(f"unknown step mode {step!r}")
-    span = 2 * np.pi / n_scan
+    span = 2 * np.pi / N_SCAN
     res = scipy.optimize.minimize_scalar(
         lambda t: float(_eval_trig_series(c, t)[0]),
-        bounds=(grid[k] - span, grid[k] + span),
+        bounds=(_SCAN_GRID[k] - span, _SCAN_GRID[k] + span),
         method="bounded",
         options={"xatol": 1e-14},
     )
-    theta = float(res.x) if res.fun <= values[k] else float(grid[k])
+    theta = float(res.x) if res.fun <= values[k] else float(_SCAN_GRID[k])
     value = float(min(res.fun, values[k]))
     return theta, value, c
 

@@ -116,6 +116,17 @@ def test_scan_threads_reproduce_serial_output(tmp_path):
     ).read_bytes()
 
 
+def test_iterated_relaxation_reports_sweeps_and_evaluations(tmp_path):
+    config = ScanConfig(
+        points_angstrom=[0.7414], basis="6-31g", vqse=False, oo="iterate", oo_cycles=3
+    )
+    assert run_scan(config, tmp_path / "out") == 0
+    (point,) = json.loads((tmp_path / "out" / "report.json").read_text())["points"]
+    assert len(point["oo_cycle_energies"]) >= 1
+    assert point["oo_sweeps"] >= len(point["oo_cycle_energies"])
+    assert point["oo_evaluations"] > 0
+
+
 def test_scan_fail_soft_keeps_grid_order(tmp_path):
     config = ScanConfig(**{**FAST_SCAN, "n_active_spatial": 9})
     failures = run_scan(config, tmp_path / "out")

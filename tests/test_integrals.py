@@ -25,6 +25,7 @@ from vqse.integrals import (
     load_basis,
     nuclear_repulsion,
     read_fcidump,
+    rotate_integrals,
     run_rhf,
     transform_one,
     transform_to_mo,
@@ -239,6 +240,25 @@ def test_transform_two_matches_direct_contraction():
     # 8-fold symmetry survives the rotation
     rotated = MolecularIntegrals(4, 0.0, transform_one(mol.h1, c), fast)
     rotated.validate_symmetry(tol=TOL_DERIVED)
+
+
+def test_rotate_integrals_by_column_block():
+    """A column block of U gives the integrals of the full rotation over
+    just those orbitals, core energy shift included."""
+    rng = np.random.default_rng(17)
+    mol = random_symmetric_integrals(5, rng, e_nuc=0.3)
+    mol.core_energy_shift = -0.2
+    u = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    cols = [1, 3]
+    full = rotate_integrals(mol, u)
+    block = rotate_integrals(mol, u[:, cols])
+    assert block.n_spatial == 2
+    assert block.constant == pytest.approx(full.constant, abs=TOL_EXACT)
+    assert np.max(np.abs(block.h1 - full.h1[np.ix_(cols, cols)])) < TOL_DERIVED
+    assert np.max(np.abs(block.eri - full.eri[np.ix_(cols, cols, cols, cols)])) < TOL_DERIVED
+    for bad in (np.eye(4), rng.normal(size=(5, 6)), np.ones(5)):
+        with pytest.raises(ValueError):
+            rotate_integrals(mol, bad)
 
 
 def test_transform_rejects_singular_coefficients():

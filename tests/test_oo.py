@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import h2_case
+from conftest import h2_case, random_wavefunction
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import VqseError
 from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
@@ -17,6 +17,7 @@ from vqse.oo import (
     givens_sweep,
     joint_optimize,
     minimize_single_angle,
+    occupied_support,
     relax_then_resolve,
     rotation_pairs,
 )
@@ -123,6 +124,29 @@ def test_rotation_matches_full_space_oracle():
         terms = build_hamiltonian_action(rotate_integrals(case["mol"], u)).hamiltonian_terms()
         e_ref = full_space_expectation(embedded, terms, embedded)
         assert e_fast == pytest.approx(e_ref.real, abs=TOL_ORACLE), seed
+
+
+def test_occupied_block_matches_full_rotation():
+    """energy_of_rotation rotates only the occupied columns of U.  It equals
+    rotating every integral and contracting with the full RDMs: with a core
+    orbital in the support, with no active electron (core only), and over
+    the ten cc-pVDZ orbitals."""
+    rng = np.random.default_rng(65)
+    with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
+    mol_631g = h2_case(R_A, "6-31g")["mol"]
+    cc = h2_case(R_A, "cc-pvdz")
+    cases = (
+        (mol_631g, with_core, random_wavefunction(4, 2, rng), (0, 1, 2)),
+        (mol_631g, with_core, Wavefunction({0: 1.0}, 4, 0), (0,)),
+        (cc["mol"], cc["partition"], cc["wfn"], (0, 1)),
+    )
+    for mol, partition, wfn, support in cases:
+        d1, d2 = composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        assert tuple(occupied_support(d1)) == support
+        a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
+        u = scipy.linalg.expm(a - a.T)
+        e_full = energy_from_rdms(rotate_integrals(mol, u), d1, d2)
+        assert energy_of_rotation(u, mol, d1, d2) == pytest.approx(e_full, abs=TOL_ORACLE)
 
 
 # ---------------------------------------------------------------------------

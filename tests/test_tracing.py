@@ -1,0 +1,63 @@
+"""The benchmark's layer tracer (perfbench/tracing.py) against the package.
+
+The tracer looks each layer entry point up by module attribute and rebinds
+it to a timing wrapper, so a refactor that renames or drops one of them
+would break ``perfbench/run.py --trace 1`` without failing anything else.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import vqse.fci
+import vqse.integrals
+import vqse.oo
+import vqse.subspace
+import vqse.wick
+from conftest import h2_case
+from vqse.rdm import composite_full_rdms, compute_rdm
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+LAYER_MODULES = (vqse.fci, vqse.integrals, vqse.oo, vqse.subspace, vqse.wick)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_wraps_every_layer_and_restores_it():
+    tracing = load_tracing()
+    before = [(module, dict(vars(module))) for module in LAYER_MODULES]
+    original = vqse.oo.energy_of_rotation
+    restore = tracing.instrument(tracing.Tracer(), 2)
+    try:
+        assert vqse.oo.energy_of_rotation is not original
+    finally:
+        restore()
+    for module, attributes in before:
+        for name, value in attributes.items():
+            assert getattr(module, name) is value, f"{module.__name__}.{name}"
+
+
+def test_sweep_calls_the_traced_oo_layers():
+    """Every energy evaluation of a sweep goes through the module attributes
+    the tracer rebinds, down to the integral rotation and the contraction."""
+    tracing = load_tracing()
+    case = h2_case(0.7414, "6-31g")
+    d1, d2 = composite_full_rdms(
+        compute_rdm(case["wfn"], 1), compute_rdm(case["wfn"], 2), case["partition"]
+    )
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer, 2)
+    try:
+        _, report = vqse.oo.givens_sweep(case["mol"], d1, d2, case["partition"])
+    finally:
+        restore()
+    names = [span.name for span in tracer.spans]
+    assert names.count("oo.sweep") == 1
+    for layer in ("oo.energy_eval", "oo.rotate_integrals", "oo.energy_from_rdms"):
+        assert names.count(layer) == report.n_evaluations, layer

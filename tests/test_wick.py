@@ -117,8 +117,25 @@ def test_evaluate_matches_full_space_oracle():
         assert got == pytest.approx(ref, abs=TOL_EXACT), ops
 
 
+def spliced_virtual_pairs(rng, partition, n_pairs):
+    """A number-conserving active string with ``n_pairs`` virtual pairs
+    a_mu ... a+_mu spliced in, annihilator first: strings that survive the
+    vacuum contraction, so each pairing's sign shows in the result."""
+    k = int(rng.integers(1, 3))
+    daggers = rng.permutation([True] * k + [False] * k)
+    ops = [(int(rng.choice(partition.active_spin)), bool(d)) for d in daggers]
+    for _ in range(n_pairs):
+        mu = int(rng.choice(partition.virtual_spin))
+        i, j = sorted(rng.choice(len(ops) + 2, size=2, replace=False))
+        ops.insert(i, (mu, False))
+        ops.insert(j, (mu, True))
+    return tuple(ops)
+
+
 def test_three_electron_reference():
-    """The engine is not restricted to two-electron active states."""
+    """The engine is not restricted to two-electron active states.  Besides
+    random strings it checks strings with one or three virtual pairs and a
+    nonzero expectation, where a wrong virtual-pair sign flips the result."""
     rng = np.random.default_rng(44)
     partition = OrbitalPartition(core=(), active=(0, 1), virtual=(2,))
     wfn = random_wavefunction(4, 3, rng)
@@ -128,6 +145,14 @@ def test_three_electron_reference():
         got = wick_expectation(ops, rdms, partition)
         ref = oracle_expectation(ops, wfn, partition)
         assert got == pytest.approx(ref, abs=TOL_EXACT), ops
+    odd_nonzero = 0
+    for _ in range(60):
+        ops = spliced_virtual_pairs(rng, partition, int(rng.choice((1, 3))))
+        got = wick_expectation(ops, rdms, partition)
+        ref = oracle_expectation(ops, wfn, partition)
+        assert got == pytest.approx(ref, abs=TOL_EXACT), ops
+        odd_nonzero += abs(ref) > 1e-3
+    assert odd_nonzero >= 20
 
 
 def test_missing_rdm_raises():
