@@ -154,11 +154,18 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
         eps = config.eps if config.shots is None else max(config.eps, NOISY_EPS)
         solution = solve_gevp(pair, eps)
         row.e_vqse = solution.ground_energy
+        discarded = solution.discarded_metric_eigenvalues
         report.update(
             e_vqse=row.e_vqse,
             pool_size=len(pool),
             retained_dimension=solution.retained_dimension,
             gevp_residual=solution.residual_norm,
+            h_asymmetry=pair.h_asymmetry,
+            s_asymmetry=pair.s_asymmetry,
+            discarded_metric_count=int(discarded.size),
+            discarded_metric_min=float(discarded.min()) if discarded.size else None,
+            discarded_metric_max=float(discarded.max()) if discarded.size else None,
+            retained_metric_condition=solution.metric_condition,
         )
 
     if config.oo != "none":

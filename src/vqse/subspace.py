@@ -6,12 +6,13 @@ on the (active state) x (virtual vacuum) reference from active-space RDMs,
 and solves the generalized eigenvalue problem H C = S C E after canonical
 orthogonalization of the metric.
 
-The assembly is vectorized: pool operators of the same shape (identity,
-active->active single, virtual-reaching single, double) share one dense
-buffer over the full parameter grid, each Wick term of each Hamiltonian
-index block becomes a single ``einsum`` over coefficient slices and
-active-pattern tensors, and the pool entries are gathered from the buffer
-at the end.  This is what makes a ~10^3 operator pool with a 20-spatial-
+The assembly is vectorized per operator class (identity, active->active
+single, virtual-reaching single, double).  Each Wick term of each
+Hamiltonian index block is contracted over its summed indices with one
+``einsum`` per connected group of coefficient slices and active-pattern
+tensors, and the result is indexed directly at the pool's own parameter
+tuples, so no work or memory is spent on index combinations the pool does
+not contain.  This is what makes a ~10^3 operator pool with a 20-spatial-
 orbital Hamiltonian tractable in pure numpy.
 """
 
@@ -74,23 +75,15 @@ class ExpansionOperator:
         )
 
 
-def build_pool(
-    partition: OrbitalPartition,
-    restrict_to=None,
-    level: int = 2,
-    prune_sz: bool = True,
-) -> list:
-    """Enumerate the expansion-operator pool, canonically ordered.
+def build_pool(partition: OrbitalPartition, restrict_to=None) -> list:
+    """Enumerate the S_z-conserving expansion-operator pool, canonically ordered.
 
     ``restrict_to`` limits the active indices p, q, r to a subset of the
-    active spin orbitals; ``level`` caps the excitation rank at 1 or 2;
-    ``prune_sz`` drops operators that change S_z (their subspace rows
-    decouple from the S_z-conserving reference sector).
+    active spin orbitals.  Operators that change S_z are dropped: their
+    subspace rows decouple from the S_z-conserving reference sector.
     """
     if not partition.active:
         raise PartitionError("the active space is empty")
-    if level not in (1, 2):
-        raise VqseError("excitation level must be 1 or 2")
     active = partition.active_spin
     virtual = partition.virtual_spin
     if restrict_to is None:
@@ -103,23 +96,20 @@ def build_pool(
     for i in sorted(active + virtual):
         for p in targets:
             pool.append(ExpansionOperator("single", (i, p)))
-    if level >= 2:
-        for mu, nu in itertools.combinations(sorted(virtual), 2):
-            for q in targets:
-                for r in targets:
-                    pool.append(ExpansionOperator("double", (mu, q, nu, r)))
-    if prune_sz:
-        pool = [op for op in pool if op.delta_sz() == 0]
-    return pool
+    for mu, nu in itertools.combinations(sorted(virtual), 2):
+        for q in targets:
+            for r in targets:
+                pool.append(ExpansionOperator("double", (mu, q, nu, r)))
+    return [op for op in pool if op.delta_sz() == 0]
 
 
 # ---------------------------------------------------------------------------
-# vectorized assembly
+# gathered assembly
 
 
 @dataclass(frozen=True)
 class _OpClass:
-    """Shape class of pool operators sharing one dense parameter grid."""
+    """Shape class of pool operators: which slots are active or virtual."""
 
     name: str
     slots: tuple  # ket-side (space, dagger, param_id) triples
@@ -176,12 +166,22 @@ def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _block_buffer(class_i: _OpClass, class_j: _OpClass, groups, rdms: RdmSet, sizes, dtype):
-    """Dense <O_i+ (op group) O_j> buffer over the full parameter grids."""
-    shape = tuple(sizes[s] for s in class_i.axes) + tuple(sizes[s] for s in class_j.axes)
-    buf = np.zeros(shape, dtype=dtype)
+def _gathered_block(class_i, class_j, idx_i, idx_j, groups, pattern_tensor, dtype):
+    """<O_i+ (op group) O_j> at the pool's own index tuples, shape (n_i, n_j).
+
+    ``idx_i``/``idx_j`` hold the local parameter indices of the pool
+    operators of each class, one row per operator.  Every output letter of
+    a Wick term is a broadcast index column, (n_i, 1) on the bra side and
+    (1, n_j) on the ket side; a letter repeated in the output (a virtual
+    delta between bra and ket) becomes an equality mask.  The operands are
+    contracted per connected component down to their output letters and
+    indexed at those columns.
+    """
+    block = np.zeros((len(idx_i), len(idx_j)), dtype=dtype)
     bra = tuple((sp, not dg, pid) for sp, dg, pid in reversed(class_i.slots))
-    n_i = len(class_i.axes)
+    columns = [idx_i[:, [pid]] for pid in range(len(class_i.axes))] + [
+        idx_j[np.newaxis, :, pid] for pid in range(len(class_j.axes))
+    ]
     for w, hslots in groups:
         slots = (
             [(sp, dg, ("i", pid)) for sp, dg, pid in bra]
@@ -191,6 +191,9 @@ def _block_buffer(class_i: _OpClass, class_j: _OpClass, groups, rdms: RdmSet, si
         tag_to_slot = {tag: pos for pos, (_, _, tag) in enumerate(slots)}
         pattern = tuple((sp, dg) for sp, dg, _ in slots)
         h_positions = [tag_to_slot[("h", k)] for k in range(np.ndim(w))]
+        out_positions = [tag_to_slot[("i", pid)] for pid in range(len(class_i.axes))] + [
+            tag_to_slot[("j", pid)] for pid in range(len(class_j.axes))
+        ]
         for sign, vpairs, active_slots in wick.contract_virtuals_symbolic(pattern):
             parent = list(range(len(slots)))
 
@@ -208,39 +211,39 @@ def _block_buffer(class_i: _OpClass, class_j: _OpClass, groups, rdms: RdmSet, si
                 if root not in letter:
                     letter[root] = _LETTERS[len(letter)]
             operands, specs = [], []
-            coeff = sign if np.ndim(w) else sign * float(w)
+            value = sign if np.ndim(w) else sign * float(w)
             if np.ndim(w):
                 operands.append(w)
                 specs.append("".join(letter[find(p)] for p in h_positions))
             if active_slots:
-                daggers = tuple(pattern[s][1] for s in active_slots)
-                operands.append(wick.active_pattern_tensor(daggers, rdms))
+                operands.append(pattern_tensor(tuple(pattern[s][1] for s in active_slots)))
                 specs.append("".join(letter[find(s)] for s in active_slots))
-            out_spec = "".join(
-                letter[find(tag_to_slot[(side, pid)])]
-                for side, pids in (("i", range(n_i)), ("j", range(len(class_j.axes))))
-                for pid in pids
-            )
-            covered = set("".join(specs))
-            for ax, ch in enumerate(out_spec):
-                if ch not in covered:
-                    operands.append(np.ones(shape[ax]))
-                    specs.append(ch)
-                    covered.add(ch)
-            if not operands:
-                buf += coeff
-                continue
-            out_unique = "".join(dict.fromkeys(out_spec))
-            result = np.einsum(
-                ",".join(specs) + "->" + out_unique, *operands, optimize=True
-            )
-            if out_unique == out_spec:
-                buf += coeff * result
+            column = {}
+            for pos, col in zip(out_positions, columns):
+                ch = letter[find(pos)]
+                if ch in column:
+                    value = value * (column[ch] == col)
+                else:
+                    column[ch] = col
+            # split the operands (at most W and one pattern tensor) into
+            # connected components over their summed letters
+            if len(specs) == 2 and (set(specs[0]) & set(specs[1])) - set(column):
+                components = [[0, 1]]
             else:
-                # writable diagonal view of the buffer for repeated axes
-                view = np.einsum(out_spec + "->" + out_unique, buf)
-                view += coeff * result
-    return buf
+                components = [[k] for k in range(len(specs))]
+            for positions in components:
+                comp_specs = [specs[k] for k in positions]
+                comp_out = "".join(
+                    ch for ch in dict.fromkeys("".join(comp_specs)) if ch in column
+                )
+                reduced = np.einsum(
+                    ",".join(comp_specs) + "->" + comp_out,
+                    *(operands[k] for k in positions),
+                    optimize=len(positions) > 1,
+                )
+                value = value * reduced[tuple(column[ch] for ch in comp_out)]
+            block += value
+    return block
 
 
 @dataclass
@@ -272,38 +275,41 @@ def assemble_subspace(
     active = set(partition.active_spin)
     loc = {ACTIVE: {so: k for k, so in enumerate(partition.active_spin)},
            VIRTUAL: {so: k for k, so in enumerate(partition.virtual_spin)}}
-    sizes = {ACTIVE: len(partition.active_spin), VIRTUAL: len(partition.virtual_spin)}
     dtype = np.result_type(float, *(r.tensor.dtype for r in rdms.rdms.values()))
 
-    # group pool entries by shape class, with flat indices into the grids
+    # group pool entries by shape class, with their local parameter indices
     by_class: dict = {}
     for row, op in enumerate(pool):
         cls = _classify(op, active)
-        flat = 0
-        params = [i for i, _ in op.ladder_ops()]
-        for space, index in zip(cls.axes, params):
-            flat = flat * sizes[space] + loc[space][index]
+        params = [loc[space][index] for space, (index, _) in zip(cls.axes, op.ladder_ops())]
         by_class.setdefault(cls.name, (cls, [], []))
         by_class[cls.name][1].append(row)
-        by_class[cls.name][2].append(flat)
+        by_class[cls.name][2].append(params)
+    by_class = {
+        name: (cls, rows, np.array(params, dtype=np.intp))
+        for name, (cls, rows, params) in by_class.items()
+    }
+
+    tensors: dict = {}
+
+    def pattern_tensor(daggers):
+        if daggers not in tensors:
+            tensors[daggers] = wick.active_pattern_tensor(daggers, rdms)
+        return tensors[daggers]
 
     h_groups = _hamiltonian_groups(mol, partition)
     s_groups = [(np.float64(1.0), ())]
     n = len(pool)
     h = np.zeros((n, n), dtype=dtype)
     s = np.zeros((n, n), dtype=dtype)
-    for ci, rows_i, flat_i in by_class.values():
-        for cj, rows_j, flat_j in by_class.values():
-            size_i = int(np.prod([sizes[a] for a in ci.axes], dtype=int))
-            size_j = int(np.prod([sizes[a] for a in cj.axes], dtype=int))
-            sbuf = _block_buffer(ci, cj, s_groups, rdms, sizes, dtype)
-            hbuf = _block_buffer(ci, cj, h_groups, rdms, sizes, dtype)
-            sbuf = sbuf.reshape(size_i, size_j)
-            hbuf = hbuf.reshape(size_i, size_j) + mol.constant * sbuf
-            gather = np.ix_(flat_i, flat_j)
+    for ci, rows_i, idx_i in by_class.values():
+        for cj, rows_j, idx_j in by_class.values():
+            args = (ci, cj, idx_i, idx_j)
+            sblock = _gathered_block(*args, s_groups, pattern_tensor, dtype)
+            hblock = _gathered_block(*args, h_groups, pattern_tensor, dtype)
             target = np.ix_(rows_i, rows_j)
-            s[target] = sbuf[gather]
-            h[target] = hbuf[gather]
+            s[target] = sblock
+            h[target] = hblock + mol.constant * sblock
     return _hermitized_pair(h, s, pool)
 
 
@@ -330,6 +336,7 @@ class GevpSolution:
     retained_dimension: int
     discarded_metric_eigenvalues: np.ndarray
     residual_norm: float = 0.0
+    metric_condition: float = 1.0  # lambda_max / lambda_min of the retained metric
 
     @property
     def ground_energy(self) -> float:
@@ -362,7 +369,10 @@ def solve_gevp(pair: SubspacePair, eps: float = DEFAULT_EPS) -> GevpSolution:
     c = x @ evecs
     residual = pair.h @ c - pair.s @ c * evals[np.newaxis, :]
     res_norm = float(np.max(np.linalg.norm(residual, axis=0), initial=0.0))
-    return GevpSolution(evals, c, x.shape[1], discarded, res_norm)
+    # column k of X has norm lambda_k^(-1/2)
+    inv_sqrt = np.linalg.norm(x, axis=0)
+    condition = float((inv_sqrt.max() / inv_sqrt.min()) ** 2)
+    return GevpSolution(evals, c, x.shape[1], discarded, res_norm, condition)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Virtual-space operators are contracted exactly against the vacuum
 (<a_mu a+_nu> = delta_mu_nu, every other pairing vanishing); the active
 residue is reduced to reduced-density-matrix elements by symbolic normal
 ordering.  Symbolic results are cached per operator pattern (space labels
-and dagger flags only) and instantiated numerically as dense tensors over
-every index tuple at once, which is what makes the subspace-matrix
-assembly affordable.
+and dagger flags only).  The active residue of a pattern is instantiated
+numerically once, as a tensor over the active indices of its slots; the
+subspace assembly contracts it with the Hamiltonian coefficients and reads
+it at the pool's index tuples, which is what makes the assembly affordable.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
     """Dense tensor T[i1..iL] = <pattern instantiated with those indices>.
 
     Used by the subspace assembly to amortize one symbolic normal ordering
-    over every index tuple at once.
+    over every active index tuple at once; the assembly builds it once per
+    dagger pattern.
     """
     n = rdms.n_active
     L = len(daggers)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,19 @@ from vqse.fci import (
     ground_state,
     sector_determinants,
 )
+from vqse.integrals import (
+    Geometry,
+    compute_ao_integrals,
+    load_basis,
+    run_rhf,
+    transform_to_mo,
+)
 from vqse.rdm import compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     ExpansionOperator,
     SubspacePair,
+    _slice_integrals,
     assemble_subspace,
     build_pool,
     canonical_orthogonalize,
@@ -47,7 +56,7 @@ def operator_matrix(op_ladder, dets, n_spin):
 
 def oracle_pair(pool, mol, wfn, partition):
     """Subspace matrices by explicit operator application in the full
-    2-electron sector (independent of the Wick machinery)."""
+    N-electron sector (independent of the Wick machinery)."""
     n_spin = mol.n_spin
     dets = sector_determinants(n_spin, wfn.n_electrons)
     full = embed_wavefunction(wfn, partition, n_spin)
@@ -72,6 +81,21 @@ def oracle_pair(pool, mol, wfn, partition):
 # pool enumeration
 
 
+def unpruned_pool(partition):
+    """Every identity, single a+_i a_p and double a+_mu a_q a+_nu a_r
+    (mu < nu virtual), S_z-changing ones included, in canonical order."""
+    active, virtual = partition.active_spin, partition.virtual_spin
+    pool = [ExpansionOperator("identity")]
+    pool += [ExpansionOperator("single", (i, p)) for i in sorted(active + virtual) for p in active]
+    pool += [
+        ExpansionOperator("double", (mu, q, nu, r))
+        for mu, nu in itertools.combinations(sorted(virtual), 2)
+        for q in active
+        for r in active
+    ]
+    return pool
+
+
 def test_expansion_operator_validation():
     with pytest.raises(VqseError):
         ExpansionOperator("triple")
@@ -81,7 +105,7 @@ def test_expansion_operator_validation():
 
 def test_pool_singles_only_one_spatial_active():
     partition = OrbitalPartition(core=(), active=(0,), virtual=())
-    pool = build_pool(partition, level=1, prune_sz=False)
+    pool = unpruned_pool(partition)
     assert len(pool) == 1 + 2 * 2  # identity + a+_i a_p over 2 spin orbitals
     assert pool[0].kind == "identity"
 
@@ -94,17 +118,25 @@ def test_pool_empty_restriction_leaves_identity():
 
 def test_pool_closed_form_count_ccpvdz():
     partition = OrbitalPartition.from_counts(0, 2, 10)  # 4 active + 16 virtual spin
-    pool = build_pool(partition, prune_sz=False)
+    pool = unpruned_pool(partition)
     n_act, n_virt = 4, 16
     expected = 1 + (n_act + n_virt) * n_act + math.comb(n_virt, 2) * n_act * n_act
     assert len(pool) == expected == 2001
     assert len(set(pool)) == len(pool)  # no duplicates
+    # S_z-conserving: same-spin singles, and doubles whose two active
+    # targets carry the spins of the two virtuals
+    half_act, half_virt = n_act // 2, n_virt // 2
+    singles = (n_act + n_virt) * half_act
+    same_spin_doubles = 2 * math.comb(half_virt, 2) * half_act**2
+    mixed_spin_doubles = half_virt**2 * 2 * half_act**2
+    sz_expected = 1 + singles + same_spin_doubles + mixed_spin_doubles
+    assert len(build_pool(partition)) == sz_expected == 777
 
 
 def test_pool_sz_pruning_matches_manual_filter():
     partition = OrbitalPartition.from_counts(0, 2, 6)
-    full = build_pool(partition, prune_sz=False)
-    pruned = build_pool(partition, prune_sz=True)
+    full = unpruned_pool(partition)
+    pruned = build_pool(partition)
     assert pruned == [op for op in full if op.delta_sz() == 0]
     assert all(op.delta_sz() == 0 for op in pruned)
     assert len(pruned) < len(full)
@@ -114,8 +146,6 @@ def test_pool_validation_errors():
     with pytest.raises(PartitionError):
         build_pool(OrbitalPartition(core=(0,), active=(), virtual=(1,)))
     partition = OrbitalPartition.from_counts(0, 2, 4)
-    with pytest.raises(VqseError):
-        build_pool(partition, level=3)
     with pytest.raises(PartitionError):
         build_pool(partition, restrict_to=(99,))
 
@@ -177,6 +207,44 @@ def test_vectorized_assembly_matches_elementwise_path():
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
     assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
     assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
+
+
+def test_assembly_matches_full_space_oracle_four_electrons():
+    """A 4-electron reference, where the Wick terms with an odd number of
+    virtual pairs or a rank-3/4 active residue no longer vanish: H4/6-31G
+    sliced to 5 orbitals, 3 active and 2 virtual."""
+    geometry = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
+    ao = compute_ao_integrals(geometry, load_basis("6-31g"))
+    mol = _slice_integrals(transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients), range(5))
+    partition = OrbitalPartition.from_counts(0, 3, 5)
+    _, wfn = ground_state(
+        build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
+    )
+    rdms = RdmSet.from_wavefunction(wfn)
+    pool = build_pool(partition)
+    assert len(pool) == 121
+    pair = assemble_subspace(pool, mol, rdms, partition)
+    h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
+    assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
+    assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
+
+
+def test_ccpvdz_assembly_peak_memory():
+    """The full H2/cc-pVDZ pool (777 operators) assembles in far less memory
+    than a dense buffer over the doubles' parameter grid (4096^2 entries,
+    128 MB per block) would take."""
+    case = h2_case(R_A, "cc-pvdz")
+    rdms = RdmSet.from_wavefunction(case["wfn"])
+    pool = build_pool(case["partition"])
+    assert len(pool) == 777
+    tracemalloc.start()
+    try:
+        assemble_subspace(pool, case["mol"], rdms, case["partition"])
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    print(f"assembly peak {peak_mb:.1f} MB")
+    assert peak_mb <= 64
 
 
 def test_assembly_rejects_core_partition():
@@ -272,10 +340,11 @@ def test_nested_pools_monotone_ground_energy():
     mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
     rdms = RdmSet.from_wavefunction(wfn)
     energies = []
+    full_pool = build_pool(partition)
     pools = [
         [ExpansionOperator("identity")],
-        build_pool(partition, level=1),
-        build_pool(partition, level=2),
+        [op for op in full_pool if op.kind != "double"],
+        full_pool,
     ]
     for pool in pools:
         pair = assemble_subspace(pool, mol, rdms, partition)
@@ -344,3 +413,9 @@ def test_scan_point_variational_and_report():
     assert row.e_vqse >= row.e_fci_full - 1e-10
     assert report["e_vqse"] == row.e_vqse
     assert report["pool_size"] == len(build_pool(h2_case(R_A, "6-31g")["partition"]))
+    assert report["h_asymmetry"] < 1e-10 and report["s_asymmetry"] < 1e-10
+    dropped = report["pool_size"] - report["retained_dimension"]
+    assert report["discarded_metric_count"] == dropped > 0
+    assert report["discarded_metric_min"] <= report["discarded_metric_max"]
+    # canonical orthogonalization keeps lambda > eps * lambda_max, eps = 1e-8
+    assert 1.0 <= report["retained_metric_condition"] < 1e8

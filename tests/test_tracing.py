@@ -61,3 +61,23 @@ def test_sweep_calls_the_traced_oo_layers():
     assert names.count("oo.sweep") == 1
     for layer in ("oo.energy_eval", "oo.rotate_integrals", "oo.energy_from_rdms"):
         assert names.count(layer) == report.n_evaluations, layer
+
+
+def test_assembly_builds_each_pattern_tensor_once(monkeypatch):
+    """One assembly builds each active-pattern tensor once, through the
+    ``vqse.wick`` attribute the tracer rebinds, so the benchmark's
+    ``wick.pattern_tensor_*`` metrics count distinct patterns."""
+    case = h2_case(0.7414, "6-31g")
+    rdms = vqse.wick.RdmSet.from_wavefunction(case["wfn"])
+    pool = vqse.subspace.build_pool(case["partition"])
+    original = vqse.wick.active_pattern_tensor
+    daggers = []
+
+    def counting(pattern, *args, **kwargs):
+        daggers.append(pattern)
+        return original(pattern, *args, **kwargs)
+
+    monkeypatch.setattr(vqse.wick, "active_pattern_tensor", counting)
+    vqse.subspace.assemble_subspace(pool, case["mol"], rdms, case["partition"])
+    assert len(daggers) > 0
+    assert len(daggers) == len(set(daggers))
