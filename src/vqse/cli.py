@@ -45,7 +45,7 @@ class ScanConfig:
     n_active_spatial: int = 2
     n_electrons: int = 2
     vqse: bool = True
-    cumulant_rank: int | None = None  # None = exact active RDMs
+    cumulant_rank: int | None = None  # None or 4 = exact active RDMs, 2 = rebuilt 3-/4-RDMs
     restrict_to: list | None = None
     oo: str = "none"  # none | sweep | joint | iterate
     oo_cycles: int = 10
@@ -63,8 +63,11 @@ class ScanConfig:
         self.points_angstrom = pts
         if self.oo not in ("none", "sweep", "joint", "iterate"):
             raise VqseError(f"unknown oo mode {self.oo!r}")
-        if self.cumulant_rank not in (None, 2, 3, 4):
-            raise VqseError("cumulant rank must be 2, 3, 4, or omitted")
+        if self.cumulant_rank not in (None, 2, 4):
+            raise VqseError(
+                f"cumulant_rank must be 2 (3- and 4-RDMs rebuilt from the 1- and "
+                f"2-RDMs), 4 (exact RDMs) or omitted, not {self.cumulant_rank!r}"
+            )
 
     @classmethod
     def from_file(cls, path) -> "ScanConfig":
@@ -144,7 +147,7 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
 
     if config.vqse:
         options = VqseOptions(
-            cumulant=config.cumulant_rank is not None and config.cumulant_rank < 4,
+            cumulant=config.cumulant_rank == 2,
             shots=config.shots,
             seed=config.seed,
         )

@@ -66,11 +66,15 @@ class Rdm:
         return Rdm(self.k, self.n, 0.5 * (self.tensor + dag), self.vanishes)
 
 
-def _annihilation_amplitudes(wfn: Wavefunction, k: int):
-    """Map reduced determinant -> dense tensor B with
-    a_{p1} ... a_{pk} |psi> = sum_r B_r[p1..pk] |r>."""
+def _annihilation_amplitudes(wfn: Wavefunction, k: int) -> np.ndarray:
+    """Matrix B, one row per reduced determinant r, with
+    a_{p1} ... a_{pk} |psi> = sum_r B[r, (p1..pk)] |r> over flat (p1..pk),
+    in the amplitudes' dtype."""
     n = wfn.n_spin_orbitals
-    out: dict[int, np.ndarray] = {}
+    perms = [(perm, _perm_sign(perm)) for perm in permutations(range(k))]
+    place = [n ** (k - 1 - i) for i in range(k)]
+    row_of: dict[int, int] = {}
+    rows, cols, values = [], [], []
     for det, amp in wfn.amplitudes.items():
         occ = [i for i in range(n) if det >> i & 1]
         for combo in combinations(occ, k):
@@ -79,21 +83,24 @@ def _annihilation_amplitudes(wfn: Wavefunction, k: int):
             for p in reversed(combo):
                 s, d = apply_ladder(d, p, False)
                 sign *= s
-            base = sign * amp
-            tensor = out.get(d)
-            if tensor is None:
-                tensor = np.zeros((n,) * k, dtype=complex)
-                out[d] = tensor
-            for perm in permutations(range(k)):
-                idx = tuple(combo[perm[i]] for i in range(k))
-                tensor[idx] = base * _perm_sign(perm)
-    return out
+            row = row_of.setdefault(d, len(row_of))
+            for perm, perm_sign in perms:
+                rows.append(row)
+                cols.append(sum(combo[perm[i]] * place[i] for i in range(k)))
+                values.append(sign * perm_sign * amp)
+    values = np.asarray(values)
+    b = np.zeros((len(row_of), n**k), dtype=np.result_type(float, values))
+    b[rows, cols] = values
+    return b
 
 
 def compute_rdm(wfn: Wavefunction, k: int) -> Rdm:
     """k-particle RDM of a normalized wavefunction (k <= 4).
 
-    If k exceeds the electron count the RDM vanishes identically and is
+    D = B+ B is one matrix product over the stacked reduced-determinant
+    rows of :func:`_annihilation_amplitudes`, in the amplitudes' dtype:
+    float64 for a real wavefunction, complex for a complex one.  If k
+    exceeds the electron count the RDM vanishes identically and is
     returned as an explicit zero tensor with ``vanishes`` set.
     """
     if k > 4 or k < 1:
@@ -101,15 +108,8 @@ def compute_rdm(wfn: Wavefunction, k: int) -> Rdm:
     n = wfn.n_spin_orbitals
     if k > wfn.n_electrons:
         return Rdm(k, n, np.zeros((n,) * (2 * k)), vanishes=True)
-    amps = _annihilation_amplitudes(wfn, k)
-    d = np.zeros((n,) * (2 * k), dtype=complex)
-    flat = d.reshape(n**k, n**k)
-    for b in amps.values():
-        bf = b.reshape(-1)
-        flat += np.outer(np.conj(bf), bf)
-    if np.max(np.abs(d.imag)) == 0.0:
-        d = d.real
-    return Rdm(k, n, d)
+    b = _annihilation_amplitudes(wfn, k)
+    return Rdm(k, n, (b.conj().T @ b).reshape((n,) * (2 * k)))
 
 
 def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

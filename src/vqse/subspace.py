@@ -8,12 +8,21 @@ orthogonalization of the metric.
 
 The assembly is vectorized per operator class (identity, active->active
 single, virtual-reaching single, double).  Each Wick term of each
-Hamiltonian index block is contracted over its summed indices with one
-``einsum`` per connected group of coefficient slices and active-pattern
-tensors, and the result is indexed directly at the pool's own parameter
-tuples, so no work or memory is spent on index combinations the pool does
-not contain.  This is what makes a ~10^3 operator pool with a 20-spatial-
-orbital Hamiltonian tractable in pure numpy.
+Hamiltonian index block is contracted down to its output letters, and the
+result is indexed directly at the pool's own parameter tuples, so no work
+or memory is spent on index combinations the pool does not contain.  This
+is what makes a ~10^3 operator pool with a 20-spatial-orbital Hamiltonian
+tractable in pure numpy.
+
+One rule picks the contraction, from the term's own letters alone: when
+Hamiltonian letters sit on active slots (they are then summed), the term
+is expanded in normal order right there and the coefficient slice W is
+contracted with the bare RDM of each normal-ordering term (W-first), by
+one batched ``matmul`` on a reshaped view of the RDM.  Only S and the
+Hamiltonian slices with all-virtual indices read cached active-pattern
+tensors (rank <= 4).  So the dense rank-8 pattern of a double-double
+block with an all-active two-body term (8^8 entries, 134 MB, for 4 active
+orbitals) is never built.
 """
 
 from __future__ import annotations
@@ -166,16 +175,20 @@ def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _gathered_block(class_i, class_j, idx_i, idx_j, groups, pattern_tensor, dtype):
+def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, pattern_tensor, dtype):
     """<O_i+ (op group) O_j> at the pool's own index tuples, shape (n_i, n_j).
 
     ``idx_i``/``idx_j`` hold the local parameter indices of the pool
     operators of each class, one row per operator.  Every output letter of
     a Wick term is a broadcast index column, (n_i, 1) on the bra side and
-    (1, n_j) on the ket side; a letter repeated in the output (a virtual
-    delta between bra and ket) becomes an equality mask.  The operands are
-    contracted per connected component down to their output letters and
-    indexed at those columns.
+    (1, n_j) on the ket side; a letter repeated in the output (a virtual or
+    active delta between bra and ket) becomes an equality mask.
+
+    A term whose H letters are summed over active slots is contracted
+    W-first: each of its normal-ordering terms joins its delta pairs to the
+    virtual pairs, and W meets the bare RDM directly, so no pattern tensor
+    over the summed H letters is built.  Every other term reads the cached
+    active-pattern tensor, whose letters are then all output letters.
     """
     block = np.zeros((len(idx_i), len(idx_j)), dtype=dtype)
     bra = tuple((sp, not dg, pid) for sp, dg, pid in reversed(class_i.slots))
@@ -194,56 +207,93 @@ def _gathered_block(class_i, class_j, idx_i, idx_j, groups, pattern_tensor, dtyp
         out_positions = [tag_to_slot[("i", pid)] for pid in range(len(class_i.axes))] + [
             tag_to_slot[("j", pid)] for pid in range(len(class_j.axes))
         ]
+        term = (w, h_positions, out_positions, columns, len(slots))
         for sign, vpairs, active_slots in wick.contract_virtuals_symbolic(pattern):
-            parent = list(range(len(slots)))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a_, c_ in vpairs:
-                parent[find(a_)] = find(c_)
-            letter = {}
-            for pos in range(len(slots)):
-                root = find(pos)
-                if root not in letter:
-                    letter[root] = _LETTERS[len(letter)]
-            operands, specs = [], []
-            value = sign if np.ndim(w) else sign * float(w)
-            if np.ndim(w):
-                operands.append(w)
-                specs.append("".join(letter[find(p)] for p in h_positions))
-            if active_slots:
-                operands.append(pattern_tensor(tuple(pattern[s][1] for s in active_slots)))
-                specs.append("".join(letter[find(s)] for s in active_slots))
-            column = {}
-            for pos, col in zip(out_positions, columns):
-                ch = letter[find(pos)]
-                if ch in column:
-                    value = value * (column[ch] == col)
-                else:
-                    column[ch] = col
-            # split the operands (at most W and one pattern tensor) into
-            # connected components over their summed letters
-            if len(specs) == 2 and (set(specs[0]) & set(specs[1])) - set(column):
-                components = [[0, 1]]
-            else:
-                components = [[k] for k in range(len(specs))]
-            for positions in components:
-                comp_specs = [specs[k] for k in positions]
-                comp_out = "".join(
-                    ch for ch in dict.fromkeys("".join(comp_specs)) if ch in column
+            daggers = tuple(pattern[s][1] for s in active_slots)
+            if not set(h_positions) & set(active_slots):
+                block += _gathered_term(sign, vpairs, pattern_tensor(daggers), active_slots, *term)
+                continue
+            for no_sign, dpairs, cres, anns in wick.normal_order_symbolic(daggers):
+                pairs = vpairs + tuple((active_slots[a], active_slots[c]) for a, c in dpairs)
+                rdm_slots = [active_slots[s] for s in reversed(cres)] + [
+                    active_slots[s] for s in anns
+                ]
+                block += _gathered_term(
+                    sign * no_sign, pairs, rdms.tensor(len(cres)), rdm_slots, *term
                 )
-                reduced = np.einsum(
-                    ",".join(comp_specs) + "->" + comp_out,
-                    *(operands[k] for k in positions),
-                    optimize=len(positions) > 1,
-                )
-                value = value * reduced[tuple(column[ch] for ch in comp_out)]
-            block += value
     return block
+
+
+def _gathered_term(sign, pairs, tensor, t_positions, w, h_positions, out_positions, columns, n):
+    """One Wick term, sign * W * tensor with the slots in ``pairs`` merged,
+    read at the output columns.
+
+    Letters are the classes of the n slots under ``pairs``.  W and the
+    tensor are reduced separately to their output letters, unless they
+    share a summed letter; the tensor is then an RDM, and
+    :func:`_contract_with_rdm` sums the shared letters.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a_, c_ in pairs:
+        parent[find(a_)] = find(c_)
+    letter = {}
+    for pos in range(n):
+        letter.setdefault(find(pos), _LETTERS[len(letter)])
+    value = sign if np.ndim(w) else sign * float(w)
+    column = {}
+    for pos, col in zip(out_positions, columns):
+        ch = letter[find(pos)]
+        if ch in column:
+            value = value * (column[ch] == col)
+        else:
+            column[ch] = col
+    w_spec = "".join(letter[find(p)] for p in h_positions)
+    t_spec = "".join(letter[find(p)] for p in t_positions)
+    if set(w_spec) & set(t_spec):
+        reduced, out = _contract_with_rdm(w, w_spec, tensor, t_spec, column)
+        return value * reduced[tuple(column[ch] for ch in out)]
+    for operand, spec in ((w, w_spec), (tensor, t_spec)):
+        if spec:
+            out = "".join(ch for ch in dict.fromkeys(spec) if ch in column)
+            reduced = np.einsum(spec + "->" + out, operand)
+            value = value * reduced[tuple(column[ch] for ch in out)]
+    return value
+
+
+def _contract_with_rdm(w, w_spec, d, d_spec, column):
+    """Sum of W * d over the letters W shares with the RDM d; returns the
+    result and its letters.
+
+    Each RDM letter is either shared with W or an output letter.  Letters
+    are reordered within each antisymmetric half of d, with the permutation
+    sign, to [upper outputs | shared | lower outputs], so d is read through a
+    reshaped view by one batched ``matmul`` and never copied.
+    """
+    k = len(d_spec) // 2
+    shared = set(w_spec)
+    upper = sorted(d_spec[:k], key=lambda ch: ch in shared)  # outputs first
+    lower = sorted(d_spec[k:], key=lambda ch: ch not in shared)  # shared first
+    perm = [d_spec.index(ch) for ch in upper + lower]
+    sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    n_up = sum(ch not in shared for ch in upper)
+    n_lo = sum(ch in shared for ch in lower)
+    summed = "".join(upper[n_up:] + lower[:n_lo])
+    w_out = "".join(ch for ch in dict.fromkeys(w_spec) if ch in column)
+    wr = np.einsum(w_spec + "->" + w_out + summed, w)
+    n = d.shape[0]
+    product = np.matmul(
+        wr.reshape(-1, n ** len(summed)),
+        d.reshape(n**n_up, n ** len(summed), -1),
+    )
+    shape = (n,) * n_up + wr.shape[: len(w_out)] + (n,) * (k - n_lo)
+    return sign * product.reshape(shape), "".join(upper[:n_up]) + w_out + "".join(lower[n_lo:])
 
 
 @dataclass
@@ -305,8 +355,8 @@ def assemble_subspace(
     for ci, rows_i, idx_i in by_class.values():
         for cj, rows_j, idx_j in by_class.values():
             args = (ci, cj, idx_i, idx_j)
-            sblock = _gathered_block(*args, s_groups, pattern_tensor, dtype)
-            hblock = _gathered_block(*args, h_groups, pattern_tensor, dtype)
+            sblock = _gathered_block(*args, s_groups, rdms, pattern_tensor, dtype)
+            hblock = _gathered_block(*args, h_groups, rdms, pattern_tensor, dtype)
             target = np.ix_(rows_i, rows_j)
             s[target] = sblock
             h[target] = hblock + mol.constant * sblock

@@ -3,11 +3,15 @@
 Virtual-space operators are contracted exactly against the vacuum
 (<a_mu a+_nu> = delta_mu_nu, every other pairing vanishing); the active
 residue is reduced to reduced-density-matrix elements by symbolic normal
-ordering.  Symbolic results are cached per operator pattern (space labels
-and dagger flags only).  The active residue of a pattern is instantiated
-numerically once, as a tensor over the active indices of its slots; the
-subspace assembly contracts it with the Hamiltonian coefficients and reads
-it at the pool's index tuples, which is what makes the assembly affordable.
+ordering (Kutzelnigg & Mukherjee, JCP 110, 2800 (1999)).  Symbolic results
+are cached per operator pattern (space labels and dagger flags only).
+
+The subspace assembly uses the normal-ordering terms in one of two ways.
+When Hamiltonian indices are summed over active slots, it expands the
+terms itself and contracts the coefficients W with the bare RDMs first
+(W-first), so no tensor over the summed indices exists.  Otherwise it reads
+:func:`active_pattern_tensor`, the residue instantiated once as a dense
+tensor over the active indices of its slots, at the pool's index tuples.
 """
 
 from __future__ import annotations
@@ -134,9 +138,12 @@ class RdmSet:
 def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
     """Dense tensor T[i1..iL] = <pattern instantiated with those indices>.
 
-    Used by the subspace assembly to amortize one symbolic normal ordering
-    over every active index tuple at once; the assembly builds it once per
-    dagger pattern.
+    Amortizes one symbolic normal ordering over every active index tuple at
+    once.  The subspace assembly builds it once per dagger pattern, and only
+    for terms whose active slots all belong to pool operators (S and the
+    Hamiltonian slices with all-virtual indices), so L <= 4 there.  Terms
+    with Hamiltonian indices on active slots are contracted W-first instead
+    and never build an n^8 tensor.
     """
     n = rdms.n_active
     L = len(daggers)

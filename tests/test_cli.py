@@ -53,6 +53,11 @@ def test_config_validation():
         ScanConfig(oo="downhill")
     with pytest.raises(VqseError):
         ScanConfig(cumulant_rank=1)
+    # rank 3 used to run the rank-2 reconstruction silently
+    with pytest.raises(VqseError, match=r"2 .*4 .*omitted"):
+        ScanConfig(cumulant_rank=3)
+    for rank in (None, 2, 4):
+        assert ScanConfig(cumulant_rank=rank).cumulant_rank == rank
 
 
 def test_config_rejects_unknown_keys(tmp_path):

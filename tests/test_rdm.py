@@ -1,7 +1,7 @@
 """RDMs, wedge products, cumulant reconstruction, and noise injection."""
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -80,6 +80,24 @@ def test_trace_identities():
         expected = math.factorial(n_e) / math.factorial(n_e - k)
         assert d.trace().real == pytest.approx(expected, abs=1e-9)
         assert abs(d.trace().imag) < 1e-9
+
+
+def test_rdm_matches_fock_space_oracle():
+    """Every ordered element of the 1- to 4-RDM of a correlated complex
+    4-electron state equals the brute-force expectation
+    <a+_uk .. a+_u1 a_p1 .. a_pk>; the dtype follows the amplitudes."""
+    rng = np.random.default_rng(24)
+    wfn = random_wavefunction(6, 4, rng, complex_amps=True)
+    for k in range(1, 5):
+        d = compute_rdm(wfn, k)
+        assert d.tensor.dtype == np.complex128
+        for upper in combinations(range(6), k):
+            for lower in combinations(range(6), k):
+                ops = [(u, True) for u in reversed(upper)] + [(p, False) for p in lower]
+                ref = full_space_expectation(wfn, [(1.0, ops)], wfn)
+                assert d.tensor[upper + lower] == pytest.approx(ref, abs=TOL_EXACT)
+    real = random_wavefunction(6, 4, rng)
+    assert all(compute_rdm(real, k).tensor.dtype == np.float64 for k in range(1, 5))
 
 
 def test_rdm_vanishes_beyond_electron_count():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vqse.wick
 from conftest import embed_wavefunction, h2_case, random_wavefunction
 from vqse import ANGSTROM_PER_BOHR
 from vqse.cli import ScanConfig, _scan_point
@@ -245,6 +246,41 @@ def test_ccpvdz_assembly_peak_memory():
         tracemalloc.stop()
     print(f"assembly peak {peak_mb:.1f} MB")
     assert peak_mb <= 64
+
+
+def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
+    """H4/6-31G at 1.8 bohr, 4 active orbitals: Wick terms with H letters
+    summed over active slots contract W with the bare RDMs, so no dense
+    8^8 active-pattern tensor (134 MB each) is built and the assembly
+    stays far below the size of one."""
+    geometry = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
+    ao = compute_ao_integrals(geometry, load_basis("6-31g"))
+    mol = transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients)
+    partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
+    _, wfn = ground_state(
+        build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
+    )
+    rdms = RdmSet.from_wavefunction(wfn)
+    pool = build_pool(partition)
+    assert len(pool) == 769
+    original = vqse.wick.active_pattern_tensor
+    daggers = []
+
+    def counting(pattern, *args, **kwargs):
+        daggers.append(pattern)
+        return original(pattern, *args, **kwargs)
+
+    monkeypatch.setattr(vqse.wick, "active_pattern_tensor", counting)
+    tracemalloc.start()
+    try:
+        pair = assemble_subspace(pool, mol, rdms, partition)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    print(f"assembly peak {peak_mb:.1f} MB, pattern ranks {sorted(set(map(len, daggers)))}")
+    assert daggers and max(len(d) for d in daggers) < 8
+    assert peak_mb <= 200
+    assert pair.h_asymmetry < 1e-10 and pair.s_asymmetry < 1e-10
 
 
 def test_assembly_rejects_core_partition():
