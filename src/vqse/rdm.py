@@ -10,13 +10,22 @@ expansion of the 4-RDM reads
          + 6 Delta2 ^ Delta1 ^ Delta1 + Delta1 ^ Delta1 ^ Delta1 ^ Delta1
 
 with integer coefficients and the wedge carrying the full 1/(a+b)!^2
-antisymmetrization.
+antisymmetrization.  The reconstructions keep Delta1 = D1 and Delta2 and
+drop the connected 3- and 4-body parts.
+
+Every tensor here is antisymmetric within its upper and within its lower
+index group, so it is computed only on strictly ordered (packed) index
+tuples: a rank-k tensor over n spin orbitals has C(n, k)^2 independent
+entries out of n^(2k).  Packed arrays have one row and one column per
+ascending k-tuple, in ``itertools.combinations`` order, and
+:func:`_unpack` writes them to the dense tensor with one signed scatter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -42,6 +51,38 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+@lru_cache(maxsize=None)
+def _tuples(n: int, k: int) -> np.ndarray:
+    """Ascending k-tuples of range(n), one row each, shape (C(n, k), k)."""
+    return np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+
+
+@lru_cache(maxsize=None)
+def _scatter_index(n: int, k: int):
+    """Flat dense index of every permutation of every ascending tuple,
+    (k! * C(n, k),) permutation-major, and the permutation signs (k!,)."""
+    perms = list(permutations(range(k)))
+    flat = _tuples(n, k)[:, perms] @ (n ** np.arange(k - 1, -1, -1))
+    return flat.T.ravel(), np.array([_perm_sign(p) for p in perms])
+
+
+def _unpack(packed: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Dense antisymmetric tensor (n,)*2k from its packed (C, C) entries:
+    each entry goes to all k!^2 permutations of its indices, with their
+    signs; entries with a repeated index stay zero."""
+    flat, signs = _scatter_index(n, k)
+    signed = signs[:, None, None, None] * signs[:, None] * packed[:, None, :]
+    out = np.zeros((n**k, n**k), dtype=packed.dtype)
+    out[np.ix_(flat, flat)] = signed.reshape(len(flat), len(flat))
+    return out.reshape((n,) * (2 * k))
+
+
+def _gather(t: np.ndarray, upper: list, lower: list) -> np.ndarray:
+    """t read at index columns, (C, 1) per upper and (1, C) per lower
+    axis: shape (C, C)."""
+    return t[tuple(c[:, None] for c in upper) + tuple(c[None, :] for c in lower)]
+
+
 @dataclass
 class Rdm:
     """Rank-k reduced density matrix over n spin orbitals."""
@@ -49,7 +90,6 @@ class Rdm:
     k: int
     n: int
     tensor: np.ndarray
-    vanishes: bool = False  # k exceeded the electron count
 
     def __post_init__(self):
         if self.tensor.shape != (self.n,) * (2 * self.k):
@@ -63,16 +103,16 @@ class Rdm:
     def hermitized(self) -> "Rdm":
         k = self.k
         dag = np.conj(self.tensor.transpose(tuple(range(k, 2 * k)) + tuple(range(k))))
-        return Rdm(self.k, self.n, 0.5 * (self.tensor + dag), self.vanishes)
+        return Rdm(self.k, self.n, 0.5 * (self.tensor + dag))
 
 
 def _annihilation_amplitudes(wfn: Wavefunction, k: int) -> np.ndarray:
-    """Matrix B, one row per reduced determinant r, with
-    a_{p1} ... a_{pk} |psi> = sum_r B[r, (p1..pk)] |r> over flat (p1..pk),
+    """Matrix B, one row per reduced determinant r and one column per
+    ascending tuple p1 < ... < pk, with
+    a_{p1} ... a_{pk} |psi> = sum_r B[r, (p1..pk)] |r>,
     in the amplitudes' dtype."""
     n = wfn.n_spin_orbitals
-    perms = [(perm, _perm_sign(perm)) for perm in permutations(range(k))]
-    place = [n ** (k - 1 - i) for i in range(k)]
+    col_of = {combo: c for c, combo in enumerate(combinations(range(n), k))}
     row_of: dict[int, int] = {}
     rows, cols, values = [], [], []
     for det, amp in wfn.amplitudes.items():
@@ -83,13 +123,11 @@ def _annihilation_amplitudes(wfn: Wavefunction, k: int) -> np.ndarray:
             for p in reversed(combo):
                 s, d = apply_ladder(d, p, False)
                 sign *= s
-            row = row_of.setdefault(d, len(row_of))
-            for perm, perm_sign in perms:
-                rows.append(row)
-                cols.append(sum(combo[perm[i]] * place[i] for i in range(k)))
-                values.append(sign * perm_sign * amp)
+            rows.append(row_of.setdefault(d, len(row_of)))
+            cols.append(col_of[combo])
+            values.append(sign * amp)
     values = np.asarray(values)
-    b = np.zeros((len(row_of), n**k), dtype=np.result_type(float, values))
+    b = np.zeros((len(row_of), len(col_of)), dtype=np.result_type(float, values))
     b[rows, cols] = values
     return b
 
@@ -97,26 +135,28 @@ def _annihilation_amplitudes(wfn: Wavefunction, k: int) -> np.ndarray:
 def compute_rdm(wfn: Wavefunction, k: int) -> Rdm:
     """k-particle RDM of a normalized wavefunction (k <= 4).
 
-    D = B+ B is one matrix product over the stacked reduced-determinant
-    rows of :func:`_annihilation_amplitudes`, in the amplitudes' dtype:
-    float64 for a real wavefunction, complex for a complex one.  If k
-    exceeds the electron count the RDM vanishes identically and is
-    returned as an explicit zero tensor with ``vanishes`` set.
+    The packed D = B+ B is one matrix product over the stacked
+    reduced-determinant rows of :func:`_annihilation_amplitudes`, in the
+    amplitudes' dtype: float64 for a real wavefunction, complex for a
+    complex one.  If k exceeds the electron count the RDM vanishes
+    identically and is returned as an explicit zero tensor.
     """
     if k > 4 or k < 1:
         raise ValueError("only ranks 1..4 are supported")
     n = wfn.n_spin_orbitals
     if k > wfn.n_electrons:
-        return Rdm(k, n, np.zeros((n,) * (2 * k)), vanishes=True)
+        return Rdm(k, n, np.zeros((n,) * (2 * k)))
     b = _annihilation_amplitudes(wfn, k)
-    return Rdm(k, n, (b.conj().T @ b).reshape((n,) * (2 * k)))
+    return Rdm(k, n, _unpack(b.conj().T @ b, n, k))
 
 
 def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Grassmann wedge of antisymmetric tensors of rank (ka, ka), (kb, kb).
 
-    Carries the full 1/(ka+kb)!^2 antisymmetrization; evaluated over coset
-    representatives since both factors are antisymmetric.
+    Carries the full 1/(ka+kb)!^2 antisymmetrization.  Since both factors
+    are antisymmetric, the permutation sum reduces to one term per pair of
+    coset representatives (which output positions take the upper and the
+    lower indices of a), each read at the packed output tuples.
     """
     ka = a.ndim // 2
     kb = b.ndim // 2
@@ -126,117 +166,45 @@ def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != (n,) * (2 * ka) or b.shape != (n,) * (2 * kb):
         raise ValueError("wedge operands must be cubic and matching")
     k = ka + kb
-    core = np.multiply.outer(a, b)
-    # core axes: [a_up(ka), a_lo(ka), b_up(kb), b_lo(kb)]
-    subsets = []
+    cols = _tuples(n, k).T
+    cosets = []
     for su in combinations(range(k), ka):
         rest = tuple(i for i in range(k) if i not in su)
-        perm = su + rest
-        subsets.append((su, rest, _perm_sign(_inverse(perm))))
-    out = np.zeros((n,) * (2 * k), dtype=np.result_type(a, b))
-    for su, ru, sgn_u in subsets:
-        for sp, rp, sgn_p in subsets:
-            # destination axis for each core axis
-            dest = [None] * (2 * k)
-            for axis, pos in enumerate(su):
-                dest[axis] = pos
-            for axis, pos in enumerate(sp):
-                dest[ka + axis] = k + pos
-            for axis, pos in enumerate(ru):
-                dest[2 * ka + axis] = pos
-            for axis, pos in enumerate(rp):
-                dest[2 * ka + kb + axis] = k + pos
-            out += sgn_u * sgn_p * np.moveaxis(core, range(2 * k), dest)
+        cosets.append(([cols[i] for i in su], [cols[i] for i in rest], _perm_sign(su + rest)))
+    out = np.zeros((len(cols[0]),) * 2, dtype=np.result_type(a, b))
+    for au, bu, sgn_u in cosets:
+        for al, bl, sgn_l in cosets:
+            out += sgn_u * sgn_l * (_gather(a, au, al) * _gather(b, bu, bl))
     norm = (math.factorial(ka) * math.factorial(kb) / math.factorial(k)) ** 2
-    return norm * out
+    return _unpack(norm * out, n, k)
 
 
-def _inverse(perm):
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
-@dataclass
-class CumulantSet:
-    """Connected (cumulant) parts Delta_1 .. Delta_4, raw index layout,
-    normalized-convention tensors (divide raw RDM by k!)."""
-
-    delta1: np.ndarray
-    delta2: np.ndarray
-    delta3: np.ndarray | None = None
-    delta4: np.ndarray | None = None
-
-
-def cumulants_from_rdms(rdm1: Rdm, rdm2: Rdm, rdm3: Rdm | None = None, rdm4: Rdm | None = None) -> CumulantSet:
-    d1 = rdm1.tensor
-    d2n = rdm2.tensor / 2.0
-    delta2 = d2n - wedge(d1, d1)
-    delta3 = None
-    delta4 = None
-    if rdm3 is not None:
-        d3n = rdm3.tensor / 6.0
-        delta3 = d3n - 3.0 * wedge(delta2, d1) - wedge(wedge(d1, d1), d1)
-    if rdm4 is not None:
-        if delta3 is None:
-            raise ValueError("rank-4 cumulant requires the 3-RDM")
-        d4n = rdm4.tensor / 24.0
-        delta4 = (
-            d4n
-            - 4.0 * wedge(delta3, d1)
-            - 3.0 * wedge(delta2, delta2)
-            - 6.0 * wedge(wedge(delta2, d1), d1)
-            - wedge(wedge(wedge(d1, d1), d1), d1)
-        )
-    return CumulantSet(d1, delta2, delta3, delta4)
-
-
-def cumulant_4rdm(
-    rdm1: Rdm,
-    rdm2: Rdm,
-    rdm3: Rdm | None = None,
-    rdm4: Rdm | None = None,
-    truncation_rank: int = 2,
-) -> Rdm:
-    """Reconstruct the 4-RDM from lower cumulants.
-
-    ``truncation_rank`` is the highest cumulant retained: 2 (default)
-    needs only 1- and 2-RDMs, 3 adds the connected 3-body part, 4 is
-    exact when the true 3- and 4-RDMs are supplied.
-    """
+def delta2(rdm1: Rdm, rdm2: Rdm) -> np.ndarray:
+    """Two-body cumulant D2/2 - D1 ^ D1, normalized convention."""
     if rdm1.n != rdm2.n:
         raise ValueError("RDM dimensions disagree")
-    if truncation_rank < 2 or truncation_rank > 4:
-        raise ValueError("truncation rank must be 2, 3, or 4")
-    cums = cumulants_from_rdms(
-        rdm1,
-        rdm2,
-        rdm3 if truncation_rank >= 3 else None,
-        rdm4 if truncation_rank >= 4 else None,
-    )
-    d1 = cums.delta1
+    return rdm2.tensor / 2.0 - wedge(rdm1.tensor, rdm1.tensor)
+
+
+def cumulant_4rdm(rdm1: Rdm, rdm2: Rdm) -> Rdm:
+    """Reconstruct the 4-RDM from 1- and 2-RDMs with the connected 3- and
+    4-body parts set to zero."""
+    d1 = rdm1.tensor
+    d2c = delta2(rdm1, rdm2)
     w11 = wedge(d1, d1)
     d4n = (
-        3.0 * wedge(cums.delta2, cums.delta2)
-        + 6.0 * wedge(wedge(cums.delta2, d1), d1)
+        3.0 * wedge(d2c, d2c)
+        + 6.0 * wedge(wedge(d2c, d1), d1)
         + wedge(wedge(w11, d1), d1)
     )
-    if truncation_rank >= 3 and cums.delta3 is not None:
-        d4n = d4n + 4.0 * wedge(cums.delta3, d1)
-    if truncation_rank >= 4 and cums.delta4 is not None:
-        d4n = d4n + cums.delta4
     return Rdm(4, rdm1.n, 24.0 * d4n)
 
 
 def cumulant_3rdm(rdm1: Rdm, rdm2: Rdm) -> Rdm:
     """Reconstruct the 3-RDM from 1- and 2-RDMs with the connected 3-body
     part set to zero."""
-    if rdm1.n != rdm2.n:
-        raise ValueError("RDM dimensions disagree")
-    cums = cumulants_from_rdms(rdm1, rdm2)
-    d1 = cums.delta1
-    d3n = 3.0 * wedge(cums.delta2, d1) + wedge(wedge(d1, d1), d1)
+    d1 = rdm1.tensor
+    d3n = 3.0 * wedge(delta2(rdm1, rdm2), d1) + wedge(wedge(d1, d1), d1)
     return Rdm(3, rdm1.n, 6.0 * d3n)
 
 
@@ -259,10 +227,10 @@ def composite_full_rdms(
         d1[c, c] = 1.0
     ix = np.ix_(active_spin, active_spin)
     d1[ix] = active_rdm1.tensor
-    delta2_act = active_rdm2.tensor / 2.0 - wedge(active_rdm1.tensor, active_rdm1.tensor)
-    delta2 = np.zeros((n_full,) * 4, dtype=delta2_act.dtype)
-    delta2[np.ix_(active_spin, active_spin, active_spin, active_spin)] = delta2_act
-    d2 = 2.0 * (wedge(d1, d1) + delta2)
+    delta2_act = delta2(active_rdm1, active_rdm2)
+    delta2_full = np.zeros((n_full,) * 4, dtype=delta2_act.dtype)
+    delta2_full[np.ix_(active_spin, active_spin, active_spin, active_spin)] = delta2_act
+    d2 = 2.0 * (wedge(d1, d1) + delta2_full)
     return Rdm(1, n_full, d1), Rdm(2, n_full, d2)
 
 
@@ -277,16 +245,20 @@ def energy_from_rdms(mol, rdm1: Rdm, rdm2: Rdm) -> float:
 
 
 def antisymmetry_project(t: np.ndarray) -> np.ndarray:
-    """Project onto tensors antisymmetric in upper and lower index groups."""
+    """Project onto tensors antisymmetric in upper and lower index groups:
+    the signed average over all k!^2 index permutations, read at the
+    packed tuples."""
     k = t.ndim // 2
-    out = np.zeros_like(t)
+    n = t.shape[0]
+    cols = _tuples(n, k).T
+    out = np.zeros((len(cols[0]),) * 2, dtype=t.dtype)
     for pu in permutations(range(k)):
         su = _perm_sign(pu)
-        tu = t.transpose(tuple(pu) + tuple(range(k, 2 * k)))
+        upper = [cols[pu.index(i)] for i in range(k)]
         for pl in permutations(range(k)):
             sl = _perm_sign(pl)
-            out += su * sl * tu.transpose(tuple(range(k)) + tuple(k + i for i in pl))
-    return out / (math.factorial(k) ** 2)
+            out += su * sl * _gather(t, upper, [cols[pl.index(i)] for i in range(k)])
+    return _unpack(out / (math.factorial(k) ** 2), n, k)
 
 
 def inject_shot_noise(rdm: Rdm, n_shots: float, seed: int) -> Rdm:
@@ -296,5 +268,5 @@ def inject_shot_noise(rdm: Rdm, n_shots: float, seed: int) -> Rdm:
         raise ValueError("n_shots must be positive")
     rng = np.random.default_rng(seed)
     noise = rng.normal(scale=n_shots**-0.5, size=rdm.tensor.shape)
-    noisy = Rdm(rdm.k, rdm.n, rdm.tensor + antisymmetry_project(noise), rdm.vanishes)
+    noisy = Rdm(rdm.k, rdm.n, rdm.tensor + antisymmetry_project(noise))
     return noisy.hermitized()

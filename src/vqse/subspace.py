@@ -14,15 +14,14 @@ or memory is spent on index combinations the pool does not contain.  This
 is what makes a ~10^3 operator pool with a 20-spatial-orbital Hamiltonian
 tractable in pure numpy.
 
-One rule picks the contraction, from the term's own letters alone: when
-Hamiltonian letters sit on active slots (they are then summed), the term
-is expanded in normal order right there and the coefficient slice W is
-contracted with the bare RDM of each normal-ordering term (W-first), by
-one batched ``matmul`` on a reshaped view of the RDM.  Only S and the
-Hamiltonian slices with all-virtual indices read cached active-pattern
-tensors (rank <= 4).  So the dense rank-8 pattern of a double-double
-block with an all-active two-body term (8^8 entries, 134 MB, for 4 active
-orbitals) is never built.
+One rule contracts every term: its active residue is expanded in normal
+order right there, and each normal-ordering term reads the bare RDM of
+its rank.  When Hamiltonian letters sit on active slots (they are then
+summed), the coefficient slice W is contracted with that RDM first
+(W-first), by one batched ``matmul`` on a reshaped view of the RDM.  So no
+tensor over an operator pattern is built, in particular not the dense
+rank-8 pattern of a double-double block with an all-active two-body term
+(8^8 entries, 134 MB, for 4 active orbitals).
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, pattern_tensor, dtype):
+def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, dtype):
     """<O_i+ (op group) O_j> at the pool's own index tuples, shape (n_i, n_j).
 
     ``idx_i``/``idx_j`` hold the local parameter indices of the pool
@@ -184,11 +183,9 @@ def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, pattern_tensor
     (1, n_j) on the ket side; a letter repeated in the output (a virtual or
     active delta between bra and ket) becomes an equality mask.
 
-    A term whose H letters are summed over active slots is contracted
-    W-first: each of its normal-ordering terms joins its delta pairs to the
-    virtual pairs, and W meets the bare RDM directly, so no pattern tensor
-    over the summed H letters is built.  Every other term reads the cached
-    active-pattern tensor, whose letters are then all output letters.
+    Each normal-ordering term of the active residue joins its delta pairs
+    to the virtual pairs and reads the bare RDM; W meets that RDM directly
+    when they share summed H letters (W-first).
     """
     block = np.zeros((len(idx_i), len(idx_j)), dtype=dtype)
     bra = tuple((sp, not dg, pid) for sp, dg, pid in reversed(class_i.slots))
@@ -210,9 +207,6 @@ def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, pattern_tensor
         term = (w, h_positions, out_positions, columns, len(slots))
         for sign, vpairs, active_slots in wick.contract_virtuals_symbolic(pattern):
             daggers = tuple(pattern[s][1] for s in active_slots)
-            if not set(h_positions) & set(active_slots):
-                block += _gathered_term(sign, vpairs, pattern_tensor(daggers), active_slots, *term)
-                continue
             for no_sign, dpairs, cres, anns in wick.normal_order_symbolic(daggers):
                 pairs = vpairs + tuple((active_slots[a], active_slots[c]) for a, c in dpairs)
                 rdm_slots = [active_slots[s] for s in reversed(cres)] + [
@@ -225,13 +219,12 @@ def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, pattern_tensor
 
 
 def _gathered_term(sign, pairs, tensor, t_positions, w, h_positions, out_positions, columns, n):
-    """One Wick term, sign * W * tensor with the slots in ``pairs`` merged,
+    """One Wick term, sign * W * RDM with the slots in ``pairs`` merged,
     read at the output columns.
 
-    Letters are the classes of the n slots under ``pairs``.  W and the
-    tensor are reduced separately to their output letters, unless they
-    share a summed letter; the tensor is then an RDM, and
-    :func:`_contract_with_rdm` sums the shared letters.
+    Letters are the classes of the n slots under ``pairs``.  W and the RDM
+    are reduced separately to their output letters, unless they share a
+    summed letter; :func:`_contract_with_rdm` then sums the shared letters.
     """
     parent = list(range(n))
 
@@ -340,13 +333,6 @@ def assemble_subspace(
         for name, (cls, rows, params) in by_class.items()
     }
 
-    tensors: dict = {}
-
-    def pattern_tensor(daggers):
-        if daggers not in tensors:
-            tensors[daggers] = wick.active_pattern_tensor(daggers, rdms)
-        return tensors[daggers]
-
     h_groups = _hamiltonian_groups(mol, partition)
     s_groups = [(np.float64(1.0), ())]
     n = len(pool)
@@ -355,8 +341,8 @@ def assemble_subspace(
     for ci, rows_i, idx_i in by_class.values():
         for cj, rows_j, idx_j in by_class.values():
             args = (ci, cj, idx_i, idx_j)
-            sblock = _gathered_block(*args, s_groups, rdms, pattern_tensor, dtype)
-            hblock = _gathered_block(*args, h_groups, rdms, pattern_tensor, dtype)
+            sblock = _gathered_block(*args, s_groups, rdms, dtype)
+            hblock = _gathered_block(*args, h_groups, rdms, dtype)
             target = np.ix_(rows_i, rows_j)
             s[target] = sblock
             h[target] = hblock + mol.constant * sblock

@@ -6,12 +6,13 @@ residue is reduced to reduced-density-matrix elements by symbolic normal
 ordering (Kutzelnigg & Mukherjee, JCP 110, 2800 (1999)).  Symbolic results
 are cached per operator pattern (space labels and dagger flags only).
 
-The subspace assembly uses the normal-ordering terms in one of two ways.
-When Hamiltonian indices are summed over active slots, it expands the
-terms itself and contracts the coefficients W with the bare RDMs first
-(W-first), so no tensor over the summed indices exists.  Otherwise it reads
-:func:`active_pattern_tensor`, the residue instantiated once as a dense
-tensor over the active indices of its slots, at the pool's index tuples.
+The subspace assembly has one contraction rule: it expands every active
+residue into its normal-ordering terms and reads the bare RDM of each,
+contracting the Hamiltonian coefficients W into it first when W's indices
+are summed over active slots (W-first).  :func:`active_pattern_tensor`, the
+residue instantiated as one dense tensor over the active indices of its
+slots, is not on that path; it serves as a direct elementwise evaluation
+(the test suite's Wick oracle reads it).
 """
 
 from __future__ import annotations
@@ -139,11 +140,7 @@ def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
     """Dense tensor T[i1..iL] = <pattern instantiated with those indices>.
 
     Amortizes one symbolic normal ordering over every active index tuple at
-    once.  The subspace assembly builds it once per dagger pattern, and only
-    for terms whose active slots all belong to pool operators (S and the
-    Hamiltonian slices with all-virtual indices), so L <= 4 there.  Terms
-    with Hamiltonian indices on active slots are contracted W-first instead
-    and never build an n^8 tensor.
+    once, at n^L entries; the subspace assembly never builds it.
     """
     n = rdms.n_active
     L = len(daggers)

@@ -21,6 +21,7 @@ from vqse.integrals import (
     run_rhf,
     transform_to_mo,
 )
+from vqse.rdm import delta2, wedge
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import _slice_integrals
 
@@ -139,3 +140,26 @@ def wick_expectation(ops, rdms, partition: OrbitalPartition) -> complex:
             tensor = wick.active_pattern_tensor(tuple(ops[s][1] for s in slots), rdms)
             total += sign * tensor[tuple(active[ops[s][0]] for s in slots)]
     return complex(total)
+
+
+def higher_cumulants(rdms):
+    """Connected 3- and 4-body parts Delta3, Delta4 (normalized convention)
+    of the RDMs ``{1: .., 4: ..}``, from the cumulant expansion written out
+    with ``wedge``:
+
+        D3 / 3! = Delta3 + 3 Delta2 ^ D1 + D1 ^ D1 ^ D1
+        D4 / 4! = Delta4 + 4 Delta3 ^ D1 + 3 Delta2 ^ Delta2
+                  + 6 Delta2 ^ D1 ^ D1 + D1 ^ D1 ^ D1 ^ D1
+    """
+    d1 = rdms[1].tensor
+    d2c = delta2(rdms[1], rdms[2])
+    w111 = wedge(wedge(d1, d1), d1)
+    delta3 = rdms[3].tensor / 6.0 - 3.0 * wedge(d2c, d1) - w111
+    delta4 = (
+        rdms[4].tensor / 24.0
+        - 4.0 * wedge(delta3, d1)
+        - 3.0 * wedge(d2c, d2c)
+        - 6.0 * wedge(wedge(d2c, d1), d1)
+        - wedge(w111, d1)
+    )
+    return delta3, delta4

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from conftest import embed_wavefunction, h2_case, random_wavefunction
+from conftest import embed_wavefunction, h2_case, higher_cumulants, random_wavefunction
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import PartitionError
 from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
@@ -17,7 +17,7 @@ from vqse.rdm import (
     compute_rdm,
     cumulant_3rdm,
     cumulant_4rdm,
-    cumulants_from_rdms,
+    delta2,
     energy_from_rdms,
     inject_shot_noise,
     wedge,
@@ -58,6 +58,20 @@ def wedge_oracle(a, b):
                 + [k + pl[ka + i] for i in range(kb)]
             )
             out += su * sl * np.moveaxis(core, range(2 * k), dest)
+    return out / (math.factorial(k) ** 2)
+
+
+def antisymmetry_oracle(t):
+    """Signed average of every one of the k!^2 transposes of the full
+    tensor within its upper and lower index groups."""
+    k = t.ndim // 2
+    out = np.zeros_like(t)
+    for pu in permutations(range(k)):
+        su = _perm_sign(pu)
+        tu = t.transpose(tuple(pu) + tuple(range(k, 2 * k)))
+        for pl in permutations(range(k)):
+            sl = _perm_sign(pl)
+            out += su * sl * tu.transpose(tuple(range(k)) + tuple(k + i for i in pl))
     return out / (math.factorial(k) ** 2)
 
 
@@ -104,7 +118,6 @@ def test_rdm_vanishes_beyond_electron_count():
     rng = np.random.default_rng(22)
     wfn = random_wavefunction(6, 2, rng)
     d3 = compute_rdm(wfn, 3)
-    assert d3.vanishes
     assert not np.any(d3.tensor)
 
 
@@ -168,6 +181,11 @@ def test_wedge_matches_permutation_sum_oracle():
     a2 = antisymmetry_project(rng.normal(size=(n,) * 4))
     assert np.max(np.abs(wedge(a1, a2) - wedge_oracle(a1, a2))) < TOL_EXACT
     assert np.max(np.abs(wedge(a2, b1) - wedge_oracle(a2, b1))) < TOL_EXACT
+    b2 = antisymmetry_project(rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
+    assert np.max(np.abs(wedge(a2, b2) - wedge_oracle(a2, b2))) < TOL_EXACT
+    a3 = antisymmetry_project(rng.normal(size=(n,) * 6))
+    assert np.max(np.abs(wedge(a3, b1) - wedge_oracle(a3, b1))) < TOL_EXACT
+    assert np.max(np.abs(wedge(b1, a3) - wedge_oracle(b1, a3))) < TOL_EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +195,10 @@ def test_wedge_matches_permutation_sum_oracle():
 def test_determinant_cumulants_vanish_beyond_rank_one():
     wfn = Wavefunction({0b00110011: 1.0}, 8, 4)
     rdms = {k: compute_rdm(wfn, k) for k in (1, 2, 3, 4)}
-    cums = cumulants_from_rdms(rdms[1], rdms[2], rdms[3], rdms[4])
-    assert np.max(np.abs(cums.delta2)) < TOL_RECON
-    assert np.max(np.abs(cums.delta3)) < TOL_RECON
-    assert np.max(np.abs(cums.delta4)) < TOL_RECON
+    delta3, delta4 = higher_cumulants(rdms)
+    assert np.max(np.abs(delta2(rdms[1], rdms[2]))) < TOL_RECON
+    assert np.max(np.abs(delta3)) < TOL_RECON
+    assert np.max(np.abs(delta4)) < TOL_RECON
 
 
 def test_cumulant_4rdm_exact_on_determinants():
@@ -205,7 +223,7 @@ def test_two_electron_state_has_zero_4rdm_and_reports_error():
     rng = np.random.default_rng(28)
     wfn = random_wavefunction(8, 2, rng, sz=0)
     d4 = compute_rdm(wfn, 4)
-    assert d4.vanishes and not np.any(d4.tensor)
+    assert not np.any(d4.tensor)
     recon = cumulant_4rdm(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
     err = float(np.max(np.abs(recon.tensor)))
     print(f"rank-2 truncated 4-RDM reconstruction error, 2-electron state: {err:.3e}")
@@ -219,25 +237,26 @@ def test_correlated_four_electron_reconstruction_error_reported():
     rdms = {k: compute_rdm(wfn, k) for k in (1, 2, 3, 4)}
     exact = rdms[4].tensor
     scale = float(np.max(np.abs(exact)))
-    for rank in (2, 3):
-        recon = cumulant_4rdm(rdms[1], rdms[2], rdms[3], truncation_rank=rank)
-        err = float(np.max(np.abs(recon.tensor - exact)))
+    delta3, delta4 = higher_cumulants(rdms)
+    rank2 = cumulant_4rdm(rdms[1], rdms[2]).tensor
+    rank3 = rank2 + 24.0 * 4.0 * wedge(delta3, rdms[1].tensor)
+    for rank, recon in ((2, rank2), (3, rank3)):
+        err = float(np.max(np.abs(recon - exact)))
         print(f"truncation rank {rank}: max 4-RDM reconstruction error {err:.3e} "
               f"(exact scale {scale:.3e})")
         assert err > 0.0
     # retaining every cumulant reproduces the exact tensor identically
-    full = cumulant_4rdm(rdms[1], rdms[2], rdms[3], rdms[4], truncation_rank=4)
-    assert np.max(np.abs(full.tensor - exact)) < TOL_RECON
+    full = rank3 + 24.0 * delta4
+    assert np.max(np.abs(full - exact)) < TOL_RECON
 
 
 def test_cumulant_4rdm_validation():
     rng = np.random.default_rng(30)
-    wfn = random_wavefunction(4, 2, rng)
-    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
-    with pytest.raises(ValueError):
-        cumulant_4rdm(d1, d2, truncation_rank=5)
-    with pytest.raises(ValueError):
-        cumulants_from_rdms(d1, d2, None, compute_rdm(wfn, 4))
+    d1 = compute_rdm(random_wavefunction(4, 2, rng), 1)
+    d2 = compute_rdm(random_wavefunction(6, 2, rng), 2)
+    for reconstruct in (delta2, cumulant_3rdm, cumulant_4rdm):
+        with pytest.raises(ValueError):
+            reconstruct(d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +372,34 @@ def test_antisymmetry_project_idempotent():
     t = rng.normal(size=(3,) * 4)
     once = antisymmetry_project(t)
     assert np.max(np.abs(antisymmetry_project(once) - once)) < TOL_EXACT
+
+
+def test_antisymmetry_project_matches_transpose_oracle():
+    """The packed projection equals the signed average of all k!^2 full
+    transposes, real and complex, at ranks 1-4."""
+    rng = np.random.default_rng(39)
+    for k, n in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        t = rng.normal(size=(n,) * (2 * k))
+        for tensor in (t, t + 1j * rng.normal(size=t.shape)):
+            projected = antisymmetry_project(tensor)
+            assert projected.dtype == tensor.dtype
+            assert np.max(np.abs(projected - antisymmetry_oracle(tensor))) < TOL_EXACT, k
+
+
+def test_rank4_shot_noise_over_eight_spin_orbitals():
+    """The noisy 4-RDM of a 4-electron state over 8 spin orbitals is
+    antisymmetric, Hermitian and fixed by its seed."""
+    rng = np.random.default_rng(40)
+    d4 = compute_rdm(random_wavefunction(8, 4, rng, sz=0), 4)
+    noisy = inject_shot_noise(d4, 1e4, seed=5)
+    t = noisy.tensor
+    assert np.max(np.abs(t - noisy.hermitized().tensor)) < TOL_EXACT
+    # odd under each adjacent transposition within the upper and lower groups
+    for i in (0, 1, 2, 4, 5, 6):
+        swap = list(range(8))
+        swap[i], swap[i + 1] = swap[i + 1], swap[i]
+        assert np.max(np.abs(t + t.transpose(swap))) < TOL_EXACT, i
+    sub = np.ix_(*[[0, 2, 3, 5, 7]] * 8)
+    assert np.max(np.abs(t[sub] - antisymmetry_oracle(t[sub]))) < TOL_EXACT
+    assert np.max(np.abs(t - d4.tensor)) > 0.0
+    assert np.array_equal(t, inject_shot_noise(d4, 1e4, seed=5).tensor)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vqse.wick
-from conftest import embed_wavefunction, h2_case, random_wavefunction
+from conftest import embed_wavefunction, h2_case, higher_cumulants, random_wavefunction
 from vqse import ANGSTROM_PER_BOHR
 from vqse.cli import ScanConfig, _scan_point
 from vqse.exceptions import DegenerateMetricError, PartitionError, VqseError
@@ -26,7 +26,7 @@ from vqse.integrals import (
     run_rhf,
     transform_to_mo,
 )
-from vqse.rdm import compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise
+from vqse.rdm import Rdm, compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise, wedge
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     ExpansionOperator,
@@ -249,10 +249,10 @@ def test_ccpvdz_assembly_peak_memory():
 
 
 def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
-    """H4/6-31G at 1.8 bohr, 4 active orbitals: Wick terms with H letters
-    summed over active slots contract W with the bare RDMs, so no dense
-    8^8 active-pattern tensor (134 MB each) is built and the assembly
-    stays far below the size of one."""
+    """H4/6-31G at 1.8 bohr, 4 active orbitals: every Wick term reads the
+    bare RDMs, so no active-pattern tensor is built, in particular no dense
+    8^8 one (134 MB each), and the assembly stays far below the size of
+    one."""
     geometry = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
     ao = compute_ao_integrals(geometry, load_basis("6-31g"))
     mol = transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients)
@@ -277,8 +277,8 @@ def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    print(f"assembly peak {peak_mb:.1f} MB, pattern ranks {sorted(set(map(len, daggers)))}")
-    assert daggers and max(len(d) for d in daggers) < 8
+    print(f"assembly peak {peak_mb:.1f} MB, pattern tensors built: {len(daggers)}")
+    assert not daggers
     assert peak_mb <= 200
     assert pair.h_asymmetry < 1e-10 and pair.s_asymmetry < 1e-10
 
@@ -410,7 +410,9 @@ def test_cumulant_substitution_recovers_exact_assembly():
     case = h2_case(R_A, "6-31g")
     wfn = case["wfn"]
     exact = {k: compute_rdm(wfn, k) for k in range(1, 5)}
-    r4 = cumulant_4rdm(exact[1], exact[2], exact[3], exact[4], truncation_rank=4)
+    delta3, delta4 = higher_cumulants(exact)
+    connected = 24.0 * (4.0 * wedge(delta3, exact[1].tensor) + delta4)
+    r4 = Rdm(4, exact[4].n, cumulant_4rdm(exact[1], exact[2]).tensor + connected)
     assert np.max(np.abs(r4.tensor - exact[4].tensor)) < TOL_ORACLE
     rebuilt = RdmSet({1: exact[1], 2: exact[2], 3: exact[3], 4: r4})
     pool = build_pool(case["partition"])

@@ -17,16 +17,22 @@ import vqse.wick
 from conftest import h2_case
 from vqse.rdm import composite_full_rdms, compute_rdm
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+RUN = PERFBENCH / "run.py"
 LAYER_MODULES = (vqse.fci, vqse.integrals, vqse.oo, vqse.subspace, vqse.wick)
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_module("perfbench_tracing", TRACING)
 
 
 def test_instrument_wraps_every_layer_and_restores_it():
@@ -63,21 +69,29 @@ def test_sweep_calls_the_traced_oo_layers():
         assert names.count(layer) == report.n_evaluations, layer
 
 
-def test_assembly_builds_each_pattern_tensor_once(monkeypatch):
-    """One assembly builds each active-pattern tensor once, through the
-    ``vqse.wick`` attribute the tracer rebinds, so the benchmark's
-    ``wick.pattern_tensor_*`` metrics count distinct patterns."""
+def test_assembly_builds_no_pattern_tensor(monkeypatch):
+    """Every Wick term of the assembly reads the bare RDMs, so one assembly
+    makes no call to ``vqse.wick.active_pattern_tensor`` (the attribute the
+    tracer rebinds for its ``wick.pattern_tensor_*`` metrics)."""
     case = h2_case(0.7414, "6-31g")
     rdms = vqse.wick.RdmSet.from_wavefunction(case["wfn"])
     pool = vqse.subspace.build_pool(case["partition"])
-    original = vqse.wick.active_pattern_tensor
-    daggers = []
+    calls = []
+    monkeypatch.setattr(vqse.wick, "active_pattern_tensor", lambda *args: calls.append(args))
+    pair = vqse.subspace.assemble_subspace(pool, case["mol"], rdms, case["partition"])
+    assert calls == []
+    assert pair.h.shape == (len(pool), len(pool))
 
-    def counting(pattern, *args, **kwargs):
-        daggers.append(pattern)
-        return original(pattern, *args, **kwargs)
 
-    monkeypatch.setattr(vqse.wick, "active_pattern_tensor", counting)
-    vqse.subspace.assemble_subspace(pool, case["mol"], rdms, case["partition"])
-    assert len(daggers) > 0
-    assert len(daggers) == len(set(daggers))
+def test_benchmark_workloads_warm_up(tmp_path, monkeypatch):
+    """Each benchmark workload's warm-up call runs against the package, so
+    a refactor that drops a name or keyword the benchmark calls (such as
+    ``run_scan(threads=)``, the ``VqseOptions`` fields or the layer calls of
+    ``direct_point``) fails here rather than only in the benchmark run."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its own paths
+    run = load_module("perfbench_run", RUN)
+    assert set(run.WORKLOADS) == {"h2_ccpvdz_curve", "h2_ccpvdz_relax", "h4_chain_631g"}
+    for name, workload in run.WORKLOADS.items():
+        work_dir = tmp_path / name
+        work_dir.mkdir()
+        workload.warm_up(work_dir)
