@@ -1,4 +1,5 @@
 import functools
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +8,9 @@ import scipy.linalg
 import scipy.optimize
 
 from vqse import ANGSTROM_PER_BOHR, wick
-from vqse.fci import (
-    Wavefunction,
-    build_hamiltonian_action,
-    ground_state,
-    sector_determinants,
-)
+from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
 from vqse.integrals import (
+    Geometry,
     MolecularIntegrals,
     compute_ao_integrals,
     h2_geometry,
@@ -57,6 +54,14 @@ def _h2_case(r_angstrom: float, basis: str, n_active_spatial: int):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def h4_chain_mol(basis: str) -> MolecularIntegrals:
+    """Linear H4 at 1.8 bohr spacing in the RHF orbital basis."""
+    geometry = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
+    ao = compute_ao_integrals(geometry, load_basis(basis))
+    return transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients)
+
+
 @functools.lru_cache(maxsize=128)
 def h2_fci(r_angstrom: float, basis: str) -> float:
     case = h2_case(r_angstrom, basis)
@@ -93,13 +98,117 @@ def casscf_2_2(r_angstrom: float, basis: str) -> float:
             h1=c.T @ mol.h1 @ c,
             eri=np.einsum("pqrs,pi,qj,rk,sl->ijkl", mol.eri, c, c, c, c),
         )
-        return np.linalg.eigvalsh(build_hamiltonian_action(rotated).dense_matrix(dets))[0]
+        return np.linalg.eigvalsh(SlaterCondon(rotated).dense_matrix(dets))[0]
 
     rng = np.random.default_rng(0)
     starts = [np.zeros(len(act))] + [rng.uniform(-np.pi, np.pi, len(act)) for _ in range(3)]
     return min(
         float(scipy.optimize.minimize(energy, x0, method="BFGS").fun) for x0 in starts
     )
+
+
+def sector_determinants(n_spin_orbitals: int, n_electrons: int, sz=None) -> list[int]:
+    """All determinants of the sector, sorted ascending by bitmask value.
+
+    ``sz`` is the spin projection in units of 1/2 electrons counted as
+    (n_alpha - n_beta); alpha spin orbitals are the even indices.
+    """
+    dets = []
+    for occ in combinations(range(n_spin_orbitals), n_electrons):
+        if sz is not None:
+            n_alpha = sum(1 for i in occ if i % 2 == 0)
+            if n_alpha - (n_electrons - n_alpha) != sz:
+                continue
+        det = 0
+        for i in occ:
+            det |= 1 << i
+        dets.append(det)
+    dets.sort()
+    return dets
+
+
+def _parity_below(det: int, index: int) -> int:
+    """(-1)^(number of occupied spin orbitals below index)."""
+    return -1 if bin(det & ((1 << index) - 1)).count("1") % 2 else 1
+
+
+class SlaterCondon:
+    """Small-case FCI oracle: Hamiltonian matrix elements between
+    interleaved spin-orbital determinants by the Slater-Condon rules, one
+    element at a time, and the Hamiltonian as an explicit ladder-string
+    list for ``full_space_expectation``.  Shares no code with the
+    string-factored solver in ``vqse.fci``."""
+
+    def __init__(self, mol: MolecularIntegrals):
+        self.mol = mol
+        self.n_spin = mol.n_spin
+        self.h1s = mol.h1_spin()
+        self.vas = mol.eri_phys_antisym()  # <ij||kl>
+        self.constant = mol.constant
+
+    def hamiltonian_terms(self):
+        """Explicit (coefficient, ladder string) list."""
+        terms = [(self.constant, [])]
+        h2 = self.mol.h2_spin()
+        n = self.n_spin
+        for i in range(n):
+            for j in range(n):
+                if self.h1s[i, j] != 0.0:
+                    terms.append((self.h1s[i, j], [(i, True), (j, False)]))
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        if h2[i, j, k, l] != 0.0:
+                            terms.append(
+                                (0.5 * h2[i, j, k, l], [(i, True), (j, True), (k, False), (l, False)])
+                            )
+        return terms
+
+    def diagonal(self, det: int) -> float:
+        occ = [i for i in range(self.n_spin) if det >> i & 1]
+        val = self.constant + sum(self.h1s[p, p] for p in occ)
+        for a, p in enumerate(occ):
+            for q in occ[a + 1 :]:
+                val += self.vas[p, q, p, q]
+        return float(val)
+
+    def element(self, det_i: int, det_j: int) -> float:
+        """<det_i|H|det_j>."""
+        diff = det_i ^ det_j
+        ndiff = bin(diff).count("1")
+        if ndiff == 0:
+            return self.diagonal(det_i)
+        if ndiff == 2:
+            p = (diff & det_j).bit_length() - 1  # occupied in j, hole in i
+            q = (diff & det_i).bit_length() - 1
+            sign = _parity_below(det_j, p) * _parity_below(det_j & ~(1 << p), q)
+            occ = [m for m in range(self.n_spin) if det_j >> m & 1 and m != p]
+            val = self.h1s[q, p] + sum(self.vas[q, m, p, m] for m in occ)
+            return float(sign * val)
+        if ndiff == 4:
+            holes = [i for i in range(self.n_spin) if det_j >> i & 1 and diff >> i & 1]
+            parts = [i for i in range(self.n_spin) if det_i >> i & 1 and diff >> i & 1]
+            p, q = holes  # p < q
+            r, s = parts  # r < s
+            d = det_j
+            sign = _parity_below(d, q)
+            d &= ~(1 << q)
+            sign *= _parity_below(d, p)
+            d &= ~(1 << p)
+            sign *= _parity_below(d, r)
+            d |= 1 << r
+            sign *= _parity_below(d, s)
+            return float(sign * self.vas[r, s, p, q])
+        return 0.0
+
+    def dense_matrix(self, dets) -> np.ndarray:
+        n = len(dets)
+        h = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a, n):
+                h[a, b] = h[b, a] = self.element(dets[a], dets[b])
+        return h
 
 
 def embed_wavefunction(wfn: Wavefunction, partition: OrbitalPartition, n_full: int):
@@ -118,8 +227,6 @@ def embed_wavefunction(wfn: Wavefunction, partition: OrbitalPartition, n_full: i
 
 
 def random_wavefunction(n_spin_orbitals, n_electrons, rng, sz=None, complex_amps=False):
-    from vqse.fci import sector_determinants
-
     dets = sector_determinants(n_spin_orbitals, n_electrons, sz)
     amps = rng.normal(size=len(dets))
     if complex_amps:

@@ -5,8 +5,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import SlaterCondon, h4_chain_mol, sector_determinants
 from vqse.cli import (
     CSV_COLUMNS,
     DEFAULT_GRID,
@@ -17,7 +19,7 @@ from vqse.cli import (
     run_scan,
 )
 from vqse.exceptions import VqseError
-from vqse.integrals import read_fcidump
+from vqse.integrals import read_fcidump, write_fcidump
 
 FAST_SCAN = {
     "points_angstrom": [0.7414],
@@ -237,6 +239,23 @@ def test_fcidump_export_import_round_trip(tmp_path, capsys):
     assert "E_fci=" in out
     e_fci = float(out.split("E_fci=")[1])
     assert e_fci == pytest.approx(-1.137, abs=2e-3)
+
+
+def test_fcidump_import_h4_631g_matches_oracle(tmp_path, capsys):
+    """Four electrons in 8 orbitals (784 Sz = 0 determinants) through the
+    FCIDUMP reader and the production FCI, against the Slater-Condon
+    oracle on the written integrals."""
+    mol = h4_chain_mol("6-31g")
+    path = tmp_path / "h4.fcidump"
+    write_fcidump(mol, 4, 0, path)
+    assert main(["fcidump", "import", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "norb=8 nelec=4 ms2=0" in out
+    e_fci = float(out.split("E_fci=")[1])
+    written, _, _ = read_fcidump(path)
+    dets = sector_determinants(written.n_spin, 4, 0)
+    e_oracle = np.linalg.eigvalsh(SlaterCondon(written).dense_matrix(dets))[0]
+    assert e_fci == pytest.approx(e_oracle, abs=1e-8)
 
 
 def test_cli_requires_subcommand():

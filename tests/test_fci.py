@@ -1,13 +1,21 @@
-"""Determinant algebra, Slater-Condon matrix elements, and exact solves."""
+"""Determinant algebra, the string-factored Hamiltonian, and exact solves."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import h2_case, random_wavefunction
+from conftest import (
+    SlaterCondon,
+    h2_case,
+    h4_chain_mol,
+    random_wavefunction,
+    sector_determinants,
+)
 from test_integrals import random_symmetric_integrals
-from vqse import ANGSTROM_PER_BOHR
+from vqse import ANGSTROM_PER_BOHR, fci
 from vqse.fci import (
     Wavefunction,
     apply_ladder,
@@ -15,11 +23,32 @@ from vqse.fci import (
     build_hamiltonian_action,
     full_space_expectation,
     ground_state,
-    sector_determinants,
 )
 from vqse.integrals import MolecularIntegrals
 
 TOL_EXACT = 1e-12
+TOL_VECTOR = 1e-10
+
+
+def sector_matrix(mol, n_electrons, sz=None):
+    """The production blocks put together over the sector's interleaved
+    determinants, ascending, with zeros between blocks."""
+    dets, blocks = [], []
+    for block in build_hamiltonian_action(mol).blocks(n_electrons, sz):
+        phase = block.phase()
+        dets += block.determinants()
+        blocks.append(phase[:, None] * block.matrix() * phase[None, :])
+    order = np.argsort(dets)
+    h = scipy.linalg.block_diag(*blocks)
+    return [dets[i] for i in order], h[np.ix_(order, order)]
+
+
+@functools.lru_cache(maxsize=None)
+def h4_oracle():
+    """Determinants and Slater-Condon matrix of the H4/6-31G Sz = 0 sector."""
+    mol = h4_chain_mol("6-31g")
+    dets = sector_determinants(mol.n_spin, 4, 0)
+    return dets, SlaterCondon(mol).dense_matrix(dets)
 
 
 # ---------------------------------------------------------------------------
@@ -97,28 +126,29 @@ def test_one_orbital_closed_form_diagonal():
     mol = MolecularIntegrals(
         n_spatial=1, e_nuc=0.4, h1=np.array([[-1.0]]), eri=np.full((1, 1, 1, 1), 0.5)
     )
-    action = build_hamiltonian_action(mol)
-    assert action.diagonal(0b11) == pytest.approx(-2.0 + 0.5 + 0.4, abs=TOL_EXACT)
+    assert SlaterCondon(mol).diagonal(0b11) == pytest.approx(-2.0 + 0.5 + 0.4, abs=TOL_EXACT)
+    assert sector_matrix(mol, 2, 0)[1][0, 0] == pytest.approx(-2.0 + 0.5 + 0.4, abs=TOL_EXACT)
 
 
 def test_zero_integrals_zero_action():
     mol = MolecularIntegrals(
         n_spatial=2, e_nuc=0.0, h1=np.zeros((2, 2)), eri=np.zeros((2, 2, 2, 2))
     )
-    action = build_hamiltonian_action(mol)
-    wfn = Wavefunction({0b0011: 1.0}, 4, 2)
-    out = action.apply(wfn)
-    assert all(abs(v) < TOL_EXACT for v in out.amplitudes.values())
+    for block in build_hamiltonian_action(mol).blocks(2):
+        c = np.zeros(block.shape)
+        c[0, 0] = 1.0
+        assert np.all(np.abs(block.sigma(c)) < TOL_EXACT)
+        assert np.all(np.abs(block.matrix()) < TOL_EXACT)
 
 
 def test_dense_matrix_matches_operator_string_application():
     """Slater-Condon elements vs explicit term-by-term ladder application."""
     rng = np.random.default_rng(5)
     mol = random_symmetric_integrals(3, rng, e_nuc=0.2)
-    action = build_hamiltonian_action(mol)
-    terms = action.hamiltonian_terms()
+    oracle = SlaterCondon(mol)
+    terms = oracle.hamiltonian_terms()
     dets = sector_determinants(6, 3)
-    h_fast = action.dense_matrix(dets)
+    h_fast = oracle.dense_matrix(dets)
     for a, da in enumerate(dets):
         bra = Wavefunction({da: 1.0}, 6, 3)
         for b, db in enumerate(dets):
@@ -128,21 +158,82 @@ def test_dense_matrix_matches_operator_string_application():
 
 
 def test_apply_matches_dense_matrix():
+    """The sigma-build of every 2-electron block against the oracle matrix."""
     rng = np.random.default_rng(6)
     mol = random_symmetric_integrals(3, rng, e_nuc=-0.1)
     action = build_hamiltonian_action(mol)
     dets = sector_determinants(6, 2)
-    h = action.dense_matrix(dets)
+    h = SlaterCondon(mol).dense_matrix(dets)
     x = rng.normal(size=len(dets))
-    wfn = Wavefunction(dict(zip(dets, x)), 6, 2)
-    hx = action.apply(wfn)
-    ref = h @ x
-    for k, det in enumerate(dets):
-        assert hx.amplitudes.get(det, 0.0) == pytest.approx(ref[k], abs=1e-10)
+    ref = dict(zip(dets, h @ x))
+    for block in action.blocks(2):
+        phase = block.phase()
+        xb = np.array([x[dets.index(d)] for d in block.determinants()]) * phase
+        hx = block.sigma(xb.reshape(block.shape)).ravel() * phase
+        for det, value in zip(block.determinants(), hx):
+            assert value == pytest.approx(ref[det], abs=1e-10)
+
+
+@pytest.mark.parametrize("n_electrons, sz", [(3, None), (3, 1), (2, 0), (0, 0), (6, 0)])
+def test_string_matrix_matches_slater_condon(n_electrons, sz):
+    """Random integrals over 3 spatial orbitals, including the 0-electron
+    sector and the 1-determinant (filled) sector."""
+    mol = random_symmetric_integrals(3, np.random.default_rng(21), e_nuc=0.4)
+    dets, h = sector_matrix(mol, n_electrons, sz)
+    assert dets == sector_determinants(6, n_electrons, sz)
+    assert np.max(np.abs(h - SlaterCondon(mol).dense_matrix(dets))) < TOL_EXACT
+
+
+def test_string_matrix_matches_slater_condon_h4_631g():
+    dets, h = sector_matrix(h4_chain_mol("6-31g"), 4, 0)
+    ref_dets, ref = h4_oracle()
+    assert dets == ref_dets and len(dets) == 784
+    assert np.max(np.abs(h - ref)) < TOL_EXACT
+
+
+@pytest.mark.parametrize("molecule", ["h2", "h4"])
+def test_sigma_matches_dense_matrix(molecule):
+    """On random CI vectors, over every block of the sector."""
+    if molecule == "h2":
+        mol, n_electrons = h2_case(1.4 * ANGSTROM_PER_BOHR, "6-31g")["mol"], 2
+    else:
+        mol, n_electrons = h4_chain_mol("6-31g"), 4
+    rng = np.random.default_rng(22)
+    for block in build_hamiltonian_action(mol).blocks(n_electrons):
+        c = rng.normal(size=block.shape)
+        ref = block.matrix() @ c.ravel()
+        assert np.max(np.abs(block.sigma(c).ravel() - ref)) < TOL_EXACT
 
 
 # ---------------------------------------------------------------------------
 # ground states
+
+
+def test_ground_state_matches_oracle_eigenvector():
+    dets, h = h4_oracle()
+    evals, evecs = np.linalg.eigh(h)
+    ref = evecs[:, 0] * np.sign(evecs[np.argmax(np.abs(evecs[:, 0])), 0])
+    energy, wfn = ground_state(build_hamiltonian_action(h4_chain_mol("6-31g")), 4, sz=0)
+    assert energy == pytest.approx(evals[0], abs=TOL_VECTOR)
+    assert list(wfn.amplitudes) == dets
+    amps = np.array(list(wfn.amplitudes.values()))
+    assert np.max(np.abs(amps - ref)) < TOL_VECTOR
+
+
+def test_lanczos_branch_is_deterministic(monkeypatch):
+    """Above DENSE_LIMIT the solve goes through eigsh over the sigma-build;
+    its fixed start vector makes repeated calls bit-identical."""
+    action = build_hamiltonian_action(h4_chain_mol("6-31g"))
+    e_dense, dense = ground_state(action, 4, sz=0)
+    monkeypatch.setattr(fci, "DENSE_LIMIT", 500)
+    e_first, first = ground_state(action, 4, sz=0)
+    e_second, second = ground_state(action, 4, sz=0)
+    assert e_first == e_second
+    assert list(first.amplitudes.items()) == list(second.amplitudes.items())
+    assert e_first == pytest.approx(e_dense, abs=TOL_VECTOR)
+    assert list(first.amplitudes) == list(dense.amplitudes)
+    diff = [first.amplitudes[d] - a for d, a in dense.amplitudes.items()]
+    assert np.max(np.abs(diff)) < TOL_VECTOR
 
 
 def test_h2_sto3g_ground_energy():
@@ -150,10 +241,11 @@ def test_h2_sto3g_ground_energy():
     energy, wfn = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
     assert energy == pytest.approx(-1.137, abs=1e-3)
     # eigenpair residual
-    action = build_hamiltonian_action(case["mol"])
-    hx = action.apply(wfn)
-    for det, amp in wfn.amplitudes.items():
-        assert hx.amplitudes[det] == pytest.approx(energy * amp, abs=1e-10)
+    dets = sector_determinants(case["mol"].n_spin, 2)
+    x = np.array([wfn.amplitudes.get(d, 0.0) for d in dets])
+    hx = SlaterCondon(case["mol"]).dense_matrix(dets) @ x
+    for k, det in enumerate(dets):
+        assert hx[k] == pytest.approx(energy * x[k], abs=1e-10)
 
 
 def test_noninteracting_sum_of_orbital_energies():
@@ -170,9 +262,8 @@ def test_noninteracting_sum_of_orbital_energies():
 def test_one_dimensional_sector_is_diagonal_element():
     rng = np.random.default_rng(8)
     mol = random_symmetric_integrals(1, rng, e_nuc=0.9)
-    action = build_hamiltonian_action(mol)
-    energy, wfn = ground_state(action, 2, sz=0)
-    assert energy == pytest.approx(action.diagonal(0b11), abs=TOL_EXACT)
+    energy, wfn = ground_state(build_hamiltonian_action(mol), 2, sz=0)
+    assert energy == pytest.approx(SlaterCondon(mol).diagonal(0b11), abs=TOL_EXACT)
     assert wfn.amplitudes == {0b11: 1.0}
 
 
@@ -214,8 +305,7 @@ def test_number_operator_on_occupied_orbital():
 
 def test_expectation_energy_matches_eigenvalue():
     case = h2_case(1.4 * ANGSTROM_PER_BOHR, "sto-3g")
-    action = build_hamiltonian_action(case["mol"])
-    energy, wfn = ground_state(action, 2, sz=0)
-    val = full_space_expectation(wfn, action.hamiltonian_terms(), wfn)
+    energy, wfn = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
+    val = full_space_expectation(wfn, SlaterCondon(case["mol"]).hamiltonian_terms(), wfn)
     assert val.real == pytest.approx(energy, abs=1e-10)
     assert abs(val.imag) < TOL_EXACT

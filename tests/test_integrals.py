@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import DATA_DIR, embed_wavefunction, h2_case, random_wavefunction
+from conftest import DATA_DIR, SlaterCondon, embed_wavefunction, h2_case, random_wavefunction
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import ParseError
 from vqse.fci import (
@@ -170,9 +170,8 @@ def test_rhf_energy_equals_determinant_expectation():
     machinery in the MO basis."""
     for basis in ("sto-3g", "6-31g"):
         case = h2_case(R_REF * ANGSTROM_PER_BOHR, basis)
-        action = build_hamiltonian_action(case["mol"])
         hf_det = 0b11  # both spin orbitals of the lowest MO
-        assert action.diagonal(hf_det) == pytest.approx(
+        assert SlaterCondon(case["mol"]).diagonal(hf_det) == pytest.approx(
             case["scf"].scf_energy, abs=TOL_DERIVED
         )
 
@@ -196,8 +195,7 @@ def test_rhf_one_orbital_closed_form():
     mol = MolecularIntegrals(
         n_spatial=1, e_nuc=0.7, h1=np.array([[-1.25]]), eri=np.full((1, 1, 1, 1), 0.6)
     )
-    action = build_hamiltonian_action(mol)
-    assert action.diagonal(0b11) == pytest.approx(2 * -1.25 + 0.6 + 0.7, abs=TOL_EXACT)
+    assert SlaterCondon(mol).diagonal(0b11) == pytest.approx(2 * -1.25 + 0.6 + 0.7, abs=TOL_EXACT)
 
 
 def test_rhf_rejects_odd_electron_count():
@@ -287,9 +285,10 @@ def test_dress_core_all_core_gives_determinant_energy():
     partition = OrbitalPartition(core=(0, 1), active=(), virtual=())
     dressed = dress_core(mol, partition)
     assert dressed.n_spatial == 0
-    action = build_hamiltonian_action(mol)
     closed_shell = 0b1111  # every spin orbital occupied
-    assert dressed.constant == pytest.approx(action.diagonal(closed_shell), abs=TOL_DERIVED)
+    assert dressed.constant == pytest.approx(
+        SlaterCondon(mol).diagonal(closed_shell), abs=TOL_DERIVED
+    )
 
 
 def test_dress_core_expectation_identity_random_instance():
@@ -307,10 +306,10 @@ def test_dress_core_expectation_identity_random_instance():
             lifted[(det << 2) | 0b11] = amp
         full = Wavefunction(lifted, 6, n_active_electrons + 2)
         e_full = full_space_expectation(
-            full, build_hamiltonian_action(mol).hamiltonian_terms(), full
+            full, SlaterCondon(mol).hamiltonian_terms(), full
         )
         e_dressed = full_space_expectation(
-            wfn, build_hamiltonian_action(dressed).hamiltonian_terms(), wfn
+            wfn, SlaterCondon(dressed).hamiltonian_terms(), wfn
         )
         assert abs(e_full - e_dressed) < TOL_DERIVED
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import h2_case, random_wavefunction
+from conftest import SlaterCondon, h2_case, random_wavefunction
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import VqseError
 from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
@@ -121,7 +121,7 @@ def test_rotation_matches_full_space_oracle():
         gen = scale * np.random.default_rng(seed).normal(size=(4, 4))
         u = scipy.linalg.expm(gen - gen.T)
         e_fast = energy_of_rotation(u, case["mol"], d1, d2)
-        terms = build_hamiltonian_action(rotate_integrals(case["mol"], u)).hamiltonian_terms()
+        terms = SlaterCondon(rotate_integrals(case["mol"], u)).hamiltonian_terms()
         e_ref = full_space_expectation(embedded, terms, embedded)
         assert e_fast == pytest.approx(e_ref.real, abs=TOL_ORACLE), seed
 

@@ -6,7 +6,13 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from conftest import embed_wavefunction, h2_case, higher_cumulants, random_wavefunction
+from conftest import (
+    SlaterCondon,
+    embed_wavefunction,
+    h2_case,
+    higher_cumulants,
+    random_wavefunction,
+)
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import PartitionError
 from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
@@ -310,7 +316,7 @@ def test_composite_energy_identity_with_core():
                 full |= 1 << so
         lifted[full] = amp
     embedded = Wavefunction(lifted, 8, 4)
-    terms = build_hamiltonian_action(mol).hamiltonian_terms()
+    terms = SlaterCondon(mol).hamiltonian_terms()
     e_ref = full_space_expectation(embedded, terms, embedded)
     assert e_rdm == pytest.approx(e_ref.real, abs=TOL_RECON)
 

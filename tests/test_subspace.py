@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import vqse.wick
-from conftest import embed_wavefunction, h2_case, higher_cumulants, random_wavefunction
+from conftest import (
+    SlaterCondon,
+    embed_wavefunction,
+    h2_case,
+    higher_cumulants,
+    random_wavefunction,
+    sector_determinants,
+)
 from vqse import ANGSTROM_PER_BOHR
 from vqse.cli import ScanConfig, _scan_point
 from vqse.exceptions import DegenerateMetricError, PartitionError, VqseError
@@ -17,7 +24,6 @@ from vqse.fci import (
     apply_ladder_string,
     build_hamiltonian_action,
     ground_state,
-    sector_determinants,
 )
 from vqse.integrals import (
     Geometry,
@@ -64,8 +70,7 @@ def oracle_pair(pool, mol, wfn, partition):
     v = np.zeros(len(dets))
     for k, det in enumerate(dets):
         v[k] = full.amplitudes.get(det, 0.0).real if det in full.amplitudes else 0.0
-    action = build_hamiltonian_action(mol)
-    h_full = action.dense_matrix(dets)
+    h_full = SlaterCondon(mol).dense_matrix(dets)
     ops = [operator_matrix(op.ladder_ops(), dets, n_spin) for op in pool]
     cols = [m @ v for m in ops]
     n = len(pool)
@@ -396,9 +401,8 @@ def test_excited_state_bound_reported():
     pool = build_pool(case["partition"])
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     sol = solve_gevp(pair)
-    action = build_hamiltonian_action(case["mol"])
     dets = sector_determinants(8, 2, sz=0)
-    exact = np.linalg.eigvalsh(action.dense_matrix(dets))
+    exact = np.linalg.eigvalsh(SlaterCondon(case["mol"]).dense_matrix(dets))
     print(f"E1 subspace {sol.eigenvalues[1]:+.8f} vs exact {exact[1]:+.8f} "
           f"(excess {sol.eigenvalues[1] - exact[1]:.3e})")
     assert sol.eigenvalues[1] >= exact[1] - 1e-9
