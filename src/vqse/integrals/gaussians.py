@@ -2,6 +2,16 @@
 
 All quantities are in atomic units. Two-electron integrals are returned in
 chemist notation (pq|rs) with the full 8-fold permutational symmetry.
+
+Every integral is evaluated over arrays of primitive pairs, not one
+primitive at a time (McMurchie & Davidson, J. Comput. Phys. 26, 218
+(1978)). ``_pair_table`` lists the primitive pairs of all AO pairs i >= j
+once per call, with their Gaussian-product data and Hermite products E_tuv;
+s and p shells need only t + u + v <= 2. The overlap and kinetic energy
+come from the 1D Hermite tables. The nuclear attraction and the ERIs share
+one batched Hermite-Coulomb recursion, ``_hermite_coulomb``. The ERIs run
+over blocks of primitive quartets, are summed into the canonical AO pair x
+pair matrix, and one gather unpacks that matrix to (pq|rs).
 """
 
 from __future__ import annotations
@@ -15,6 +25,57 @@ from scipy.special import erf
 from .basis import BasisSet, Geometry
 
 MAX_BOYS_ORDER = 8
+# Boys function: Kummer series below this argument, erf and upward
+# recursion above it.
+_SERIES_LIMIT = 25.0
+# Primitive quartets per ERI block. About 1 kB of temporaries per quartet,
+# so a block stays near 2 MB whatever the basis size.
+_BLOCK_QUARTETS = 2048
+
+# Hermite components (t, u, v), ordered by degree t + u + v. The first 10
+# (degree <= 2) index the pair products E_tuv; all 35 (degree <= 4) index
+# the ERI Hermite-Coulomb integrals R_tuv.
+_TUV = [
+    (t, u, degree - t - u)
+    for degree in range(5)
+    for t in range(degree, -1, -1)
+    for u in range(degree - t, -1, -1)
+]
+_TUV_INDEX = {tuv: k for k, tuv in enumerate(_TUV)}
+_N_TUV = [(d + 1) * (d + 2) * (d + 3) // 6 for d in range(5)]  # degree <= d
+_N_PAIR_TUV = _N_TUV[2]
+_PAIR_TUV = np.array(_TUV[:_N_PAIR_TUV]).T  # (3, 10)
+_KET_SIGN = (-1.0) ** _PAIR_TUV.sum(axis=0)
+
+
+def _recursion_step(tuv):
+    """How R^n_tuv comes from level n + 1: step down the first nonzero
+    index d, R^n = X_d R^{n+1}[tuv - e_d] + (tuv_d - 1) R^{n+1}[tuv - 2 e_d]."""
+    d = next(k for k in range(3) if tuv[k])
+    one = list(tuv)
+    one[d] -= 1
+    two = list(one)
+    two[d] = max(two[d] - 1, 0)  # unused (weight 0) when tuv_d = 1
+    return d, _TUV_INDEX[tuple(one)], one[d], _TUV_INDEX[tuple(two)]
+
+
+_STEP_DIM, _STEP_ONE, _STEP_WEIGHT, _STEP_TWO = (
+    np.array(column) for column in zip(*map(_recursion_step, _TUV[1:]))
+)
+_STEP_WEIGHT = _STEP_WEIGHT[:, None].astype(float)
+
+
+def _shift_table() -> np.ndarray:
+    """S[i, j, m] = 1 where pair component i plus pair component j is
+    component m, so sum_i E[b, i] S[i, j, m] is E[b] at component m - j."""
+    table = np.zeros((_N_PAIR_TUV, _N_PAIR_TUV, _N_TUV[4]))
+    for i, a in enumerate(_TUV[:_N_PAIR_TUV]):
+        for j, b in enumerate(_TUV[:_N_PAIR_TUV]):
+            table[i, j, _TUV_INDEX[tuple(x + y for x, y in zip(a, b))]] = 1.0
+    return table
+
+
+_SHIFT = _shift_table()
 
 
 def boys_function(m: int, x: float) -> float:
@@ -23,120 +84,91 @@ def boys_function(m: int, x: float) -> float:
         raise ValueError(f"Boys order must be in [0, {MAX_BOYS_ORDER}], got {m}")
     if x < 0:
         raise ValueError(f"Boys argument must be non-negative, got {x}")
-    return _boys_row(m, x)[m]
+    return float(_boys_rows(m, np.array([float(x)]))[m, 0])
 
 
-def _boys_row(mmax: int, x: float) -> np.ndarray:
-    """F_0(x) .. F_mmax(x).
+def _boys_rows(mmax: int, x: np.ndarray) -> np.ndarray:
+    """F_0(x) .. F_mmax(x) for an array of x >= 0, shape (mmax + 1, x.size).
 
     Small x: Kummer series at the highest order, then downward recursion
-    (stable in that direction). Large x: F_0 from erf, then upward
-    recursion, which is stable once x > m + 1/2.
+    (stable in that direction). The series runs until the term of the
+    largest x is below 1e-17 of its sum; the relative size of a term grows
+    with x, so every smaller x has converged too. Large x: F_0 from erf,
+    then upward recursion, which is stable once x > m + 1/2.
     """
-    out = np.empty(mmax + 1)
-    if x < 25.0:
-        ex = math.exp(-x)
-        term = 1.0 / (2 * mmax + 1)
-        acc = term
-        k = 1
+    out = np.empty((mmax + 1, x.size))
+    ex = np.exp(-x)
+    small = x < _SERIES_LIMIT
+    if small.any():
+        xs, es = x[small], ex[small]
+        top = int(np.argmax(xs))
+        term = np.full(xs.size, 1.0 / (2 * mmax + 1))
+        acc = term.copy()
+        k = 0
         while True:
-            term *= x / (mmax + k + 0.5)
-            acc += term
-            if term < 1e-17 * acc:
-                break
             k += 1
-        out[mmax] = ex * acc
+            term *= xs / (mmax + k + 0.5)
+            acc += term
+            if term[top] < 1e-17 * acc[top]:
+                break
+        rows = np.empty((mmax + 1, xs.size))
+        rows[mmax] = es * acc
         for m in range(mmax - 1, -1, -1):
-            out[m] = (2.0 * x * out[m + 1] + ex) / (2 * m + 1)
-    else:
-        ex = math.exp(-x)
-        sx = math.sqrt(x)
-        out[0] = math.sqrt(math.pi) / (2.0 * sx) * erf(sx)
+            rows[m] = (2.0 * xs * rows[m + 1] + es) / (2 * m + 1)
+        out[:, small] = rows
+    large = ~small
+    if large.any():
+        xl, el = x[large], ex[large]
+        rows = np.empty((mmax + 1, xl.size))
+        sx = np.sqrt(xl)
+        rows[0] = math.sqrt(math.pi) / (2.0 * sx) * erf(sx)
         for m in range(1, mmax + 1):
-            out[m] = ((2 * m - 1) * out[m - 1] - ex) / (2.0 * x)
+            rows[m] = ((2 * m - 1) * rows[m - 1] - el) / (2.0 * xl)
+        out[:, large] = rows
     return out
 
 
-def _hermite_coefficients(la: int, lb: int, p: float, xpa: float, xpb: float):
-    """1D Hermite expansion coefficients E_t^{ij} for i <= la, j <= lb.
+def _hermite_coulomb(degree: int, alpha: np.ndarray, pc: np.ndarray) -> np.ndarray:
+    """Hermite Coulomb integrals R_tuv = R^0_tuv(alpha, PC) for t + u + v <=
+    ``degree``, shape (_N_TUV[degree], alpha.size); ``pc`` is (3, alpha.size).
 
-    The Gaussian-product prefactor exp(-mu X_AB^2) is applied separately.
+    Runs R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + X_PC R^{n+1}_tuv (and the
+    same in u and v) down from R^n_000 = (-2 alpha)^n F_n(alpha PC^2),
+    keeping one level n at a time: level n holds degrees <= degree - n.
     """
-    E = np.zeros((la + 1, lb + 1, la + lb + 1))
+    boys = _boys_rows(degree, alpha * np.einsum("dq,dq->q", pc, pc))
+    scale = -2.0 * alpha
+    level = (boys[degree] * scale**degree)[None]
+    for n in range(degree - 1, -1, -1):
+        steps = _N_TUV[degree - n] - 1
+        nxt = np.empty((steps + 1, alpha.size))
+        nxt[0] = boys[n] * scale**n
+        nxt[1:] = pc[_STEP_DIM[:steps]] * level[_STEP_ONE[:steps]]
+        nxt[1:] += _STEP_WEIGHT[:steps] * level[_STEP_TWO[:steps]]
+        level = nxt
+    return level
+
+
+def _hermite_1d(xpa: np.ndarray, xpb: np.ndarray, inv2p: np.ndarray) -> np.ndarray:
+    """1D Hermite expansion coefficients E_t^{ij} for i <= 1, j <= 3,
+    shape (2, 4, 5) + xpa.shape.
+
+    E_t^{i+1,j} = E_{t-1}^{ij} / 2p + X_PA E_t^{ij} + (t+1) E_{t+1}^{ij},
+    and the same in j with X_PB. The Gaussian-product prefactor
+    exp(-mu X_AB^2) is applied separately, so E_0^{00} = 1.
+    """
+    E = np.zeros((2, 4, 5) + xpa.shape)
     E[0, 0, 0] = 1.0
-    inv2p = 1.0 / (2.0 * p)
-    for i in range(la + 1):
-        for j in range(lb + 1):
-            if i == 0 and j == 0:
+    t_plus_1 = np.arange(1, 5).reshape((4,) + (1,) * xpa.ndim)
+    for i in range(2):
+        for j in range(4):
+            if i == j == 0:
                 continue
-            if j == 0:
-                # build up in i
-                for t in range(i + j + 1):
-                    val = xpa * E[i - 1, 0, t]
-                    if t > 0:
-                        val += inv2p * E[i - 1, 0, t - 1]
-                    if t + 1 <= i - 1:
-                        val += (t + 1) * E[i - 1, 0, t + 1]
-                    E[i, 0, t] = val
-            else:
-                for t in range(i + j + 1):
-                    val = xpb * E[i, j - 1, t]
-                    if t > 0:
-                        val += inv2p * E[i, j - 1, t - 1]
-                    if t + 1 <= i + j - 1:
-                        val += (t + 1) * E[i, j - 1, t + 1]
-                    E[i, j, t] = val
+            prev, x = (E[i - 1, 0], xpa) if j == 0 else (E[i, j - 1], xpb)
+            E[i, j] = x * prev
+            E[i, j, 1:] += inv2p * prev[:-1]
+            E[i, j, :-1] += t_plus_1 * prev[1:]
     return E
-
-
-def _hermite_coulomb(tmax: int, umax: int, vmax: int, alpha: float, pc: np.ndarray):
-    """Hermite Coulomb integrals R_{tuv} = R^0_{tuv}(alpha, PC)."""
-    nmax = tmax + umax + vmax
-    boys = _boys_row(nmax, alpha * float(pc @ pc))
-    # R[n, t, u, v] built by downward n-recursion
-    R = np.zeros((nmax + 1, tmax + 1, umax + 1, vmax + 1))
-    for n in range(nmax + 1):
-        R[n, 0, 0, 0] = (-2.0 * alpha) ** n * boys[n]
-    for t in range(1, tmax + 1):
-        for n in range(nmax - t + 1):
-            val = pc[0] * R[n + 1, t - 1, 0, 0]
-            if t > 1:
-                val += (t - 1) * R[n + 1, t - 2, 0, 0]
-            R[n, t, 0, 0] = val
-    for u in range(1, umax + 1):
-        for t in range(tmax + 1):
-            for n in range(nmax - t - u + 1):
-                val = pc[1] * R[n + 1, t, u - 1, 0]
-                if u > 1:
-                    val += (u - 1) * R[n + 1, t, u - 2, 0]
-                R[n, t, u, 0] = val
-    for v in range(1, vmax + 1):
-        for u in range(umax + 1):
-            for t in range(tmax + 1):
-                for n in range(nmax - t - u - v + 1):
-                    val = pc[2] * R[n + 1, t, u, v - 1]
-                    if v > 1:
-                        val += (v - 1) * R[n + 1, t, u, v - 2]
-                    R[n, t, u, v] = val
-    return R[0]
-
-
-def _double_factorial(n: int) -> float:
-    return float(math.prod(range(n, 0, -2))) if n > 0 else 1.0
-
-
-def _primitive_norm(alpha: float, powers) -> float:
-    i, j, k = powers
-    l = i + j + k
-    return (
-        (2.0 * alpha / math.pi) ** 0.75
-        * (4.0 * alpha) ** (l / 2.0)
-        / math.sqrt(
-            _double_factorial(2 * i - 1)
-            * _double_factorial(2 * j - 1)
-            * _double_factorial(2 * k - 1)
-        )
-    )
 
 
 _CARTESIAN_POWERS = {0: [(0, 0, 0)], 1: [(1, 0, 0), (0, 1, 0), (0, 0, 1)]}
@@ -153,155 +185,114 @@ class _Ao:
 
 
 def build_ao_basis(geometry: Geometry, basis: BasisSet) -> list[_Ao]:
+    """Normalized contracted Cartesian functions, atom by atom and shell by
+    shell, with the p components in x, y, z order."""
     aos = []
     for atom in geometry.atoms:
+        center = np.asarray(atom.position, dtype=float)
         for shell in basis.shells_for(atom.symbol):
-            if shell.l > 1:
-                raise ValueError("angular momentum above p is not supported")
+            exps = np.asarray(shell.exponents)
+            # primitive norms; every double factorial is 1 for l <= 1
+            coefs = (
+                np.asarray(shell.coefficients)
+                * (2.0 * exps / math.pi) ** 0.75
+                * (4.0 * exps) ** (shell.l / 2.0)
+            )
+            p = exps[:, None] + exps[None, :]
+            self_overlap = coefs @ ((math.pi / p) ** 1.5 * (0.5 / p) ** shell.l) @ coefs
+            coefs = coefs * self_overlap**-0.5
             for powers in _CARTESIAN_POWERS[shell.l]:
-                exps = np.asarray(shell.exponents)
-                coefs = np.asarray(shell.coefficients) * np.array(
-                    [_primitive_norm(a, powers) for a in shell.exponents]
-                )
-                ao = _Ao(np.asarray(atom.position, dtype=float), powers, exps, coefs)
-                norm = _ao_pair_overlap(ao, ao) ** -0.5
-                aos.append(
-                    _Ao(ao.center, powers, exps, coefs * norm)
-                )
+                aos.append(_Ao(center, powers, exps, coefs))
     return aos
 
 
-class _PairData:
-    """Gaussian-product data for one pair of contracted functions."""
+@dataclass(frozen=True)
+class _PairTable:
+    """Primitive pairs of every AO pair i >= j, ordered by the pair index
+    ij = i (i + 1) / 2 + j."""
 
-    __slots__ = ("p", "P", "coef", "E")
-
-    def __init__(self, a: _Ao, b: _Ao):
-        aa = a.exponents[:, None]
-        bb = b.exponents[None, :]
-        ab = a.center - b.center
-        self.p = (aa + bb).ravel()
-        P = (aa[..., None] * a.center + bb[..., None] * b.center) / (aa + bb)[..., None]
-        self.P = P.reshape(-1, 3)
-        mu = (aa * bb / (aa + bb)).ravel()
-        kab = np.exp(-mu * float(ab @ ab))
-        self.coef = (a.coefficients[:, None] * b.coefficients[None, :]).ravel() * kab
-        # E[dim][prim_pair, t]; prefactor folded into coef via kab, so the
-        # per-dimension E start from E_0^{00} = 1
-        la, lb = a.powers, b.powers
-        self.E = []
-        for d in range(3):
-            Ed = np.empty((len(self.p), la[d] + lb[d] + 1))
-            for k, (pk, Pk) in enumerate(zip(self.p, self.P)):
-                Ecoef = _hermite_coefficients(
-                    la[d], lb[d], pk, Pk[d] - a.center[d], Pk[d] - b.center[d]
-                )
-                Ed[k] = Ecoef[la[d], lb[d]]
-            self.E.append(Ed)
+    pair: np.ndarray  # (N,) owning AO pair index
+    p: np.ndarray  # (N,) total exponent
+    P: np.ndarray  # (3, N) product center
+    coef: np.ndarray  # (N,) contraction coefficients times exp(-mu AB^2)
+    E: np.ndarray  # (N, 10) E_tuv = E_t^x E_u^y E_v^z over _TUV[:10]
+    overlap: np.ndarray  # (N,) primitive overlap, coef included
+    kinetic: np.ndarray  # (N,) primitive kinetic energy, coef included
 
 
-def _ao_pair_overlap(a: _Ao, b: _Ao) -> float:
-    pair = _PairData(a, b)
-    val = pair.coef * (math.pi / pair.p) ** 1.5
-    for d in range(3):
-        val = val * pair.E[d][:, 0]
-    return float(val.sum())
+def _pair_table(aos: list[_Ao]) -> _PairTable:
+    prim_ao = np.concatenate([np.full(ao.exponents.size, k) for k, ao in enumerate(aos)])
+    exps = np.concatenate([ao.exponents for ao in aos])
+    coefs = np.concatenate([ao.coefficients for ao in aos])
+    centers = np.array([ao.center for ao in aos])[prim_ao].T
+    powers = np.array([ao.powers for ao in aos])[prim_ao].T
+    a, b = np.nonzero(prim_ao[:, None] >= prim_ao[None, :])
+    pair = prim_ao[a] * (prim_ao[a] + 1) // 2 + prim_ao[b]
+    order = np.argsort(pair, kind="stable")
+    a, b, pair = a[order], b[order], pair[order]
+
+    ea, eb = exps[a], exps[b]
+    p = ea + eb
+    A, B = centers[:, a], centers[:, b]
+    P = (ea * A + eb * B) / p
+    ab = A - B
+    coef = coefs[a] * coefs[b] * np.exp(-(ea * eb / p) * np.einsum("dn,dn->n", ab, ab))
+
+    E1 = _hermite_1d(P - A, P - B, 0.5 / p)  # (2, 4, 5, 3, N)
+    la, lb = powers[:, a], powers[:, b]
+    dims, rows = np.arange(3)[:, None], np.arange(p.size)
+    Ex, Ey, Ez = E1[la, lb, :3, dims, rows]  # each (N, 3)
+    E = Ex[:, _PAIR_TUV[0]] * Ey[:, _PAIR_TUV[1]] * Ez[:, _PAIR_TUV[2]]
+    # 1D overlaps are E_0^{ij}. T = -1/2 <a|laplacian|b> is a sum over d of
+    # k_d times the other two overlaps, where, with l_b <= 1,
+    # k_d = b (2 l_bd + 1) E_0^{i,j} - 2 b^2 E_0^{i,j+2}.
+    s1 = E1[la, lb, 0, dims, rows]
+    k1 = eb * (2 * lb + 1) * s1 - 2.0 * eb**2 * E1[la, lb + 2, 0, dims, rows]
+    norm = coef * (math.pi / p) ** 1.5
+    kinetic = k1[0] * s1[1] * s1[2] + s1[0] * k1[1] * s1[2] + s1[0] * s1[1] * k1[2]
+    return _PairTable(pair, p, P, coef, E, norm * E[:, 0], norm * kinetic)
 
 
-def _shifted(a: _Ao, d: int, delta: int) -> _Ao:
-    powers = list(a.powers)
-    powers[d] += delta
-    if powers[d] < 0:
-        return None
-    return _Ao(a.center, tuple(powers), a.exponents, a.coefficients)
-
-
-def _kinetic(a: _Ao, b: _Ao) -> float:
-    # T = -1/2 <a|del^2|b>, expressed through overlaps with shifted b
-    lb = sum(b.powers)
-    val = 0.0
-    for d in range(3):
-        bexp = b.exponents
-        # overlap with per-primitive exponent weights: fold weight into coefs
-        up = _shifted(b, d, 2)
-        w = _Ao(b.center, up.powers, bexp, b.coefficients * bexp * bexp)
-        val += -2.0 * _ao_pair_overlap(a, w)
-        nb = b.powers[d]
-        if nb >= 2:
-            down = _shifted(b, d, -2)
-            val += -0.5 * nb * (nb - 1) * _ao_pair_overlap(a, down)
-    mid = _Ao(b.center, b.powers, b.exponents, b.coefficients * b.exponents)
-    val += (2.0 * lb + 3.0) * _ao_pair_overlap(a, mid)
-    return val
-
-
-def _nuclear(a: _Ao, b: _Ao, geometry: Geometry) -> float:
-    pair = _PairData(a, b)
-    la, lb = a.powers, b.powers
-    tmax = la[0] + lb[0]
-    umax = la[1] + lb[1]
-    vmax = la[2] + lb[2]
-    val = 0.0
+def _nuclear_rows(table: _PairTable, geometry: Geometry) -> np.ndarray:
+    """Nuclear attraction of each primitive pair, coef included."""
+    s = np.zeros(table.p.size)
     for atom in geometry.atoms:
-        C = np.asarray(atom.position)
-        for k in range(len(pair.p)):
-            R = _hermite_coulomb(tmax, umax, vmax, pair.p[k], pair.P[k] - C)
-            s = 0.0
-            for t in range(tmax + 1):
-                for u in range(umax + 1):
-                    for v in range(vmax + 1):
-                        s += (
-                            pair.E[0][k, t]
-                            * pair.E[1][k, u]
-                            * pair.E[2][k, v]
-                            * R[t, u, v]
-                        )
-            val -= atom.charge * pair.coef[k] * 2.0 * math.pi / pair.p[k] * s
-    return val
+        pc = table.P - np.asarray(atom.position, dtype=float)[:, None]
+        R = _hermite_coulomb(2, table.p, pc)
+        s -= atom.charge * np.einsum("nc,cn->n", table.E, R)
+    return 2.0 * math.pi / table.p * table.coef * s
 
 
-def _eri(pair_ab: _PairData, pair_cd: _PairData) -> float:
-    t1 = pair_ab.E[0].shape[1] - 1
-    u1 = pair_ab.E[1].shape[1] - 1
-    v1 = pair_ab.E[2].shape[1] - 1
-    t2 = pair_cd.E[0].shape[1] - 1
-    u2 = pair_cd.E[1].shape[1] - 1
-    v2 = pair_cd.E[2].shape[1] - 1
-    val = 0.0
-    for k1 in range(len(pair_ab.p)):
-        p = pair_ab.p[k1]
-        # Hermite charge distribution of the bra pair
-        Eab = np.einsum(
-            "t,u,v->tuv", pair_ab.E[0][k1], pair_ab.E[1][k1], pair_ab.E[2][k1]
-        )
-        for k2 in range(len(pair_cd.p)):
-            q = pair_cd.p[k2]
-            alpha = p * q / (p + q)
-            R = _hermite_coulomb(
-                t1 + t2, u1 + u2, v1 + v2, alpha, pair_ab.P[k1] - pair_cd.P[k2]
-            )
-            s = 0.0
-            for t in range(t1 + 1):
-                for u in range(u1 + 1):
-                    for v in range(v1 + 1):
-                        e1 = Eab[t, u, v]
-                        if e1 == 0.0:
-                            continue
-                        for tt in range(t2 + 1):
-                            for uu in range(u2 + 1):
-                                for vv in range(v2 + 1):
-                                    e2 = pair_cd.E[0][k2, tt] * pair_cd.E[1][k2, uu] * pair_cd.E[2][k2, vv]
-                                    sign = -1.0 if (tt + uu + vv) % 2 else 1.0
-                                    s += e1 * e2 * sign * R[t + tt, u + uu, v + vv]
-            val += (
-                pair_ab.coef[k1]
-                * pair_cd.coef[k2]
-                * 2.0
-                * math.pi ** 2.5
-                / (p * q * math.sqrt(p + q))
-                * s
-            )
-    return val
+def _eri_pairs(table: _PairTable, n_pairs: int) -> np.ndarray:
+    """(ij|kl) over AO pairs, as a symmetric n_pairs x n_pairs matrix.
+
+    Each block of bra rows meets the ket rows of every pair up to its last
+    bra pair, so every (ij|kl) with ij >= kl is summed once; the entries
+    above the diagonal are discarded and mirrored from below.
+    """
+    n_rows = table.p.size
+    scaled = table.E * (table.coef / table.p)[:, None]
+    ket = scaled * _KET_SIGN
+    pair_end = np.searchsorted(table.pair, np.arange(n_pairs), side="right")
+    block = max(1, _BLOCK_QUARTETS // n_rows)
+    out = np.zeros((n_pairs, n_pairs))
+    for b0 in range(0, n_rows, block):
+        b1 = min(b0 + block, n_rows)
+        first, last = table.pair[b0], table.pair[b1 - 1]
+        k1 = pair_end[last]
+        p, q = table.p[b0:b1, None], table.p[None, :k1]
+        pq = p + q
+        pc = table.P[:, b0:b1, None] - table.P[:, None, :k1]
+        R = _hermite_coulomb(4, (p * q / pq).ravel(), pc.reshape(3, -1))
+        # C[k, b, m] = sum_j ket[k, j] E_bra[b] at component m - j
+        shifted = np.einsum("bi,ijm->jbm", scaled[b0:b1], _SHIFT)
+        C = ket[:k1] @ shifted.reshape(_N_PAIR_TUV, -1)
+        W = np.einsum("kbm,mbk->bk", C.reshape(k1, b1 - b0, -1), R.reshape(-1, b1 - b0, k1))
+        W *= 2.0 * math.pi**2.5 / np.sqrt(pq)
+        index = (table.pair[b0:b1, None] - first) * (last + 1) + table.pair[None, :k1]
+        sums = np.bincount(index.ravel(), W.ravel(), (last - first + 1) * (last + 1))
+        out[first : last + 1, : last + 1] += sums.reshape(last - first + 1, last + 1)
+    return np.where(np.tri(n_pairs, dtype=bool), out, out.T)
 
 
 def nuclear_repulsion(geometry: Geometry) -> float:
@@ -335,30 +326,19 @@ def compute_ao_integrals(geometry: Geometry, basis: BasisSet) -> AoIntegrals:
     """All AO-basis integrals needed for an RHF + FCI treatment."""
     aos = build_ao_basis(geometry, basis)
     n = len(aos)
-    S = np.zeros((n, n))
-    T = np.zeros((n, n))
-    V = np.zeros((n, n))
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1):
-            pairs[i, j] = _PairData(aos[i], aos[j])
-            S[i, j] = S[j, i] = _ao_pair_overlap(aos[i], aos[j])
-            T[i, j] = T[j, i] = _kinetic(aos[i], aos[j])
-            V[i, j] = V[j, i] = _nuclear(aos[i], aos[j], geometry)
-    eri = np.zeros((n, n, n, n))
-    # canonical quartets i>=j, k>=l, (ij)>=(kl); fixed loop order keeps the
-    # evaluation bitwise deterministic
-    for i in range(n):
-        for j in range(i + 1):
-            ij = i * (i + 1) // 2 + j
-            for k in range(n):
-                for l in range(k + 1):
-                    kl = k * (k + 1) // 2 + l
-                    if ij < kl:
-                        continue
-                    val = _eri(pairs[i, j], pairs[k, l])
-                    for a, b in ((i, j), (j, i)):
-                        for c, d in ((k, l), (l, k)):
-                            eri[a, b, c, d] = val
-                            eri[c, d, a, b] = val
-    return AoIntegrals(S, T, V, eri, nuclear_repulsion(geometry))
+    n_pairs = n * (n + 1) // 2
+    table = _pair_table(aos)
+    hi = np.maximum.outer(np.arange(n), np.arange(n))
+    pair_index = hi * (hi + 1) // 2 + np.minimum.outer(np.arange(n), np.arange(n))
+
+    def one_electron(rows):
+        return np.bincount(table.pair, rows, n_pairs)[pair_index]
+
+    eri = _eri_pairs(table, n_pairs)[pair_index[:, :, None, None], pair_index]
+    return AoIntegrals(
+        one_electron(table.overlap),
+        one_electron(table.kinetic),
+        one_electron(_nuclear_rows(table, geometry)),
+        eri,
+        nuclear_repulsion(geometry),
+    )

@@ -92,6 +92,16 @@ def occupied_support(rdm1: Rdm) -> np.ndarray:
     return np.flatnonzero(occupation)
 
 
+def _occupied_blocks(rdm1: Rdm, rdm2: Rdm):
+    """(support, rdm1 block, rdm2 block): the RDMs sliced to the spin
+    orbitals of their ``occupied_support``."""
+    support = occupied_support(rdm1)
+    spin = np.array(spatial_to_spin(support), dtype=int)
+    block1 = Rdm(1, spin.size, rdm1.tensor[np.ix_(spin, spin)])
+    block2 = Rdm(2, spin.size, rdm2.tensor[np.ix_(spin, spin, spin, spin)])
+    return support, block1, block2
+
+
 def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> float:
     """Energy of the rotated orbitals with the state held fixed.
 
@@ -101,18 +111,21 @@ def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> floa
     support (``occupied_support``) and the integrals are rotated by the
     column block U[:, support], which costs O(n^4 m) for m occupied
     orbitals and builds a (2m)^4 spin tensor instead of a (2n)^4 one.
+
+    ``u`` may also be that column block itself, n x m with orthonormal
+    columns, with ``rdm1`` and ``rdm2`` already the blocks over its 2m spin
+    orbitals; the sweeps slice the fixed RDMs once and pass them so.
     """
     if isinstance(u, RotationParameters):
         u = u.unitary()
     u = np.asarray(u)
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > UNITARITY_TOL:
+    if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=UNITARITY_TOL):
         raise VqseError("rotation matrix is not unitary")
-    support = occupied_support(rdm1)
-    spin = np.array(spatial_to_spin(support), dtype=int)
-    block1 = Rdm(1, spin.size, rdm1.tensor[np.ix_(spin, spin)])
-    block2 = Rdm(2, spin.size, rdm2.tensor[np.ix_(spin, spin, spin, spin)])
-    c = u[:, support].real if np.isrealobj(mol.h1) else u[:, support]
-    return energy_from_rdms(rotate_integrals(mol, c), block1, block2)
+    if rdm1.n == 2 * u.shape[0]:
+        support, rdm1, rdm2 = _occupied_blocks(rdm1, rdm2)
+        u = u[:, support]
+    c = u.real if np.isrealobj(mol.h1) else u
+    return energy_from_rdms(rotate_integrals(mol, c), rdm1, rdm2)
 
 
 def rotation_pairs(partition: OrbitalPartition):
@@ -199,7 +212,8 @@ def givens_sweep(
     pairs = rotation_pairs(partition)
     n = mol.n_spatial
     u = np.eye(n)
-    e0 = energy_of_rotation(u, mol, rdm1, rdm2)
+    support, block1, block2 = _occupied_blocks(rdm1, rdm2)
+    e0 = energy_of_rotation(u[:, support], mol, block1, block2)
     evaluations = 1
     sweep_energies = []
     taken: list = []
@@ -210,7 +224,8 @@ def givens_sweep(
             i, b = pair
 
             def e_of(theta):
-                return energy_of_rotation(u @ givens_matrix(n, i, b, theta), mol, rdm1, rdm2)
+                c = (u @ givens_matrix(n, i, b, theta))[:, support]
+                return energy_of_rotation(c, mol, block1, block2)
 
             theta, _, _ = minimize_single_angle(e_of, step="basin")
             evaluations += 9
@@ -261,14 +276,15 @@ def joint_optimize(
         pairs = initial.pairs
         x0 = np.array(initial.angles, dtype=float)
     n = mol.n_spatial
+    support, block1, block2 = _occupied_blocks(rdm1, rdm2)
 
-    def unitary_of(x):
+    def energy_of(x):
         u = np.eye(n)
         for (i, b), theta in zip(pairs, x):
             u = u @ givens_matrix(n, i, b, theta)
-        return u
+        return energy_of_rotation(u[:, support], mol, block1, block2)
 
-    e0 = energy_of_rotation(unitary_of(x0), mol, rdm1, rdm2)
+    e0 = energy_of(x0)
     best = {"x": x0.copy(), "e": e0, "count": 1}
     if budget == 0 or x0.size == 0:
         params = RotationParameters(n, pairs, x0)
@@ -277,7 +293,7 @@ def joint_optimize(
         )
 
     def objective(x):
-        e = energy_of_rotation(unitary_of(x), mol, rdm1, rdm2)
+        e = energy_of(x)
         best["count"] += 1
         if e < best["e"]:
             best["e"], best["x"] = e, x.copy()

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
-from itertools import combinations
+import math
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import scipy.optimize
 from vqse import ANGSTROM_PER_BOHR, wick
 from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
 from vqse.integrals import (
+    BasisSet,
     Geometry,
     MolecularIntegrals,
     compute_ao_integrals,
@@ -18,6 +21,7 @@ from vqse.integrals import (
     run_rhf,
     transform_to_mo,
 )
+from vqse.integrals.gaussians import build_ao_basis
 from vqse.rdm import delta2, wedge
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import _slice_integrals
@@ -209,6 +213,201 @@ class SlaterCondon:
             for b in range(a, n):
                 h[a, b] = h[b, a] = self.element(dets[a], dets[b])
         return h
+
+
+def scalar_ao_integrals(geometry: Geometry, basis: BasisSet):
+    """Small-case AO integral oracle: (S, T, V, (pq|rs)) by the scalar
+    McMurchie-Davidson scheme, one primitive pair or quartet at a time, on
+    the normalized functions of ``build_ao_basis``.  Shares no integral code
+    with ``vqse.integrals.gaussians``: its own Boys series, its own Hermite
+    recursions, the kinetic energy through overlaps with shifted functions,
+    and an explicit 8-way scatter of each canonical quartet."""
+    aos = build_ao_basis(geometry, basis)
+    n = len(aos)
+    S, T, V = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1):
+            pairs[i, j] = _MdPair(aos[i], aos[j])
+            S[i, j] = S[j, i] = _md_overlap(aos[i], aos[j])
+            T[i, j] = T[j, i] = _md_kinetic(aos[i], aos[j])
+            V[i, j] = V[j, i] = _md_nuclear(pairs[i, j], geometry)
+    eri = np.zeros((n, n, n, n))
+    for i, j, k, l in product(range(n), repeat=4):
+        if j > i or l > k or i * (i + 1) // 2 + j < k * (k + 1) // 2 + l:
+            continue
+        val = _md_eri(pairs[i, j], pairs[k, l])
+        for a, b in ((i, j), (j, i)):
+            for c, d in ((k, l), (l, k)):
+                eri[a, b, c, d] = eri[c, d, a, b] = val
+    return S, T, V, eri
+
+
+def _md_boys_row(mmax: int, x: float) -> np.ndarray:
+    """F_0(x) .. F_mmax(x): Kummer series and downward recursion below
+    x = 25, erf and upward recursion above."""
+    out = np.empty(mmax + 1)
+    ex = math.exp(-x)
+    if x < 25.0:
+        term = acc = 1.0 / (2 * mmax + 1)
+        k = 1
+        while True:
+            term *= x / (mmax + k + 0.5)
+            acc += term
+            if term < 1e-17 * acc:
+                break
+            k += 1
+        out[mmax] = ex * acc
+        for m in range(mmax - 1, -1, -1):
+            out[m] = (2.0 * x * out[m + 1] + ex) / (2 * m + 1)
+    else:
+        sx = math.sqrt(x)
+        out[0] = math.sqrt(math.pi) / (2.0 * sx) * math.erf(sx)
+        for m in range(1, mmax + 1):
+            out[m] = ((2 * m - 1) * out[m - 1] - ex) / (2.0 * x)
+    return out
+
+
+def _md_hermite_coefficients(la: int, lb: int, p: float, xpa: float, xpb: float):
+    """1D Hermite expansion coefficients E_t^{ij} for i <= la, j <= lb,
+    without the Gaussian-product prefactor."""
+    E = np.zeros((la + 1, lb + 1, la + lb + 1))
+    E[0, 0, 0] = 1.0
+    inv2p = 1.0 / (2.0 * p)
+    for i in range(la + 1):
+        for j in range(lb + 1):
+            if i == 0 and j == 0:
+                continue
+            prev, x = (E[i - 1, 0], xpa) if j == 0 else (E[i, j - 1], xpb)
+            for t in range(i + j + 1):
+                val = x * prev[t]
+                if t > 0:
+                    val += inv2p * prev[t - 1]
+                if t + 1 <= i + j - 1:
+                    val += (t + 1) * prev[t + 1]
+                E[i, j, t] = val
+    return E
+
+
+def _md_hermite_coulomb(tmax: int, umax: int, vmax: int, alpha: float, pc):
+    """Hermite Coulomb integrals R_tuv = R^0_tuv(alpha, PC) on a full grid."""
+    nmax = tmax + umax + vmax
+    boys = _md_boys_row(nmax, alpha * float(pc @ pc))
+    R = np.zeros((nmax + 1, tmax + 1, umax + 1, vmax + 1))
+    for n in range(nmax + 1):
+        R[n, 0, 0, 0] = (-2.0 * alpha) ** n * boys[n]
+    for t in range(1, tmax + 1):
+        for n in range(nmax - t + 1):
+            val = pc[0] * R[n + 1, t - 1, 0, 0]
+            if t > 1:
+                val += (t - 1) * R[n + 1, t - 2, 0, 0]
+            R[n, t, 0, 0] = val
+    for u in range(1, umax + 1):
+        for t in range(tmax + 1):
+            for n in range(nmax - t - u + 1):
+                val = pc[1] * R[n + 1, t, u - 1, 0]
+                if u > 1:
+                    val += (u - 1) * R[n + 1, t, u - 2, 0]
+                R[n, t, u, 0] = val
+    for v in range(1, vmax + 1):
+        for u in range(umax + 1):
+            for t in range(tmax + 1):
+                for n in range(nmax - t - u - v + 1):
+                    val = pc[2] * R[n + 1, t, u, v - 1]
+                    if v > 1:
+                        val += (v - 1) * R[n + 1, t, u, v - 2]
+                    R[n, t, u, v] = val
+    return R[0]
+
+
+class _MdPair:
+    """Gaussian-product data of one pair of contracted functions: per
+    primitive pair p, P, the coefficient with exp(-mu AB^2) folded in, and
+    per dimension the Hermite coefficients E_t of the pair's powers."""
+
+    def __init__(self, a, b):
+        aa = a.exponents[:, None]
+        bb = b.exponents[None, :]
+        ab = a.center - b.center
+        self.p = (aa + bb).ravel()
+        P = (aa[..., None] * a.center + bb[..., None] * b.center) / (aa + bb)[..., None]
+        self.P = P.reshape(-1, 3)
+        mu = (aa * bb / (aa + bb)).ravel()
+        self.coef = (a.coefficients[:, None] * b.coefficients[None, :]).ravel() * np.exp(
+            -mu * float(ab @ ab)
+        )
+        la, lb = a.powers, b.powers
+        self.E = []
+        for d in range(3):
+            Ed = np.empty((len(self.p), la[d] + lb[d] + 1))
+            for k, (pk, Pk) in enumerate(zip(self.p, self.P)):
+                Ed[k] = _md_hermite_coefficients(
+                    la[d], lb[d], pk, Pk[d] - a.center[d], Pk[d] - b.center[d]
+                )[la[d], lb[d]]
+            self.E.append(Ed)
+
+
+def _md_overlap(a, b) -> float:
+    pair = _MdPair(a, b)
+    val = pair.coef * (math.pi / pair.p) ** 1.5
+    for d in range(3):
+        val = val * pair.E[d][:, 0]
+    return float(val.sum())
+
+
+def _md_kinetic(a, b) -> float:
+    """T = -1/2 <a|laplacian|b>, through overlaps with b's powers raised or
+    lowered by 2 and its coefficients weighted by its exponents."""
+    val = (2.0 * sum(b.powers) + 3.0) * _md_overlap(
+        a, dataclasses.replace(b, coefficients=b.coefficients * b.exponents)
+    )
+    for d in range(3):
+        up = list(b.powers)
+        up[d] += 2
+        weighted = b.coefficients * b.exponents**2
+        val -= 2.0 * _md_overlap(a, dataclasses.replace(b, powers=tuple(up), coefficients=weighted))
+        nb = b.powers[d]
+        if nb >= 2:
+            down = list(b.powers)
+            down[d] -= 2
+            val -= 0.5 * nb * (nb - 1) * _md_overlap(a, dataclasses.replace(b, powers=tuple(down)))
+    return val
+
+
+def _md_nuclear(pair: _MdPair, geometry: Geometry) -> float:
+    tmax, umax, vmax = (E.shape[1] - 1 for E in pair.E)
+    val = 0.0
+    for atom in geometry.atoms:
+        C = np.asarray(atom.position)
+        for k in range(len(pair.p)):
+            R = _md_hermite_coulomb(tmax, umax, vmax, pair.p[k], pair.P[k] - C)
+            s = 0.0
+            for t, u, v in product(range(tmax + 1), range(umax + 1), range(vmax + 1)):
+                s += pair.E[0][k, t] * pair.E[1][k, u] * pair.E[2][k, v] * R[t, u, v]
+            val -= atom.charge * pair.coef[k] * 2.0 * math.pi / pair.p[k] * s
+    return val
+
+
+def _md_eri(ab: _MdPair, cd: _MdPair) -> float:
+    t1, u1, v1 = (E.shape[1] - 1 for E in ab.E)
+    t2, u2, v2 = (E.shape[1] - 1 for E in cd.E)
+    bra = list(product(range(t1 + 1), range(u1 + 1), range(v1 + 1)))
+    ket = list(product(range(t2 + 1), range(u2 + 1), range(v2 + 1)))
+    val = 0.0
+    for k1 in range(len(ab.p)):
+        p = ab.p[k1]
+        for k2 in range(len(cd.p)):
+            q = cd.p[k2]
+            R = _md_hermite_coulomb(t1 + t2, u1 + u2, v1 + v2, p * q / (p + q), ab.P[k1] - cd.P[k2])
+            s = 0.0
+            for t, u, v in bra:
+                e1 = ab.E[0][k1, t] * ab.E[1][k1, u] * ab.E[2][k1, v]
+                for tt, uu, vv in ket:
+                    e2 = cd.E[0][k2, tt] * cd.E[1][k2, uu] * cd.E[2][k2, vv]
+                    sign = -1.0 if (tt + uu + vv) % 2 else 1.0
+                    s += e1 * e2 * sign * R[t + tt, u + uu, v + vv]
+            val += ab.coef[k1] * cd.coef[k2] * 2.0 * math.pi**2.5 / (p * q * math.sqrt(p + q)) * s
+    return val
 
 
 def embed_wavefunction(wfn: Wavefunction, partition: OrbitalPartition, n_full: int):

@@ -1,13 +1,23 @@
 """Gaussian integrals, SCF, MO transforms, core dressing, and FCIDUMP I/O."""
 
+import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
-from conftest import DATA_DIR, SlaterCondon, embed_wavefunction, h2_case, random_wavefunction
+from conftest import (
+    DATA_DIR,
+    SlaterCondon,
+    embed_wavefunction,
+    h2_case,
+    random_wavefunction,
+    scalar_ao_integrals,
+)
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import ParseError
 from vqse.fci import (
@@ -33,11 +43,23 @@ from vqse.integrals import (
     write_fcidump,
 )
 from vqse.integrals.basis import Geometry
+from vqse.integrals.gaussians import build_ao_basis
 from vqse.spaces import OrbitalPartition
 
 TOL_EXACT = 1e-12
 TOL_DERIVED = 1e-10
 R_REF = 1.4  # bohr
+# Off-axis geometries, so that every Cartesian direction of the Hermite
+# recursions carries weight: H2 with bond length R_REF along the unit vector
+# (0.36, -0.48, 0.8), and three H atoms in a generic triangle (run as H3+
+# with two electrons).
+H2_GENERIC = Geometry.from_list(
+    [("H", 1.0, (0.2, -0.1, 0.3)), ("H", 1.0, (0.704, -0.772, 1.42))]
+)
+H3_TRIANGLE = Geometry.from_list(
+    [("H", 1.0, (0.1, -0.2, 0.3)), ("H", 1.0, (1.3, 0.4, -0.5)), ("H", 1.0, (-0.7, 1.1, 0.9))]
+)
+AO_FIELDS = ("overlap", "kinetic", "nuclear", "eri")
 
 
 def random_symmetric_integrals(n, rng, e_nuc=0.0):
@@ -124,6 +146,67 @@ def test_translational_invariance():
     assert np.max(np.abs(a.kinetic - b.kinetic)) < TOL_DERIVED
     assert np.max(np.abs(a.nuclear - b.nuclear)) < TOL_DERIVED
     assert np.max(np.abs(a.eri - b.eri)) < TOL_DERIVED
+
+
+def test_batched_ao_integrals_match_scalar_oracle():
+    """S, T, V and (pq|rs) equal the scalar one-quartet-at-a-time oracle, on
+    the z axis and off it."""
+    basis = load_basis("cc-pvdz")
+    for geometry in (h2_geometry(R_REF), H2_GENERIC, H3_TRIANGLE):
+        ao = compute_ao_integrals(geometry, basis)
+        for field, ref in zip(AO_FIELDS, scalar_ao_integrals(geometry, basis)):
+            assert np.max(np.abs(getattr(ao, field) - ref)) < TOL_EXACT, field
+
+
+def _rotated(geometry, rotation):
+    return Geometry(
+        tuple(
+            dataclasses.replace(atom, position=tuple(rotation @ np.asarray(atom.position)))
+            for atom in geometry.atoms
+        )
+    )
+
+
+def test_rotated_geometry_transforms_integrals():
+    """Rotating the nuclei by R rotates each p triple by R and leaves the s
+    functions alone: the integrals of the rotated molecule are those of the
+    original one transformed by that block-diagonal AO rotation, and the RHF
+    energy does not move."""
+    gen = np.array([[0.0, -0.3, 0.5], [0.3, 0.0, -0.7], [-0.5, 0.7, 0.0]])
+    rotation = scipy.linalg.expm(gen)
+    basis = load_basis("cc-pvdz")
+    for geometry in (h2_geometry(R_REF), H3_TRIANGLE):
+        aos = build_ao_basis(geometry, basis)
+        u = np.eye(len(aos))
+        for k, ao in enumerate(aos):
+            if ao.powers == (1, 0, 0):
+                u[k : k + 3, k : k + 3] = rotation
+        ao = compute_ao_integrals(geometry, basis)
+        rotated = compute_ao_integrals(_rotated(geometry, rotation), basis)
+        for field in ("overlap", "kinetic", "nuclear"):
+            expected = u @ getattr(ao, field) @ u.T
+            assert np.max(np.abs(getattr(rotated, field) - expected)) < TOL_EXACT, field
+        expected = np.einsum("ap,bq,cr,ds,pqrs->abcd", u, u, u, u, ao.eri, optimize=True)
+        assert np.max(np.abs(rotated.eri - expected)) < TOL_EXACT
+        assert run_rhf(rotated, 2).scf_energy == pytest.approx(
+            run_rhf(ao, 2).scf_energy, abs=TOL_DERIVED
+        )
+
+
+def test_ao_integrals_memory_bounded():
+    """The batched kernel works in fixed-size blocks of primitive quartets,
+    so one warm call stays within a few MB of traced allocations."""
+    chain = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
+    basis = load_basis("cc-pvdz")
+    for geometry in (h2_geometry(R_REF), chain):
+        compute_ao_integrals(geometry, basis)
+        tracemalloc.start()
+        try:
+            compute_ao_integrals(geometry, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6, peak
 
 
 def test_nuclear_repulsion_h2():

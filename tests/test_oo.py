@@ -22,7 +22,7 @@ from vqse.oo import (
     rotation_pairs,
 )
 from vqse.rdm import Rdm, compute_rdm, composite_full_rdms, energy_from_rdms
-from vqse.spaces import OrbitalPartition
+from vqse.spaces import OrbitalPartition, spatial_to_spin
 from vqse.subspace import _slice_integrals
 
 TOL_EXACT = 1e-12
@@ -130,7 +130,8 @@ def test_occupied_block_matches_full_rotation():
     """energy_of_rotation rotates only the occupied columns of U.  It equals
     rotating every integral and contracting with the full RDMs: with a core
     orbital in the support, with no active electron (core only), and over
-    the ten cc-pVDZ orbitals."""
+    the ten cc-pVDZ orbitals.  Passing the column block U[:, support] with
+    RDMs sliced beforehand, as the sweeps do, gives the same bits."""
     rng = np.random.default_rng(65)
     with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     mol_631g = h2_case(R_A, "6-31g")["mol"]
@@ -147,6 +148,13 @@ def test_occupied_block_matches_full_rotation():
         u = scipy.linalg.expm(a - a.T)
         e_full = energy_from_rdms(rotate_integrals(mol, u), d1, d2)
         assert energy_of_rotation(u, mol, d1, d2) == pytest.approx(e_full, abs=TOL_ORACLE)
+        # the sweeps' form: the column block with RDMs sliced beforehand
+        spin = spatial_to_spin(support)
+        block1 = Rdm(1, len(spin), d1.tensor[np.ix_(spin, spin)])
+        block2 = Rdm(2, len(spin), d2.tensor[np.ix_(spin, spin, spin, spin)])
+        assert energy_of_rotation(u[:, list(support)], mol, block1, block2) == (
+            energy_of_rotation(u, mol, d1, d2)
+        )
 
 
 # ---------------------------------------------------------------------------
