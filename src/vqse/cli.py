@@ -68,6 +68,8 @@ class ScanConfig:
                 f"cumulant_rank must be 2 (3- and 4-RDMs rebuilt from the 1- and "
                 f"2-RDMs), 4 (exact RDMs) or omitted, not {self.cumulant_rank!r}"
             )
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise VqseError(f"eps must be a positive finite threshold, not {self.eps!r}")
 
     @classmethod
     def from_file(cls, path) -> "ScanConfig":
@@ -261,12 +263,15 @@ def diff_curves(path_a, path_b, tol: float) -> tuple:
         raise VqseError("curve files have different R grids")
     lines = []
     worst = None
-    for col in range(1, len(names_a) - 1):  # numeric columns
+    status = len(names_a) - 1
+    for col in range(1, status):  # numeric columns
         diffs = []
         for ra, rb in zip(rows_a, rows_b):
             a, b = float(ra[col]), float(rb[col])
             if math.isnan(a) and math.isnan(b):
                 diffs.append(0.0)
+            elif math.isnan(a) or math.isnan(b):
+                diffs.append(math.inf)  # a value on one side only
             else:
                 diffs.append(abs(a - b))
         mx = max(diffs)
@@ -277,10 +282,13 @@ def diff_curves(path_a, path_b, tol: float) -> tuple:
             offence = (names_a[col], grid_a[k], mx)
             if worst is None or mx > worst[2]:
                 worst = offence
+    for r, ra, rb in zip(grid_a, rows_a, rows_b):
+        if ra[status] != rb[status]:
+            lines.append(f"{'status':>12s}  differs at R={r}: {ra[status]!r} vs {rb[status]!r}")
+            worst = worst or ("status", r, math.inf)
     if worst is not None:
-        lines.append(
-            f"TOLERANCE EXCEEDED: column {worst[0]} at R={worst[1]} differs by {worst[2]:.3e}"
-        )
+        size = f"by {worst[2]:.3e}" if math.isfinite(worst[2]) else "(nan or status on one side)"
+        lines.append(f"TOLERANCE EXCEEDED: column {worst[0]} at R={worst[1]} differs {size}")
     return "\n".join(lines) + "\n", worst
 
 
@@ -305,7 +313,7 @@ def _cmd_scan(args) -> int:
 def _cmd_diff(args) -> int:
     try:
         text, worst = diff_curves(args.file_a, args.file_b, args.tol)
-    except VqseError as exc:
+    except (OSError, VqseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     print(text, end="")

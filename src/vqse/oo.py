@@ -4,10 +4,11 @@ The energy is a functional of the active 1-/2-RDMs embedded into the full
 space (doubly occupied core, empty virtuals) and of a one-body orbital
 rotation U.  U is parameterized as a product of Givens rotations over the
 non-redundant (active, core or virtual) spatial pairs.  A sweep procedure
-minimizes one angle at a time exactly -- the energy along a single Givens
-angle is a trigonometric polynomial with harmonics up to 4*theta, so nine
-equally spaced samples determine it completely -- and an optional
-derivative-free simplex stage polishes all angles jointly.
+steps one angle at a time in closed form -- the energy along a single
+Givens angle is a trigonometric polynomial with harmonics up to 4*theta,
+so nine equally spaced samples determine it completely and its critical
+points are polynomial roots -- and an optional derivative-free simplex
+stage polishes all angles jointly.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .rdm import Rdm, composite_full_rdms, energy_from_rdms
 from .spaces import OrbitalPartition, spatial_to_spin
 
 UNITARITY_TOL = 1e-8
-# The single-angle minimizer scans E(theta) on N_SCAN equispaced angles of
-# (-pi, pi]; the exp(i k theta) table of the fitted harmonics k = -4..4 on
-# that grid is fixed, so it is built once.
-N_SCAN = 10000
-_SCAN_GRID = np.linspace(-np.pi, np.pi, N_SCAN, endpoint=False)
-_SCAN_TABLE = np.exp(1j * np.outer(_SCAN_GRID, np.arange(-4, 5)))
+HARMONICS = np.arange(-4, 5)  # of the energy along one Givens angle
+# |E'(0)| below STATIONARY_TOL times the largest |E| sample is rounding;
+# roots of E'(theta) z^4 within UNIT_CIRCLE_TOL of |z| = 1 are real angles
+STATIONARY_TOL = 1e-13
+UNIT_CIRCLE_TOL = 1e-6
+RETRY_KICK = 1e-3  # rad; see givens_sweep
+RETRY_SWEEPS = 3
 
 
 @dataclass
@@ -105,8 +107,8 @@ def _occupied_blocks(rdm1: Rdm, rdm2: Rdm):
 def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> float:
     """Energy of the rotated orbitals with the state held fixed.
 
-    ``u`` is a RotationParameters or an explicit spatial unitary; the
-    integrals are transformed by U and contracted with the untouched RDMs.
+    ``u`` is a spatial unitary; the integrals are transformed by U and
+    contracted with the untouched RDMs.
     Only the occupied columns of U enter: the RDMs are sliced to their
     support (``occupied_support``) and the integrals are rotated by the
     column block U[:, support], which costs O(n^4 m) for m occupied
@@ -116,8 +118,6 @@ def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> floa
     columns, with ``rdm1`` and ``rdm2`` already the blocks over its 2m spin
     orbitals; the sweeps slice the fixed RDMs once and pass them so.
     """
-    if isinstance(u, RotationParameters):
-        u = u.unitary()
     u = np.asarray(u)
     if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=UNITARITY_TOL):
         raise VqseError("rotation matrix is not unitary")
@@ -135,60 +135,33 @@ def rotation_pairs(partition: OrbitalPartition):
     return tuple((i, b) for i in partition.active for b in partners)
 
 
-def _fit_trig_series(samples: np.ndarray) -> np.ndarray:
-    """Fourier coefficients c_{-4..4} of E(theta) from 9 equispaced samples."""
-    m = samples.size
-    thetas = 2 * np.pi * np.arange(m) / m
-    ks = np.arange(-(m // 2), m // 2 + 1)
-    c = np.exp(-1j * np.outer(ks, thetas)) @ samples / m
-    return c  # E(theta) = sum_k c_k exp(i k theta)
+def minimize_single_angle(energy_fn):
+    """Descent step along one angle of E(theta) = sum_k c_k exp(i k theta).
 
-
-def _eval_trig_series(c: np.ndarray, theta) -> np.ndarray:
-    ks = np.arange(-(c.size // 2), c.size // 2 + 1)
-    return np.real(np.exp(1j * np.outer(np.atleast_1d(theta), ks)) @ c)
-
-
-def minimize_single_angle(energy_fn, step: str = "global"):
-    """Minimum of a trigonometric polynomial E(theta), harmonics <= 4.
-
-    Nine samples pin the polynomial exactly; a dense scan plus bounded
-    local refinement locates the minimum on (-pi, pi].  ``step="global"``
-    takes the global minimum of the period; ``step="basin"`` walks
-    downhill from theta = 0 into the nearest descent basin (the
-    continuity choice used by the sweeps).  Returns (theta_min, fitted
-    E(theta_min), Fourier coefficients).
+    Nine samples pin the c_k, k = -4..4.  The critical angles are the
+    unit-circle roots z = exp(i theta) of sum_k k c_k z^(k+4).  The step
+    goes to the nearest minimum in the downhill direction of E'(0), so the
+    sweeps never hop into a distant orbital-swap basin; from a stationary
+    maximum it goes toward negative theta.  It is 0 from any other
+    stationary start, and when np.roots puts a multiple-root minimum off
+    the unit circle.  Returns (theta, c).
     """
-    thetas = 2 * np.pi * np.arange(9) / 9
+    thetas = 2 * np.pi * np.arange(HARMONICS.size) / HARMONICS.size
     samples = np.array([energy_fn(t) for t in thetas])
-    c = _fit_trig_series(samples)
-    values = np.real(_SCAN_TABLE @ c)
-    if step == "global":
-        k = int(np.argmin(values))
-    elif step == "basin":
-        k0 = k = N_SCAN // 2  # theta = 0
-        while True:
-            kl, kr = (k - 1) % N_SCAN, (k + 1) % N_SCAN
-            if values[kl] < values[k] and values[kl] <= values[kr]:
-                k = kl
-            elif values[kr] < values[k]:
-                k = kr
-            else:
-                break
-            if k == k0:
-                break
+    c = np.exp(-1j * np.outer(HARMONICS, thetas)) @ samples / HARMONICS.size
+    tol = STATIONARY_TOL * np.abs(samples).max()
+    slope = float(np.real(1j * HARMONICS @ c))  # E'(0)
+    if abs(slope) > tol:
+        downhill = -np.sign(slope)
+    elif np.real(HARMONICS**2 @ c) > tol:  # E''(0) < 0
+        downhill = -1.0
     else:
-        raise VqseError(f"unknown step mode {step!r}")
-    span = 2 * np.pi / N_SCAN
-    res = scipy.optimize.minimize_scalar(
-        lambda t: float(_eval_trig_series(c, t)[0]),
-        bounds=(_SCAN_GRID[k] - span, _SCAN_GRID[k] + span),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    theta = float(res.x) if res.fun <= values[k] else float(_SCAN_GRID[k])
-    value = float(min(res.fun, values[k]))
-    return theta, value, c
+        return 0.0, c
+    roots = np.roots((HARMONICS * c)[::-1])
+    critical = np.angle(roots[np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL])
+    curvature = -np.real(np.exp(1j * np.outer(critical, HARMONICS)) @ (HARMONICS**2 * c))
+    steps = np.mod(downhill * critical[curvature > 0], 2 * np.pi)
+    return float(downhill * steps.min()) if steps.size else 0.0, c
 
 
 def givens_sweep(
@@ -199,58 +172,76 @@ def givens_sweep(
     max_sweeps: int = 100,
     angle_tol: float = 1e-12,
 ):
-    """Cyclic exact single-angle minimization over the non-redundant pairs.
+    """Cyclic single-angle descent over the non-redundant pairs.
 
     Returns (RotationParameters with the accumulated Givens factors,
-    RelaxationReport).  The energy trace is non-increasing because each
-    angle update is accepted only if the recomputed energy does not rise.
-    Each angle descends into the nearest minimum (``step="basin"``);
-    taking the period-global minimum instead can hop into an orbital-swap
-    basin from which the cyclic descent cannot escape, ending well above
-    the joint optimum.
+    RelaxationReport).  A step is accepted only if the recomputed energy
+    drops; the sweeps stop at the first one that gains less than
+    ``angle_tol``.  A point stationary along every single angle can be a
+    saddle of the joint angles (H2/6-31G at 1.4 A with 3 active orbitals),
+    so the first sweep that accepts no step is retried once: RETRY_SWEEPS
+    sweeps from a fixed-seed kick of every angle by at most RETRY_KICK,
+    kept only if they end more than ``angle_tol`` lower.  A kept retry adds
+    its end energy to the non-increasing ``sweep_energies``; ``n_sweeps``
+    and ``n_evaluations`` count the retry either way.
     """
     pairs = rotation_pairs(partition)
     n = mol.n_spatial
-    u = np.eye(n)
     support, block1, block2 = _occupied_blocks(rdm1, rdm2)
-    e0 = energy_of_rotation(u[:, support], mol, block1, block2)
-    evaluations = 1
-    sweep_energies = []
-    taken: list = []
-    e_current = e0
-    for sweep in range(max_sweeps):
-        best_improvement = 0.0
-        for pair in pairs:
-            i, b = pair
 
-            def e_of(theta):
-                c = (u @ givens_matrix(n, i, b, theta))[:, support]
-                return energy_of_rotation(c, mol, block1, block2)
+    def energy(u):
+        return energy_of_rotation(u[:, support], mol, block1, block2)
 
-            theta, _, _ = minimize_single_angle(e_of, step="basin")
-            evaluations += 9
-            e_new = e_of(theta)
-            evaluations += 1
+    def sweep(u, e_current, taken):
+        gain = 0.0
+        for i, b in pairs:
+            theta, _ = minimize_single_angle(lambda t: energy(u @ givens_matrix(n, i, b, t)))
+            e_new = energy(u @ givens_matrix(n, i, b, theta))
             if e_new < e_current:
                 u = u @ givens_matrix(n, i, b, theta)
-                best_improvement = max(best_improvement, e_current - e_new)
+                gain = max(gain, e_current - e_new)
                 e_current = e_new
-                taken.append((pair, theta))
+                taken.append(((i, b), theta))
+        return u, e_current, gain
+
+    u = np.eye(n)
+    e0 = e_current = energy(u)
+    taken: list = []
+    sweep_energies: list = []
+    n_sweeps = 0
+    retried = False
+    while n_sweeps < max_sweeps:
+        u, e_current, gain = sweep(u, e_current, taken)
+        n_sweeps += 1
         sweep_energies.append(e_current)
-        if best_improvement < angle_tol:
+        if gain == 0.0 and not retried:
+            retried = True
+            kick = RETRY_KICK * np.random.default_rng(0).uniform(-1, 1, len(pairs))
+            kicked = list(zip(pairs, kick))
+            u_retry = u @ RotationParameters(n, pairs, kick).unitary()
+            e_retry = energy(u_retry)
+            for _ in range(min(RETRY_SWEEPS, max_sweeps - n_sweeps)):
+                u_retry, e_retry, _ = sweep(u_retry, e_retry, kicked)
+                n_sweeps += 1
+            if e_retry < e_current - angle_tol:
+                u, e_current = u_retry, e_retry
+                taken += kicked
+                sweep_energies.append(e_current)
+                continue
+        if gain < angle_tol:
             break
     params = RotationParameters(
         n, tuple(p for p, _ in taken), np.array([t for _, t in taken])
     )
-    report = RelaxationReport(
+    return params, RelaxationReport(
         initial_energy=e0,
         final_energy=e_current,
         sweep_energies=sweep_energies,
         angle_table=taken,
-        n_sweeps=len(sweep_energies),
-        n_evaluations=evaluations,
+        n_sweeps=n_sweeps,
+        # the start, the kicked start, and 9 samples plus the step per angle
+        n_evaluations=1 + retried + (HARMONICS.size + 1) * len(pairs) * n_sweeps,
     )
-    return params, report
 
 
 def joint_optimize(

@@ -60,6 +60,10 @@ def test_config_validation():
         ScanConfig(cumulant_rank=3)
     for rank in (None, 2, 4):
         assert ScanConfig(cumulant_rank=rank).cumulant_rank == rank
+    # eps 0 wrote e_vqse = -1.05e7 Ha and eps -1e-3 wrote nan, both as "ok"
+    for eps in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(VqseError, match="eps"):
+            ScanConfig(eps=eps)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -198,10 +202,35 @@ def test_diff_detects_perturbed_cell(tmp_path, capsys):
     assert "e_vqse" in out and "0.7414" in out
 
 
+def test_diff_flags_failed_point_against_ok_point(tmp_path, capsys):
+    """A cell that is nan on one side only, and a differing status, are
+    offences."""
+    header = "# " + ",".join(CSV_COLUMNS)
+    ok = "0.741400,-1.137270174658,-1.151688458349,nan,-1.151688458349,0.000000000000,nan,ok"
+    failed = "0.741400,-1.137270174658,nan,nan,-1.151688458349,nan,nan,failed: VqseError: boom"
+    paths = []
+    for name, row in (("ok", ok), ("failed", failed)):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(f"{header}\n{row}\n")
+    code = main(["diff", "--tol", "1e-10", *map(str, paths)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "e_vqse  max inf" in out
+    assert "'ok' vs 'failed: VqseError: boom'" in out
+    assert "TOLERANCE EXCEEDED: column e_vqse at R=0.741400" in out
+    # the same status on both sides with one nan cell is still an offence
+    paths[1].write_text(f"{header}\n{failed.replace('failed: VqseError: boom', 'ok')}\n")
+    assert main(["diff", "--tol", "1e-10", *map(str, paths)]) == 1
+    capsys.readouterr()
+
+
 def test_diff_rejects_mismatched_grids(tmp_path, capsys):
     a = scan_once(tmp_path, "a")
     b = scan_once(tmp_path, "b", points_angstrom=[0.8])
     assert main(["diff", "--tol", "1e-6", str(a), str(b)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    # a missing file is a usage error too, not a traceback
+    assert main(["diff", "--tol", "1e-6", str(a), str(tmp_path / "missing.csv")]) == 2
     assert "usage error" in capsys.readouterr().err
 
 

@@ -169,7 +169,7 @@ def test_trig_fit_reproduces_energy_along_one_angle():
     def e_of(theta):
         return energy_of_rotation(givens_matrix(4, 1, 2, theta), mol, d1, d2)
 
-    _, _, coeffs = minimize_single_angle(e_of)
+    _, coeffs = minimize_single_angle(e_of)
     rng = np.random.default_rng(64)
     ks = np.arange(-4, 5)
     for theta in rng.uniform(-np.pi, np.pi, size=50):
@@ -177,37 +177,84 @@ def test_trig_fit_reproduces_energy_along_one_angle():
         assert fitted == pytest.approx(e_of(theta), abs=TOL_ORACLE)
 
 
+def trig_polynomial(coeffs):
+    """E(theta) = Re sum_k a_k exp(i k theta), k = 0..4, as a function and
+    as its values on the 100 000-point oracle grid theta_j = 2 pi j / N."""
+    ks = np.arange(coeffs.size)
+    grid = 2 * np.pi * np.arange(100000) / 100000
+
+    def energy(theta):
+        return float(np.real(np.exp(1j * ks * theta) @ coeffs))
+
+    return energy, np.real(np.exp(1j * np.outer(grid, ks)) @ coeffs)
+
+
+def walk_downhill(values, direction: int) -> float:
+    """Oracle step: walk the periodic grid from theta = 0 in ``direction``
+    while the next value is lower; returns the angle reached in (-pi, pi]."""
+    k = 0
+    while values[(k + direction) % values.size] < values[k % values.size]:
+        k += direction
+    return float(np.angle(np.exp(2j * np.pi * k / values.size)))
+
+
 def test_single_angle_minimum_matches_dense_scan():
-    case = h2_case(R_A, "6-31g")
-    d1, d2 = full_rdms(case)
-    mol = case["mol"]
-
-    def e_of(theta):
-        return energy_of_rotation(givens_matrix(4, 1, 2, theta), mol, d1, d2)
-
-    theta, value, _ = minimize_single_angle(e_of)
-    grid = np.linspace(-np.pi, np.pi, 100000, endpoint=False)
-    dense = np.array([e_of(t) for t in grid[:: 1000]])  # coarse sanity check
-    assert value <= dense.min() + 1e-12
-    assert e_of(theta) == pytest.approx(value, abs=TOL_ORACLE)
-    fine = min(e_of(t) for t in np.linspace(theta - 1e-3, theta + 1e-3, 201))
-    assert value <= fine + TOL_ORACLE
+    """The closed-form step lands on the minimum that a 100 000-point grid
+    walked downhill from theta = 0 reaches, for fixed-seed random degree-4
+    trigonometric polynomials with both signs of E'(0)."""
+    rng = np.random.default_rng(66)
+    spacing = 2 * np.pi / 100000
+    signs = set()
+    for _ in range(20):
+        coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
+        coeffs[0] = coeffs[0].real - 1.0
+        slope = -np.sum(np.arange(5) * coeffs.imag)  # E'(0)
+        signs.add(np.sign(slope))
+        energy, values = trig_polynomial(coeffs)
+        theta, _ = minimize_single_angle(energy)
+        expected = walk_downhill(values, -int(np.sign(slope)))
+        gap = abs(np.angle(np.exp(1j * (theta - expected))))
+        assert gap <= spacing, (coeffs, theta, expected)
+        assert energy(theta) < energy(0.0)
+    assert signs == {-1.0, 1.0}
 
 
 def test_single_angle_step_modes():
-    # basin mode stays in the local well around zero, global may leave it
+    """The step's cases: downhill on either side of theta = 0, no move from
+    a stationary minimum of an even E(theta) = E(-theta), and a stationary
+    maximum left toward negative theta."""
+
     def e_of(theta):
         return float(np.cos(4 * theta) + 0.5 * np.sin(theta))
 
-    t_global, v_global, _ = minimize_single_angle(e_of, step="global")
-    t_basin, v_basin, _ = minimize_single_angle(e_of, step="basin")
-    assert v_global <= v_basin + TOL_EXACT
-    # E'(0) > 0, so the basin step walks into the first well left of zero
-    assert -np.pi / 2 < t_basin < 0.0
+    # E'(0) > 0: the step goes into the first well left of zero ...
+    theta, _ = minimize_single_angle(e_of)
+    assert -np.pi / 2 < theta < 0.0
     delta = 1e-4
-    assert e_of(t_basin) <= min(e_of(t_basin - delta), e_of(t_basin + delta)) + 1e-9
-    with pytest.raises(VqseError):
-        minimize_single_angle(e_of, step="newton")
+    assert e_of(theta) <= min(e_of(theta - delta), e_of(theta + delta)) + 1e-9
+    # ... and mirrored, into the first well right of zero
+    mirrored, _ = minimize_single_angle(lambda t: e_of(-t))
+    assert mirrored == pytest.approx(-theta, abs=1e-12)
+
+    rng = np.random.default_rng(67)
+    curvatures = set()
+    for _ in range(10):
+        coeffs = rng.normal(size=5)  # real: E(theta) = E(-theta)
+        energy, values = trig_polynomial(coeffs)
+        curvature = -np.sum(np.arange(5) ** 2 * coeffs)  # E''(0)
+        curvatures.add(np.sign(curvature))
+        theta, _ = minimize_single_angle(energy)
+        if curvature > 0:
+            assert theta == 0.0
+        else:
+            gap = abs(theta - walk_downhill(values, -1))
+            assert theta < 0.0 and gap <= 2 * np.pi / 100000
+    assert curvatures == {-1.0, 1.0}
+
+    # a degenerate minimum (a triple root of E') is no simple unit-circle
+    # root; the step stays put rather than fail
+    theta, _ = minimize_single_angle(lambda t: (1 - np.cos(t - 1)) ** 2)
+    assert theta == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +346,39 @@ def test_relax_iteration_improves_on_single_step():
     assert many[-1].final_energy <= one[0].final_energy + 1e-12
     # the active-space energies it resolves are non-increasing as well
     assert all(a >= b - 1e-10 for a, b in zip(energies, energies[1:]))
+
+
+def test_relaxed_orbitals_are_not_a_saddle():
+    """With the active space re-solved on the orbitals relax_then_resolve
+    returns, no direction of the pair angles lowers the fixed-CI energy:
+    the central-difference Hessian of energy_of_rotation over the
+    rotation_pairs angles has no eigenvalue below -1e-6.  H2/6-31G at
+    1.4 A with 3 active orbitals and at 0.6 A with 2 pass through saddles
+    that are stationary along every single angle."""
+    h = 1e-3
+    for r, n_active in ((1.4, 3), (0.6, 2)):
+        case = h2_case(r, "6-31g", n_active)
+        partition = case["partition"]
+        mol, _, _ = relax_then_resolve(case["mol"], partition, 2, cycles=12)
+        active_mol = _slice_integrals(mol, partition.active)
+        _, wfn = ground_state(build_hamiltonian_action(active_mol), 2, sz=0)
+        d1, d2 = composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        pairs = rotation_pairs(partition)
+
+        def energy(x):
+            u = RotationParameters(mol.n_spatial, pairs, x).unitary()
+            return energy_of_rotation(u, mol, d1, d2)
+
+        steps = h * np.eye(len(pairs))
+        hessian = np.array([
+            [
+                energy(a + b) - energy(a - b) - energy(b - a) + energy(-a - b)
+                for b in steps
+            ]
+            for a in steps
+        ]) / (4 * h * h)
+        lowest = np.linalg.eigvalsh(hessian).min()
+        assert lowest >= -1e-6, (r, n_active, lowest)
 
 
 def test_relax_full_active_space_is_idempotent():
