@@ -47,7 +47,7 @@ class ScanConfig:
     vqse: bool = True
     cumulant_rank: int | None = None  # None or 4 = exact active RDMs, 2 = rebuilt 3-/4-RDMs
     restrict_to: list | None = None
-    oo: str = "none"  # none | sweep | joint | iterate
+    oo: str = "none"  # none | iterate
     oo_cycles: int = 10
     shots: float | None = None
     seed: int = 0
@@ -61,8 +61,11 @@ class ScanConfig:
         if not pts:
             raise VqseError("the scan needs at least one point")
         self.points_angstrom = pts
-        if self.oo not in ("none", "sweep", "joint", "iterate"):
-            raise VqseError(f"unknown oo mode {self.oo!r}")
+        if self.oo not in ("none", "iterate"):
+            raise VqseError(
+                f'oo must be "none" or "iterate", not {self.oo!r}; one relaxation '
+                f'step is oo: "iterate" with oo_cycles: 1'
+            )
         if self.cumulant_rank not in (None, 2, 4):
             raise VqseError(
                 f"cumulant_rank must be 2 (3- and 4-RDMs rebuilt from the 1- and "
@@ -112,8 +115,7 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
     """One grid point; returns (CurveRow, report dict)."""
     from .fci import build_hamiltonian_action, ground_state
     from .integrals import compute_ao_integrals, h2_geometry, load_basis, run_rhf, transform_to_mo
-    from .oo import givens_sweep, joint_optimize, relax_then_resolve
-    from .rdm import compute_rdm, composite_full_rdms
+    from .oo import relax_then_resolve
     from .spaces import OrbitalPartition
     from .subspace import (
         NOISY_EPS,
@@ -173,27 +175,14 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
             retained_metric_condition=solution.metric_condition,
         )
 
-    if config.oo != "none":
-        if config.oo == "iterate":
-            _, energies, reports = relax_then_resolve(
-                mol, partition, config.n_electrons, cycles=config.oo_cycles
-            )
-            row.e_oo = reports[-1].final_energy
-            report["oo_cycle_energies"] = energies
-            report["oo_sweeps"] = sum(r.n_sweeps for r in reports)
-            report["oo_evaluations"] = sum(r.n_evaluations for r in reports)
-        else:
-            d1 = compute_rdm(wfn, 1)
-            d2 = compute_rdm(wfn, 2)
-            fd1, fd2 = composite_full_rdms(d1, d2, partition)
-            if config.oo == "sweep":
-                _, rep = givens_sweep(mol, fd1, fd2, partition)
-            else:
-                params, rep0 = givens_sweep(mol, fd1, fd2, partition)
-                _, rep = joint_optimize(mol, fd1, fd2, partition, initial=params)
-            row.e_oo = rep.final_energy
-            report["oo_sweeps"] = rep.n_sweeps
-            report["oo_evaluations"] = rep.n_evaluations
+    if config.oo == "iterate":
+        _, energies, reports = relax_then_resolve(
+            mol, partition, config.n_electrons, cycles=config.oo_cycles
+        )
+        row.e_oo = reports[-1].final_energy
+        report["oo_cycle_energies"] = energies
+        report["oo_sweeps"] = sum(r.n_sweeps for r in reports)
+        report["oo_evaluations"] = sum(r.n_evaluations for r in reports)
         report["e_oo"] = row.e_oo
     return row, report
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from ..exceptions import ParseError
 
 ANGULAR_MOMENTUM = {"S": 0, "P": 1}
@@ -42,15 +40,6 @@ class Geometry:
     @classmethod
     def from_list(cls, atoms) -> "Geometry":
         return cls(tuple(Atom(sym, float(z), tuple(map(float, pos))) for sym, z, pos in atoms))
-
-    def translated(self, shift) -> "Geometry":
-        shift = np.asarray(shift, dtype=float)
-        return Geometry(
-            tuple(
-                Atom(a.symbol, a.charge, tuple(np.asarray(a.position) + shift))
-                for a in self.atoms
-            )
-        )
 
 
 def h2_geometry(r_bohr: float) -> Geometry:

@@ -46,13 +46,6 @@ class MolecularIntegrals:
     def n_spin(self) -> int:
         return 2 * self.n_spatial
 
-    def validate_symmetry(self, tol: float = 1e-12) -> None:
-        if np.max(np.abs(self.h1 - self.h1.T)) > tol:
-            raise ValueError("h1 is not symmetric")
-        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if np.max(np.abs(self.eri - self.eri.transpose(perm))) > tol:
-                raise ValueError(f"eri violates permutation symmetry {perm}")
-
     def h1_spin(self) -> np.ndarray:
         """One-body coefficients over spin orbitals."""
         n = self.n_spin
@@ -78,11 +71,6 @@ class MolecularIntegrals:
         g = g * (sz[:, None, None, None] == sz[None, None, None, :])
         g = g * (sz[None, :, None, None] == sz[None, None, :, None])
         return g
-
-    def eri_phys_antisym(self) -> np.ndarray:
-        """Antisymmetrized physicist integrals <ij||kl> over spin orbitals."""
-        v = self.h2_spin().transpose(0, 1, 3, 2)  # <ij|kl> = h_{ijlk}
-        return v - v.transpose(0, 1, 3, 2)
 
 
 @dataclass

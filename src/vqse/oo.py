@@ -2,21 +2,22 @@
 
 The energy is a functional of the active 1-/2-RDMs embedded into the full
 space (doubly occupied core, empty virtuals) and of a one-body orbital
-rotation U.  U is parameterized as a product of Givens rotations over the
-non-redundant (active, core or virtual) spatial pairs.  A sweep procedure
-steps one angle at a time in closed form -- the energy along a single
-Givens angle is a trigonometric polynomial with harmonics up to 4*theta,
-so nine equally spaced samples determine it completely and its critical
-points are polynomial roots -- and an optional derivative-free simplex
-stage polishes all angles jointly.
+rotation U = U0 exp(kappa), with kappa antisymmetric over the
+non-redundant (active, core or virtual) spatial pairs.  The relaxation
+takes second-order steps in kappa (Helgaker, Jorgensen & Olsen,
+Molecular Electronic-Structure Theory, ch. 10): the orbital gradient is
+read off the generalized Fock matrix, the Hessian is its symmetrized
+forward difference, and the augmented-Hessian (rational-function) step
+of Sun, Yang & Chan (CPL 683, 291 (2017)), capped in length, goes
+downhill from a saddle as well as from a slope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+import scipy.linalg
 
 from .exceptions import VqseError
 from .integrals import MolecularIntegrals, rotate_integrals
@@ -24,63 +25,20 @@ from .rdm import Rdm, composite_full_rdms, energy_from_rdms
 from .spaces import OrbitalPartition, spatial_to_spin
 
 UNITARITY_TOL = 1e-8
-HARMONICS = np.arange(-4, 5)  # of the energy along one Givens angle
-# |E'(0)| below STATIONARY_TOL times the largest |E| sample is rounding;
-# roots of E'(theta) z^4 within UNIT_CIRCLE_TOL of |z| = 1 are real angles
-STATIONARY_TOL = 1e-13
-UNIT_CIRCLE_TOL = 1e-6
-RETRY_KICK = 1e-3  # rad; see givens_sweep
-RETRY_SWEEPS = 3
-
-
-@dataclass
-class RotationParameters:
-    """Orbital rotation over spatial orbitals.
-
-    A list of Givens ``pairs`` with ``angles``; the unitary is the ordered
-    product U = G(pair_1, angle_1) @ G(pair_2, angle_2) @ ..., i.e. later
-    factors rotate the orbitals produced by earlier ones.
-    """
-
-    n_spatial: int
-    pairs: tuple = ()
-    angles: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        if len(self.pairs) != self.angles.size:
-            raise VqseError("pairs and angles disagree in length")
-        # map angles to the principal branch (-pi, pi]
-        self.angles = -(np.mod(-self.angles + np.pi, 2 * np.pi) - np.pi)
-
-    def unitary(self) -> np.ndarray:
-        u = np.eye(self.n_spatial)
-        for (i, b), theta in zip(self.pairs, self.angles):
-            u = u @ givens_matrix(self.n_spatial, i, b, theta)
-        return u
-
-
-def givens_matrix(n: int, i: int, b: int, theta: float) -> np.ndarray:
-    """Plane rotation of spatial orbitals i and b by theta."""
-    if i == b:
-        raise VqseError("a Givens rotation needs two distinct orbitals")
-    g = np.eye(n)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = g[b, b] = c
-    g[b, i] = s
-    g[i, b] = -s
-    return g
+MAX_STEP = 0.5  # rad, norm of one step's kappa
+HESSIAN_SHIFT = 1e-5  # rad, forward-difference step of the Hessian
+STEP_TOL = 1e-7  # rad; a shorter step ends the relaxation
+BACKTRACKS = 5  # tries of a step, halved after each, before the relaxation ends
+MAX_STEPS = 50  # iterations of one relaxation
 
 
 @dataclass
 class RelaxationReport:
     initial_energy: float
     final_energy: float
-    sweep_energies: list
-    angle_table: list  # (pair, angle) rows
-    n_sweeps: int = 0
-    n_evaluations: int = 0
-    budget_exhausted: bool = False
+    sweep_energies: list  # after each accepted step, non-increasing
+    n_sweeps: int = 0  # step iterations
+    n_evaluations: int = 0  # energies plus gradients
 
 
 def occupied_support(rdm1: Rdm) -> np.ndarray:
@@ -116,7 +74,7 @@ def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> floa
 
     ``u`` may also be that column block itself, n x m with orthonormal
     columns, with ``rdm1`` and ``rdm2`` already the blocks over its 2m spin
-    orbitals; the sweeps slice the fixed RDMs once and pass them so.
+    orbitals; the relaxation slices the fixed RDMs once and passes them so.
     """
     u = np.asarray(u)
     if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=UNITARITY_TOL):
@@ -128,185 +86,119 @@ def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> floa
     return energy_from_rdms(rotate_integrals(mol, c), rdm1, rdm2)
 
 
+def spin_summed_rdms(block1: Rdm, block2: Rdm):
+    """(gamma, Gamma) over m spatial orbitals from spin-orbital RDMs over
+    their 2m spin orbitals: gamma_pq = sum_s D1[ps, qs] and
+    Gamma_pqrs = sum_st D2[rt, ps, st, qs], so that the electronic energy
+    is sum h_pq gamma_pq + 1/2 sum (pq|rs) Gamma_pqrs.  Real orbital
+    rotations of real integrals see only their real parts."""
+    m = block1.n // 2
+    d1 = block1.tensor.real.reshape(m, 2, m, 2)
+    d2 = block2.tensor.real.reshape((m, 2) * 4)
+    return np.einsum("pSqS->pq", d1), np.einsum("rTpSsTqS->pqrs", d2)
+
+
+def orbital_gradient(u, mol: MolecularIntegrals, support, gamma, big_gamma) -> np.ndarray:
+    """g_pq = 2 (F_pq - F_qp) = dE/dkappa_pq of E(U exp(kappa)) at kappa = 0,
+    with kappa_qp = -kappa_pq, from the generalized Fock matrix
+    F_pq = sum_r h_pr gamma_qr + sum_rst (pr|st) Gamma_qrst in the
+    orbitals U.  ``gamma`` and ``big_gamma`` are ``spin_summed_rdms`` over
+    the ``support`` orbitals, so F has nonzero columns only there."""
+    n = mol.n_spatial
+    rotated = rotate_integrals(mol, u)
+    eri = rotated.eri[np.ix_(range(n), support, support, support)]
+    f = np.zeros((n, n))
+    f[:, support] = rotated.h1[:, support] @ gamma.T + np.einsum(
+        "prst,qrst->pq", eri, big_gamma
+    )
+    return 2 * (f - f.T)
+
+
 def rotation_pairs(partition: OrbitalPartition):
-    """Non-redundant Givens pairs: active (outer, ascending) against
+    """Non-redundant rotation pairs: active (outer, ascending) against
     core-then-virtual partners (inner, ascending)."""
     partners = list(partition.core) + list(partition.virtual)
     return tuple((i, b) for i in partition.active for b in partners)
 
 
-def minimize_single_angle(energy_fn):
-    """Descent step along one angle of E(theta) = sum_k c_k exp(i k theta).
-
-    Nine samples pin the c_k, k = -4..4.  The critical angles are the
-    unit-circle roots z = exp(i theta) of sum_k k c_k z^(k+4).  The step
-    goes to the nearest minimum in the downhill direction of E'(0), so the
-    sweeps never hop into a distant orbital-swap basin; from a stationary
-    maximum it goes toward negative theta.  It is 0 from any other
-    stationary start, and when np.roots puts a multiple-root minimum off
-    the unit circle.  Returns (theta, c).
-    """
-    thetas = 2 * np.pi * np.arange(HARMONICS.size) / HARMONICS.size
-    samples = np.array([energy_fn(t) for t in thetas])
-    c = np.exp(-1j * np.outer(HARMONICS, thetas)) @ samples / HARMONICS.size
-    tol = STATIONARY_TOL * np.abs(samples).max()
-    slope = float(np.real(1j * HARMONICS @ c))  # E'(0)
-    if abs(slope) > tol:
-        downhill = -np.sign(slope)
-    elif np.real(HARMONICS**2 @ c) > tol:  # E''(0) < 0
-        downhill = -1.0
-    else:
-        return 0.0, c
-    roots = np.roots((HARMONICS * c)[::-1])
-    critical = np.angle(roots[np.abs(np.abs(roots) - 1.0) < UNIT_CIRCLE_TOL])
-    curvature = -np.real(np.exp(1j * np.outer(critical, HARMONICS)) @ (HARMONICS**2 * c))
-    steps = np.mod(downhill * critical[curvature > 0], 2 * np.pi)
-    return float(downhill * steps.min()) if steps.size else 0.0, c
+def _rfo_step(g: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """Rational-function step: (v, t), the lowest eigenvector of the
+    augmented Hessian [[H, g], [g, 0]], gives v / t = -(H - lambda)^-1 g
+    with H - lambda positive definite, downhill whatever the curvature.
+    It is scaled to at most MAX_STEP; at a stationary point of negative
+    curvature t = 0 and the step runs MAX_STEP along v."""
+    m = g.size
+    augmented = np.zeros((m + 1, m + 1))
+    augmented[:m, :m] = hessian
+    augmented[:m, m] = augmented[m, :m] = g
+    vectors = np.linalg.eigh(augmented)[1]
+    v, t = vectors[:m, 0], vectors[m, 0]
+    return v * (np.sign(t) or 1.0) / max(abs(t), np.linalg.norm(v) / MAX_STEP)
 
 
-def givens_sweep(
-    mol: MolecularIntegrals,
-    rdm1: Rdm,
-    rdm2: Rdm,
-    partition: OrbitalPartition,
-    max_sweeps: int = 100,
-    angle_tol: float = 1e-12,
-):
-    """Cyclic single-angle descent over the non-redundant pairs.
+def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: OrbitalPartition):
+    """Second-order relaxation of the orbitals with the RDMs held fixed.
 
-    Returns (RotationParameters with the accumulated Givens factors,
-    RelaxationReport).  A step is accepted only if the recomputed energy
-    drops; the sweeps stop at the first one that gains less than
-    ``angle_tol``.  A point stationary along every single angle can be a
-    saddle of the joint angles (H2/6-31G at 1.4 A with 3 active orbitals),
-    so the first sweep that accepts no step is retried once: RETRY_SWEEPS
-    sweeps from a fixed-seed kick of every angle by at most RETRY_KICK,
-    kept only if they end more than ``angle_tol`` lower.  A kept retry adds
-    its end energy to the non-increasing ``sweep_energies``; ``n_sweeps``
-    and ``n_evaluations`` count the retry either way.
+    Returns (U, RelaxationReport): the n x n orthogonal U = exp(kappa_1)
+    exp(kappa_2) ... with each kappa over ``rotation_pairs``, and the
+    ``energy_of_rotation`` at its start and after each accepted step.  An
+    iteration takes the gradient, its forward-difference Hessian (one more
+    gradient per pair) and the ``_rfo_step``.  The step, halved after each
+    of up to BACKTRACKS tries, is accepted on the first strict drop of the
+    energy; the iterations end when the step is shorter than STEP_TOL or
+    no try lowers the energy.  ``n_sweeps`` counts the iterations and
+    ``n_evaluations`` the energies plus the (1 + pairs) gradients of each
+    iteration.
     """
     pairs = rotation_pairs(partition)
+    active = np.array([i for i, _ in pairs], dtype=int)
+    partner = np.array([b for _, b in pairs], dtype=int)
     n = mol.n_spatial
     support, block1, block2 = _occupied_blocks(rdm1, rdm2)
+    gamma, big_gamma = spin_summed_rdms(block1, block2)
 
     def energy(u):
         return energy_of_rotation(u[:, support], mol, block1, block2)
 
-    def sweep(u, e_current, taken):
-        gain = 0.0
-        for i, b in pairs:
-            theta, _ = minimize_single_angle(lambda t: energy(u @ givens_matrix(n, i, b, t)))
-            e_new = energy(u @ givens_matrix(n, i, b, theta))
-            if e_new < e_current:
-                u = u @ givens_matrix(n, i, b, theta)
-                gain = max(gain, e_current - e_new)
-                e_current = e_new
-                taken.append(((i, b), theta))
-        return u, e_current, gain
+    def gradient(u):
+        return orbital_gradient(u, mol, support, gamma, big_gamma)[partner, active]
+
+    def rotation(x):
+        kappa = np.zeros((n, n))
+        kappa[partner, active] = x
+        kappa[active, partner] = -x
+        return scipy.linalg.expm(kappa)
 
     u = np.eye(n)
     e0 = e_current = energy(u)
-    taken: list = []
+    n_energies = 1
     sweep_energies: list = []
-    n_sweeps = 0
-    retried = False
-    while n_sweeps < max_sweeps:
-        u, e_current, gain = sweep(u, e_current, taken)
-        n_sweeps += 1
-        sweep_energies.append(e_current)
-        if gain == 0.0 and not retried:
-            retried = True
-            kick = RETRY_KICK * np.random.default_rng(0).uniform(-1, 1, len(pairs))
-            kicked = list(zip(pairs, kick))
-            u_retry = u @ RotationParameters(n, pairs, kick).unitary()
-            e_retry = energy(u_retry)
-            for _ in range(min(RETRY_SWEEPS, max_sweeps - n_sweeps)):
-                u_retry, e_retry, _ = sweep(u_retry, e_retry, kicked)
-                n_sweeps += 1
-            if e_retry < e_current - angle_tol:
-                u, e_current = u_retry, e_retry
-                taken += kicked
-                sweep_energies.append(e_current)
-                continue
-        if gain < angle_tol:
+    for n_sweeps in range(1, MAX_STEPS + 1):
+        g = gradient(u)
+        hessian = np.array(
+            [gradient(u @ rotation(HESSIAN_SHIFT * unit)) - g for unit in np.eye(g.size)]
+        ).reshape(g.size, g.size) / HESSIAN_SHIFT
+        step = _rfo_step(g, (hessian + hessian.T) / 2)
+        if np.linalg.norm(step) < STEP_TOL:
             break
-    params = RotationParameters(
-        n, tuple(p for p, _ in taken), np.array([t for _, t in taken])
-    )
-    return params, RelaxationReport(
+        for _ in range(BACKTRACKS):
+            trial = u @ rotation(step)
+            e_trial = energy(trial)
+            n_energies += 1
+            if e_trial < e_current:
+                break
+            step = step / 2
+        else:
+            break
+        u, e_current = trial, e_trial
+        sweep_energies.append(e_current)
+    return u, RelaxationReport(
         initial_energy=e0,
         final_energy=e_current,
         sweep_energies=sweep_energies,
-        angle_table=taken,
         n_sweeps=n_sweeps,
-        # the start, the kicked start, and 9 samples plus the step per angle
-        n_evaluations=1 + retried + (HARMONICS.size + 1) * len(pairs) * n_sweeps,
+        n_evaluations=n_energies + (1 + len(pairs)) * n_sweeps,
     )
-
-
-def joint_optimize(
-    mol: MolecularIntegrals,
-    rdm1: Rdm,
-    rdm2: Rdm,
-    partition: OrbitalPartition,
-    initial: RotationParameters | None = None,
-    budget: int = 5000,
-):
-    """Derivative-free simplex minimization over all pair angles jointly.
-
-    Starts from ``initial`` (or zero angles over the non-redundant pairs)
-    and never returns something worse than the start; exhausting the
-    budget sets a flag on the report rather than raising.
-    """
-    if budget < 0:
-        raise VqseError("optimizer budget must be non-negative")
-    if initial is None:
-        pairs = rotation_pairs(partition)
-        x0 = np.zeros(len(pairs))
-    else:
-        pairs = initial.pairs
-        x0 = np.array(initial.angles, dtype=float)
-    n = mol.n_spatial
-    support, block1, block2 = _occupied_blocks(rdm1, rdm2)
-
-    def energy_of(x):
-        u = np.eye(n)
-        for (i, b), theta in zip(pairs, x):
-            u = u @ givens_matrix(n, i, b, theta)
-        return energy_of_rotation(u[:, support], mol, block1, block2)
-
-    e0 = energy_of(x0)
-    best = {"x": x0.copy(), "e": e0, "count": 1}
-    if budget == 0 or x0.size == 0:
-        params = RotationParameters(n, pairs, x0)
-        return params, RelaxationReport(
-            e0, e0, [e0], list(zip(pairs, x0)), 0, best["count"], budget_exhausted=budget == 0
-        )
-
-    def objective(x):
-        e = energy_of(x)
-        best["count"] += 1
-        if e < best["e"]:
-            best["e"], best["x"] = e, x.copy()
-        return e
-
-    result = scipy.optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": 1e-12, "fatol": 1e-14},
-    )
-    params = RotationParameters(n, pairs, best["x"])
-    report = RelaxationReport(
-        initial_energy=e0,
-        final_energy=best["e"],
-        sweep_energies=[best["e"]],
-        angle_table=list(zip(pairs, best["x"])),
-        n_sweeps=1,
-        n_evaluations=best["count"],
-        budget_exhausted=not result.success and best["count"] >= budget,
-    )
-    return params, report
 
 
 def relax_then_resolve(
@@ -317,11 +209,12 @@ def relax_then_resolve(
     sz: int = 0,
     energy_tol: float = 1e-12,
 ):
-    """Alternate active-space exact solves with full-space Givens sweeps.
+    """Alternate active-space exact solves with full-space orbital relaxation.
 
     Each cycle solves the (dressed) active-space ground state on the
     current orbitals, embeds its RDMs into the full space, and relaxes the
-    orbitals by a sweep; ``cycles = 1`` is the single-step post-processing.
+    orbitals by ``givens_sweep``; ``cycles = 1`` is the single-step
+    post-processing.
     Returns (final MolecularIntegrals, per-cycle active energies, reports).
     """
     from .fci import build_hamiltonian_action, ground_state
@@ -350,9 +243,9 @@ def relax_then_resolve(
         d1 = compute_rdm(wfn, 1)
         d2 = compute_rdm(wfn, 2)
         full_d1, full_d2 = composite_full_rdms(d1, d2, partition)
-        params, report = givens_sweep(mol_current, full_d1, full_d2, partition)
+        u, report = givens_sweep(mol_current, full_d1, full_d2, partition)
         reports.append(report)
-        mol_current = rotate_integrals(mol_current, params.unitary())
+        mol_current = rotate_integrals(mol_current, u)
         if len(energies) >= 2 and energies[-2] - energies[-1] < energy_tol:
             break
     return mol_current, energies, reports

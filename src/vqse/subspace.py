@@ -73,9 +73,6 @@ class ExpansionOperator:
         mu, q, nu, r = self.indices
         return ((mu, True), (q, False), (nu, True), (r, False))
 
-    def adjoint_ops(self) -> tuple:
-        return tuple((i, not d) for i, d in reversed(self.ladder_ops()))
-
     def delta_sz(self) -> int:
         """Change in 2*S_z caused by the operator (alpha = even index)."""
         return sum(

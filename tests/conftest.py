@@ -10,8 +10,10 @@ import scipy.linalg
 import scipy.optimize
 
 from vqse import ANGSTROM_PER_BOHR, wick
+from vqse.exceptions import VqseError
 from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
 from vqse.integrals import (
+    Atom,
     BasisSet,
     Geometry,
     MolecularIntegrals,
@@ -24,7 +26,7 @@ from vqse.integrals import (
 from vqse.integrals.gaussians import build_ao_basis
 from vqse.rdm import delta2, wedge
 from vqse.spaces import OrbitalPartition
-from vqse.subspace import _slice_integrals
+from vqse.subspace import ExpansionOperator, _slice_integrals
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -111,6 +113,81 @@ def casscf_2_2(r_angstrom: float, basis: str) -> float:
     )
 
 
+# ---------------------------------------------------------------------------
+# test-only views of package objects
+
+
+def translated(geometry: Geometry, shift) -> Geometry:
+    """The geometry with every atom moved by ``shift`` (bohr)."""
+    shift = np.asarray(shift, dtype=float)
+    return Geometry(
+        tuple(
+            Atom(a.symbol, a.charge, tuple(np.asarray(a.position) + shift))
+            for a in geometry.atoms
+        )
+    )
+
+
+def validate_symmetry(mol: MolecularIntegrals, tol: float = 1e-12) -> None:
+    """Raise unless h1 is symmetric and the ERIs have 8-fold symmetry."""
+    if np.max(np.abs(mol.h1 - mol.h1.T)) > tol:
+        raise ValueError("h1 is not symmetric")
+    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        if np.max(np.abs(mol.eri - mol.eri.transpose(perm))) > tol:
+            raise ValueError(f"eri violates permutation symmetry {perm}")
+
+
+def eri_phys_antisym(mol: MolecularIntegrals) -> np.ndarray:
+    """Antisymmetrized physicist integrals <ij||kl> over spin orbitals."""
+    v = mol.h2_spin().transpose(0, 1, 3, 2)  # <ij|kl> = h_{ijlk}
+    return v - v.transpose(0, 1, 3, 2)
+
+
+def adjoint_ops(op: ExpansionOperator) -> tuple:
+    """(index, dagger) pairs of the operator's adjoint, leftmost first."""
+    return tuple((i, not d) for i, d in reversed(op.ladder_ops()))
+
+
+def givens_matrix(n: int, i: int, b: int, theta: float) -> np.ndarray:
+    """Plane rotation of spatial orbitals i and b by theta."""
+    if i == b:
+        raise VqseError("a Givens rotation needs two distinct orbitals")
+    g = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    g[i, i] = g[b, b] = c
+    g[b, i] = s
+    g[i, b] = -s
+    return g
+
+
+@dataclasses.dataclass
+class RotationParameters:
+    """Orbital rotation over spatial orbitals, the saddle tests' oracle
+    parameterization.
+
+    A list of Givens ``pairs`` with ``angles``; the unitary is the ordered
+    product U = G(pair_1, angle_1) @ G(pair_2, angle_2) @ ..., i.e. later
+    factors rotate the orbitals produced by earlier ones.
+    """
+
+    n_spatial: int
+    pairs: tuple = ()
+    angles: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        self.angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
+        if len(self.pairs) != self.angles.size:
+            raise VqseError("pairs and angles disagree in length")
+        # map angles to the principal branch (-pi, pi]
+        self.angles = -(np.mod(-self.angles + np.pi, 2 * np.pi) - np.pi)
+
+    def unitary(self) -> np.ndarray:
+        u = np.eye(self.n_spatial)
+        for (i, b), theta in zip(self.pairs, self.angles):
+            u = u @ givens_matrix(self.n_spatial, i, b, theta)
+        return u
+
+
 def sector_determinants(n_spin_orbitals: int, n_electrons: int, sz=None) -> list[int]:
     """All determinants of the sector, sorted ascending by bitmask value.
 
@@ -147,7 +224,7 @@ class SlaterCondon:
         self.mol = mol
         self.n_spin = mol.n_spin
         self.h1s = mol.h1_spin()
-        self.vas = mol.eri_phys_antisym()  # <ij||kl>
+        self.vas = eri_phys_antisym(mol)  # <ij||kl>
         self.constant = mol.constant
 
     def hamiltonian_terms(self):

@@ -51,8 +51,11 @@ def test_config_validation():
         ScanConfig(points_angstrom=[1.0, 0.5])
     with pytest.raises(VqseError):
         ScanConfig(points_angstrom=[])
-    with pytest.raises(VqseError):
-        ScanConfig(oo="downhill")
+    # the Givens sweep and Nelder-Mead modes are gone; one relaxation step
+    # is oo "iterate" with one cycle
+    for mode in ("downhill", "sweep", "joint"):
+        with pytest.raises(VqseError, match='"iterate" with oo_cycles: 1'):
+            ScanConfig(oo=mode)
     with pytest.raises(VqseError):
         ScanConfig(cumulant_rank=1)
     # rank 3 used to run the rank-2 reconstruction silently

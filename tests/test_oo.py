@@ -1,25 +1,30 @@
-"""Orbital rotations: single-angle solves, sweeps, joint polish, MCSCF loop."""
+"""Orbital rotations: rotated energies, the orbital gradient, the
+second-order relaxation step and the relax-then-resolve loop."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import SlaterCondon, h2_case, random_wavefunction
+from conftest import (
+    RotationParameters,
+    SlaterCondon,
+    givens_matrix,
+    h2_case,
+    random_wavefunction,
+)
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import VqseError
 from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
 from vqse.integrals import dress_core, rotate_integrals
 from vqse.oo import (
-    RelaxationReport,
-    RotationParameters,
+    _occupied_blocks,
     energy_of_rotation,
-    givens_matrix,
     givens_sweep,
-    joint_optimize,
-    minimize_single_angle,
     occupied_support,
+    orbital_gradient,
     relax_then_resolve,
     rotation_pairs,
+    spin_summed_rdms,
 )
 from vqse.rdm import Rdm, compute_rdm, composite_full_rdms, energy_from_rdms
 from vqse.spaces import OrbitalPartition, spatial_to_spin
@@ -38,7 +43,7 @@ def full_rdms(case):
 
 
 # ---------------------------------------------------------------------------
-# rotation parameterization
+# rotation parameterization (the saddle test's oracle, in conftest)
 
 
 def test_givens_matrix_is_special_orthogonal():
@@ -158,161 +163,58 @@ def test_occupied_block_matches_full_rotation():
 
 
 # ---------------------------------------------------------------------------
-# single-angle minimization
+# orbital gradient and the second-order step
 
 
-def test_trig_fit_reproduces_energy_along_one_angle():
-    case = h2_case(R_A, "6-31g")
-    d1, d2 = full_rdms(case)
-    mol = case["mol"]
-
-    def e_of(theta):
-        return energy_of_rotation(givens_matrix(4, 1, 2, theta), mol, d1, d2)
-
-    _, coeffs = minimize_single_angle(e_of)
-    rng = np.random.default_rng(64)
-    ks = np.arange(-4, 5)
-    for theta in rng.uniform(-np.pi, np.pi, size=50):
-        fitted = float(np.real(np.exp(1j * theta * ks) @ coeffs))
-        assert fitted == pytest.approx(e_of(theta), abs=TOL_ORACLE)
-
-
-def trig_polynomial(coeffs):
-    """E(theta) = Re sum_k a_k exp(i k theta), k = 0..4, as a function and
-    as its values on the 100 000-point oracle grid theta_j = 2 pi j / N."""
-    ks = np.arange(coeffs.size)
-    grid = 2 * np.pi * np.arange(100000) / 100000
-
-    def energy(theta):
-        return float(np.real(np.exp(1j * ks * theta) @ coeffs))
-
-    return energy, np.real(np.exp(1j * np.outer(grid, ks)) @ coeffs)
-
-
-def walk_downhill(values, direction: int) -> float:
-    """Oracle step: walk the periodic grid from theta = 0 in ``direction``
-    while the next value is lower; returns the angle reached in (-pi, pi]."""
-    k = 0
-    while values[(k + direction) % values.size] < values[k % values.size]:
-        k += direction
-    return float(np.angle(np.exp(2j * np.pi * k / values.size)))
-
-
-def test_single_angle_minimum_matches_dense_scan():
-    """The closed-form step lands on the minimum that a 100 000-point grid
-    walked downhill from theta = 0 reaches, for fixed-seed random degree-4
-    trigonometric polynomials with both signs of E'(0)."""
-    rng = np.random.default_rng(66)
-    spacing = 2 * np.pi / 100000
-    signs = set()
-    for _ in range(20):
-        coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
-        coeffs[0] = coeffs[0].real - 1.0
-        slope = -np.sum(np.arange(5) * coeffs.imag)  # E'(0)
-        signs.add(np.sign(slope))
-        energy, values = trig_polynomial(coeffs)
-        theta, _ = minimize_single_angle(energy)
-        expected = walk_downhill(values, -int(np.sign(slope)))
-        gap = abs(np.angle(np.exp(1j * (theta - expected))))
-        assert gap <= spacing, (coeffs, theta, expected)
-        assert energy(theta) < energy(0.0)
-    assert signs == {-1.0, 1.0}
-
-
-def test_single_angle_step_modes():
-    """The step's cases: downhill on either side of theta = 0, no move from
-    a stationary minimum of an even E(theta) = E(-theta), and a stationary
-    maximum left toward negative theta."""
-
-    def e_of(theta):
-        return float(np.cos(4 * theta) + 0.5 * np.sin(theta))
-
-    # E'(0) > 0: the step goes into the first well left of zero ...
-    theta, _ = minimize_single_angle(e_of)
-    assert -np.pi / 2 < theta < 0.0
-    delta = 1e-4
-    assert e_of(theta) <= min(e_of(theta - delta), e_of(theta + delta)) + 1e-9
-    # ... and mirrored, into the first well right of zero
-    mirrored, _ = minimize_single_angle(lambda t: e_of(-t))
-    assert mirrored == pytest.approx(-theta, abs=1e-12)
-
-    rng = np.random.default_rng(67)
-    curvatures = set()
-    for _ in range(10):
-        coeffs = rng.normal(size=5)  # real: E(theta) = E(-theta)
-        energy, values = trig_polynomial(coeffs)
-        curvature = -np.sum(np.arange(5) ** 2 * coeffs)  # E''(0)
-        curvatures.add(np.sign(curvature))
-        theta, _ = minimize_single_angle(energy)
-        if curvature > 0:
-            assert theta == 0.0
-        else:
-            gap = abs(theta - walk_downhill(values, -1))
-            assert theta < 0.0 and gap <= 2 * np.pi / 100000
-    assert curvatures == {-1.0, 1.0}
-
-    # a degenerate minimum (a triple root of E') is no simple unit-circle
-    # root; the step stays put rather than fail
-    theta, _ = minimize_single_angle(lambda t: (1 - np.cos(t - 1)) ** 2)
-    assert theta == 0.0
-
-
-# ---------------------------------------------------------------------------
-# sweeps and joint polish
+def test_orbital_gradient_matches_central_differences():
+    """The generalized-Fock gradient at a random U equals central
+    differences of energy_of_rotation along each rotation_pairs generator,
+    U exp(+-h K) with K_bi = 1 = -K_ib: with a core orbital and a random
+    active state, with 3 active orbitals, and over the cc-pVDZ orbitals."""
+    rng = np.random.default_rng(68)
+    h = 1e-5
+    cases = []
+    with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
+    cases.append((h2_case(R_A, "6-31g")["mol"], with_core, random_wavefunction(4, 2, rng)))
+    for basis, n_active in (("6-31g", 3), ("cc-pvdz", 2)):
+        case = h2_case(R_A, basis, n_active)
+        cases.append((case["mol"], case["partition"], case["wfn"]))
+    for mol, partition, wfn in cases:
+        d1, d2 = composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        n = mol.n_spatial
+        a = rng.normal(size=(n, n))
+        u = scipy.linalg.expm(a - a.T)
+        support, block1, block2 = _occupied_blocks(d1, d2)
+        g = orbital_gradient(u, mol, support, *spin_summed_rdms(block1, block2))
+        for i, b in rotation_pairs(partition):
+            k = np.zeros((n, n))
+            k[b, i], k[i, b] = 1.0, -1.0
+            plus = energy_of_rotation(u @ scipy.linalg.expm(h * k), mol, d1, d2)
+            minus = energy_of_rotation(u @ scipy.linalg.expm(-h * k), mol, d1, d2)
+            assert g[b, i] == pytest.approx((plus - minus) / (2 * h), abs=1e-8), (n, i, b)
 
 
 def test_sweep_monotone_and_below_start():
     case = h2_case(R_A, "6-31g")
     d1, d2 = full_rdms(case)
-    params, report = givens_sweep(case["mol"], d1, d2, case["partition"])
+    u, report = givens_sweep(case["mol"], d1, d2, case["partition"])
     assert report.final_energy <= report.initial_energy + 1e-12
     trace = [report.initial_energy] + report.sweep_energies
     assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
-    u = params.unitary()
     assert energy_of_rotation(u, case["mol"], d1, d2) == pytest.approx(
         report.final_energy, abs=TOL_ORACLE
     )
 
 
 def test_sweep_stationary_at_optimum():
-    """Re-sweeping in the relaxed orbitals finds no further rotation."""
+    """Relaxing again in the relaxed orbitals finds no further rotation."""
     case = h2_case(R_A, "6-31g")
     d1, d2 = full_rdms(case)
-    params, report = givens_sweep(case["mol"], d1, d2, case["partition"])
-    relaxed = rotate_integrals(case["mol"], params.unitary())
-    params2, report2 = givens_sweep(relaxed, d1, d2, case["partition"])
-    assert all(abs(t) < 1e-6 for t in params2.angles)
+    u, report = givens_sweep(case["mol"], d1, d2, case["partition"])
+    relaxed = rotate_integrals(case["mol"], u)
+    u2, report2 = givens_sweep(relaxed, d1, d2, case["partition"])
+    assert np.max(np.abs(u2 - np.eye(4))) < 1e-6
     assert report2.final_energy == pytest.approx(report.final_energy, abs=1e-9)
-
-
-def test_joint_zero_budget_returns_initial():
-    case = h2_case(R_A, "6-31g")
-    d1, d2 = full_rdms(case)
-    initial = RotationParameters(4, ((1, 2),), np.array([0.05]))
-    params, report = joint_optimize(
-        case["mol"], d1, d2, case["partition"], initial=initial, budget=0
-    )
-    assert report.budget_exhausted
-    assert params.angles == pytest.approx(initial.angles, abs=TOL_EXACT)
-    assert report.final_energy == pytest.approx(report.initial_energy, abs=TOL_EXACT)
-    with pytest.raises(VqseError):
-        joint_optimize(case["mol"], d1, d2, case["partition"], budget=-1)
-
-
-def test_joint_polish_after_sweep_is_marginal():
-    case = h2_case(R_A, "6-31g")
-    d1, d2 = full_rdms(case)
-    params, report = givens_sweep(case["mol"], d1, d2, case["partition"])
-    _, polished = joint_optimize(case["mol"], d1, d2, case["partition"], initial=params)
-    improvement = report.final_energy - polished.final_energy
-    assert 0.0 <= improvement <= 1e-8
-
-
-def test_joint_never_worse_than_start():
-    case = h2_case(R_A, "sto-3g")
-    d1, d2 = full_rdms(case)
-    _, report = joint_optimize(case["mol"], d1, d2, case["partition"], budget=40)
-    assert report.final_energy <= report.initial_energy + TOL_EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +255,10 @@ def test_relaxed_orbitals_are_not_a_saddle():
     returns, no direction of the pair angles lowers the fixed-CI energy:
     the central-difference Hessian of energy_of_rotation over the
     rotation_pairs angles has no eigenvalue below -1e-6.  H2/6-31G at
-    1.4 A with 3 active orbitals and at 0.6 A with 2 pass through saddles
-    that are stationary along every single angle."""
+    1.4 A and 1.8 A with 3 active orbitals and at 0.6 A with 2 pass through
+    saddles that are stationary along every single angle."""
     h = 1e-3
-    for r, n_active in ((1.4, 3), (0.6, 2)):
+    for r, n_active in ((1.4, 3), (1.8, 3), (0.6, 2)):
         case = h2_case(r, "6-31g", n_active)
         partition = case["partition"]
         mol, _, _ = relax_then_resolve(case["mol"], partition, 2, cycles=12)
@@ -387,7 +289,9 @@ def test_relax_full_active_space_is_idempotent():
     assert not partition.virtual and not partition.core
     _, energies, reports = relax_then_resolve(case["mol"], partition, 2, cycles=3)
     assert reports[0].final_energy == pytest.approx(energies[0], abs=TOL_ORACLE)
-    assert all(not r.angle_table for r in reports)
+    d1, d2 = full_rdms(case)
+    u, _ = givens_sweep(case["mol"], d1, d2, partition)
+    assert np.array_equal(u, np.eye(2))
     with pytest.raises(VqseError):
         relax_then_resolve(case["mol"], partition, 2, cycles=0)
 

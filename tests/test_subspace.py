@@ -10,6 +10,7 @@ import pytest
 import vqse.wick
 from conftest import (
     SlaterCondon,
+    adjoint_ops,
     embed_wavefunction,
     h2_case,
     higher_cumulants,
@@ -158,7 +159,7 @@ def test_pool_validation_errors():
 
 def test_adjoint_ops_reverse_and_flip():
     op = ExpansionOperator("double", (8, 1, 10, 3))
-    assert op.adjoint_ops() == ((3, True), (10, False), (1, True), (8, False))
+    assert adjoint_ops(op) == ((3, True), (10, False), (1, True), (8, False))
 
 
 # ---------------------------------------------------------------------------
