@@ -263,8 +263,8 @@ def diff_curves(path_a, path_b, tol: float) -> tuple:
                 diffs.append(math.inf)  # a value on one side only
             else:
                 diffs.append(abs(a - b))
-        mx = max(diffs)
-        mean = sum(diffs) / len(diffs)
+        mx = max(diffs, default=0.0)
+        mean = sum(diffs) / len(diffs) if diffs else 0.0
         lines.append(f"{names_a[col]:>12s}  max {mx:.3e}  mean {mean:.3e}")
         if mx > tol:
             k = diffs.index(mx)

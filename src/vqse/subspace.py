@@ -12,7 +12,12 @@ Hamiltonian index block is contracted down to its output letters, and the
 result is indexed directly at the pool's own parameter tuples, so no work
 or memory is spent on index combinations the pool does not contain.  This
 is what makes a ~10^3 operator pool with a 20-spatial-orbital Hamiltonian
-tractable in pure numpy.
+tractable in pure numpy.  A term whose output carries a delta between a
+bra and a ket parameter (mu = mu', say) is evaluated only on its support,
+the (row, col) pairs of the block where every such delta holds, and
+scattered there; the support of each delta signature is computed once per
+class pair and shared by its S and H blocks.  Only terms without such a
+delta are evaluated on the whole block.
 
 One rule contracts every term: its active residue is expanded in normal
 order right there, and each normal-ordering term reads the bare RDM of
@@ -26,6 +31,7 @@ rank-8 pattern of a double-double block with an all-active two-body term
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -171,14 +177,17 @@ def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, dtype):
+def _gathered_block(class_i, class_j, idx_i, idx_j, supports, rdms, dtype, groups):
     """<O_i+ (op group) O_j> at the pool's own index tuples, shape (n_i, n_j).
 
     ``idx_i``/``idx_j`` hold the local parameter indices of the pool
     operators of each class, one row per operator.  Every output letter of
-    a Wick term is a broadcast index column, (n_i, 1) on the bra side and
-    (1, n_j) on the ket side; a letter repeated in the output (a virtual or
-    active delta between bra and ket) becomes an equality mask.
+    a Wick term is an index column, (n_i, 1) on the bra side and (1, n_j)
+    on the ket side.  A letter shared by a bra and a ket parameter (a
+    virtual or active delta between them) restricts the term to its
+    support, the (row, col) pairs where the delta holds; ``supports``
+    caches these per delta signature, and the caller shares it between the
+    S and H blocks of one class pair.
 
     Each normal-ordering term of the active residue joins its delta pairs
     to the virtual pairs and reads the bare RDM; W meets that RDM directly
@@ -186,8 +195,9 @@ def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, dtype):
     """
     block = np.zeros((len(idx_i), len(idx_j)), dtype=dtype)
     bra = tuple((sp, not dg, pid) for sp, dg, pid in reversed(class_i.slots))
-    columns = [idx_i[:, [pid]] for pid in range(len(class_i.axes))] + [
-        idx_j[np.newaxis, :, pid] for pid in range(len(class_j.axes))
+    # (axis of the block, 1-D column, column broadcast along that axis)
+    columns = [(0, col, col[:, np.newaxis]) for col in idx_i.T] + [
+        (1, col, col[np.newaxis, :]) for col in idx_j.T
     ]
     for w, hslots in groups:
         slots = (
@@ -209,19 +219,26 @@ def _gathered_block(class_i, class_j, idx_i, idx_j, groups, rdms, dtype):
                 rdm_slots = [active_slots[s] for s in reversed(cres)] + [
                     active_slots[s] for s in anns
                 ]
-                block += _gathered_term(
-                    sign * no_sign, pairs, rdms.tensor(len(cres)), rdm_slots, *term
+                _gathered_term(
+                    block, supports, sign * no_sign, pairs, rdms.tensor(len(cres)), rdm_slots,
+                    *term,
                 )
     return block
 
 
-def _gathered_term(sign, pairs, tensor, t_positions, w, h_positions, out_positions, columns, n):
-    """One Wick term, sign * W * RDM with the slots in ``pairs`` merged,
-    read at the output columns.
+def _gathered_term(
+    block, supports, sign, pairs, tensor, t_positions, w, h_positions, out_positions, columns, n
+):
+    """Add one Wick term, sign * W * RDM with the slots in ``pairs``
+    merged, to ``block`` at the output columns.
 
-    Letters are the classes of the n slots under ``pairs``.  W and the RDM
-    are reduced separately to their output letters, unless they share a
-    summed letter; :func:`_contract_with_rdm` then sums the shared letters.
+    Letters are the classes of the n slots under ``pairs``.  A term whose
+    output letters include a delta is evaluated on 1-D columns gathered at
+    its support and scattered there (the pairs are unique); any other term
+    broadcasts the bra columns against the ket columns and is added to the
+    whole block in place.  W and the RDM are reduced separately to their
+    output letters, unless they share a summed letter;
+    :func:`_contract_with_rdm` then sums the shared letters.
     """
     parent = list(range(n))
 
@@ -236,25 +253,56 @@ def _gathered_term(sign, pairs, tensor, t_positions, w, h_positions, out_positio
     letter = {}
     for pos in range(n):
         letter.setdefault(find(pos), _LETTERS[len(letter)])
-    value = sign if np.ndim(w) else sign * float(w)
-    column = {}
-    for pos, col in zip(out_positions, columns):
+    first, deltas = {}, []
+    for k, pos in enumerate(out_positions):
         ch = letter[find(pos)]
-        if ch in column:
-            value = value * (column[ch] == col)
+        if ch in first:
+            deltas.append((first[ch], k))
         else:
-            column[ch] = col
+            first[ch] = k
+    target = ...  # the whole block
+    if deltas:
+        key = tuple(deltas)
+        target = supports.get(key)
+        if target is None:
+            mask = np.ones(block.shape, dtype=bool)
+            for a, b in deltas:
+                mask &= columns[a][2] == columns[b][2]
+            flat = np.flatnonzero(mask)
+            # the rows overwrite flat: a freed temporary left between the
+            # cached pairs fragmented the heap (+6 MB peak RSS on H4/6-31G)
+            target = supports[key] = np.divmod(
+                flat, mask.shape[1], out=(flat, np.empty_like(flat))
+            )
+    column = {}
+    for ch, k in first.items():
+        axis, col, spread = columns[k]
+        column[ch] = col[target[axis]] if deltas else spread
     w_spec = "".join(letter[find(p)] for p in h_positions)
     t_spec = "".join(letter[find(p)] for p in t_positions)
     if set(w_spec) & set(t_spec):
         reduced, out = _contract_with_rdm(w, w_spec, tensor, t_spec, column)
-        return value * reduced[tuple(column[ch] for ch in out)]
-    for operand, spec in ((w, w_spec), (tensor, t_spec)):
-        if spec:
-            out = "".join(ch for ch in dict.fromkeys(spec) if ch in column)
-            reduced = np.einsum(spec + "->" + out, operand)
-            value = value * reduced[tuple(column[ch] for ch in out)]
-    return value
+        value = reduced[tuple(column[ch] for ch in out)]
+    else:
+        factors = [] if np.ndim(w) else [float(w)]
+        for operand, spec in ((w, w_spec), (tensor, t_spec)):
+            if spec:
+                out = "".join(ch for ch in dict.fromkeys(spec) if ch in column)
+                reduced = np.einsum(spec + "->" + out, operand)
+                factors.append(reduced[tuple(column[ch] for ch in out)])
+        value = functools.reduce(_product, factors)
+    if sign > 0:  # sign is +-1; negating value would copy it
+        block[target] += value
+    else:
+        block[target] -= value
+
+
+def _product(a, b):
+    """a * b, written into an operand that already has the result's shape
+    (the operands are fresh gathers or scalars)."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    out = next((f for f in (a, b) if isinstance(f, np.ndarray) and f.shape == shape), None)
+    return np.multiply(a, b, out=out)
 
 
 def _contract_with_rdm(w, w_spec, d, d_spec, column):
@@ -337,12 +385,12 @@ def assemble_subspace(
     s = np.zeros((n, n), dtype=dtype)
     for ci, rows_i, idx_i in by_class.values():
         for cj, rows_j, idx_j in by_class.values():
-            args = (ci, cj, idx_i, idx_j)
-            sblock = _gathered_block(*args, s_groups, rdms, dtype)
-            hblock = _gathered_block(*args, h_groups, rdms, dtype)
+            supports: dict = {}
+            args = (ci, cj, idx_i, idx_j, supports, rdms, dtype)
             target = np.ix_(rows_i, rows_j)
-            s[target] = sblock
-            h[target] = hblock + mol.constant * sblock
+            s[target] = _gathered_block(*args, s_groups)
+            h[target] = _gathered_block(*args, h_groups)
+    h += mol.constant * s
     return _hermitized_pair(h, s, pool)
 
 

@@ -227,6 +227,17 @@ def test_diff_flags_failed_point_against_ok_point(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_diff_of_header_only_curves_reports_no_differences(tmp_path, capsys):
+    """Two curves without points agree: every column reads zero, exit 0."""
+    path = tmp_path / "empty.csv"
+    path.write_text("# " + ",".join(CSV_COLUMNS) + "\n")
+    code = main(["diff", "--tol", "1e-12", str(path), str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "e_vqse  max 0.000e+00  mean 0.000e+00" in out
+    assert "TOLERANCE EXCEEDED" not in out
+
+
 def test_diff_rejects_mismatched_grids(tmp_path, capsys):
     a = scan_once(tmp_path, "a")
     b = scan_once(tmp_path, "b", points_angstrom=[0.8])

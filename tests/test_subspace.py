@@ -13,6 +13,7 @@ from conftest import (
     adjoint_ops,
     embed_wavefunction,
     h2_case,
+    h4_chain_mol,
     higher_cumulants,
     random_wavefunction,
     sector_determinants,
@@ -216,20 +217,56 @@ def test_vectorized_assembly_matches_elementwise_path():
     assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
 
 
-def test_assembly_matches_full_space_oracle_four_electrons():
-    """A 4-electron reference, where the Wick terms with an odd number of
-    virtual pairs or a rank-3/4 active residue no longer vanish: H4/6-31G
-    sliced to 5 orbitals, 3 active and 2 virtual."""
-    geometry = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
-    ao = compute_ao_integrals(geometry, load_basis("6-31g"))
-    mol = _slice_integrals(transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients), range(5))
+def four_electron_slice():
+    """H4/6-31G at 1.8 bohr sliced to 5 orbitals, 3 active and 2 virtual:
+    (integrals, active ground state, partition)."""
+    mol = _slice_integrals(h4_chain_mol("6-31g"), range(5))
     partition = OrbitalPartition.from_counts(0, 3, 5)
     _, wfn = ground_state(
         build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
     )
+    return mol, wfn, partition
+
+
+def test_assembly_matches_full_space_oracle_four_electrons():
+    """A 4-electron reference, where the Wick terms with an odd number of
+    virtual pairs or a rank-3/4 active residue no longer vanish."""
+    mol, wfn, partition = four_electron_slice()
     rdms = RdmSet.from_wavefunction(wfn)
     pool = build_pool(partition)
     assert len(pool) == 121
+    pair = assemble_subspace(pool, mol, rdms, partition)
+    h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
+    assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
+    assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
+
+
+def test_assembly_of_shuffled_pool_with_duplicate():
+    """Support terms scatter to the right entries when a class's pool rows
+    are not monotone and one operator appears twice: the oracle agrees, and
+    the result is the canonical pool's matrices permuted, bit for bit."""
+    mol, wfn, partition = four_electron_slice()
+    rdms = RdmSet.from_wavefunction(wfn)
+    canonical = build_pool(partition)
+    order = np.random.default_rng(5).permutation(len(canonical))
+    order = np.insert(order, 60, order[7])
+    pool = [canonical[k] for k in order]
+    pair = assemble_subspace(pool, mol, rdms, partition)
+    h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
+    assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
+    assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
+    reference = assemble_subspace(canonical, mol, rdms, partition)
+    assert np.array_equal(pair.h, reference.h[np.ix_(order, order)])
+    assert np.array_equal(pair.s, reference.s[np.ix_(order, order)])
+
+
+def test_assembly_of_single_target_pool():
+    """A pool restricted to one active spin orbital: its one double,
+    a+_mu a_0 a+_nu a_0, has mu != nu, so the support of mu = nu' is empty."""
+    mol, wfn, partition = four_electron_slice()
+    rdms = RdmSet.from_wavefunction(wfn)
+    pool = build_pool(partition, restrict_to=(0,))
+    assert [op.kind for op in pool].count("double") == 1
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
     assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
@@ -258,17 +295,19 @@ def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
     """H4/6-31G at 1.8 bohr, 4 active orbitals: every Wick term reads the
     bare RDMs, so no active-pattern tensor is built, in particular no dense
     8^8 one (134 MB each), and the assembly stays far below the size of
-    one."""
+    one.  The GEVP then lands between E_FCI and E_ref, on the energy and
+    retained dimension the benchmark's h4_chain_631g point reads here."""
     geometry = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
     ao = compute_ao_integrals(geometry, load_basis("6-31g"))
     mol = transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients)
     partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
-    _, wfn = ground_state(
+    e_ref, wfn = ground_state(
         build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
     )
     rdms = RdmSet.from_wavefunction(wfn)
     pool = build_pool(partition)
     assert len(pool) == 769
+    e_fci, _ = ground_state(build_hamiltonian_action(mol), 4, sz=0)
     original = vqse.wick.active_pattern_tensor
     daggers = []
 
@@ -287,6 +326,10 @@ def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
     assert not daggers
     assert peak_mb <= 200
     assert pair.h_asymmetry < 1e-10 and pair.s_asymmetry < 1e-10
+    solution = solve_gevp(pair)
+    assert e_fci - 1e-9 <= solution.ground_energy <= e_ref
+    assert solution.ground_energy == pytest.approx(-2.2256205466912973, abs=1e-10)
+    assert solution.retained_dimension == 391
 
 
 def test_assembly_rejects_core_partition():
