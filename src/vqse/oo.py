@@ -1,15 +1,16 @@
 """Orbital relaxation of active-space solutions over the full orbital set.
 
-The energy is a functional of the active 1-/2-RDMs embedded into the full
-space (doubly occupied core, empty virtuals) and of a one-body orbital
-rotation U = U0 exp(kappa), with kappa antisymmetric over the
-non-redundant (active, core or virtual) spatial pairs.  The relaxation
-takes second-order steps in kappa (Helgaker, Jorgensen & Olsen,
-Molecular Electronic-Structure Theory, ch. 10): the orbital gradient is
-read off the generalized Fock matrix, the Hessian is its symmetrized
-forward difference, and the augmented-Hessian (rational-function) step
-of Sun, Yang & Chan (CPL 683, 291 (2017)), capped in length, goes
-downhill from a saddle as well as from a slope.
+The energy is a functional of the active 1-/2-RDMs embedded over the
+core and active orbitals (doubly occupied core; the empty virtuals carry
+no RDM weight) and of a one-body orbital rotation U = U0 exp(kappa), with
+kappa antisymmetric over the non-redundant (active, core or virtual)
+spatial pairs.  The relaxation takes second-order steps in kappa
+(Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure Theory,
+ch. 10): the orbital gradient is read off the generalized Fock matrix,
+the exact Hessian off its linear response to each rotation generator,
+and the augmented-Hessian (rational-function) step of Sun, Yang & Chan
+(CPL 683, 291 (2017)), capped in length, goes downhill from a saddle as
+well as from a slope.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import scipy.linalg
 from .exceptions import VqseError
 from .integrals import MolecularIntegrals, rotate_integrals
 from .rdm import Rdm, composite_full_rdms, energy_from_rdms
-from .spaces import OrbitalPartition, spatial_to_spin
+from .spaces import OrbitalPartition
 
 UNITARITY_TOL = 1e-8
 MAX_STEP = 0.5  # rad, norm of one step's kappa
-HESSIAN_SHIFT = 1e-5  # rad, forward-difference step of the Hessian
 STEP_TOL = 1e-7  # rad; a shorter step ends the relaxation
 BACKTRACKS = 5  # tries of a step, halved after each, before the relaxation ends
 MAX_STEPS = 50  # iterations of one relaxation
@@ -38,50 +38,22 @@ class RelaxationReport:
     final_energy: float
     sweep_energies: list  # after each accepted step, non-increasing
     n_sweeps: int = 0  # step iterations
-    n_evaluations: int = 0  # energies plus gradients
-
-
-def occupied_support(rdm1: Rdm) -> np.ndarray:
-    """Spatial orbitals with nonzero occupation in the spin-orbital 1-RDM.
-
-    For an N-representable state a zero occupation <a+_p a_p> = |a_p Psi|^2
-    means a_p Psi = 0, so every 1- and 2-RDM element with an index on p
-    vanishes: the RDMs have no weight outside this support.
-    """
-    occupation = np.abs(np.diagonal(rdm1.tensor)).reshape(-1, 2).sum(axis=1)
-    return np.flatnonzero(occupation)
-
-
-def _occupied_blocks(rdm1: Rdm, rdm2: Rdm):
-    """(support, rdm1 block, rdm2 block): the RDMs sliced to the spin
-    orbitals of their ``occupied_support``."""
-    support = occupied_support(rdm1)
-    spin = np.array(spatial_to_spin(support), dtype=int)
-    block1 = Rdm(1, spin.size, rdm1.tensor[np.ix_(spin, spin)])
-    block2 = Rdm(2, spin.size, rdm2.tensor[np.ix_(spin, spin, spin, spin)])
-    return support, block1, block2
+    n_evaluations: int = 0  # energies plus one gradient-and-Hessian per iteration
 
 
 def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> float:
     """Energy of the rotated orbitals with the state held fixed.
 
-    ``u`` is a spatial unitary; the integrals are transformed by U and
-    contracted with the untouched RDMs.
-    Only the occupied columns of U enter: the RDMs are sliced to their
-    support (``occupied_support``) and the integrals are rotated by the
-    column block U[:, support], which costs O(n^4 m) for m occupied
-    orbitals and builds a (2m)^4 spin tensor instead of a (2n)^4 one.
-
-    ``u`` may also be that column block itself, n x m with orthonormal
-    columns, with ``rdm1`` and ``rdm2`` already the blocks over its 2m spin
-    orbitals; the relaxation slices the fixed RDMs once and passes them so.
+    ``u`` is n x m with orthonormal columns, the rotated orbitals that
+    ``rdm1`` and ``rdm2`` span over their 2m spin orbitals; the integrals
+    over those orbitals are contracted with the untouched RDMs.  An n x n
+    unitary goes with full-space RDMs; the relaxation passes the column
+    block U[:, core + active] with ``core_active_rdms``, which costs
+    O(n^4 m) and builds a (2m)^4 spin tensor instead of a (2n)^4 one.
     """
     u = np.asarray(u)
     if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=UNITARITY_TOL):
         raise VqseError("rotation matrix is not unitary")
-    if rdm1.n == 2 * u.shape[0]:
-        support, rdm1, rdm2 = _occupied_blocks(rdm1, rdm2)
-        u = u[:, support]
     c = u.real if np.isrealobj(mol.h1) else u
     return energy_from_rdms(rotate_integrals(mol, c), rdm1, rdm2)
 
@@ -98,20 +70,36 @@ def spin_summed_rdms(block1: Rdm, block2: Rdm):
     return np.einsum("pSqS->pq", d1), np.einsum("rTpSsTqS->pqrs", d2)
 
 
-def orbital_gradient(u, mol: MolecularIntegrals, support, gamma, big_gamma) -> np.ndarray:
-    """g_pq = 2 (F_pq - F_qp) = dE/dkappa_pq of E(U exp(kappa)) at kappa = 0,
-    with kappa_qp = -kappa_pq, from the generalized Fock matrix
-    F_pq = sum_r h_pr gamma_qr + sum_rst (pr|st) Gamma_qrst in the
-    orbitals U.  ``gamma`` and ``big_gamma`` are ``spin_summed_rdms`` over
-    the ``support`` orbitals, so F has nonzero columns only there."""
-    n = mol.n_spatial
+def orbital_gradient_and_hessian(u, mol: MolecularIntegrals, support, gamma, big_gamma, generators):
+    """(g, H): the gradient and the exact Hessian of E(U exp(kappa)) at
+    kappa = 0 in the angles x of kappa = sum_a x_a K_a, for the
+    antisymmetric ``generators`` K_a (``rotation_generators``).
+
+    g_a = 2 sum_pq (K_a)_pq F_pq, from the generalized Fock matrix
+    F_pq = sum_r h_pr gamma_qr + sum_rst (pr|st) Gamma_qrst in the orbitals
+    U.  ``gamma`` and ``big_gamma`` are ``spin_summed_rdms`` over the
+    ``support`` orbitals, so F has nonzero columns only there.  Row b of
+    the response R is the change of g along U exp(t K_b): F's response to
+    dh = K_b^T h + h K_b and to the four one-index terms of d(pr|st).  Its
+    antisymmetric part is the 1/2 [K_b, K_a] term of the gradient, so
+    (R + R^T) / 2 is the Hessian.  Both come from one ``rotate_integrals``.
+    """
+    every = np.arange(mol.n_spatial)
+    ks = generators[:, :, support]
     rotated = rotate_integrals(mol, u)
-    eri = rotated.eri[np.ix_(range(n), support, support, support)]
-    f = np.zeros((n, n))
-    f[:, support] = rotated.h1[:, support] @ gamma.T + np.einsum(
-        "prst,qrst->pq", eri, big_gamma
+    h, eri = rotated.h1, rotated.eri
+    eri_s = eri[np.ix_(every, support, support, support)]
+    f = h[:, support] @ gamma.T + np.einsum("prst,qrst->pq", eri_s, big_gamma)
+    d_eri = (
+        np.einsum("bup,urst->bprst", generators, eri_s)
+        + np.einsum("bur,pust->bprst", ks, eri[np.ix_(every, every, support, support)])
+        + np.einsum("bus,prut->bprst", ks, eri[np.ix_(every, support, every, support)])
+        + np.einsum("but,prsu->bprst", ks, eri[np.ix_(every, support, support, every)])
     )
-    return 2 * (f - f.T)
+    d_h = h @ ks - generators @ h[:, support]
+    d_f = d_h @ gamma.T + np.einsum("bprst,qrst->bpq", d_eri, big_gamma)
+    response = 2 * np.tensordot(d_f, ks, axes=([1, 2], [1, 2]))
+    return 2 * np.tensordot(ks, f, axes=2), (response + response.T) / 2
 
 
 def rotation_pairs(partition: OrbitalPartition):
@@ -119,6 +107,16 @@ def rotation_pairs(partition: OrbitalPartition):
     core-then-virtual partners (inner, ascending)."""
     partners = list(partition.core) + list(partition.virtual)
     return tuple((i, b) for i in partition.active for b in partners)
+
+
+def rotation_generators(partition: OrbitalPartition) -> np.ndarray:
+    """K_a = E_bi - E_ib for each ``rotation_pairs`` pair (i, b), stacked
+    into an (n_pairs, n, n) array."""
+    pairs = rotation_pairs(partition)
+    generators = np.zeros((len(pairs), partition.n_spatial, partition.n_spatial))
+    for k, (i, b) in zip(generators, pairs):
+        k[b, i], k[i, b] = 1.0, -1.0
+    return generators
 
 
 def _rfo_step(g: np.ndarray, hessian: np.ndarray) -> np.ndarray:
@@ -136,49 +134,55 @@ def _rfo_step(g: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     return v * (np.sign(t) or 1.0) / max(abs(t), np.linalg.norm(v) / MAX_STEP)
 
 
+def core_active_rdms(active_rdm1: Rdm, active_rdm2: Rdm, partition: OrbitalPartition):
+    """The active RDMs embedded over the core and active orbitals, in
+    ascending order, with a doubly occupied core (``composite_full_rdms``
+    without the virtuals, which carry no RDM weight): the RDM form
+    ``givens_sweep`` reads."""
+    support = sorted(partition.core + partition.active)
+    local = OrbitalPartition(
+        tuple(map(support.index, partition.core)),
+        tuple(map(support.index, partition.active)),
+        (),
+    )
+    return composite_full_rdms(active_rdm1, active_rdm2, local)
+
+
 def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: OrbitalPartition):
     """Second-order relaxation of the orbitals with the RDMs held fixed.
 
+    ``rdm1`` and ``rdm2`` span the spin orbitals of the core and active
+    orbitals (``core_active_rdms``); the virtuals carry no RDM weight.
     Returns (U, RelaxationReport): the n x n orthogonal U = exp(kappa_1)
-    exp(kappa_2) ... with each kappa over ``rotation_pairs``, and the
+    exp(kappa_2) ... with each kappa over ``rotation_generators``, and the
     ``energy_of_rotation`` at its start and after each accepted step.  An
-    iteration takes the gradient, its forward-difference Hessian (one more
-    gradient per pair) and the ``_rfo_step``.  The step, halved after each
-    of up to BACKTRACKS tries, is accepted on the first strict drop of the
-    energy; the iterations end when the step is shorter than STEP_TOL or
-    no try lowers the energy.  ``n_sweeps`` counts the iterations and
-    ``n_evaluations`` the energies plus the (1 + pairs) gradients of each
-    iteration.
+    iteration takes the gradient and the exact Hessian
+    (``orbital_gradient_and_hessian``) and the ``_rfo_step``.  The step,
+    halved after each of up to BACKTRACKS tries, is accepted on the first
+    strict drop of the energy; the iterations end when the step is shorter
+    than STEP_TOL or no try lowers the energy.  ``n_sweeps`` counts the
+    iterations and ``n_evaluations`` the energies plus the one
+    gradient-and-Hessian of each iteration.
     """
-    pairs = rotation_pairs(partition)
-    active = np.array([i for i, _ in pairs], dtype=int)
-    partner = np.array([b for _, b in pairs], dtype=int)
-    n = mol.n_spatial
-    support, block1, block2 = _occupied_blocks(rdm1, rdm2)
-    gamma, big_gamma = spin_summed_rdms(block1, block2)
+    generators = rotation_generators(partition)
+    support = np.array(sorted(partition.core + partition.active), dtype=int)
+    if rdm1.n != 2 * support.size or rdm2.n != rdm1.n:
+        raise VqseError("the RDMs must span the core and active spin orbitals")
+    gamma, big_gamma = spin_summed_rdms(rdm1, rdm2)
 
     def energy(u):
-        return energy_of_rotation(u[:, support], mol, block1, block2)
-
-    def gradient(u):
-        return orbital_gradient(u, mol, support, gamma, big_gamma)[partner, active]
+        return energy_of_rotation(u[:, support], mol, rdm1, rdm2)
 
     def rotation(x):
-        kappa = np.zeros((n, n))
-        kappa[partner, active] = x
-        kappa[active, partner] = -x
-        return scipy.linalg.expm(kappa)
+        return scipy.linalg.expm(np.tensordot(x, generators, axes=1))
 
-    u = np.eye(n)
+    u = np.eye(mol.n_spatial)
     e0 = e_current = energy(u)
     n_energies = 1
     sweep_energies: list = []
     for n_sweeps in range(1, MAX_STEPS + 1):
-        g = gradient(u)
-        hessian = np.array(
-            [gradient(u @ rotation(HESSIAN_SHIFT * unit)) - g for unit in np.eye(g.size)]
-        ).reshape(g.size, g.size) / HESSIAN_SHIFT
-        step = _rfo_step(g, (hessian + hessian.T) / 2)
+        g, hessian = orbital_gradient_and_hessian(u, mol, support, gamma, big_gamma, generators)
+        step = _rfo_step(g, hessian)
         if np.linalg.norm(step) < STEP_TOL:
             break
         for _ in range(BACKTRACKS):
@@ -197,7 +201,7 @@ def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: Orbit
         final_energy=e_current,
         sweep_energies=sweep_energies,
         n_sweeps=n_sweeps,
-        n_evaluations=n_energies + (1 + len(pairs)) * n_sweeps,
+        n_evaluations=n_energies + n_sweeps,
     )
 
 
@@ -212,9 +216,9 @@ def relax_then_resolve(
     """Alternate active-space exact solves with full-space orbital relaxation.
 
     Each cycle solves the (dressed) active-space ground state on the
-    current orbitals, embeds its RDMs into the full space, and relaxes the
-    orbitals by ``givens_sweep``; ``cycles = 1`` is the single-step
-    post-processing.
+    current orbitals, embeds its RDMs over the core and active orbitals
+    (``core_active_rdms``), and relaxes the orbitals by ``givens_sweep``;
+    ``cycles = 1`` is the single-step post-processing.
     Returns (final MolecularIntegrals, per-cycle active energies, reports).
     """
     from .fci import build_hamiltonian_action, ground_state
@@ -240,10 +244,8 @@ def relax_then_resolve(
             build_hamiltonian_action(active_mol), n_active_electrons, sz
         )
         energies.append(float(e_active))
-        d1 = compute_rdm(wfn, 1)
-        d2 = compute_rdm(wfn, 2)
-        full_d1, full_d2 = composite_full_rdms(d1, d2, partition)
-        u, report = givens_sweep(mol_current, full_d1, full_d2, partition)
+        d1, d2 = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        u, report = givens_sweep(mol_current, d1, d2, partition)
         reports.append(report)
         mol_current = rotate_integrals(mol_current, u)
         if len(energies) >= 2 and energies[-2] - energies[-1] < energy_tol:

@@ -274,6 +274,8 @@ def _gathered_term(
             target = supports[key] = np.divmod(
                 flat, mask.shape[1], out=(flat, np.empty_like(flat))
             )
+        if not target[0].size:  # no operator pair meets the deltas
+            return
     column = {}
     for ch, k in first.items():
         axis, col, spread = columns[k]

@@ -34,10 +34,9 @@ from vqse.fci import (
     ground_state,
 )
 from vqse.integrals import read_fcidump
-from vqse.oo import givens_sweep, relax_then_resolve
+from vqse.oo import core_active_rdms, givens_sweep, relax_then_resolve
 from vqse.rdm import (
     compute_rdm,
-    composite_full_rdms,
     cumulant_4rdm,
     energy_from_rdms,
 )
@@ -327,8 +326,8 @@ def test_sweep_traces_monotone_non_increasing():
         case = h2_case(r, "6-31g")
         d1 = compute_rdm(case["wfn"], 1)
         d2 = compute_rdm(case["wfn"], 2)
-        fd1, fd2 = composite_full_rdms(d1, d2, case["partition"])
-        _, report = givens_sweep(case["mol"], fd1, fd2, case["partition"])
+        cd1, cd2 = core_active_rdms(d1, d2, case["partition"])
+        _, report = givens_sweep(case["mol"], cd1, cd2, case["partition"])
         trace = report.sweep_energies
         assert all(b <= a + TOL_EIG for a, b in zip(trace, trace[1:])), (r, trace)
 

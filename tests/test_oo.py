@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import vqse.oo
 from conftest import (
     RotationParameters,
     SlaterCondon,
@@ -17,12 +18,12 @@ from vqse.exceptions import VqseError
 from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
 from vqse.integrals import dress_core, rotate_integrals
 from vqse.oo import (
-    _occupied_blocks,
+    core_active_rdms,
     energy_of_rotation,
     givens_sweep,
-    occupied_support,
-    orbital_gradient,
+    orbital_gradient_and_hessian,
     relax_then_resolve,
+    rotation_generators,
     rotation_pairs,
     spin_summed_rdms,
 )
@@ -40,6 +41,12 @@ def full_rdms(case):
     return composite_full_rdms(
         compute_rdm(wfn, 1), compute_rdm(wfn, 2), case["partition"]
     )
+
+
+def sweep_rdms(case):
+    """The core+active RDMs ``givens_sweep`` reads."""
+    wfn = case["wfn"]
+    return core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), case["partition"])
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +82,10 @@ def test_rotation_pairs_enumeration():
     partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3, 4))
     pairs = rotation_pairs(partition)
     assert pairs == ((1, 0), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4))
+    generators = rotation_generators(partition)
+    assert generators.shape == (6, 5, 5)
+    for k, (i, b) in zip(generators, pairs):
+        assert k[b, i] == 1.0 and k[i, b] == -1.0 and np.count_nonzero(k) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -132,38 +143,105 @@ def test_rotation_matches_full_space_oracle():
 
 
 def test_occupied_block_matches_full_rotation():
-    """energy_of_rotation rotates only the occupied columns of U.  It equals
-    rotating every integral and contracting with the full RDMs: with a core
-    orbital in the support, with no active electron (core only), and over
-    the ten cc-pVDZ orbitals.  Passing the column block U[:, support] with
-    RDMs sliced beforehand, as the sweeps do, gives the same bits."""
+    """energy_of_rotation over the column block U[:, core + active] with
+    core_active_rdms, as the relaxation calls it, equals rotating every
+    integral and contracting with the full-space RDMs: with a core
+    orbital, with no active electron (core only), and over the ten cc-pVDZ
+    orbitals."""
     rng = np.random.default_rng(65)
     with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     mol_631g = h2_case(R_A, "6-31g")["mol"]
     cc = h2_case(R_A, "cc-pvdz")
     cases = (
-        (mol_631g, with_core, random_wavefunction(4, 2, rng), (0, 1, 2)),
-        (mol_631g, with_core, Wavefunction({0: 1.0}, 4, 0), (0,)),
-        (cc["mol"], cc["partition"], cc["wfn"], (0, 1)),
+        (mol_631g, with_core, random_wavefunction(4, 2, rng)),
+        (mol_631g, with_core, Wavefunction({0: 1.0}, 4, 0)),
+        (cc["mol"], cc["partition"], cc["wfn"]),
     )
-    for mol, partition, wfn, support in cases:
-        d1, d2 = composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
-        assert tuple(occupied_support(d1)) == support
+    for mol, partition, wfn in cases:
+        a1, a2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+        d1, d2 = composite_full_rdms(a1, a2, partition)
         a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
         u = scipy.linalg.expm(a - a.T)
         e_full = energy_from_rdms(rotate_integrals(mol, u), d1, d2)
-        assert energy_of_rotation(u, mol, d1, d2) == pytest.approx(e_full, abs=TOL_ORACLE)
-        # the sweeps' form: the column block with RDMs sliced beforehand
-        spin = spatial_to_spin(support)
-        block1 = Rdm(1, len(spin), d1.tensor[np.ix_(spin, spin)])
-        block2 = Rdm(2, len(spin), d2.tensor[np.ix_(spin, spin, spin, spin)])
-        assert energy_of_rotation(u[:, list(support)], mol, block1, block2) == (
-            energy_of_rotation(u, mol, d1, d2)
-        )
+        support = sorted(partition.core + partition.active)
+        e_block = energy_of_rotation(u[:, support], mol, *core_active_rdms(a1, a2, partition))
+        assert e_block == pytest.approx(e_full, abs=TOL_ORACLE)
+
+
+def test_core_active_rdms_are_the_full_embedding_block():
+    """core_active_rdms is the block of composite_full_rdms over the spin
+    orbitals of the core and active orbitals in ascending order, also when
+    a core orbital lies between active ones; givens_sweep reads only that
+    form."""
+    rng = np.random.default_rng(66)
+    wfn = random_wavefunction(4, 2, rng)
+    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+    for partition in (
+        OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,)),
+        OrbitalPartition(core=(1,), active=(2, 0), virtual=(3, 4)),
+    ):
+        full1, full2 = composite_full_rdms(d1, d2, partition)
+        block1, block2 = core_active_rdms(d1, d2, partition)
+        spin = spatial_to_spin(sorted(partition.core + partition.active))
+        assert np.array_equal(block1.tensor, full1.tensor[np.ix_(spin, spin)])
+        assert np.array_equal(block2.tensor, full2.tensor[np.ix_(spin, spin, spin, spin)])
+    case = h2_case(R_A, "6-31g")
+    with pytest.raises(VqseError):
+        givens_sweep(case["mol"], *full_rdms(case), case["partition"])
+
+
+def test_relaxation_builds_no_full_space_rdm(monkeypatch):
+    """relax_then_resolve composes and contracts RDMs over the core and
+    active spin orbitals only, never over all 2n of them."""
+    case = h2_case(R_A, "cc-pvdz")
+    sizes = []
+    compose, contract = vqse.oo.composite_full_rdms, vqse.oo.energy_from_rdms
+
+    def composed(*args):
+        rdms = compose(*args)
+        sizes.extend(r.n for r in rdms)
+        return rdms
+
+    def contracted(mol, rdm1, rdm2):
+        sizes.extend((rdm1.n, rdm2.n))
+        return contract(mol, rdm1, rdm2)
+
+    monkeypatch.setattr(vqse.oo, "composite_full_rdms", composed)
+    monkeypatch.setattr(vqse.oo, "energy_from_rdms", contracted)
+    relax_then_resolve(case["mol"], case["partition"], 2, cycles=2)
+    assert sizes and set(sizes) == {4}
 
 
 # ---------------------------------------------------------------------------
 # orbital gradient and the second-order step
+
+
+def _derivative_cases(rng):
+    """(mol, partition, wfn): a core orbital with a random active state,
+    3 active orbitals, and the cc-pVDZ orbitals."""
+    with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
+    cases = [(h2_case(R_A, "6-31g")["mol"], with_core, random_wavefunction(4, 2, rng))]
+    for basis, n_active in (("6-31g", 3), ("cc-pvdz", 2)):
+        case = h2_case(R_A, basis, n_active)
+        cases.append((case["mol"], case["partition"], case["wfn"]))
+    return cases
+
+
+def _derivatives_at_random_rotation(mol, partition, wfn, rng):
+    """(energy, generators, g, H) at a random, non-stationary U: energy(K)
+    is energy_of_rotation at U exp(K) with the core+active RDMs."""
+    d1, d2 = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+    a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
+    u = scipy.linalg.expm(a - a.T)
+    generators = rotation_generators(partition)
+    support = sorted(partition.core + partition.active)
+    gamma, big_gamma = spin_summed_rdms(d1, d2)
+    g, hessian = orbital_gradient_and_hessian(u, mol, support, gamma, big_gamma, generators)
+
+    def energy(kappa):
+        return energy_of_rotation((u @ scipy.linalg.expm(kappa))[:, support], mol, d1, d2)
+
+    return energy, generators, g, hessian
 
 
 def test_orbital_gradient_matches_central_differences():
@@ -173,31 +251,37 @@ def test_orbital_gradient_matches_central_differences():
     active state, with 3 active orbitals, and over the cc-pVDZ orbitals."""
     rng = np.random.default_rng(68)
     h = 1e-5
-    cases = []
-    with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
-    cases.append((h2_case(R_A, "6-31g")["mol"], with_core, random_wavefunction(4, 2, rng)))
-    for basis, n_active in (("6-31g", 3), ("cc-pvdz", 2)):
-        case = h2_case(R_A, basis, n_active)
-        cases.append((case["mol"], case["partition"], case["wfn"]))
-    for mol, partition, wfn in cases:
-        d1, d2 = composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
-        n = mol.n_spatial
-        a = rng.normal(size=(n, n))
-        u = scipy.linalg.expm(a - a.T)
-        support, block1, block2 = _occupied_blocks(d1, d2)
-        g = orbital_gradient(u, mol, support, *spin_summed_rdms(block1, block2))
-        for i, b in rotation_pairs(partition):
-            k = np.zeros((n, n))
-            k[b, i], k[i, b] = 1.0, -1.0
-            plus = energy_of_rotation(u @ scipy.linalg.expm(h * k), mol, d1, d2)
-            minus = energy_of_rotation(u @ scipy.linalg.expm(-h * k), mol, d1, d2)
-            assert g[b, i] == pytest.approx((plus - minus) / (2 * h), abs=1e-8), (n, i, b)
+    for mol, partition, wfn in _derivative_cases(rng):
+        energy, generators, g, _ = _derivatives_at_random_rotation(mol, partition, wfn, rng)
+        for a, k in enumerate(generators):
+            central = (energy(h * k) - energy(-h * k)) / (2 * h)
+            assert g[a] == pytest.approx(central, abs=1e-8), (mol.n_spatial, a)
+
+
+def test_orbital_hessian_matches_central_differences():
+    """The symmetrized Fock response at a random U is the Hessian of
+    E(U exp(x_a K_a + x_b K_b)): it equals second central differences of
+    energy_of_rotation along each pair of rotation_pairs generators, in
+    the same three cases as the gradient."""
+    rng = np.random.default_rng(69)
+    h = 1e-4
+    for mol, partition, wfn in _derivative_cases(rng):
+        energy, generators, _, hessian = _derivatives_at_random_rotation(mol, partition, wfn, rng)
+        for a, ka in enumerate(generators):
+            for b, kb in enumerate(generators):
+                second = (
+                    energy(h * (ka + kb))
+                    - energy(h * (ka - kb))
+                    - energy(h * (kb - ka))
+                    + energy(-h * (ka + kb))
+                ) / (4 * h * h)
+                assert hessian[a, b] == pytest.approx(second, abs=1e-6), (mol.n_spatial, a, b)
 
 
 def test_sweep_monotone_and_below_start():
     case = h2_case(R_A, "6-31g")
     d1, d2 = full_rdms(case)
-    u, report = givens_sweep(case["mol"], d1, d2, case["partition"])
+    u, report = givens_sweep(case["mol"], *sweep_rdms(case), case["partition"])
     assert report.final_energy <= report.initial_energy + 1e-12
     trace = [report.initial_energy] + report.sweep_energies
     assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
@@ -209,7 +293,7 @@ def test_sweep_monotone_and_below_start():
 def test_sweep_stationary_at_optimum():
     """Relaxing again in the relaxed orbitals finds no further rotation."""
     case = h2_case(R_A, "6-31g")
-    d1, d2 = full_rdms(case)
+    d1, d2 = sweep_rdms(case)
     u, report = givens_sweep(case["mol"], d1, d2, case["partition"])
     relaxed = rotate_integrals(case["mol"], u)
     u2, report2 = givens_sweep(relaxed, d1, d2, case["partition"])
@@ -235,8 +319,7 @@ def test_relax_cycles_match_manual_single_step():
     case = h2_case(R_A, "6-31g")
     partition = case["partition"]
     _, energies, reports = relax_then_resolve(case["mol"], partition, 2, cycles=1)
-    d1, d2 = full_rdms(case)
-    _, manual = givens_sweep(case["mol"], d1, d2, partition)
+    _, manual = givens_sweep(case["mol"], *sweep_rdms(case), partition)
     assert reports[0].final_energy == pytest.approx(manual.final_energy, abs=TOL_ORACLE)
 
 
@@ -289,8 +372,7 @@ def test_relax_full_active_space_is_idempotent():
     assert not partition.virtual and not partition.core
     _, energies, reports = relax_then_resolve(case["mol"], partition, 2, cycles=3)
     assert reports[0].final_energy == pytest.approx(energies[0], abs=TOL_ORACLE)
-    d1, d2 = full_rdms(case)
-    u, _ = givens_sweep(case["mol"], d1, d2, partition)
+    u, _ = givens_sweep(case["mol"], *sweep_rdms(case), partition)
     assert np.array_equal(u, np.eye(2))
     with pytest.raises(VqseError):
         relax_then_resolve(case["mol"], partition, 2, cycles=0)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vqse.subspace
 import vqse.wick
 from conftest import (
     SlaterCondon,
@@ -289,6 +290,28 @@ def test_ccpvdz_assembly_peak_memory():
         tracemalloc.stop()
     print(f"assembly peak {peak_mb:.1f} MB")
     assert peak_mb <= 64
+
+
+def test_h4_assembly_skips_terms_without_support(monkeypatch):
+    """H4/6-31G at 1.8 bohr, 4 active orbitals: a Wick term whose bra-ket
+    deltas no operator pair meets (in the D x D H block, mu = nu' and
+    nu = mu' under mu < nu, mu' < nu') is dropped before it reads the
+    rank-4 RDM, so no ``_contract_with_rdm`` call gets an empty column."""
+    mol = h4_chain_mol("6-31g")
+    partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
+    _, wfn = ground_state(
+        build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
+    )
+    original = vqse.subspace._contract_with_rdm
+    sizes = []
+
+    def recording(w, w_spec, d, d_spec, column):
+        sizes.extend(np.size(c) for c in column.values())
+        return original(w, w_spec, d, d_spec, column)
+
+    monkeypatch.setattr(vqse.subspace, "_contract_with_rdm", recording)
+    assemble_subspace(build_pool(partition), mol, RdmSet.from_wavefunction(wfn), partition)
+    assert sizes and min(sizes) > 0
 
 
 def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):

@@ -15,7 +15,7 @@ import vqse.oo
 import vqse.subspace
 import vqse.wick
 from conftest import h2_case
-from vqse.rdm import composite_full_rdms, compute_rdm
+from vqse.rdm import compute_rdm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -52,12 +52,12 @@ def test_instrument_wraps_every_layer_and_restores_it():
 def test_sweep_calls_the_traced_oo_layers():
     """Every evaluation of a relaxation goes through the module attributes
     the tracer rebinds.  Each of its ``n_evaluations`` rotates the
-    integrals once; the energies also contract them with the RDMs, and the
-    rest are the 1 + len(pairs) gradients of each of its ``n_sweeps``
-    iterations."""
+    integrals once: one gradient-and-Hessian for each of its ``n_sweeps``
+    iterations, and energies, which also contract the rotated integrals
+    with the RDMs."""
     tracing = load_tracing()
     case = h2_case(0.7414, "6-31g")
-    d1, d2 = composite_full_rdms(
+    d1, d2 = vqse.oo.core_active_rdms(
         compute_rdm(case["wfn"], 1), compute_rdm(case["wfn"], 2), case["partition"]
     )
     tracer = tracing.Tracer()
@@ -67,12 +67,11 @@ def test_sweep_calls_the_traced_oo_layers():
     finally:
         restore()
     names = [span.name for span in tracer.spans]
-    gradients = (1 + len(vqse.oo.rotation_pairs(case["partition"]))) * report.n_sweeps
     assert names.count("oo.sweep") == 1
     assert names.count("oo.rotate_integrals") == report.n_evaluations
     for layer in ("oo.energy_eval", "oo.energy_from_rdms"):
-        assert names.count(layer) == report.n_evaluations - gradients, layer
-    assert report.n_evaluations > gradients
+        assert names.count(layer) == report.n_evaluations - report.n_sweeps, layer
+    assert report.n_evaluations > report.n_sweeps
 
 
 def test_assembly_builds_no_pattern_tensor(monkeypatch):
