@@ -10,7 +10,6 @@ FCIDUMP exchange format or imports one and solves it.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -114,13 +113,19 @@ class CurveRow:
 def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
     """One grid point; returns (CurveRow, report dict)."""
     from .fci import build_hamiltonian_action, ground_state
-    from .integrals import compute_ao_integrals, h2_geometry, load_basis, run_rhf, transform_to_mo
+    from .integrals import (
+        compute_ao_integrals,
+        dress_core,
+        h2_geometry,
+        load_basis,
+        run_rhf,
+        transform_to_mo,
+    )
     from .oo import relax_then_resolve
     from .spaces import OrbitalPartition
     from .subspace import (
         NOISY_EPS,
         VqseOptions,
-        _slice_integrals,
         assemble_subspace,
         build_pool,
         reference_rdms,
@@ -137,7 +142,7 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
     partition = OrbitalPartition.from_counts(0, config.n_active_spatial, mol.n_spatial)
     report["e_scf"] = scf.scf_energy
 
-    active_mol = _slice_integrals(mol, partition.active)
+    active_mol = dress_core(mol, partition)
     e_ref, wfn = ground_state(
         build_hamiltonian_action(active_mol), config.n_electrons, sz=0
     )
@@ -188,29 +193,25 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
 
 
 def run_scan(config: ScanConfig, output_dir, threads: int = 1) -> int:
-    """Execute the scan and write curve.csv + report.json; returns the
-    number of failed points."""
+    """Execute the scan, one point after another, and write curve.csv +
+    report.json; returns the number of failed points.
+
+    ``threads`` must be 1: the benchmark harness still passes it, and its
+    next change drops the parameter.
+    """
+    if threads != 1:
+        raise VqseError(f"the scan runs serially; threads must be 1, not {threads!r}")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    points = config.points_angstrom
-    rows: list = [None] * len(points)
-    reports: list = [None] * len(points)
-
-    def work(k):
-        r = points[k]
+    rows, reports = [], []
+    for r in config.points_angstrom:
         try:
-            return k, *_scan_point(r, config)
+            row, report = _scan_point(r, config)
         except Exception as exc:  # fail-soft: record and continue
             row = CurveRow(r_angstrom=r, status=f"failed: {type(exc).__name__}: {exc}")
-            return k, row, {"r_angstrom": r, "error": row.status}
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, row, rep in pool.map(work, range(len(points))):
-                rows[k], reports[k] = row, rep
-    else:
-        for k in range(len(points)):
-            _, rows[k], reports[k] = work(k)
+            report = {"r_angstrom": r, "error": row.status}
+        rows.append(row)
+        reports.append(report)
 
     header = "# " + ",".join(CSV_COLUMNS) + "  (lengths in angstrom, energies in hartree)"
     lines = [header] + [",".join(row.csv_cells()) for row in rows]
@@ -293,7 +294,7 @@ def _cmd_scan(args) -> int:
         return 2
     if args.seed is not None:
         config.seed = args.seed
-    failures = run_scan(config, args.output, threads=args.threads)
+    failures = run_scan(config, args.output)
     if failures:
         print(f"{failures} point(s) failed; see report.json", file=sys.stderr)
     return 1 if failures else 0
@@ -347,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="run a bond-length scan from a JSON config")
     scan.add_argument("--config", required=True, help="JSON file with ScanConfig keys")
     scan.add_argument("--output", required=True, help="output directory")
-    scan.add_argument("--threads", type=int, default=1)
     scan.add_argument("--seed", type=int, default=None, help="override the config seed")
     scan.set_defaults(func=_cmd_scan)
 

@@ -81,23 +81,6 @@ class Wavefunction:
     n_spin_orbitals: int
     n_electrons: int
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
-
-    def normalized(self) -> "Wavefunction":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return Wavefunction(
-            {d: a / n for d, a in self.amplitudes.items()},
-            self.n_spin_orbitals,
-            self.n_electrons,
-        )
-
-    def overlap(self, other: "Wavefunction") -> complex:
-        small, big = self.amplitudes, other.amplitudes
-        return sum(np.conj(small[d]) * big[d] for d in small.keys() & big.keys())
-
 
 def full_space_expectation(bra: Wavefunction, terms, ket: Wavefunction) -> complex:
     """<bra| sum_t coeff_t string_t |ket> by explicit determinant application."""

@@ -134,22 +134,24 @@ def rotate_integrals(mol: MolecularIntegrals, u: np.ndarray) -> MolecularIntegra
 
 
 def dress_core(mol: MolecularIntegrals, partition: OrbitalPartition) -> MolecularIntegrals:
-    """Fold doubly occupied core orbitals into effective integrals.
+    """The active-space Hamiltonian: doubly occupied core orbitals folded
+    into effective integrals over the active orbitals alone.
 
-    Returns integrals over the remaining (active + virtual) orbitals, in
-    ascending original index order, with the core mean field absorbed into
-    the one-body part and the core energy into ``core_energy_shift``.
+    Returns integrals over ``partition.active``, in ascending original
+    index order, with the core mean field absorbed into the one-body part
+    and the core energy into ``core_energy_shift``; the virtuals are
+    dropped.
     """
     if partition.n_spatial != mol.n_spatial:
         raise ValueError("partition does not match the orbital count")
     core = list(partition.core)
-    keep = sorted(partition.active + partition.virtual)
+    keep = sorted(partition.active)
     h1, eri = mol.h1, mol.eri
     e_core = 2.0 * sum(h1[c, c] for c in core)
     for c in core:
         for cp in core:
             e_core += 2.0 * eri[c, c, cp, cp] - eri[c, cp, cp, c]
-    h_eff = h1[np.ix_(keep, keep)].copy()
+    h_eff = h1[np.ix_(keep, keep)]
     for c in core:
         h_eff += 2.0 * eri[np.ix_(keep, keep, [c], [c])][:, :, 0, 0]
         h_eff -= eri[np.ix_(keep, [c], [c], keep)][:, 0, 0, :]

@@ -8,6 +8,11 @@ from ..exceptions import ConvergenceError
 from .gaussians import AoIntegrals
 from .mo import ScfResult
 
+MAX_ITER = 200
+CONV_TOL = 1e-9  # max |FDS - SDF|
+N_DAMPED = 5  # leading iterations whose density is damped
+DAMPING = 0.5  # weight of the new density in a damped iteration
+
 
 def _fock(hcore, eri, density):
     j = np.einsum("pqrs,rs->pq", eri, density, optimize=True)
@@ -24,17 +29,10 @@ def _fix_column_signs(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def run_rhf(
-    ao: AoIntegrals,
-    n_electrons: int,
-    max_iter: int = 200,
-    conv_tol: float = 1e-9,
-    n_damped: int = 5,
-    damping: float = 0.5,
-) -> ScfResult:
-    """Closed-shell SCF; converges on max |FDS - SDF| < conv_tol.
+def run_rhf(ao: AoIntegrals, n_electrons: int) -> ScfResult:
+    """Closed-shell SCF; converges on max |FDS - SDF| < CONV_TOL.
 
-    The density is damped for the first ``n_damped`` iterations, which is
+    The density is damped for the first N_DAMPED iterations, which is
     enough to stabilize the desk-scale systems this package targets.
     """
     if n_electrons % 2 != 0:
@@ -57,19 +55,17 @@ def run_rhf(
     e_orb, c = diagonalize(h)
     density = c[:, :n_occ] @ c[:, :n_occ].T
     energy = np.nan
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         f = _fock(h, ao.eri, density)
         energy = float(np.einsum("pq,pq->", density, h + f)) + ao.e_nuc
         err = f @ density @ s - s @ density @ f
-        if np.max(np.abs(err)) < conv_tol:
+        if np.max(np.abs(err)) < CONV_TOL:
             e_orb, c = diagonalize(f)
             return ScfResult(c, e_orb, energy, converged=True, n_iterations=it)
         e_orb, c = diagonalize(f)
         new_density = c[:, :n_occ] @ c[:, :n_occ].T
-        if it <= n_damped:
-            density = damping * new_density + (1.0 - damping) * density
+        if it <= N_DAMPED:
+            density = DAMPING * new_density + (1.0 - DAMPING) * density
         else:
             density = new_density
-    raise ConvergenceError(
-        f"SCF did not converge in {max_iter} iterations", last_energy=energy
-    )
+    raise ConvergenceError(f"SCF did not converge in {MAX_ITER} iterations", last_energy=energy)

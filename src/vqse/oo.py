@@ -30,6 +30,8 @@ MAX_STEP = 0.5  # rad, norm of one step's kappa
 STEP_TOL = 1e-7  # rad; a shorter step ends the relaxation
 BACKTRACKS = 5  # tries of a step, halved after each, before the relaxation ends
 MAX_STEPS = 50  # iterations of one relaxation
+SZ = 0  # 2 * S_z of the active-space state
+CYCLE_TOL = 1e-12  # Ha; a smaller drop of the active energy ends the cycles
 
 
 @dataclass
@@ -54,8 +56,7 @@ def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> floa
     u = np.asarray(u)
     if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=UNITARITY_TOL):
         raise VqseError("rotation matrix is not unitary")
-    c = u.real if np.isrealobj(mol.h1) else u
-    return energy_from_rdms(rotate_integrals(mol, c), rdm1, rdm2)
+    return energy_from_rdms(rotate_integrals(mol, u), rdm1, rdm2)
 
 
 def spin_summed_rdms(block1: Rdm, block2: Rdm):
@@ -206,25 +207,21 @@ def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: Orbit
 
 
 def relax_then_resolve(
-    mol: MolecularIntegrals,
-    partition: OrbitalPartition,
-    n_electrons: int,
-    cycles: int = 1,
-    sz: int = 0,
-    energy_tol: float = 1e-12,
+    mol: MolecularIntegrals, partition: OrbitalPartition, n_electrons: int, cycles: int = 1
 ):
     """Alternate active-space exact solves with full-space orbital relaxation.
 
-    Each cycle solves the (dressed) active-space ground state on the
-    current orbitals, embeds its RDMs over the core and active orbitals
-    (``core_active_rdms``), and relaxes the orbitals by ``givens_sweep``;
-    ``cycles = 1`` is the single-step post-processing.
-    Returns (final MolecularIntegrals, per-cycle active energies, reports).
+    Each cycle solves the active-space ground state (``dress_core``, at
+    2 S_z = SZ) on the current orbitals, embeds its RDMs over the core and
+    active orbitals (``core_active_rdms``), and relaxes the orbitals by
+    ``givens_sweep``; ``cycles = 1`` is the single-step post-processing.
+    The cycles end early once the active energy drops by less than
+    CYCLE_TOL.  Returns (final MolecularIntegrals, per-cycle active
+    energies, reports).
     """
     from .fci import build_hamiltonian_action, ground_state
     from .integrals import dress_core
     from .rdm import compute_rdm
-    from .subspace import _slice_integrals
 
     if cycles < 1:
         raise VqseError("at least one cycle is required")
@@ -232,22 +229,16 @@ def relax_then_resolve(
     energies = []
     reports = []
     n_active_electrons = n_electrons - 2 * len(partition.core)
-    dressed_partition = OrbitalPartition(
-        (),
-        tuple(range(len(partition.active))),
-        tuple(range(len(partition.active), len(partition.active) + len(partition.virtual))),
-    )
     for _ in range(cycles):
-        dressed = dress_core(mol_current, partition)
-        active_mol = _slice_integrals(dressed, dressed_partition.active)
+        active_mol = dress_core(mol_current, partition)
         e_active, wfn = ground_state(
-            build_hamiltonian_action(active_mol), n_active_electrons, sz
+            build_hamiltonian_action(active_mol), n_active_electrons, SZ
         )
         energies.append(float(e_active))
         d1, d2 = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
         u, report = givens_sweep(mol_current, d1, d2, partition)
         reports.append(report)
         mol_current = rotate_integrals(mol_current, u)
-        if len(energies) >= 2 and energies[-2] - energies[-1] < energy_tol:
+        if len(energies) >= 2 and energies[-2] - energies[-1] < CYCLE_TOL:
             break
     return mol_current, energies, reports

@@ -95,16 +95,6 @@ class Rdm:
         if self.tensor.shape != (self.n,) * (2 * self.k):
             raise ValueError("RDM tensor shape mismatch")
 
-    def trace(self) -> complex:
-        k, n = self.k, self.n
-        t = self.tensor.reshape(n**k, n**k)
-        return complex(np.trace(t))
-
-    def hermitized(self) -> "Rdm":
-        k = self.k
-        dag = np.conj(self.tensor.transpose(tuple(range(k, 2 * k)) + tuple(range(k))))
-        return Rdm(self.k, self.n, 0.5 * (self.tensor + dag))
-
 
 def _annihilation_amplitudes(wfn: Wavefunction, k: int) -> np.ndarray:
     """Matrix B, one row per reduced determinant r and one column per
@@ -244,10 +234,10 @@ def energy_from_rdms(mol, rdm1: Rdm, rdm2: Rdm) -> float:
     return float(np.real(e)) + mol.constant
 
 
-def antisymmetry_project(t: np.ndarray) -> np.ndarray:
-    """Project onto tensors antisymmetric in upper and lower index groups:
-    the signed average over all k!^2 index permutations, read at the
-    packed tuples."""
+def _antisymmetric_packed(t: np.ndarray) -> np.ndarray:
+    """Packed (C, C) entries of the projection of ``t`` onto tensors
+    antisymmetric in upper and lower index groups: the signed average over
+    all k!^2 index permutations, read at the packed tuples."""
     k = t.ndim // 2
     n = t.shape[0]
     cols = _tuples(n, k).T
@@ -258,15 +248,22 @@ def antisymmetry_project(t: np.ndarray) -> np.ndarray:
         for pl in permutations(range(k)):
             sl = _perm_sign(pl)
             out += su * sl * _gather(t, upper, [cols[pl.index(i)] for i in range(k)])
-    return _unpack(out / (math.factorial(k) ** 2), n, k)
+    return out / (math.factorial(k) ** 2)
 
 
 def inject_shot_noise(rdm: Rdm, n_shots: float, seed: int) -> Rdm:
     """Gaussian measurement-noise model: std 1/sqrt(n_shots) per element,
-    followed by re-symmetrization (antisymmetry + Hermiticity)."""
+    followed by re-symmetrization (antisymmetry + Hermiticity).
+
+    The noise is drawn over every dense entry, which fixes the seeded
+    stream, then projected onto the packed tuples and added to the RDM's
+    packed entries; the packed matrix P is Hermitized as (P + P+) / 2 and
+    unpacked once.
+    """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
     rng = np.random.default_rng(seed)
     noise = rng.normal(scale=n_shots**-0.5, size=rdm.tensor.shape)
-    noisy = Rdm(rdm.k, rdm.n, rdm.tensor + antisymmetry_project(noise))
-    return noisy.hermitized()
+    cols = list(_tuples(rdm.n, rdm.k).T)
+    packed = _gather(rdm.tensor, cols, cols) + _antisymmetric_packed(noise)
+    return Rdm(rdm.k, rdm.n, _unpack((packed + packed.conj().T) / 2, rdm.n, rdm.k))

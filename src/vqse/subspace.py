@@ -430,8 +430,8 @@ def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
     """X = V_r L_r^(-1/2) over metric eigenpairs with lambda > eps * lambda_max.
 
     Returns (X, discarded eigenvalues ascending); X+ S X = identity.
+    ``s`` must be exactly Hermitian, as ``assemble_subspace`` leaves it.
     """
-    s = 0.5 * (s + s.conj().T)
     evals, evecs = np.linalg.eigh(s)
     lam_max = float(evals[-1])
     if lam_max <= 0.0:
@@ -476,17 +476,6 @@ class VqseOptions:
     compute_full_fci: bool = True
     shots: float | None = None  # Gaussian shot-noise model on the 1-/2-RDMs
     seed: int = 0
-
-
-def _slice_integrals(mol: MolecularIntegrals, spatial) -> MolecularIntegrals:
-    spatial = list(spatial)
-    return MolecularIntegrals(
-        n_spatial=len(spatial),
-        e_nuc=mol.e_nuc,
-        h1=mol.h1[np.ix_(spatial, spatial)],
-        eri=mol.eri[np.ix_(spatial, spatial, spatial, spatial)],
-        core_energy_shift=mol.core_energy_shift,
-    )
 
 
 def reference_rdms(wfn, options: VqseOptions) -> RdmSet:

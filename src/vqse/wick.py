@@ -163,8 +163,5 @@ def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
                 + "".join(letters[s] for s in anns)
             )
         out_spec = "".join(letters[s] for s in range(L))
-        if not operands:  # fully contracted scalar; only possible when L == 0
-            out += sign
-            continue
         out += sign * np.einsum(",".join(specs) + "->" + out_spec, *operands)
     return out

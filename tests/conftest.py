@@ -18,15 +18,16 @@ from vqse.integrals import (
     Geometry,
     MolecularIntegrals,
     compute_ao_integrals,
+    dress_core,
     h2_geometry,
     load_basis,
     run_rhf,
     transform_to_mo,
 )
 from vqse.integrals.gaussians import build_ao_basis
-from vqse.rdm import delta2, wedge
+from vqse.rdm import Rdm, _antisymmetric_packed, _unpack, delta2, wedge
 from vqse.spaces import OrbitalPartition
-from vqse.subspace import ExpansionOperator, _slice_integrals
+from vqse.subspace import ExpansionOperator
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -46,7 +47,7 @@ def _h2_case(r_angstrom: float, basis: str, n_active_spatial: int):
     scf = run_rhf(ao, 2)
     mol = transform_to_mo(ao, scf.mo_coefficients)
     partition = OrbitalPartition.from_counts(0, n_active_spatial, mol.n_spatial)
-    active_mol = _slice_integrals(mol, partition.active)
+    active_mol = dress_core(mol, partition)
     e_ref, wfn = ground_state(build_hamiltonian_action(active_mol), 2, sz=0)
     return {
         "r_bohr": r_bohr,
@@ -115,6 +116,44 @@ def casscf_2_2(r_angstrom: float, basis: str) -> float:
 
 # ---------------------------------------------------------------------------
 # test-only views of package objects
+
+
+def wavefunction_norm(wfn: Wavefunction) -> float:
+    return float(np.sqrt(sum(abs(a) ** 2 for a in wfn.amplitudes.values())))
+
+
+def normalized(wfn: Wavefunction) -> Wavefunction:
+    n = wavefunction_norm(wfn)
+    if n == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return Wavefunction(
+        {d: a / n for d, a in wfn.amplitudes.items()}, wfn.n_spin_orbitals, wfn.n_electrons
+    )
+
+
+def overlap(bra: Wavefunction, ket: Wavefunction) -> complex:
+    """<bra|ket> over the determinants both carry."""
+    small, big = bra.amplitudes, ket.amplitudes
+    return sum(np.conj(small[d]) * big[d] for d in small.keys() & big.keys())
+
+
+def rdm_trace(rdm: Rdm) -> complex:
+    """Trace of the RDM as an (n^k, n^k) matrix, N! / (N - k)!."""
+    size = rdm.n**rdm.k
+    return complex(np.trace(rdm.tensor.reshape(size, size)))
+
+
+def antisymmetry_project(t: np.ndarray) -> np.ndarray:
+    """Projection onto tensors antisymmetric in upper and lower index
+    groups, through the package's packed projection."""
+    return _unpack(_antisymmetric_packed(t), t.shape[0], t.ndim // 2)
+
+
+def hermitized(rdm: Rdm) -> Rdm:
+    """(D + D+) / 2 with D+ the conjugate swap of the upper and lower groups."""
+    k = rdm.k
+    dag = np.conj(rdm.tensor.transpose(tuple(range(k, 2 * k)) + tuple(range(k))))
+    return Rdm(k, rdm.n, 0.5 * (rdm.tensor + dag))
 
 
 def translated(geometry: Geometry, shift) -> Geometry:
@@ -507,7 +546,7 @@ def random_wavefunction(n_spin_orbitals, n_electrons, rng, sz=None, complex_amps
     amps = rng.normal(size=len(dets))
     if complex_amps:
         amps = amps + 1j * rng.normal(size=len(dets))
-    return Wavefunction(dict(zip(dets, amps)), n_spin_orbitals, n_electrons).normalized()
+    return normalized(Wavefunction(dict(zip(dets, amps)), n_spin_orbitals, n_electrons))
 
 
 def wick_expectation(ops, rdms, partition: OrbitalPartition) -> complex:

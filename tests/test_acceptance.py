@@ -24,6 +24,7 @@ from conftest import (
     h2_case,
     h2_fci,
     random_wavefunction,
+    rdm_trace,
     wick_expectation,
 )
 from vqse.cli import ScanConfig, _scan_point
@@ -33,7 +34,7 @@ from vqse.fci import (
     full_space_expectation,
     ground_state,
 )
-from vqse.integrals import read_fcidump
+from vqse.integrals import dress_core, read_fcidump
 from vqse.oo import core_active_rdms, givens_sweep, relax_then_resolve
 from vqse.rdm import (
     compute_rdm,
@@ -44,7 +45,6 @@ from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     DEFAULT_EPS,
     VqseOptions,
-    _slice_integrals,
     assemble_subspace,
     build_pool,
     canonical_orthogonalize,
@@ -93,9 +93,10 @@ def expansion_on_virtual_prefix(r_angstrom: float, basis: str, n_virtual: int) -
     shorter prefix's pool is a sub-pool of a longer one's."""
     case = h2_case(r_angstrom, basis)
     partition = OrbitalPartition((), (0, 1), range(2, 2 + n_virtual))
+    prefix = OrbitalPartition.from_counts(0, 2 + n_virtual, case["mol"].n_spatial)
     pair = assemble_subspace(
         build_pool(partition),
-        _slice_integrals(case["mol"], range(2 + n_virtual)),
+        dress_core(case["mol"], prefix),
         reference_rdms(case["wfn"], VqseOptions()),
         partition,
     )
@@ -381,11 +382,11 @@ def test_rdm_trace_identities():
     rng = np.random.default_rng(12)
     wfn = random_wavefunction(8, 4, rng, sz=0, complex_amps=True)
     for k, expected in ((1, 4.0), (2, 12.0), (3, 24.0), (4, 24.0)):
-        assert compute_rdm(wfn, k).trace() == pytest.approx(expected, abs=TOL_TRACE)
+        assert rdm_trace(compute_rdm(wfn, k)) == pytest.approx(expected, abs=TOL_TRACE)
     case = h2_case(0.7414, "6-31g")
     _, ground = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
-    assert compute_rdm(ground, 1).trace() == pytest.approx(2.0, abs=TOL_TRACE)
-    assert compute_rdm(ground, 2).trace() == pytest.approx(2.0, abs=TOL_TRACE)
+    assert rdm_trace(compute_rdm(ground, 1)) == pytest.approx(2.0, abs=TOL_TRACE)
+    assert rdm_trace(compute_rdm(ground, 2)) == pytest.approx(2.0, abs=TOL_TRACE)
 
 
 # ---------------------------------------------------------------------------

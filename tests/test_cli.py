@@ -121,13 +121,17 @@ def test_scan_deterministic_replay(tmp_path):
     assert csv_a == csv_b
 
 
-def test_scan_threads_reproduce_serial_output(tmp_path):
-    config = ScanConfig(**{**FAST_SCAN, "points_angstrom": [0.7, 0.9]})
-    run_scan(config, tmp_path / "serial", threads=1)
-    run_scan(config, tmp_path / "parallel", threads=2)
-    assert (tmp_path / "serial" / "curve.csv").read_bytes() == (
-        tmp_path / "parallel" / "curve.csv"
-    ).read_bytes()
+def test_scan_is_serial_only(tmp_path, capsys):
+    """The scan has no thread pool: the CLI has no ``--threads`` flag, and
+    ``run_scan`` takes ``threads`` = 1 only."""
+    args = ["scan", "--config", str(write_config(tmp_path)), "--output", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    with pytest.raises(VqseError):
+        run_scan(ScanConfig(**FAST_SCAN), tmp_path / "direct", threads=2)
+    assert not (tmp_path / "direct").exists()
 
 
 def test_iterated_relaxation_reports_sweeps_and_evaluations(tmp_path):

@@ -355,13 +355,18 @@ def test_transform_rejects_singular_coefficients():
 
 
 def test_dress_core_empty_core_is_passthrough():
+    """Without a core, the active-space Hamiltonian is the active block of
+    the integrals, bit for bit; the virtuals are dropped."""
     mol = h2_case(R_REF * ANGSTROM_PER_BOHR, "6-31g")["mol"]
     partition = OrbitalPartition.from_counts(0, 2, mol.n_spatial)
     dressed = dress_core(mol, partition)
-    assert dressed.n_spatial == mol.n_spatial
-    assert np.allclose(dressed.h1, mol.h1, atol=TOL_EXACT)
-    assert np.allclose(dressed.eri, mol.eri, atol=TOL_EXACT)
-    assert dressed.constant == pytest.approx(mol.e_nuc, abs=TOL_EXACT)
+    assert dressed.n_spatial == 2
+    assert np.array_equal(dressed.h1, mol.h1[:2, :2])
+    assert np.array_equal(dressed.eri, mol.eri[:2, :2, :2, :2])
+    assert dressed.constant == mol.e_nuc
+    whole = dress_core(mol, OrbitalPartition.from_counts(0, mol.n_spatial, mol.n_spatial))
+    assert np.array_equal(whole.h1, mol.h1)
+    assert np.array_equal(whole.eri, mol.eri)
 
 
 def test_dress_core_all_core_gives_determinant_energy():
@@ -377,19 +382,22 @@ def test_dress_core_all_core_gives_determinant_energy():
 
 
 def test_dress_core_expectation_identity_random_instance():
-    """<core (x) Psi_A|H|core (x) Psi_A> equals the dressed active-space
-    expectation, on random symmetric integrals over 3 spatial orbitals."""
+    """<core (x) Psi_A (x) vac|H|core (x) Psi_A (x) vac> equals the dressed
+    active-space expectation, on random symmetric integrals over 4 spatial
+    orbitals: one core, two active and one empty virtual."""
     rng = np.random.default_rng(17)
-    mol = random_symmetric_integrals(3, rng, e_nuc=0.31)
-    partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=())
+    mol = random_symmetric_integrals(4, rng, e_nuc=0.31)
+    partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     dressed = dress_core(mol, partition)
+    assert dressed.n_spatial == 2
     for n_active_electrons in (1, 2, 3):
         wfn = random_wavefunction(4, n_active_electrons, rng)
-        # embed over the core: active spin orbitals are 2..5, core 0..1
+        # embed over the core: active spin orbitals are 2..5, core 0..1,
+        # virtual 6..7 empty
         lifted = {}
         for det, amp in wfn.amplitudes.items():
             lifted[(det << 2) | 0b11] = amp
-        full = Wavefunction(lifted, 6, n_active_electrons + 2)
+        full = Wavefunction(lifted, 8, n_active_electrons + 2)
         e_full = full_space_expectation(
             full, SlaterCondon(mol).hamiltonian_terms(), full
         )

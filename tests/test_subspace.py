@@ -31,6 +31,7 @@ from vqse.fci import (
 from vqse.integrals import (
     Geometry,
     compute_ao_integrals,
+    dress_core,
     load_basis,
     run_rhf,
     transform_to_mo,
@@ -40,7 +41,6 @@ from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     ExpansionOperator,
     SubspacePair,
-    _slice_integrals,
     assemble_subspace,
     build_pool,
     canonical_orthogonalize,
@@ -221,11 +221,10 @@ def test_vectorized_assembly_matches_elementwise_path():
 def four_electron_slice():
     """H4/6-31G at 1.8 bohr sliced to 5 orbitals, 3 active and 2 virtual:
     (integrals, active ground state, partition)."""
-    mol = _slice_integrals(h4_chain_mol("6-31g"), range(5))
+    h4 = h4_chain_mol("6-31g")
+    mol = dress_core(h4, OrbitalPartition.from_counts(0, 5, h4.n_spatial))
     partition = OrbitalPartition.from_counts(0, 3, 5)
-    _, wfn = ground_state(
-        build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
-    )
+    _, wfn = ground_state(build_hamiltonian_action(dress_core(mol, partition)), 4, sz=0)
     return mol, wfn, partition
 
 
@@ -299,9 +298,7 @@ def test_h4_assembly_skips_terms_without_support(monkeypatch):
     rank-4 RDM, so no ``_contract_with_rdm`` call gets an empty column."""
     mol = h4_chain_mol("6-31g")
     partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
-    _, wfn = ground_state(
-        build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
-    )
+    _, wfn = ground_state(build_hamiltonian_action(dress_core(mol, partition)), 4, sz=0)
     original = vqse.subspace._contract_with_rdm
     sizes = []
 
@@ -324,9 +321,7 @@ def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
     ao = compute_ao_integrals(geometry, load_basis("6-31g"))
     mol = transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients)
     partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
-    e_ref, wfn = ground_state(
-        build_hamiltonian_action(_slice_integrals(mol, partition.active)), 4, sz=0
-    )
+    e_ref, wfn = ground_state(build_hamiltonian_action(dress_core(mol, partition)), 4, sz=0)
     rdms = RdmSet.from_wavefunction(wfn)
     pool = build_pool(partition)
     assert len(pool) == 769
