@@ -72,6 +72,10 @@ class ScanConfig:
             )
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise VqseError(f"eps must be a positive finite threshold, not {self.eps!r}")
+        if self.shots is not None and not (math.isfinite(self.shots) and self.shots > 0):
+            raise VqseError(f"shots must be omitted or a positive finite count, not {self.shots!r}")
+        if type(self.oo_cycles) is not int or self.oo_cycles < 1:
+            raise VqseError(f"oo_cycles must be an integer of at least 1, not {self.oo_cycles!r}")
 
     @classmethod
     def from_file(cls, path) -> "ScanConfig":
@@ -230,12 +234,31 @@ def run_scan(config: ScanConfig, output_dir, threads: int = 1) -> int:
 
 
 def read_curve(path) -> tuple:
-    """Parse a scan CSV back into (column names, list of cell lists)."""
+    """Parse a scan CSV back into (column names, list of cell lists).
+
+    Every row has one cell per column, and every cell but the last
+    (status) is a number or ``nan``."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise VqseError(f"{path}: missing '#' header line")
     names = lines[0].lstrip("# ").split("  ")[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise VqseError(
+                f"{path}: line {number} has {len(cells)} cells, not {len(names)}"
+            )
+        for name, cell in zip(names[:-1], cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise VqseError(
+                    f"{path}: line {number}: {name} {cell!r} is not a number"
+                ) from None
+        rows.append(cells)
     return names, rows
 
 

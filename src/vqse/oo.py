@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import VqseError
 from .integrals import MolecularIntegrals, rotate_integrals
@@ -120,6 +119,16 @@ def rotation_generators(partition: OrbitalPartition) -> np.ndarray:
     return generators
 
 
+def exp_antisymmetric(kappa: np.ndarray) -> np.ndarray:
+    """exp(kappa) for a real antisymmetric kappa, the real orthogonal
+    V diag(exp(i w)) V^+ from the eigenpairs (w, V) of the Hermitian
+    -i kappa.  It keeps the relaxation loop on numpy's BLAS: scipy's expm
+    runs on scipy's own OpenBLAS, and each switch between the two leaves
+    the other library's worker thread spinning on a core."""
+    w, v = np.linalg.eigh(-1j * kappa)
+    return ((v * np.exp(1j * w)) @ v.conj().T).real
+
+
 def _rfo_step(g: np.ndarray, hessian: np.ndarray) -> np.ndarray:
     """Rational-function step: (v, t), the lowest eigenvector of the
     augmented Hessian [[H, g], [g, 0]], gives v / t = -(H - lambda)^-1 g
@@ -174,9 +183,6 @@ def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: Orbit
     def energy(u):
         return energy_of_rotation(u[:, support], mol, rdm1, rdm2)
 
-    def rotation(x):
-        return scipy.linalg.expm(np.tensordot(x, generators, axes=1))
-
     u = np.eye(mol.n_spatial)
     e0 = e_current = energy(u)
     n_energies = 1
@@ -187,7 +193,7 @@ def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: Orbit
         if np.linalg.norm(step) < STEP_TOL:
             break
         for _ in range(BACKTRACKS):
-            trial = u @ rotation(step)
+            trial = u @ exp_antisymmetric(np.tensordot(step, generators, axes=1))
             e_trial = energy(trial)
             n_energies += 1
             if e_trial < e_current:

@@ -67,6 +67,17 @@ def test_config_validation():
     for eps in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(VqseError, match="eps"):
             ScanConfig(eps=eps)
+    # shots 0 gave exact RDMs under the noisy eps floor; negative shots and
+    # oo_cycles 0 failed every row at run time
+    for shots in (0, -1e4, math.nan, math.inf):
+        with pytest.raises(VqseError, match="shots"):
+            ScanConfig(shots=shots)
+    for shots in (None, 1e4, 100):
+        assert ScanConfig(shots=shots).shots == shots
+    for cycles in (0, -1, 2.5):
+        with pytest.raises(VqseError, match="oo_cycles"):
+            ScanConfig(oo_cycles=cycles)
+    assert ScanConfig(oo_cycles=1).oo_cycles == 1
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -250,6 +261,18 @@ def test_diff_rejects_mismatched_grids(tmp_path, capsys):
     # a missing file is a usage error too, not a traceback
     assert main(["diff", "--tol", "1e-6", str(a), str(tmp_path / "missing.csv")]) == 2
     assert "usage error" in capsys.readouterr().err
+    # a non-numeric cell or a short row used to end in a traceback with
+    # exit 1, the code for "tolerance exceeded"
+    header = a.read_text().splitlines()[0]
+    for name, row, message in (
+        ("text.csv", "0.500000,abc,nan,nan,nan,nan,nan,ok", "line 2: e_ref 'abc'"),
+        ("short.csv", "0.500000,abc,nan,nan", "line 2 has 4 cells, not 8"),
+    ):
+        bad = tmp_path / name
+        bad.write_text(f"{header}\n{row}\n")
+        assert main(["diff", "--tol", "1e-6", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and name in err and message in err
 
 
 def test_read_curve_requires_header(tmp_path):

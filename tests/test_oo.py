@@ -20,6 +20,7 @@ from vqse.integrals import dress_core, rotate_integrals
 from vqse.oo import (
     core_active_rdms,
     energy_of_rotation,
+    exp_antisymmetric,
     givens_sweep,
     orbital_gradient_and_hessian,
     relax_then_resolve,
@@ -85,6 +86,26 @@ def test_rotation_pairs_enumeration():
     assert generators.shape == (6, 5, 5)
     for k, (i, b) in zip(generators, pairs):
         assert k[b, i] == 1.0 and k[i, b] == -1.0 and np.count_nonzero(k) == 2
+
+
+def test_exp_antisymmetric_matches_expm():
+    """The relaxation's numpy exponential equals scipy's expm and is
+    orthogonal to 1e-13, on random steps of length up to MAX_STEP over the
+    rotation generators of a partition with a core orbital and of 2-4
+    active orbitals among ten."""
+    rng = np.random.default_rng(70)
+    partitions = [OrbitalPartition(core=(0,), active=(1, 2), virtual=(3, 4))]
+    partitions += [OrbitalPartition.from_counts(0, m, 10) for m in (2, 3, 4)]
+    for partition in partitions:
+        generators = rotation_generators(partition)
+        for _ in range(50):
+            x = rng.normal(size=len(generators))
+            x *= rng.uniform(0, vqse.oo.MAX_STEP) / np.linalg.norm(x)
+            kappa = np.tensordot(x, generators, axes=1)
+            u = exp_antisymmetric(kappa)
+            assert u.dtype == np.float64
+            assert np.max(np.abs(u - scipy.linalg.expm(kappa))) < 1e-13
+            assert np.max(np.abs(u.T @ u - np.eye(partition.n_spatial))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
