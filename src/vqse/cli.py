@@ -76,6 +76,16 @@ class ScanConfig:
             raise VqseError(f"shots must be omitted or a positive finite count, not {self.shots!r}")
         if type(self.oo_cycles) is not int or self.oo_cycles < 1:
             raise VqseError(f"oo_cycles must be an integer of at least 1, not {self.oo_cycles!r}")
+        if type(self.n_active_spatial) is not int or self.n_active_spatial < 1:
+            raise VqseError(
+                f"n_active_spatial must be an integer of at least 1, not {self.n_active_spatial!r}"
+            )
+        n = self.n_electrons
+        if type(n) is not int or n < 2 or n % 2 or n > 2 * self.n_active_spatial:
+            raise VqseError(
+                f"n_electrons must be a positive even integer of at most 2 * n_active_spatial "
+                f"= {2 * self.n_active_spatial}, not {n!r}"
+            )
 
     @classmethod
     def from_file(cls, path) -> "ScanConfig":

@@ -3,8 +3,7 @@
 Determinants are integer bitmasks (bit i set means spin orbital i is
 occupied) with the reference ordering |det> = a+_{i1} a+_{i2} ... |0>,
 i1 < i2 < ...; spatial orbital p holds spin orbitals 2p (alpha) and 2p+1
-(beta).  This module also provides the brute-force full-Fock-space
-expectation used as the oracle by the RDM and Wick modules.
+(beta).
 
 The solver factors each (n_alpha, n_beta) block into alpha and beta
 strings (Knowles & Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185
@@ -56,23 +55,6 @@ def apply_ladder(det: int, index: int, dagger: bool) -> tuple[int, int]:
     return _parity_below(det, index), det & ~bit
 
 
-def apply_ladder_string(string, det: int, n_spin_orbitals: int | None = None):
-    """Apply a product of ladder operators (leftmost acts last).
-
-    ``string`` is a sequence of (spin-orbital index, dagger flag). Returns
-    (sign in {-1, 0, +1}, determinant).
-    """
-    sign = 1
-    for index, dagger in reversed(list(string)):
-        if n_spin_orbitals is not None and not 0 <= index < n_spin_orbitals:
-            raise ValueError(f"spin-orbital index {index} out of range")
-        s, det = apply_ladder(det, index, dagger)
-        if s == 0:
-            return 0, det
-        sign *= s
-    return sign, det
-
-
 @dataclass
 class Wavefunction:
     """Sparse determinant -> amplitude map over a fixed particle sector."""
@@ -80,19 +62,6 @@ class Wavefunction:
     amplitudes: dict
     n_spin_orbitals: int
     n_electrons: int
-
-
-def full_space_expectation(bra: Wavefunction, terms, ket: Wavefunction) -> complex:
-    """<bra| sum_t coeff_t string_t |ket> by explicit determinant application."""
-    if bra.n_spin_orbitals != ket.n_spin_orbitals:
-        raise ValueError("bra and ket live in different Fock spaces")
-    total = 0.0 + 0.0j
-    for coeff, string in terms:
-        for det, amp in ket.amplitudes.items():
-            sign, new = apply_ladder_string(string, det, ket.n_spin_orbitals)
-            if sign and new in bra.amplitudes:
-                total += coeff * sign * np.conj(bra.amplitudes[new]) * amp
-    return complex(total)
 
 
 @dataclass(frozen=True)

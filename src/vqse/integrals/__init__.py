@@ -2,7 +2,7 @@
 
 from .basis import Atom, BasisSet, Geometry, Shell, h2_geometry, load_basis, parse_basis
 from .fcidump import read_fcidump, write_fcidump
-from .gaussians import AoIntegrals, boys_function, compute_ao_integrals, nuclear_repulsion
+from .gaussians import AoIntegrals, compute_ao_integrals, nuclear_repulsion
 from .mo import (
     MolecularIntegrals,
     ScfResult,
@@ -22,7 +22,6 @@ __all__ = [
     "MolecularIntegrals",
     "ScfResult",
     "Shell",
-    "boys_function",
     "compute_ao_integrals",
     "dress_core",
     "h2_geometry",

@@ -24,7 +24,6 @@ from scipy.special import erf
 
 from .basis import BasisSet, Geometry
 
-MAX_BOYS_ORDER = 8
 # Boys function: Kummer series below this argument, erf and upward
 # recursion above it.
 _SERIES_LIMIT = 25.0
@@ -76,15 +75,6 @@ def _shift_table() -> np.ndarray:
 
 
 _SHIFT = _shift_table()
-
-
-def boys_function(m: int, x: float) -> float:
-    """Boys function F_m(x) = int_0^1 t^{2m} exp(-x t^2) dt."""
-    if m < 0 or m > MAX_BOYS_ORDER:
-        raise ValueError(f"Boys order must be in [0, {MAX_BOYS_ORDER}], got {m}")
-    if x < 0:
-        raise ValueError(f"Boys argument must be non-negative, got {x}")
-    return float(_boys_rows(m, np.array([float(x)]))[m, 0])
 
 
 def _boys_rows(mmax: int, x: np.ndarray) -> np.ndarray:

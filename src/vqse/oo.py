@@ -1,8 +1,9 @@
 """Orbital relaxation of active-space solutions over the full orbital set.
 
-The energy is a functional of the active 1-/2-RDMs embedded over the
-core and active orbitals (doubly occupied core; the empty virtuals carry
-no RDM weight) and of a one-body orbital rotation U = U0 exp(kappa), with
+The energy is a functional of the spin-summed 1- and 2-RDMs gamma and
+Gamma over the core and active orbitals (the active state's, embedded
+next to a doubly occupied core; the empty virtuals carry no RDM weight)
+and of a one-body orbital rotation U = U0 exp(kappa), with
 kappa antisymmetric over the non-redundant (active, core or virtual)
 spatial pairs.  The relaxation takes second-order steps in kappa
 (Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure Theory,
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import VqseError
+from .exceptions import PartitionError, VqseError
 from .integrals import MolecularIntegrals, rotate_integrals
-from .rdm import Rdm, composite_full_rdms, energy_from_rdms
+from .rdm import Rdm, energy_from_rdms, spin_summed_rdms
 from .spaces import OrbitalPartition
 
 UNITARITY_TOL = 1e-8
@@ -42,32 +43,20 @@ class RelaxationReport:
     n_evaluations: int = 0  # energies plus one gradient-and-Hessian per iteration
 
 
-def energy_of_rotation(u, mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm) -> float:
+def energy_of_rotation(u, mol: MolecularIntegrals, gamma, big_gamma) -> float:
     """Energy of the rotated orbitals with the state held fixed.
 
     ``u`` is n x m with orthonormal columns, the rotated orbitals that
-    ``rdm1`` and ``rdm2`` span over their 2m spin orbitals; the integrals
-    over those orbitals are contracted with the untouched RDMs.  An n x n
-    unitary goes with full-space RDMs; the relaxation passes the column
-    block U[:, core + active] with ``core_active_rdms``, which costs
-    O(n^4 m) and builds a (2m)^4 spin tensor instead of a (2n)^4 one.
+    ``gamma`` and ``big_gamma`` (m x m and m^4, ``spin_summed_rdms``)
+    span; the integrals over those orbitals are contracted with the
+    untouched RDMs.  An n x n unitary goes with RDMs over all n orbitals;
+    the relaxation passes the column block U[:, core + active] with
+    ``core_active_rdms``, which costs O(n^4 m).
     """
     u = np.asarray(u)
     if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=UNITARITY_TOL):
         raise VqseError("rotation matrix is not unitary")
-    return energy_from_rdms(rotate_integrals(mol, u), rdm1, rdm2)
-
-
-def spin_summed_rdms(block1: Rdm, block2: Rdm):
-    """(gamma, Gamma) over m spatial orbitals from spin-orbital RDMs over
-    their 2m spin orbitals: gamma_pq = sum_s D1[ps, qs] and
-    Gamma_pqrs = sum_st D2[rt, ps, st, qs], so that the electronic energy
-    is sum h_pq gamma_pq + 1/2 sum (pq|rs) Gamma_pqrs.  Real orbital
-    rotations of real integrals see only their real parts."""
-    m = block1.n // 2
-    d1 = block1.tensor.real.reshape(m, 2, m, 2)
-    d2 = block2.tensor.real.reshape((m, 2) * 4)
-    return np.einsum("pSqS->pq", d1), np.einsum("rTpSsTqS->pqrs", d2)
+    return energy_from_rdms(rotate_integrals(mol, u), gamma, big_gamma)
 
 
 def orbital_gradient_and_hessian(u, mol: MolecularIntegrals, support, gamma, big_gamma, generators):
@@ -145,24 +134,33 @@ def _rfo_step(g: np.ndarray, hessian: np.ndarray) -> np.ndarray:
 
 
 def core_active_rdms(active_rdm1: Rdm, active_rdm2: Rdm, partition: OrbitalPartition):
-    """The active RDMs embedded over the core and active orbitals, in
-    ascending order, with a doubly occupied core (``composite_full_rdms``
-    without the virtuals, which carry no RDM weight): the RDM form
-    ``givens_sweep`` reads."""
+    """(gamma, Gamma) over the core and active orbitals, in ascending
+    order: the ``spin_summed_rdms`` of the active state next to a doubly
+    occupied core, the RDM form ``givens_sweep`` reads.  The core is a
+    closed shell with no cumulant, so gamma is 2 on the core diagonal and
+    Gamma_pqrs = gamma_pq gamma_rs - 1/2 gamma_ps gamma_rq wherever an
+    index is a core orbital; the active block is the active state's Gamma.
+    """
+    if active_rdm1.n != 2 * len(partition.active):
+        raise PartitionError("active RDM dimension does not match the partition")
     support = sorted(partition.core + partition.active)
-    local = OrbitalPartition(
-        tuple(map(support.index, partition.core)),
-        tuple(map(support.index, partition.active)),
-        (),
-    )
-    return composite_full_rdms(active_rdm1, active_rdm2, local)
+    core = [support.index(p) for p in partition.core]
+    active = [support.index(p) for p in partition.active]
+    gamma_active, big_gamma_active = spin_summed_rdms(active_rdm1, active_rdm2)
+    gamma = np.zeros((len(support),) * 2)
+    gamma[core, core] = 2.0
+    gamma[np.ix_(active, active)] = gamma_active
+    big_gamma = np.einsum("pq,rs->pqrs", gamma, gamma)
+    big_gamma -= 0.5 * np.einsum("ps,rq->pqrs", gamma, gamma)
+    big_gamma[np.ix_(active, active, active, active)] = big_gamma_active
+    return gamma, big_gamma
 
 
-def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: OrbitalPartition):
+def givens_sweep(mol: MolecularIntegrals, gamma, big_gamma, partition: OrbitalPartition):
     """Second-order relaxation of the orbitals with the RDMs held fixed.
 
-    ``rdm1`` and ``rdm2`` span the spin orbitals of the core and active
-    orbitals (``core_active_rdms``); the virtuals carry no RDM weight.
+    ``gamma`` and ``big_gamma`` span the core and active orbitals
+    (``core_active_rdms``); the virtuals carry no RDM weight.
     Returns (U, RelaxationReport): the n x n orthogonal U = exp(kappa_1)
     exp(kappa_2) ... with each kappa over ``rotation_generators``, and the
     ``energy_of_rotation`` at its start and after each accepted step.  An
@@ -176,12 +174,9 @@ def givens_sweep(mol: MolecularIntegrals, rdm1: Rdm, rdm2: Rdm, partition: Orbit
     """
     generators = rotation_generators(partition)
     support = np.array(sorted(partition.core + partition.active), dtype=int)
-    if rdm1.n != 2 * support.size or rdm2.n != rdm1.n:
-        raise VqseError("the RDMs must span the core and active spin orbitals")
-    gamma, big_gamma = spin_summed_rdms(rdm1, rdm2)
 
     def energy(u):
-        return energy_of_rotation(u[:, support], mol, rdm1, rdm2)
+        return energy_of_rotation(u[:, support], mol, gamma, big_gamma)
 
     u = np.eye(mol.n_spatial)
     e0 = e_current = energy(u)
@@ -218,12 +213,12 @@ def relax_then_resolve(
     """Alternate active-space exact solves with full-space orbital relaxation.
 
     Each cycle solves the active-space ground state (``dress_core``, at
-    2 S_z = SZ) on the current orbitals, embeds its RDMs over the core and
-    active orbitals (``core_active_rdms``), and relaxes the orbitals by
-    ``givens_sweep``; ``cycles = 1`` is the single-step post-processing.
-    The cycles end early once the active energy drops by less than
-    CYCLE_TOL.  Returns (final MolecularIntegrals, per-cycle active
-    energies, reports).
+    2 S_z = SZ) on the current orbitals, embeds its spin-summed RDMs over
+    the core and active orbitals (``core_active_rdms``), and relaxes the
+    orbitals by ``givens_sweep``; ``cycles = 1`` is the single-step
+    post-processing.  The cycles end early once the active energy drops by
+    less than CYCLE_TOL.  Returns (final MolecularIntegrals, per-cycle
+    active energies, reports).
     """
     from .fci import build_hamiltonian_action, ground_state
     from .integrals import dress_core
@@ -241,8 +236,8 @@ def relax_then_resolve(
             build_hamiltonian_action(active_mol), n_active_electrons, SZ
         )
         energies.append(float(e_active))
-        d1, d2 = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
-        u, report = givens_sweep(mol_current, d1, d2, partition)
+        gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        u, report = givens_sweep(mol_current, gamma, big_gamma, partition)
         reports.append(report)
         mol_current = rotate_integrals(mol_current, u)
         if len(energies) >= 2 and energies[-2] - energies[-1] < CYCLE_TOL:

@@ -30,9 +30,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .exceptions import PartitionError
 from .fci import Wavefunction, apply_ladder
-from .spaces import OrbitalPartition
 
 
 def _perm_sign(perm) -> int:
@@ -198,40 +196,25 @@ def cumulant_3rdm(rdm1: Rdm, rdm2: Rdm) -> Rdm:
     return Rdm(3, rdm1.n, 6.0 * d3n)
 
 
-def composite_full_rdms(
-    active_rdm1: Rdm, active_rdm2: Rdm, partition: OrbitalPartition
-) -> tuple[Rdm, Rdm]:
-    """Embed active RDMs into the full space with doubly occupied core and
-    empty virtuals.
-
-    The 2-RDM is composed by wedge: the full-space connected 2-body part
-    is the active one, and the mean-field part is the wedge square of the
-    composite 1-RDM.
-    """
-    active_spin = partition.active_spin
-    if active_rdm1.n != len(active_spin):
-        raise PartitionError("active RDM dimension does not match the partition")
-    n_full = 2 * partition.n_spatial
-    d1 = np.zeros((n_full, n_full), dtype=active_rdm1.tensor.dtype)
-    for c in partition.core_spin:
-        d1[c, c] = 1.0
-    ix = np.ix_(active_spin, active_spin)
-    d1[ix] = active_rdm1.tensor
-    delta2_act = delta2(active_rdm1, active_rdm2)
-    delta2_full = np.zeros((n_full,) * 4, dtype=delta2_act.dtype)
-    delta2_full[np.ix_(active_spin, active_spin, active_spin, active_spin)] = delta2_act
-    d2 = 2.0 * (wedge(d1, d1) + delta2_full)
-    return Rdm(1, n_full, d1), Rdm(2, n_full, d2)
+def spin_summed_rdms(rdm1: Rdm, rdm2: Rdm):
+    """(gamma, Gamma) over m spatial orbitals from spin-orbital RDMs over
+    their 2m spin orbitals: gamma_pq = sum_s D1[ps, qs] and
+    Gamma_pqrs = sum_st D2[rt, ps, st, qs] = <E_pq E_rs> - delta_qr gamma_ps
+    (Helgaker, Jorgensen & Olsen, ch. 2), the spin-free form
+    ``energy_from_rdms`` contracts.  Real orbitals of real integrals see
+    only their real parts."""
+    m = rdm1.n // 2
+    d1 = rdm1.tensor.real.reshape(m, 2, m, 2)
+    d2 = rdm2.tensor.real.reshape((m, 2) * 4)
+    return np.einsum("pSqS->pq", d1), np.einsum("rTpSsTqS->pqrs", d2)
 
 
-def energy_from_rdms(mol, rdm1: Rdm, rdm2: Rdm) -> float:
-    """Assemble the energy from spin-orbital 1- and 2-RDMs."""
-    h1s = mol.h1_spin()
-    h2s = mol.h2_spin()
-    # <a+_i a_j> = D1[i, j]; <a+_i a+_j a_k a_l> = D2[j, i, k, l]
-    e = np.einsum("ij,ij->", h1s, rdm1.tensor)
-    e = e + 0.5 * np.einsum("ijkl,jikl->", h2s, rdm2.tensor)
-    return float(np.real(e)) + mol.constant
+def energy_from_rdms(mol, gamma: np.ndarray, big_gamma: np.ndarray) -> float:
+    """sum_pq h_pq gamma_pq + 1/2 sum_pqrs (pq|rs) Gamma_pqrs + the
+    constant, with ``spin_summed_rdms`` over the spatial orbitals of
+    ``mol``."""
+    e = np.einsum("pq,pq->", mol.h1, gamma) + 0.5 * np.einsum("pqrs,pqrs->", mol.eri, big_gamma)
+    return float(e) + mol.constant
 
 
 def _antisymmetric_packed(t: np.ndarray) -> np.ndarray:

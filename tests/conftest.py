@@ -11,7 +11,7 @@ import scipy.optimize
 
 from vqse import ANGSTROM_PER_BOHR, wick
 from vqse.exceptions import VqseError
-from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
+from vqse.fci import Wavefunction, apply_ladder, build_hamiltonian_action, ground_state
 from vqse.integrals import (
     Atom,
     BasisSet,
@@ -24,8 +24,16 @@ from vqse.integrals import (
     run_rhf,
     transform_to_mo,
 )
-from vqse.integrals.gaussians import build_ao_basis
-from vqse.rdm import Rdm, _antisymmetric_packed, _unpack, delta2, wedge
+from vqse.integrals.gaussians import _boys_rows, build_ao_basis
+from vqse.rdm import (
+    Rdm,
+    _antisymmetric_packed,
+    _unpack,
+    compute_rdm,
+    delta2,
+    spin_summed_rdms,
+    wedge,
+)
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import ExpansionOperator
 
@@ -250,6 +258,43 @@ def sector_determinants(n_spin_orbitals: int, n_electrons: int, sz=None) -> list
 def _parity_below(det: int, index: int) -> int:
     """(-1)^(number of occupied spin orbitals below index)."""
     return -1 if bin(det & ((1 << index) - 1)).count("1") % 2 else 1
+
+
+def apply_ladder_string(string, det: int, n_spin_orbitals: int | None = None):
+    """Apply a product of ladder operators (leftmost acts last).
+
+    ``string`` is a sequence of (spin-orbital index, dagger flag). Returns
+    (sign in {-1, 0, +1}, determinant).
+    """
+    sign = 1
+    for index, dagger in reversed(list(string)):
+        if n_spin_orbitals is not None and not 0 <= index < n_spin_orbitals:
+            raise ValueError(f"spin-orbital index {index} out of range")
+        s, det = apply_ladder(det, index, dagger)
+        if s == 0:
+            return 0, det
+        sign *= s
+    return sign, det
+
+
+def full_space_expectation(bra: Wavefunction, terms, ket: Wavefunction) -> complex:
+    """Brute-force oracle for the RDM and Wick modules:
+    <bra| sum_t coeff_t string_t |ket> by explicit determinant application."""
+    if bra.n_spin_orbitals != ket.n_spin_orbitals:
+        raise ValueError("bra and ket live in different Fock spaces")
+    total = 0.0 + 0.0j
+    for coeff, string in terms:
+        for det, amp in ket.amplitudes.items():
+            sign, new = apply_ladder_string(string, det, ket.n_spin_orbitals)
+            if sign and new in bra.amplitudes:
+                total += coeff * sign * np.conj(bra.amplitudes[new]) * amp
+    return complex(total)
+
+
+def boys_function(m: int, x: float) -> float:
+    """Boys function F_m(x) = int_0^1 t^{2m} exp(-x t^2) dt at one x, read
+    off the package's batched Boys rows."""
+    return float(_boys_rows(m, np.array([float(x)]))[m, 0])
 
 
 class SlaterCondon:
@@ -527,18 +572,28 @@ def _md_eri(ab: _MdPair, cd: _MdPair) -> float:
 
 
 def embed_wavefunction(wfn: Wavefunction, partition: OrbitalPartition, n_full: int):
-    """Map an active-space wavefunction into the full Fock space (other
-    spin orbitals empty; amplitudes keep their signs because the active
-    spin orbitals are listed ascending)."""
+    """Map an active-space wavefunction into the full Fock space of
+    ``n_full`` spin orbitals, next to a doubly occupied core (virtuals
+    empty): active spin orbital k becomes ``partition.active_spin[k]``, in
+    any order of the active orbitals.  Each determinant takes the sign of
+    putting its mapped creators in ascending order; a core pair commutes
+    with every creator."""
     spots = partition.active_spin
+    core = sum(1 << so for so in partition.core_spin)
     amplitudes = {}
     for det, amp in wfn.amplitudes.items():
-        full = 0
-        for i in range(wfn.n_spin_orbitals):
-            if det >> i & 1:
-                full |= 1 << spots[i]
-        amplitudes[full] = amp
-    return Wavefunction(amplitudes, n_full, wfn.n_electrons)
+        occupied = [spots[i] for i in range(wfn.n_spin_orbitals) if det >> i & 1]
+        inversions = sum(a > b for a, b in combinations(occupied, 2))
+        amplitudes[core | sum(1 << so for so in occupied)] = (-1) ** inversions * amp
+    return Wavefunction(amplitudes, n_full, wfn.n_electrons + len(partition.core_spin))
+
+
+def lifted_rdms(wfn: Wavefunction, partition: OrbitalPartition):
+    """(gamma, Gamma) over every orbital of ``partition``: the spin-summed
+    RDMs of the active state lifted next to its doubly occupied core
+    (``embed_wavefunction``)."""
+    full = embed_wavefunction(wfn, partition, 2 * partition.n_spatial)
+    return spin_summed_rdms(compute_rdm(full, 1), compute_rdm(full, 2))
 
 
 def random_wavefunction(n_spin_orbitals, n_electrons, rng, sz=None, complex_amps=False):

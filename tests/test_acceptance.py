@@ -21,6 +21,7 @@ from conftest import (
     DATA_DIR,
     casscf_2_2,
     embed_wavefunction,
+    full_space_expectation,
     h2_case,
     h2_fci,
     random_wavefunction,
@@ -31,7 +32,6 @@ from vqse.cli import ScanConfig, _scan_point
 from vqse.fci import (
     Wavefunction,
     build_hamiltonian_action,
-    full_space_expectation,
     ground_state,
 )
 from vqse.integrals import dress_core, read_fcidump
@@ -40,6 +40,7 @@ from vqse.rdm import (
     compute_rdm,
     cumulant_4rdm,
     energy_from_rdms,
+    spin_summed_rdms,
 )
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
@@ -327,8 +328,8 @@ def test_sweep_traces_monotone_non_increasing():
         case = h2_case(r, "6-31g")
         d1 = compute_rdm(case["wfn"], 1)
         d2 = compute_rdm(case["wfn"], 2)
-        cd1, cd2 = core_active_rdms(d1, d2, case["partition"])
-        _, report = givens_sweep(case["mol"], cd1, cd2, case["partition"])
+        gamma, big_gamma = core_active_rdms(d1, d2, case["partition"])
+        _, report = givens_sweep(case["mol"], gamma, big_gamma, case["partition"])
         trace = report.sweep_energies
         assert all(b <= a + TOL_EIG for a, b in zip(trace, trace[1:])), (r, trace)
 
@@ -370,9 +371,8 @@ def test_energy_from_rdms_equals_eigenvalue():
     for basis, r in itertools.product(("sto-3g", "6-31g"), (0.5, 0.7414, 1.9)):
         case = h2_case(r, basis)
         energy, wfn = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
-        d1 = compute_rdm(wfn, 1)
-        d2 = compute_rdm(wfn, 2)
-        assembled = energy_from_rdms(case["mol"], d1, d2)
+        gamma, big_gamma = spin_summed_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
+        assembled = energy_from_rdms(case["mol"], gamma, big_gamma)
         assert assembled == pytest.approx(energy, abs=TOL_EIG), (basis, r)
 
 

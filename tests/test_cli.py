@@ -78,6 +78,19 @@ def test_config_validation():
         with pytest.raises(VqseError, match="oo_cycles"):
             ScanConfig(oo_cycles=cycles)
     assert ScanConfig(oo_cycles=1).oo_cycles == 1
+    # n_electrons 0 wrote an "ok" row of bare nuclear repulsion with err_vqse 0;
+    # an odd count, too many electrons or a non-integer active space failed
+    # every row at run time
+    for n_active in (0, -1, 2.5, True):
+        with pytest.raises(VqseError, match="n_active_spatial"):
+            ScanConfig(n_active_spatial=n_active)
+    for n_electrons in (0, -2, 1, 3, 5, 6, 2.0, True):
+        with pytest.raises(VqseError, match="n_electrons"):
+            ScanConfig(n_electrons=n_electrons)
+    assert ScanConfig(n_electrons=4).n_electrons == 4
+    assert ScanConfig(n_active_spatial=1, n_electrons=2).n_active_spatial == 1
+    with pytest.raises(VqseError, match="at most 2 \\* n_active_spatial = 2"):
+        ScanConfig(n_active_spatial=1, n_electrons=4)
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -9,6 +9,8 @@ import scipy.linalg
 
 from conftest import (
     SlaterCondon,
+    apply_ladder_string,
+    full_space_expectation,
     h2_case,
     h4_chain_mol,
     normalized,
@@ -22,9 +24,7 @@ from vqse import ANGSTROM_PER_BOHR, fci
 from vqse.fci import (
     Wavefunction,
     apply_ladder,
-    apply_ladder_string,
     build_hamiltonian_action,
-    full_space_expectation,
     ground_state,
 )
 from vqse.integrals import MolecularIntegrals

@@ -13,7 +13,9 @@ import scipy.linalg
 from conftest import (
     DATA_DIR,
     SlaterCondon,
+    boys_function,
     embed_wavefunction,
+    full_space_expectation,
     h2_case,
     random_wavefunction,
     scalar_ao_integrals,
@@ -25,12 +27,10 @@ from vqse.exceptions import ParseError
 from vqse.fci import (
     Wavefunction,
     build_hamiltonian_action,
-    full_space_expectation,
     ground_state,
 )
 from vqse.integrals import (
     MolecularIntegrals,
-    boys_function,
     compute_ao_integrals,
     dress_core,
     h2_geometry,

@@ -9,13 +9,15 @@ import vqse.oo
 from conftest import (
     RotationParameters,
     SlaterCondon,
+    full_space_expectation,
     givens_matrix,
     h2_case,
+    lifted_rdms,
     random_wavefunction,
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import VqseError
-from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
+from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
 from vqse.integrals import dress_core, rotate_integrals
 from vqse.oo import (
     core_active_rdms,
@@ -26,10 +28,9 @@ from vqse.oo import (
     relax_then_resolve,
     rotation_generators,
     rotation_pairs,
-    spin_summed_rdms,
 )
-from vqse.rdm import Rdm, compute_rdm, composite_full_rdms, energy_from_rdms
-from vqse.spaces import OrbitalPartition, spatial_to_spin
+from vqse.rdm import compute_rdm, energy_from_rdms
+from vqse.spaces import OrbitalPartition
 
 TOL_EXACT = 1e-12
 TOL_ORACLE = 1e-10
@@ -37,14 +38,11 @@ R_A = 1.4 * ANGSTROM_PER_BOHR
 
 
 def full_rdms(case):
-    wfn = case["wfn"]
-    return composite_full_rdms(
-        compute_rdm(wfn, 1), compute_rdm(wfn, 2), case["partition"]
-    )
+    return lifted_rdms(case["wfn"], case["partition"])
 
 
 def sweep_rdms(case):
-    """The core+active RDMs ``givens_sweep`` reads."""
+    """The core+active (gamma, Gamma) ``givens_sweep`` reads."""
     wfn = case["wfn"]
     return core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), case["partition"])
 
@@ -131,10 +129,9 @@ def test_integral_and_rdm_rotation_paths_agree():
     a = rng.normal(size=(4, 4))
     u = scipy.linalg.expm(a - a.T)
     e_int = energy_of_rotation(u, case["mol"], d1, d2)
-    us = np.kron(u, np.eye(2))  # interleaved alpha/beta spin orbitals
-    r1 = us @ d1.tensor @ us.conj().T
-    r2 = np.einsum("ip,jq,kr,ls,pqrs->ijkl", us, us, us.conj(), us.conj(), d2.tensor, optimize=True)
-    e_rdm = energy_from_rdms(case["mol"], Rdm(1, d1.n, r1), Rdm(2, d2.n, r2))
+    r1 = u @ d1 @ u.T
+    r2 = np.einsum("ap,bq,cr,ds,pqrs->abcd", u, u, u, u, d2, optimize=True)
+    e_rdm = energy_from_rdms(case["mol"], r1, r2)
     assert e_int == pytest.approx(e_rdm, abs=TOL_ORACLE)
 
 
@@ -165,9 +162,9 @@ def test_rotation_matches_full_space_oracle():
 def test_occupied_block_matches_full_rotation():
     """energy_of_rotation over the column block U[:, core + active] with
     core_active_rdms, as the relaxation calls it, equals rotating every
-    integral and contracting with the full-space RDMs: with a core
-    orbital, with no active electron (core only), and over the ten cc-pVDZ
-    orbitals."""
+    integral and contracting with the RDMs of the lifted state over all
+    orbitals: with a core orbital, with no active electron (core only),
+    and over the ten cc-pVDZ orbitals."""
     rng = np.random.default_rng(65)
     with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     mol_631g = h2_case(R_A, "6-31g")["mol"]
@@ -179,20 +176,19 @@ def test_occupied_block_matches_full_rotation():
     )
     for mol, partition, wfn in cases:
         a1, a2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
-        d1, d2 = composite_full_rdms(a1, a2, partition)
         a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
         u = scipy.linalg.expm(a - a.T)
-        e_full = energy_from_rdms(rotate_integrals(mol, u), d1, d2)
+        e_full = energy_from_rdms(rotate_integrals(mol, u), *lifted_rdms(wfn, partition))
         support = sorted(partition.core + partition.active)
         e_block = energy_of_rotation(u[:, support], mol, *core_active_rdms(a1, a2, partition))
         assert e_block == pytest.approx(e_full, abs=TOL_ORACLE)
 
 
 def test_core_active_rdms_are_the_full_embedding_block():
-    """core_active_rdms is the block of composite_full_rdms over the spin
-    orbitals of the core and active orbitals in ascending order, also when
-    a core orbital lies between active ones; givens_sweep reads only that
-    form."""
+    """core_active_rdms is the block over the core and active orbitals, in
+    ascending order, of the spin-summed RDMs of the lifted state, also
+    when a core orbital lies between active ones and when the active
+    orbitals are not in ascending order."""
     rng = np.random.default_rng(66)
     wfn = random_wavefunction(4, 2, rng)
     d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
@@ -200,36 +196,33 @@ def test_core_active_rdms_are_the_full_embedding_block():
         OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,)),
         OrbitalPartition(core=(1,), active=(2, 0), virtual=(3, 4)),
     ):
-        full1, full2 = composite_full_rdms(d1, d2, partition)
-        block1, block2 = core_active_rdms(d1, d2, partition)
-        spin = spatial_to_spin(sorted(partition.core + partition.active))
-        assert np.array_equal(block1.tensor, full1.tensor[np.ix_(spin, spin)])
-        assert np.array_equal(block2.tensor, full2.tensor[np.ix_(spin, spin, spin, spin)])
-    case = h2_case(R_A, "6-31g")
-    with pytest.raises(VqseError):
-        givens_sweep(case["mol"], *full_rdms(case), case["partition"])
+        full1, full2 = lifted_rdms(wfn, partition)
+        gamma, big_gamma = core_active_rdms(d1, d2, partition)
+        support = sorted(partition.core + partition.active)
+        block1, block2 = np.ix_(support, support), np.ix_(*[support] * 4)
+        assert np.max(np.abs(gamma - full1[block1])) < TOL_EXACT
+        assert np.max(np.abs(big_gamma - full2[block2])) < TOL_EXACT
 
 
 def test_relaxation_builds_no_full_space_rdm(monkeypatch):
-    """relax_then_resolve composes and contracts RDMs over the core and
-    active spin orbitals only, never over all 2n of them."""
+    """relax_then_resolve contracts RDMs over the core and active orbitals
+    only: every energy it evaluates receives an m x m gamma and an m^4
+    Gamma, with m = |core + active|, never one over all n orbitals."""
     case = h2_case(R_A, "cc-pvdz")
-    sizes = []
-    compose, contract = vqse.oo.composite_full_rdms, vqse.oo.energy_from_rdms
+    contract = vqse.oo.energy_from_rdms
+    shapes = []
 
-    def composed(*args):
-        rdms = compose(*args)
-        sizes.extend(r.n for r in rdms)
-        return rdms
+    def contracted(mol, gamma, big_gamma):
+        shapes.append((gamma.shape, big_gamma.shape))
+        return contract(mol, gamma, big_gamma)
 
-    def contracted(mol, rdm1, rdm2):
-        sizes.extend((rdm1.n, rdm2.n))
-        return contract(mol, rdm1, rdm2)
-
-    monkeypatch.setattr(vqse.oo, "composite_full_rdms", composed)
     monkeypatch.setattr(vqse.oo, "energy_from_rdms", contracted)
-    relax_then_resolve(case["mol"], case["partition"], 2, cycles=2)
-    assert sizes and set(sizes) == {4}
+    with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=tuple(range(3, 10)))
+    for partition in (case["partition"], with_core):
+        shapes.clear()
+        relax_then_resolve(case["mol"], partition, 2, cycles=2)
+        m = len(partition.core + partition.active)
+        assert shapes and set(shapes) == {((m, m), (m, m, m, m))}, partition
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +243,17 @@ def _derivative_cases(rng):
 def _derivatives_at_random_rotation(mol, partition, wfn, rng):
     """(energy, generators, g, H) at a random, non-stationary U: energy(K)
     is energy_of_rotation at U exp(K) with the core+active RDMs."""
-    d1, d2 = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+    gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
     a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
     u = scipy.linalg.expm(a - a.T)
     generators = rotation_generators(partition)
     support = sorted(partition.core + partition.active)
-    gamma, big_gamma = spin_summed_rdms(d1, d2)
     g, hessian = orbital_gradient_and_hessian(u, mol, support, gamma, big_gamma, generators)
 
     def energy(kappa):
-        return energy_of_rotation((u @ scipy.linalg.expm(kappa))[:, support], mol, d1, d2)
+        return energy_of_rotation(
+            (u @ scipy.linalg.expm(kappa))[:, support], mol, gamma, big_gamma
+        )
 
     return energy, generators, g, hessian
 
@@ -367,7 +361,7 @@ def test_relaxed_orbitals_are_not_a_saddle():
         mol, _, _ = relax_then_resolve(case["mol"], partition, 2, cycles=12)
         active_mol = dress_core(mol, partition)
         _, wfn = ground_state(build_hamiltonian_action(active_mol), 2, sz=0)
-        d1, d2 = composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        d1, d2 = lifted_rdms(wfn, partition)
         pairs = rotation_pairs(partition)
 
         def energy(x):

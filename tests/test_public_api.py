@@ -1,0 +1,105 @@
+"""Every public function and class of the package has a caller outside the
+tests.
+
+A public module-level function or class of ``src/vqse`` that only the
+tests reach is test-only API, and belongs in ``tests/conftest.py``.  A
+name counts as used when it is read, as a name or an attribute, anywhere
+in ``src/vqse`` or ``perfbench/`` outside its own definition, or when it
+appears as a string constant: ``perfbench/tracing.py`` rebinds module
+attributes it names by string.  An import or an ``__all__`` entry alone
+is no use.  The modules are read with ``ast``, not imported."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "vqse"
+READERS = (PACKAGE, ROOT / "perfbench")
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each identifier is read in ``tree``: names, attributes
+    and identifier-valued string constants, outside ``__all__``."""
+    found = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            continue
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found[node.value] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_public_names(package: Path, readers) -> set:
+    """(module path relative to ``package``, name) of each public
+    module-level function or class of ``package`` that nothing under
+    ``readers`` reads outside the definition itself."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for reader in readers
+        for path in sorted(reader.rglob("*.py"))
+    }
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    unused = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(package):
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and total[node.name] == references(node)[node.name]:
+                unused.add((path.relative_to(package).as_posix(), node.name))
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert unused_public_names(PACKAGE, READERS) == set()
+
+
+def test_public_name_scan_sees_every_form(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import exported\n__all__ = ['exported']\n"
+    )
+    (package / "a.py").write_text(
+        "def exported():\n"
+        "    pass\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 'recursive'\n"
+        "def _private():\n"
+        "    pass\n"
+        "def called():\n"
+        "    pass\n"
+        "class Read:\n"
+        "    pass\n"
+        "def by_attribute():\n"
+        "    pass\n"
+        "def by_bench():\n"
+        "    pass\n"
+        "def by_string():\n"
+        "    pass\n"
+        "def main():\n"
+        "    called()\n"
+        "    return Read\n"
+    )
+    (package / "b.py").write_text("from . import a\nVALUE = a.by_attribute\n")
+    (bench / "run.py").write_text(
+        "import pkg.a\npkg.a.by_bench()\nTABLE = [(pkg.a, 'by_string')]\n"
+    )
+    assert unused_public_names(package, (package, bench)) == {
+        ("a.py", "exported"),
+        ("a.py", "recursive"),
+        ("a.py", "main"),
+    }

@@ -10,24 +10,28 @@ from conftest import (
     SlaterCondon,
     antisymmetry_project,
     embed_wavefunction,
+    full_space_expectation,
     h2_case,
     hermitized,
     higher_cumulants,
+    lifted_rdms,
     random_wavefunction,
     rdm_trace,
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import PartitionError
-from vqse.fci import Wavefunction, build_hamiltonian_action, full_space_expectation, ground_state
+from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
+from vqse.integrals import rotate_integrals
+from vqse.oo import core_active_rdms
 from vqse.rdm import (
     Rdm,
-    composite_full_rdms,
     compute_rdm,
     cumulant_3rdm,
     cumulant_4rdm,
     delta2,
     energy_from_rdms,
     inject_shot_noise,
+    spin_summed_rdms,
     wedge,
 )
 from vqse.spaces import OrbitalPartition
@@ -158,9 +162,8 @@ def test_energy_from_rdms_matches_fci_eigenvalue():
         case = h2_case(1.4 * ANGSTROM_PER_BOHR, basis)
         mol = case["mol"]
         energy, wfn = ground_state(build_hamiltonian_action(mol), 2, sz=0)
-        d1 = compute_rdm(wfn, 1)
-        d2 = compute_rdm(wfn, 2)
-        assert energy_from_rdms(mol, d1, d2) == pytest.approx(energy, abs=TOL_RECON)
+        gamma, big_gamma = spin_summed_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
+        assert energy_from_rdms(mol, gamma, big_gamma) == pytest.approx(energy, abs=TOL_RECON)
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +271,31 @@ def test_cumulant_4rdm_validation():
 
 
 # ---------------------------------------------------------------------------
-# composite full-space RDMs
+# spin-summed RDMs over the core and active orbitals
 
 
 def test_composite_passthrough_without_core_or_virtual():
+    """With no core and no virtual, ``core_active_rdms`` is the active
+    state's own spin-summed RDMs."""
     rng = np.random.default_rng(31)
     wfn = random_wavefunction(6, 3, rng)
     d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
     partition = OrbitalPartition(core=(), active=(0, 1, 2), virtual=())
-    f1, f2 = composite_full_rdms(d1, d2, partition)
-    assert np.max(np.abs(f1.tensor - d1.tensor)) < TOL_EXACT
-    assert np.max(np.abs(f2.tensor - d2.tensor)) < TOL_EXACT
+    gamma, big_gamma = core_active_rdms(d1, d2, partition)
+    expected1, expected2 = spin_summed_rdms(d1, d2)
+    assert np.max(np.abs(gamma - expected1)) < TOL_EXACT
+    assert np.max(np.abs(big_gamma - expected2)) < TOL_EXACT
 
 
 def test_composite_all_core_gives_determinant_rdms():
     partition = OrbitalPartition(core=(0, 1), active=(), virtual=())
     empty1 = Rdm(1, 0, np.zeros((0, 0)))
     empty2 = Rdm(2, 0, np.zeros((0, 0, 0, 0)))
-    f1, f2 = composite_full_rdms(empty1, empty2, partition)
+    gamma, big_gamma = core_active_rdms(empty1, empty2, partition)
     det = Wavefunction({0b1111: 1.0}, 4, 4)
-    assert np.max(np.abs(f1.tensor - compute_rdm(det, 1).tensor)) < TOL_EXACT
-    assert np.max(np.abs(f2.tensor - compute_rdm(det, 2).tensor)) < TOL_EXACT
+    expected1, expected2 = spin_summed_rdms(compute_rdm(det, 1), compute_rdm(det, 2))
+    assert np.max(np.abs(gamma - expected1)) < TOL_EXACT
+    assert np.max(np.abs(big_gamma - expected2)) < TOL_EXACT
 
 
 def test_composite_dimension_mismatch_raises():
@@ -296,49 +303,51 @@ def test_composite_dimension_mismatch_raises():
     wfn = random_wavefunction(4, 2, rng)
     partition = OrbitalPartition(core=(0,), active=(1, 2, 3), virtual=())
     with pytest.raises(PartitionError):
-        composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
 
 
 def test_composite_energy_identity_with_core():
-    """Energy from composite RDMs equals the explicit full-Fock-space
-    expectation of the embedded (core x active) state, H2/6-31G, 1 core."""
+    """The energy of ``core_active_rdms`` over the core and active
+    orbitals equals the explicit full-Fock-space expectation of the
+    embedded (core x active) state, H2/6-31G, 1 core."""
     rng = np.random.default_rng(33)
     case = h2_case(1.4 * ANGSTROM_PER_BOHR, "6-31g")
     mol = case["mol"]
     partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     wfn = random_wavefunction(4, 2, rng, sz=0)
-    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
-    f1, f2 = composite_full_rdms(d1, d2, partition)
-    e_rdm = energy_from_rdms(mol, f1, f2)
-    lifted = {}
-    for det, amp in wfn.amplitudes.items():
-        full = 0b11  # core spin orbitals 0, 1 occupied
-        for bit, so in enumerate(partition.active_spin):
-            if det >> bit & 1:
-                full |= 1 << so
-        lifted[full] = amp
-    embedded = Wavefunction(lifted, 8, 4)
+    gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+    occupied = rotate_integrals(mol, np.eye(4)[:, [0, 1, 2]])
+    e_rdm = energy_from_rdms(occupied, gamma, big_gamma)
+    embedded = embed_wavefunction(wfn, partition, 8)
     terms = SlaterCondon(mol).hamiltonian_terms()
     e_ref = full_space_expectation(embedded, terms, embedded)
     assert e_rdm == pytest.approx(e_ref.real, abs=TOL_RECON)
 
 
 def test_composite_embedding_matches_direct_rdms():
-    """Composite tensors equal the RDMs of the explicitly embedded state."""
+    """The closed-form ``core_active_rdms`` equals the spin-summed RDMs of
+    the explicitly lifted core x active state: a core between active
+    orbitals, a core with no active electron, two cores around three
+    active orbitals, and random states with no S_z restriction (not a
+    singlet) and of 2 S_z = 2."""
     rng = np.random.default_rng(34)
-    partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
-    wfn = random_wavefunction(4, 2, rng, sz=0)
-    f1, f2 = composite_full_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
-    lifted = {}
-    for det, amp in wfn.amplitudes.items():
-        full = 0b11
-        for bit, so in enumerate(partition.active_spin):
-            if det >> bit & 1:
-                full |= 1 << so
-        lifted[full] = amp
-    embedded = Wavefunction(lifted, 8, 4)
-    assert np.max(np.abs(f1.tensor - compute_rdm(embedded, 1).tensor)) < TOL_RECON
-    assert np.max(np.abs(f2.tensor - compute_rdm(embedded, 2).tensor)) < TOL_RECON
+    between = OrbitalPartition(core=(1,), active=(0, 2), virtual=(3,))
+    below = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
+    two_cores = OrbitalPartition(core=(0, 2), active=(1, 3, 4), virtual=(5,))
+    cases = (
+        (between, random_wavefunction(4, 2, rng)),
+        (between, random_wavefunction(4, 2, rng, sz=2)),
+        (below, Wavefunction({0: 1.0}, 4, 0)),
+        (below, random_wavefunction(4, 3, rng)),
+        (two_cores, random_wavefunction(6, 3, rng)),
+    )
+    for partition, wfn in cases:
+        gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        full1, full2 = lifted_rdms(wfn, partition)
+        support = sorted(partition.core + partition.active)
+        expected1, expected2 = full1[np.ix_(support, support)], full2[np.ix_(*[support] * 4)]
+        assert np.max(np.abs(gamma - expected1)) < TOL_EXACT, partition
+        assert np.max(np.abs(big_gamma - expected2)) < TOL_EXACT, partition
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import vqse.wick
 from conftest import (
     SlaterCondon,
     adjoint_ops,
+    apply_ladder_string,
     embed_wavefunction,
     h2_case,
     h4_chain_mol,
@@ -24,7 +25,6 @@ from vqse.cli import ScanConfig, _scan_point
 from vqse.exceptions import DegenerateMetricError, PartitionError, VqseError
 from vqse.fci import (
     Wavefunction,
-    apply_ladder_string,
     build_hamiltonian_action,
     ground_state,
 )

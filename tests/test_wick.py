@@ -5,8 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import embed_wavefunction, random_wavefunction, wick_expectation
-from vqse.fci import full_space_expectation
+from conftest import (
+    embed_wavefunction,
+    full_space_expectation,
+    random_wavefunction,
+    wick_expectation,
+)
 from vqse.rdm import compute_rdm
 from vqse.spaces import OrbitalPartition
 from vqse.wick import (
