@@ -108,7 +108,10 @@ class CurveRow:
 
     def csv_cells(self) -> list:
         def fmt(x):
-            return f"{x:.12f}" if math.isfinite(x) else "nan"
+            if not math.isfinite(x):
+                return "nan"
+            cell = f"{x:.12f}"
+            return cell.lstrip("-") if float(cell) == 0 else cell  # no signed zero
 
         err_vqse = self.e_vqse - self.e_fci_full
         err_oo = self.e_oo - self.e_fci_full
@@ -192,6 +195,8 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
             discarded_metric_min=float(discarded.min()) if discarded.size else None,
             discarded_metric_max=float(discarded.max()) if discarded.size else None,
             retained_metric_condition=solution.metric_condition,
+            metric_blocks=solution.metric_blocks,
+            null_operators=pair.null_operators,
         )
 
     if config.oo == "iterate":

@@ -129,12 +129,6 @@ class RdmSet:
             raise MissingRdmError(rank)
         return self.rdms[rank].tensor
 
-    @classmethod
-    def from_wavefunction(cls, wfn, max_rank: int = 4) -> "RdmSet":
-        from .rdm import compute_rdm
-
-        return cls({k: compute_rdm(wfn, k) for k in range(1, max_rank + 1)})
-
 
 def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
     """Dense tensor T[i1..iL] = <pattern instantiated with those indices>.

@@ -35,7 +35,7 @@ from vqse.rdm import (
     wedge,
 )
 from vqse.spaces import OrbitalPartition
-from vqse.subspace import ExpansionOperator
+from vqse.subspace import ExpansionOperator, VqseOptions, reference_rdms
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -162,6 +162,25 @@ def hermitized(rdm: Rdm) -> Rdm:
     k = rdm.k
     dag = np.conj(rdm.tensor.transpose(tuple(range(k, 2 * k)) + tuple(range(k))))
     return Rdm(k, rdm.n, 0.5 * (rdm.tensor + dag))
+
+
+def exact_rdms(wfn: Wavefunction) -> wick.RdmSet:
+    """The exact RDMs of ranks 1-4, as the scan prepares them without shot
+    noise or cumulants."""
+    return reference_rdms(wfn, VqseOptions())
+
+
+# tests/test_tracing.py, which changes only together with perfbench/, still
+# reads the former classmethod of that name
+wick.RdmSet.from_wavefunction = staticmethod(exact_rdms)
+
+
+def dense_canonical_orthogonalize(s: np.ndarray, eps: float):
+    """(X, discarded eigenvalues) from one dense ``eigh`` of the whole
+    metric: the oracle of the per-block canonical orthogonalization."""
+    evals, evecs = np.linalg.eigh(s)
+    keep = evals > eps * evals[-1]
+    return evecs[:, keep] / np.sqrt(evals[keep]), evals[~keep]
 
 
 def translated(geometry: Geometry, shift) -> Geometry:

@@ -21,6 +21,7 @@ from conftest import (
     DATA_DIR,
     casscf_2_2,
     embed_wavefunction,
+    exact_rdms,
     full_space_expectation,
     h2_case,
     h2_fci,
@@ -52,7 +53,6 @@ from vqse.subspace import (
     reference_rdms,
     solve_gevp,
 )
-from vqse.wick import RdmSet
 
 TOL_EXACT = 1e-12
 TOL_EIG = 1e-10
@@ -127,7 +127,7 @@ def test_contraction_engine_matches_fock_space_oracle():
     partition = OrbitalPartition(core=(), active=(0, 1), virtual=(2, 3))
     spins = partition.active_spin + partition.virtual_spin
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     full = embed_wavefunction(wfn, partition, 8)
     for _ in range(1000):
         length = int(rng.integers(0, 7)) * 2  # even lengths 0..12
@@ -151,7 +151,7 @@ def test_double_double_matrix_element_closed_form():
     rng = np.random.default_rng(99)
     partition = OrbitalPartition(core=(), active=(0, 1), virtual=(2, 3))
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     full = embed_wavefunction(wfn, partition, 8)
     active = partition.active_spin
     virtual = partition.virtual_spin

@@ -305,6 +305,19 @@ def test_curve_row_formatting():
     assert float(cells[5]) == pytest.approx(0.1, abs=1e-10)  # err_vqse
 
 
+def test_curve_row_prints_no_signed_zero():
+    """An error of rounding-noise size prints as 0.000000000000 whatever
+    its sign, so the CSV bytes do not depend on the sign of the noise."""
+    e = -1.163413933537313
+    for noise in (-1e-16, 0.0, -0.0, 1e-16, -4.9e-13):
+        row = CurveRow(r_angstrom=0.7, e_ref=-0.0, e_vqse=e + noise, e_oo=e - noise,
+                       e_fci_full=e)
+        cells = row.csv_cells()
+        assert cells[1] == cells[5] == cells[6] == "0.000000000000", noise
+    row = CurveRow(r_angstrom=0.7, e_vqse=e - 6e-13, e_oo=e + 6e-13, e_fci_full=e)
+    assert row.csv_cells()[5:7] == ["-0.000000000001", "0.000000000001"]
+
+
 # ---------------------------------------------------------------------------
 # fcidump bridge
 

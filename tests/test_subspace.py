@@ -1,11 +1,13 @@
 """Operator pool, subspace matrices, GEVP, and the end-to-end scan point."""
 
+import functools
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 
 import vqse.subspace
 import vqse.wick
@@ -13,7 +15,9 @@ from conftest import (
     SlaterCondon,
     adjoint_ops,
     apply_ladder_string,
+    dense_canonical_orthogonalize,
     embed_wavefunction,
+    exact_rdms,
     h2_case,
     h4_chain_mol,
     higher_cumulants,
@@ -41,9 +45,11 @@ from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     ExpansionOperator,
     SubspacePair,
+    VqseOptions,
     assemble_subspace,
     build_pool,
     canonical_orthogonalize,
+    reference_rdms,
     solve_gevp,
 )
 from vqse.wick import RdmSet
@@ -171,7 +177,7 @@ def test_adjoint_ops_reverse_and_flip():
 def test_identity_pool_gives_reference_expectation():
     case = h2_case(R_A, "6-31g")
     wfn = case["wfn"]
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     pool = [ExpansionOperator("identity")]
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     assert pair.s[0, 0] == pytest.approx(1.0, abs=TOL_ORACLE)
@@ -185,7 +191,7 @@ def test_zero_virtual_space_reproduces_active_qse():
     mol, wfn = case["mol"], case["wfn"]
     partition = case["partition"]
     assert not partition.virtual
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     pool = build_pool(partition)
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
@@ -196,7 +202,7 @@ def test_zero_virtual_space_reproduces_active_qse():
 def test_assembly_matches_full_space_oracle_631g():
     case = h2_case(R_A, "6-31g")
     mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     pool = build_pool(partition)
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
@@ -210,7 +216,7 @@ def test_vectorized_assembly_matches_elementwise_path():
     element oracle."""
     case = h2_case(R_A, "6-31g")
     mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     pool = build_pool(partition, restrict_to=(2, 3))
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
@@ -232,7 +238,7 @@ def test_assembly_matches_full_space_oracle_four_electrons():
     """A 4-electron reference, where the Wick terms with an odd number of
     virtual pairs or a rank-3/4 active residue no longer vanish."""
     mol, wfn, partition = four_electron_slice()
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     pool = build_pool(partition)
     assert len(pool) == 121
     pair = assemble_subspace(pool, mol, rdms, partition)
@@ -246,7 +252,7 @@ def test_assembly_of_shuffled_pool_with_duplicate():
     are not monotone and one operator appears twice: the oracle agrees, and
     the result is the canonical pool's matrices permuted, bit for bit."""
     mol, wfn, partition = four_electron_slice()
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     canonical = build_pool(partition)
     order = np.random.default_rng(5).permutation(len(canonical))
     order = np.insert(order, 60, order[7])
@@ -264,7 +270,7 @@ def test_assembly_of_single_target_pool():
     """A pool restricted to one active spin orbital: its one double,
     a+_mu a_0 a+_nu a_0, has mu != nu, so the support of mu = nu' is empty."""
     mol, wfn, partition = four_electron_slice()
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     pool = build_pool(partition, restrict_to=(0,))
     assert [op.kind for op in pool].count("double") == 1
     pair = assemble_subspace(pool, mol, rdms, partition)
@@ -278,7 +284,7 @@ def test_ccpvdz_assembly_peak_memory():
     than a dense buffer over the doubles' parameter grid (4096^2 entries,
     128 MB per block) would take."""
     case = h2_case(R_A, "cc-pvdz")
-    rdms = RdmSet.from_wavefunction(case["wfn"])
+    rdms = exact_rdms(case["wfn"])
     pool = build_pool(case["partition"])
     assert len(pool) == 777
     tracemalloc.start()
@@ -291,14 +297,22 @@ def test_ccpvdz_assembly_peak_memory():
     assert peak_mb <= 64
 
 
+@functools.lru_cache(maxsize=None)
+def h4_631g_reference():
+    """H4/6-31G at 1.8 bohr with 4 active orbitals: (integrals, active
+    ground state, partition)."""
+    mol = h4_chain_mol("6-31g")
+    partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
+    _, wfn = ground_state(build_hamiltonian_action(dress_core(mol, partition)), 4, sz=0)
+    return mol, wfn, partition
+
+
 def test_h4_assembly_skips_terms_without_support(monkeypatch):
     """H4/6-31G at 1.8 bohr, 4 active orbitals: a Wick term whose bra-ket
     deltas no operator pair meets (in the D x D H block, mu = nu' and
     nu = mu' under mu < nu, mu' < nu') is dropped before it reads the
     rank-4 RDM, so no ``_contract_with_rdm`` call gets an empty column."""
-    mol = h4_chain_mol("6-31g")
-    partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
-    _, wfn = ground_state(build_hamiltonian_action(dress_core(mol, partition)), 4, sz=0)
+    mol, wfn, partition = h4_631g_reference()
     original = vqse.subspace._contract_with_rdm
     sizes = []
 
@@ -307,7 +321,7 @@ def test_h4_assembly_skips_terms_without_support(monkeypatch):
         return original(w, w_spec, d, d_spec, column)
 
     monkeypatch.setattr(vqse.subspace, "_contract_with_rdm", recording)
-    assemble_subspace(build_pool(partition), mol, RdmSet.from_wavefunction(wfn), partition)
+    assemble_subspace(build_pool(partition), mol, exact_rdms(wfn), partition)
     assert sizes and min(sizes) > 0
 
 
@@ -322,7 +336,7 @@ def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
     mol = transform_to_mo(ao, run_rhf(ao, 4).mo_coefficients)
     partition = OrbitalPartition.from_counts(0, 4, mol.n_spatial)
     e_ref, wfn = ground_state(build_hamiltonian_action(dress_core(mol, partition)), 4, sz=0)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     pool = build_pool(partition)
     assert len(pool) == 769
     e_fci, _ = ground_state(build_hamiltonian_action(mol), 4, sz=0)
@@ -352,7 +366,7 @@ def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
 
 def test_assembly_rejects_core_partition():
     case = h2_case(R_A, "6-31g")
-    rdms = RdmSet.from_wavefunction(case["wfn"])
+    rdms = exact_rdms(case["wfn"])
     partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     with pytest.raises(PartitionError):
         assemble_subspace([ExpansionOperator("identity")], case["mol"], rdms, partition)
@@ -385,7 +399,7 @@ def test_orthogonalize_degenerate_metric_raises():
 
 def test_duplicated_pool_entry_drops_one_dimension():
     case = h2_case(R_A, "6-31g")
-    rdms = RdmSet.from_wavefunction(case["wfn"])
+    rdms = exact_rdms(case["wfn"])
     pool = build_pool(case["partition"])
     dup_pool = pool + [pool[3]]
     pair = assemble_subspace(dup_pool, case["mol"], rdms, case["partition"])
@@ -415,9 +429,110 @@ def test_noisy_metric_eps_sweep_dimension_monotone():
     assert all(a >= b for a, b in zip(dims, dims[1:]))
 
 
+@functools.lru_cache(maxsize=None)
+def ccpvdz_pair(n_active_spatial=2):
+    """(pool, pair) of H2/cc-pVDZ at 0.7414 A with exact RDMs."""
+    case = h2_case(0.7414, "cc-pvdz", n_active_spatial)
+    pool = build_pool(case["partition"])
+    return pool, assemble_subspace(pool, case["mol"], exact_rdms(case["wfn"]), case["partition"])
+
+
+@pytest.mark.parametrize(
+    "system, options, n_null",
+    [
+        ("h2_2", VqseOptions(), 224),
+        ("h2_3", VqseOptions(), 378),
+        ("h4", VqseOptions(), 48),
+        ("h4", VqseOptions(cumulant=True), 48),
+        ("h4", VqseOptions(shots=1e4, seed=3), 48),
+        ("h4", VqseOptions(shots=1e6, seed=3), 48),
+    ],
+    ids=["h2_ccpvdz_2", "h2_ccpvdz_3", "h4_exact", "h4_cumulant", "h4_1e4_shots", "h4_1e6_shots"],
+)
+def test_block_orthogonalization_matches_dense(system, options, n_null):
+    """Per-block canonical orthogonalization keeps the retained dimension
+    and the ground energy of one dense ``eigh`` of the whole metric, at
+    every threshold, with exact and with approximate RDMs.  The metric is
+    0.0 between operators that create different virtual spin orbitals, and
+    its blocks are the connected components of its non-zero pattern."""
+    if system == "h4":
+        mol, wfn, partition = h4_631g_reference()
+        pool = build_pool(partition)
+        pair = assemble_subspace(pool, mol, reference_rdms(wfn, options), partition)
+    else:
+        n_active = int(system[-1])
+        partition = h2_case(0.7414, "cc-pvdz", n_active)["partition"]
+        pool, pair = ccpvdz_pair(n_active)
+    virtual = set(partition.virtual_spin)
+    created = [tuple(i for i, dagger in op.ladder_ops() if dagger and i in virtual) for op in pool]
+    groups = {}
+    group = np.array([groups.setdefault(key, len(groups)) for key in created])
+    assert np.all(pair.s[group[:, np.newaxis] != group[np.newaxis, :]] == 0.0)
+
+    null = ~pair.s.any(axis=1)
+    assert pair.null_operators == np.count_nonzero(null) == n_null
+    n_components, component = scipy.sparse.csgraph.connected_components(pair.s != 0)
+    exact = options == VqseOptions()
+    for eps in (1e-8, 1e-4, 1e-3, 1e-2):
+        solution = solve_gevp(pair, eps)
+        x, _ = dense_canonical_orthogonalize(pair.s, eps)
+        h_tilde = x.T @ pair.h @ x
+        e0 = np.linalg.eigvalsh(0.5 * (h_tilde + h_tilde.T))[0]
+        print(f"{system} eps={eps:.0e} dim={solution.retained_dimension} "
+              f"dE={solution.ground_energy - e0:+.2e}")
+        assert solution.retained_dimension == x.shape[1]
+        assert abs(solution.ground_energy - e0) <= (1e-12 if exact else 1e-9 * abs(e0))
+        assert solution.metric_blocks == n_components - n_null
+        x_blocks, _ = canonical_orthogonalize(pair.s, eps)
+        for column in x_blocks.T:
+            assert len(set(component[np.flatnonzero(column)])) == 1
+
+
+def test_gevp_diagonalizes_no_matrix_wider_than_the_retained_space(monkeypatch):
+    """On H2/cc-pVDZ the GEVP keeps 100 of 777 directions, and no ``eigh``
+    it makes sees a wider matrix: the metric is diagonalized block by
+    block, and H~ spans only the retained directions."""
+    _, pair = ccpvdz_pair()
+    eigh = np.linalg.eigh
+    widths = []
+
+    def recording(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    solution = solve_gevp(pair)
+    assert solution.retained_dimension == 100
+    assert widths and max(widths) <= solution.retained_dimension
+
+
+def test_null_operators_have_zero_h_rows():
+    """An operator with an exactly zero S row annihilates the reference, so
+    its H row and column are 0.0 (they are not assembled), and the
+    Fock-space oracle agrees that they vanish."""
+    pool, pair = ccpvdz_pair()
+    null = ~pair.s.any(axis=1)
+    assert pair.null_operators == np.count_nonzero(null) == 224
+    # the doubles a+_mu a_q a+_nu a_q vanish identically
+    q_equals_r = [op.kind == "double" and op.indices[1] == op.indices[3] for op in pool]
+    assert np.all(null[q_equals_r])
+    assert np.all(pair.h[null] == 0.0) and np.all(pair.h[:, null] == 0.0)
+
+    case = h2_case(R_A, "6-31g")
+    mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
+    pool = build_pool(partition)
+    pair = assemble_subspace(pool, mol, exact_rdms(wfn), partition)
+    null = ~pair.s.any(axis=1)
+    assert pair.null_operators == np.count_nonzero(null) > 0
+    assert np.all(pair.h[null] == 0.0) and np.all(pair.h[:, null] == 0.0)
+    h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
+    assert np.max(np.abs(h_ref[null])) < TOL_ORACLE and np.max(np.abs(s_ref[null])) < TOL_ORACLE
+    assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
+
+
 def test_gevp_identity_pool_returns_reference_energy():
     case = h2_case(R_A, "sto-3g")
-    rdms = RdmSet.from_wavefunction(case["wfn"])
+    rdms = exact_rdms(case["wfn"])
     pair = assemble_subspace(
         [ExpansionOperator("identity")], case["mol"], rdms, case["partition"]
     )
@@ -429,7 +544,7 @@ def test_gevp_closed_expansion_hits_fci():
     """STO-3G: the pool spans the whole sector, so the ground eigenvalue is
     the FCI energy."""
     case = h2_case(R_A, "sto-3g")
-    rdms = RdmSet.from_wavefunction(case["wfn"])
+    rdms = exact_rdms(case["wfn"])
     pool = build_pool(case["partition"])
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     sol = solve_gevp(pair)
@@ -441,7 +556,7 @@ def test_gevp_closed_expansion_hits_fci():
 def test_nested_pools_monotone_ground_energy():
     case = h2_case(R_A, "6-31g")
     mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     energies = []
     full_pool = build_pool(partition)
     pools = [
@@ -459,7 +574,7 @@ def test_nested_pools_monotone_ground_energy():
 
 def test_excited_state_bound_reported():
     case = h2_case(R_A, "6-31g")
-    rdms = RdmSet.from_wavefunction(case["wfn"])
+    rdms = exact_rdms(case["wfn"])
     pool = build_pool(case["partition"])
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     sol = solve_gevp(pair)
@@ -523,3 +638,9 @@ def test_scan_point_variational_and_report():
     assert report["discarded_metric_min"] <= report["discarded_metric_max"]
     # canonical orthogonalization keeps lambda > eps * lambda_max, eps = 1e-8
     assert 1.0 <= report["retained_metric_condition"] < 1e8
+    # one metric block per set of created virtual spin orbitals: none, each
+    # of the 4, and each of the 6 pairs; the 8 doubles into the 2 same-spin
+    # pairs annihilate the 2-electron singlet and form no block
+    assert report["metric_blocks"] == 1 + 4 + 6 - 2
+    assert report["null_operators"] == 8
+    assert report["discarded_metric_count"] >= report["null_operators"]

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     embed_wavefunction,
+    exact_rdms,
     full_space_expectation,
     random_wavefunction,
     wick_expectation,
@@ -54,7 +55,7 @@ def test_vacuum_pair_contraction():
     assert contract_virtuals_symbolic(((VIRTUAL, False), (VIRTUAL, True))) == (
         (1, ((0, 1),), ()),
     )
-    rdms = RdmSet.from_wavefunction(random_wavefunction(4, 2, np.random.default_rng(40)))
+    rdms = exact_rdms(random_wavefunction(4, 2, np.random.default_rng(40)))
     for mu, nu in itertools.product(PARTITION.virtual_spin, repeat=2):
         got = wick_expectation(((mu, False), (nu, True)), rdms, PARTITION)
         assert got == (1.0 if mu == nu else 0.0)
@@ -101,7 +102,7 @@ def test_normal_order_balanced_terms_only():
 def test_all_active_single_is_rdm_element():
     rng = np.random.default_rng(41)
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     d1 = compute_rdm(wfn, 1)
     for p, q in itertools.product(range(4), repeat=2):
         assert wick_expectation(((p, True), (q, False)), rdms, PARTITION) == pytest.approx(
@@ -112,7 +113,7 @@ def test_all_active_single_is_rdm_element():
 def test_evaluate_matches_full_space_oracle():
     rng = np.random.default_rng(42)
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     for _ in range(150):
         length = int(rng.integers(0, 7)) * 2  # even lengths up to 12
         ops = random_labeled_ops(rng, length, PARTITION)
@@ -143,7 +144,7 @@ def test_three_electron_reference():
     rng = np.random.default_rng(44)
     partition = OrbitalPartition(core=(), active=(0, 1), virtual=(2,))
     wfn = random_wavefunction(4, 3, rng)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     for _ in range(60):
         ops = random_labeled_ops(rng, int(rng.integers(0, 4)) * 2, partition)
         got = wick_expectation(ops, rdms, partition)
@@ -170,7 +171,7 @@ def test_missing_rdm_raises():
 def test_rdm_set_rank_zero_and_dimension_check():
     rng = np.random.default_rng(46)
     wfn = random_wavefunction(4, 2, rng)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     assert rdms.tensor(0) == 1.0
     with pytest.raises(ValueError):
         RdmSet({1: compute_rdm(wfn, 1), 2: compute_rdm(random_wavefunction(6, 2, rng), 2)})
@@ -181,7 +182,7 @@ def test_active_pattern_tensor_matches_elementwise():
     brute-force expectation of that ladder string."""
     rng = np.random.default_rng(47)
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = RdmSet.from_wavefunction(wfn)
+    rdms = exact_rdms(wfn)
     for daggers in itertools.chain.from_iterable(
         itertools.product((True, False), repeat=L) for L in (2, 3, 4)
     ):
