@@ -45,7 +45,6 @@ class ScanConfig:
     n_electrons: int = 2
     vqse: bool = True
     cumulant_rank: int | None = None  # None or 4 = exact active RDMs, 2 = rebuilt 3-/4-RDMs
-    restrict_to: list | None = None
     oo: str = "none"  # none | iterate
     oo_cycles: int = 10
     shots: float | None = None
@@ -54,7 +53,15 @@ class ScanConfig:
     full_fci: bool = True
 
     def __post_init__(self):
-        pts = [float(r) for r in self.points_angstrom]
+        pts = self.points_angstrom
+        if not isinstance(pts, (list, tuple)) or not all(
+            isinstance(r, (int, float)) and not isinstance(r, bool) and math.isfinite(r) and r > 0
+            for r in pts
+        ):
+            raise VqseError(
+                f"points_angstrom must be a list of positive finite bond lengths, not {pts!r}"
+            )
+        pts = [float(r) for r in pts]
         if any(b - a <= 0 for a, b in zip(pts, pts[1:])):
             raise VqseError("scan points must be strictly increasing")
         if not pts:
@@ -178,7 +185,7 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
             seed=config.seed,
         )
         rdms = reference_rdms(wfn, options)
-        pool = build_pool(partition, restrict_to=config.restrict_to)
+        pool = build_pool(partition)
         pair = assemble_subspace(pool, mol, rdms, partition)
         eps = config.eps if config.shots is None else max(config.eps, NOISY_EPS)
         solution = solve_gevp(pair, eps)

@@ -5,9 +5,10 @@ occupied) with the reference ordering |det> = a+_{i1} a+_{i2} ... |0>,
 i1 < i2 < ...; spatial orbital p holds spin orbitals 2p (alpha) and 2p+1
 (beta).
 
-The solver factors each (n_alpha, n_beta) block into alpha and beta
-strings (Knowles & Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185
-(1988)).  A string is an occupation bitmask over spatial orbitals, and the
+The solver works on the one (n_alpha, n_beta) block that the electron
+count and 2 S_z name, and factors it into alpha and beta strings (Knowles
+& Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185 (1988)).  A
+string is an occupation bitmask over spatial orbitals, and the
 block's product states are |I_a I_b> = A(I_a) B(I_b) |0>.  With
 E^s_pq = a+_{ps} a_{qs},
 
@@ -126,19 +127,6 @@ class HamiltonianAction:
         self.g = mol.eri.reshape(n * n, n * n)  # (pq|rs) at [p * n + q, r * n + s]
         self.k = (mol.h1 - 0.5 * np.einsum("prrq->pq", mol.eri)).reshape(-1)
 
-    def blocks(self, n_electrons: int, sz=None) -> list["SectorBlock"]:
-        """The (n_alpha, n_beta) blocks of the sector, n_alpha ascending."""
-        n = self.n_spatial
-        if sz is None:
-            counts = range(n_electrons + 1)
-        else:
-            counts = [(n_electrons + sz) // 2] if (n_electrons + sz) % 2 == 0 else []
-        return [
-            SectorBlock(self, a, n_electrons - a)
-            for a in counts
-            if 0 <= a <= n and 0 <= n_electrons - a <= n
-        ]
-
     def same_spin(self, t: StringTable) -> np.ndarray:
         """K = sum k_pq E_pq + 1/2 sum (pq|rs) E_pq E_rs over one string set,
         as the dense matrix K[J, I] = <J|K|I>."""
@@ -248,31 +236,30 @@ def _solve_block(block: SectorBlock) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ground_state(
-    action: HamiltonianAction, n_electrons: int, sz=None
+    action: HamiltonianAction, n_electrons: int, sz: int
 ) -> tuple[float, Wavefunction]:
-    """Lowest eigenpair of the (n_electrons, sz) sector.
+    """Lowest eigenpair of the (n_electrons, sz) sector, sz = 2 S_z.
 
-    Each (n_alpha, n_beta) block is solved on its own (``sz=None`` solves
-    them all and keeps the lowest): dense ``eigh`` of the string-built
-    matrix up to ``DENSE_LIMIT`` determinants, Lanczos (``eigsh``) over the
-    sigma-build above, started from a fixed-seed vector so that repeated
-    solves are bit-identical.  A gap under 1e-10 between the two lowest
-    eigenvalues found over all blocks is warned about.  The eigenvector is
-    returned over the interleaved determinants, ascending, with its
-    largest-magnitude amplitude real positive.
+    The sector is the one (n_alpha, n_beta) block that sz names; an odd or
+    out-of-range sector raises ``ValueError``.  It is solved by dense
+    ``eigh`` of the string-built matrix up to ``DENSE_LIMIT`` determinants,
+    and above that by Lanczos (``eigsh``) over the sigma-build, started from
+    a fixed-seed vector so that repeated solves are bit-identical.  A gap
+    under 1e-10 between the block's two lowest eigenvalues is warned about.
+    The eigenvector is returned over the interleaved determinants,
+    ascending, with its largest-magnitude amplitude real positive.
     """
-    blocks = action.blocks(n_electrons, sz)
-    if not blocks:
-        raise ValueError("empty determinant sector")
-    solutions = [_solve_block(block) for block in blocks]
-    lowest = np.sort(np.concatenate([evals for evals, _ in solutions]))
-    if len(lowest) > 1 and lowest[1] - lowest[0] < 1e-10:
+    n_alpha, odd = divmod(n_electrons + sz, 2)
+    n_beta = n_electrons - n_alpha
+    if odd or not (0 <= n_alpha <= action.n_spatial and 0 <= n_beta <= action.n_spatial):
+        raise ValueError(f"empty determinant sector: {n_electrons} electrons, 2 S_z = {sz}")
+    block = SectorBlock(action, n_alpha, n_beta)
+    evals, vec = _solve_block(block)
+    if len(evals) > 1 and evals[1] - evals[0] < 1e-10:
         warnings.warn(
-            f"ground state nearly degenerate (gap {lowest[1]-lowest[0]:.2e})",
+            f"ground state nearly degenerate (gap {evals[1]-evals[0]:.2e})",
             stacklevel=2,
         )
-    best = min(range(len(blocks)), key=lambda i: solutions[i][0][0])
-    block, (evals, vec) = blocks[best], solutions[best]
     dets = block.determinants()
     order = sorted(range(block.size), key=dets.__getitem__)
     vec = (block.phase() * vec)[order]

@@ -6,10 +6,12 @@ on the (active state) x (virtual vacuum) reference from active-space RDMs,
 and solves the generalized eigenvalue problem H C = S C E after canonical
 orthogonalization of the metric.
 
-The assembly is vectorized per operator class (identity, active->active
-single, virtual-reaching single, double).  Each Wick term of each
-Hamiltonian index block is contracted down to its output letters, and the
-result is indexed directly at the pool's own parameter tuples, so no work
+The assembly is vectorized per operator class: the pool operators whose
+ladder strings share one (space, dagger) pattern, read off each
+operator's own ``ladder_ops`` (on the canonical pool: identity,
+active->active single, virtual-reaching single, double).  Each Wick term
+of each Hamiltonian index block is contracted down to its output letters,
+and the result is indexed directly at the pool's own index tuples, so no work
 or memory is spent on index combinations the pool does not contain.  This
 is what makes a ~10^3 operator pool with a 20-spatial-orbital Hamiltonian
 tractable in pure numpy.  A term whose output carries a delta between a
@@ -101,30 +103,23 @@ class ExpansionOperator:
         )
 
 
-def build_pool(partition: OrbitalPartition, restrict_to=None) -> list:
+def build_pool(partition: OrbitalPartition) -> list:
     """Enumerate the S_z-conserving expansion-operator pool, canonically ordered.
 
-    ``restrict_to`` limits the active indices p, q, r to a subset of the
-    active spin orbitals.  Operators that change S_z are dropped: their
-    subspace rows decouple from the S_z-conserving reference sector.
+    Operators that change S_z are dropped: their subspace rows decouple
+    from the S_z-conserving reference sector.
     """
     if not partition.active:
         raise PartitionError("the active space is empty")
     active = partition.active_spin
     virtual = partition.virtual_spin
-    if restrict_to is None:
-        targets = active
-    else:
-        targets = tuple(sorted(restrict_to))
-        if not set(targets) <= set(active):
-            raise PartitionError("restriction must be a subset of the active spin orbitals")
     pool = [ExpansionOperator("identity")]
     for i in sorted(active + virtual):
-        for p in targets:
+        for p in active:
             pool.append(ExpansionOperator("single", (i, p)))
     for mu, nu in itertools.combinations(sorted(virtual), 2):
-        for q in targets:
-            for r in targets:
+        for q in active:
+            for r in active:
                 pool.append(ExpansionOperator("double", (mu, q, nu, r)))
     return [op for op in pool if op.delta_sz() == 0]
 
@@ -133,44 +128,13 @@ def build_pool(partition: OrbitalPartition, restrict_to=None) -> list:
 # gathered assembly
 
 
-@dataclass(frozen=True)
-class _OpClass:
-    """Shape class of pool operators: which slots are active or virtual."""
-
-    name: str
-    slots: tuple  # ket-side (space, dagger, param_id) triples
-    axes: tuple  # per parameter: ACTIVE or VIRTUAL
-
-
-_CLASS_I = _OpClass("I", (), ())
-_CLASS_SA = _OpClass(
-    "SA", ((ACTIVE, True, 0), (ACTIVE, False, 1)), (ACTIVE, ACTIVE)
-)
-_CLASS_SV = _OpClass(
-    "SV", ((VIRTUAL, True, 0), (ACTIVE, False, 1)), (VIRTUAL, ACTIVE)
-)
-_CLASS_D = _OpClass(
-    "D",
-    ((VIRTUAL, True, 0), (ACTIVE, False, 1), (VIRTUAL, True, 2), (ACTIVE, False, 3)),
-    (VIRTUAL, ACTIVE, VIRTUAL, ACTIVE),
-)
-
-
-def _classify(op: ExpansionOperator, active: set) -> _OpClass:
-    if op.kind == "identity":
-        return _CLASS_I
-    if op.kind == "single":
-        return _CLASS_SA if op.indices[0] in active else _CLASS_SV
-    return _CLASS_D
-
-
 def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
     """Coefficient slices of H by the active/virtual pattern of its indices.
 
-    Each group is (W, slots): W the coefficient array over local indices
-    and slots the (space, dagger, axis) triples of the operators it
-    multiplies.  The scalar part of H is handled separately (it is just
-    ``constant * S``).
+    Each group is (W, pattern): W the coefficient array over local indices
+    and pattern the (space, dagger) pairs of the operators it multiplies,
+    one per axis of W.  The scalar part of H is handled separately (it is
+    just ``constant * S``).
     """
     lists = {ACTIVE: list(partition.active_spin), VIRTUAL: list(partition.virtual_spin)}
     h1s = mol.h1_spin()
@@ -179,54 +143,47 @@ def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
     for s0, s1 in itertools.product((ACTIVE, VIRTUAL), repeat=2):
         w = h1s[np.ix_(lists[s0], lists[s1])]
         if w.size and np.any(w):
-            groups.append((w, ((s0, True, 0), (s1, False, 1))))
+            groups.append((w, ((s0, True), (s1, False))))
     for s0, s1, s2, s3 in itertools.product((ACTIVE, VIRTUAL), repeat=4):
         w = 0.5 * h2s[np.ix_(lists[s0], lists[s1], lists[s2], lists[s3])]
         if w.size and np.any(w):
-            groups.append(
-                (w, ((s0, True, 0), (s1, True, 1), (s2, False, 2), (s3, False, 3)))
-            )
+            groups.append((w, ((s0, True), (s1, True), (s2, False), (s3, False))))
     return groups
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _gathered_block(class_i, class_j, idx_i, idx_j, supports, rdms, dtype, groups):
+def _gathered_block(pattern_i, pattern_j, idx_i, idx_j, supports, rdms, dtype, groups):
     """<O_i+ (op group) O_j> at the pool's own index tuples, shape (n_i, n_j).
 
-    ``idx_i``/``idx_j`` hold the local parameter indices of the pool
-    operators of each class, one row per operator.  Every output letter of
-    a Wick term is an index column, (n_i, 1) on the bra side and (1, n_j)
-    on the ket side.  A letter shared by a bra and a ket parameter (a
-    virtual or active delta between them) restricts the term to its
-    support, the (row, col) pairs where the delta holds; ``supports``
-    caches these per delta signature, and the caller shares it between the
-    S and H blocks of one class pair.
+    ``pattern_i``/``pattern_j`` are the (space, dagger) ladder patterns of
+    the two operator classes, and ``idx_i``/``idx_j`` hold the local index
+    of each of their ladder operators, one row per pool operator.  Every
+    output letter of a Wick term is an index column, (n_i, 1) on the bra
+    side and (1, n_j) on the ket side.  A letter shared by a bra and a ket
+    parameter (a virtual or active delta between them) restricts the term
+    to its support, the (row, col) pairs where the delta holds;
+    ``supports`` caches these per delta signature, and the caller shares it
+    between the S and H blocks of one class pair.
 
     Each normal-ordering term of the active residue joins its delta pairs
     to the virtual pairs and reads the bare RDM; W meets that RDM directly
     when they share summed H letters (W-first).
     """
     block = np.zeros((len(idx_i), len(idx_j)), dtype=dtype)
-    bra = tuple((sp, not dg, pid) for sp, dg, pid in reversed(class_i.slots))
+    bra = tuple((sp, not dg) for sp, dg in reversed(pattern_i))  # O_i+
     # (axis of the block, 1-D column, column broadcast along that axis)
     columns = [(0, col, col[:, np.newaxis]) for col in idx_i.T] + [
         (1, col, col[np.newaxis, :]) for col in idx_j.T
     ]
-    for w, hslots in groups:
-        slots = (
-            [(sp, dg, ("i", pid)) for sp, dg, pid in bra]
-            + [(sp, dg, ("h", pid)) for sp, dg, pid in hslots]
-            + [(sp, dg, ("j", pid)) for sp, dg, pid in class_j.slots]
-        )
-        tag_to_slot = {tag: pos for pos, (_, _, tag) in enumerate(slots)}
-        pattern = tuple((sp, dg) for sp, dg, _ in slots)
-        h_positions = [tag_to_slot[("h", k)] for k in range(np.ndim(w))]
-        out_positions = [tag_to_slot[("i", pid)] for pid in range(len(class_i.axes))] + [
-            tag_to_slot[("j", pid)] for pid in range(len(class_j.axes))
-        ]
-        term = (w, h_positions, out_positions, columns, len(slots))
+    n_i = len(pattern_i)
+    for w, h_pattern in groups:
+        # slots: O_i+ (its parameters reversed), then H, then O_j
+        pattern = bra + h_pattern + pattern_j
+        n_ih = n_i + len(h_pattern)
+        out_positions = list(range(n_i - 1, -1, -1)) + list(range(n_ih, len(pattern)))
+        term = (w, range(n_i, n_ih), out_positions, columns, len(pattern))
         for sign, vpairs, active_slots in wick.contract_virtuals_symbolic(pattern):
             daggers = tuple(pattern[s][1] for s in active_slots)
             for no_sign, dpairs, cres, anns in wick.normal_order_symbolic(daggers):
@@ -357,10 +314,9 @@ class SubspacePair:
 
     h: np.ndarray
     s: np.ndarray
-    pool: list
-    h_asymmetry: float = 0.0
-    s_asymmetry: float = 0.0
-    null_operators: int = 0  # operators with an exactly zero S row; their H rows are not assembled
+    h_asymmetry: float
+    s_asymmetry: float
+    null_operators: int  # operators with an exactly zero S row; their H rows are not assembled
 
 
 def assemble_subspace(
@@ -378,22 +334,24 @@ def assemble_subspace(
         raise PartitionError(
             f"integrals cover {mol.n_spatial} orbitals, partition {partition.n_spatial}"
         )
-    active = set(partition.active_spin)
-    loc = {ACTIVE: {so: k for k, so in enumerate(partition.active_spin)},
-           VIRTUAL: {so: k for k, so in enumerate(partition.virtual_spin)}}
+    local = {  # spin orbital -> (space, index within that space)
+        so: (space, k)
+        for space, spins in ((ACTIVE, partition.active_spin), (VIRTUAL, partition.virtual_spin))
+        for k, so in enumerate(spins)
+    }
     dtype = np.result_type(float, *(r.tensor.dtype for r in rdms.rdms.values()))
 
-    # group pool entries by shape class, with their local parameter indices
+    # group pool entries by the (space, dagger) pattern of their ladder
+    # strings, in order of first appearance, with their local indices
     by_class: dict = {}
     for row, op in enumerate(pool):
-        cls = _classify(op, active)
-        params = [loc[space][index] for space, (index, _) in zip(cls.axes, op.ladder_ops())]
-        by_class.setdefault(cls.name, (cls, [], []))
-        by_class[cls.name][1].append(row)
-        by_class[cls.name][2].append(params)
+        ladder = [(*local[index], dagger) for index, dagger in op.ladder_ops()]
+        rows, params = by_class.setdefault(tuple((sp, dg) for sp, _, dg in ladder), ([], []))
+        rows.append(row)
+        params.append([k for _, k, _ in ladder])
     classes = [
-        (cls, np.array(rows, dtype=np.intp), np.array(params, dtype=np.intp))
-        for cls, rows, params in by_class.values()
+        (pattern, np.array(rows, dtype=np.intp), np.array(params, dtype=np.intp))
+        for pattern, (rows, params) in by_class.items()
     ]
 
     n = len(pool)
@@ -401,7 +359,7 @@ def assemble_subspace(
     supports = {}  # per class pair, shared by its S and H blocks
     for ci, rows_i, idx_i in classes:
         for cj, rows_j, idx_j in classes:
-            cache = supports[ci.name, cj.name] = {}
+            cache = supports[ci, cj] = {}
             s[np.ix_(rows_i, rows_j)] = _gathered_block(
                 ci, cj, idx_i, idx_j, cache, rdms, dtype, [(np.float64(1.0), ())]
             )
@@ -410,23 +368,23 @@ def assemble_subspace(
     # i vanish as well, and only the other rows are assembled.  A class that
     # loses rows loses its cached supports, which index the whole block.
     live = s.any(axis=0) | s.any(axis=1)
-    classes = [(cls, rows[live[rows]], idx[live[rows]], live[rows].all())
-               for cls, rows, idx in classes]
+    classes = [(pattern, rows[live[rows]], idx[live[rows]], live[rows].all())
+               for pattern, rows, idx in classes]
     h_groups = _hamiltonian_groups(mol, partition)
     h = np.zeros((n, n), dtype=dtype)
     for ci, rows_i, idx_i, whole_i in classes:
         for cj, rows_j, idx_j, whole_j in classes:
-            cache = supports.pop((ci.name, cj.name))
+            cache = supports.pop((ci, cj))
             if rows_i.size and rows_j.size:
                 h[np.ix_(rows_i, rows_j)] = _gathered_block(
                     ci, cj, idx_i, idx_j, cache if whole_i and whole_j else {}, rdms, dtype,
                     h_groups,
                 )
     h += mol.constant * s
-    return _hermitized_pair(h, s, pool, n - int(np.count_nonzero(live)))
+    return _hermitized_pair(h, s, n - int(np.count_nonzero(live)))
 
 
-def _hermitized_pair(h: np.ndarray, s: np.ndarray, pool, null_operators: int) -> SubspacePair:
+def _hermitized_pair(h: np.ndarray, s: np.ndarray, null_operators: int) -> SubspacePair:
     h_asym = float(np.max(np.abs(h - h.conj().T), initial=0.0))
     s_asym = float(np.max(np.abs(s - s.conj().T), initial=0.0))
     h = 0.5 * (h + h.conj().T)
@@ -435,7 +393,7 @@ def _hermitized_pair(h: np.ndarray, s: np.ndarray, pool, null_operators: int) ->
         np.abs(s.imag), initial=0.0
     ) < 1e-14:
         h, s = np.ascontiguousarray(h.real), np.ascontiguousarray(s.real)
-    return SubspacePair(h, s, list(pool), h_asym, s_asym, null_operators)
+    return SubspacePair(h, s, h_asym, s_asym, null_operators)
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +403,11 @@ def _hermitized_pair(h: np.ndarray, s: np.ndarray, pool, null_operators: int) ->
 @dataclass
 class GevpSolution:
     eigenvalues: np.ndarray  # ascending, hartree
-    eigenvectors: np.ndarray  # columns, pool basis
     retained_dimension: int
     discarded_metric_eigenvalues: np.ndarray
-    residual_norm: float = 0.0
-    metric_condition: float = 1.0  # lambda_max / lambda_min of the retained metric
-    metric_blocks: int = 1  # blocks of the metric orthogonalized apart
+    residual_norm: float  # largest column norm of H C - S C E
+    metric_condition: float  # lambda_max / lambda_min of the retained metric
+    metric_blocks: int  # blocks of the metric orthogonalized apart
 
     @property
     def ground_energy(self) -> float:
@@ -481,7 +438,8 @@ def _metric_blocks(s: np.ndarray) -> list:
 def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
     """X = V_r L_r^(-1/2) over metric eigenpairs with lambda > eps * lambda_max.
 
-    Returns (X, discarded eigenvalues ascending); X+ S X = identity.
+    Returns (X, discarded eigenvalues ascending, number of blocks);
+    X+ S X = identity.
     ``s`` must be exactly Hermitian, as ``assemble_subspace`` leaves it.
     S is block diagonal over the connected components of its non-zero
     pattern (on the subspace pool: operators that create different
@@ -490,7 +448,7 @@ def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
     blocks.  A zero row is in no block and adds a discarded eigenvalue 0.
     """
     blocks = _metric_blocks(s)
-    stacks = []  # per block size k: rows (m, k), eigenvalues (m, k), eigenvectors (m, k, k)
+    stacks = []  # per block size k: rows (m, k), then eigh's values (m, k) and vectors (m, k, k)
     for k in sorted({block.size for block in blocks}):
         rows = np.array([block for block in blocks if block.size == k])
         stacks.append((rows, *np.linalg.eigh(s[rows[:, :, np.newaxis], rows[:, np.newaxis, :]])))
@@ -508,7 +466,7 @@ def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
     x = np.concatenate(x_t).T
     if not x.shape[1]:
         raise DegenerateMetricError("all metric eigenvalues fall below the threshold")
-    return x, np.sort(np.concatenate(discarded))
+    return x, np.sort(np.concatenate(discarded)), len(blocks)
 
 
 def solve_gevp(pair: SubspacePair, eps: float = DEFAULT_EPS) -> GevpSolution:
@@ -516,9 +474,9 @@ def solve_gevp(pair: SubspacePair, eps: float = DEFAULT_EPS) -> GevpSolution:
 
     X, and so C, is zero outside the metric blocks that retain a
     direction.  H~ = X+ H X is formed over those rows only, and S C is zero
-    outside them.
+    outside them.  C serves only the residual and is not returned.
     """
-    x, discarded = canonical_orthogonalize(pair.s, eps)
+    x, discarded, n_blocks = canonical_orthogonalize(pair.s, eps)
     rows = np.flatnonzero(x.any(axis=1))
     x = x[rows]
     h_cols = pair.h[:, rows]
@@ -532,11 +490,7 @@ def solve_gevp(pair: SubspacePair, eps: float = DEFAULT_EPS) -> GevpSolution:
     # column k of X has norm lambda_k^(-1/2)
     inv_sqrt = np.linalg.norm(x, axis=0)
     condition = float((inv_sqrt.max() / inv_sqrt.min()) ** 2)
-    c = np.zeros((len(pair.s), len(evals)), dtype=c_rows.dtype)
-    c[rows] = c_rows
-    # canonical_orthogonalize returns no block count, so the blocks are found again
-    blocks = len(_metric_blocks(pair.s))
-    return GevpSolution(evals, c, x.shape[1], discarded, res_norm, condition, blocks)
+    return GevpSolution(evals, x.shape[1], discarded, res_norm, condition, n_blocks)
 
 
 # ---------------------------------------------------------------------------

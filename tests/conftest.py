@@ -11,7 +11,13 @@ import scipy.optimize
 
 from vqse import ANGSTROM_PER_BOHR, wick
 from vqse.exceptions import VqseError
-from vqse.fci import Wavefunction, apply_ladder, build_hamiltonian_action, ground_state
+from vqse.fci import (
+    SectorBlock,
+    Wavefunction,
+    apply_ladder,
+    build_hamiltonian_action,
+    ground_state,
+)
 from vqse.integrals import (
     Atom,
     BasisSet,
@@ -35,7 +41,7 @@ from vqse.rdm import (
     wedge,
 )
 from vqse.spaces import OrbitalPartition
-from vqse.subspace import ExpansionOperator, VqseOptions, reference_rdms
+from vqse.subspace import ExpansionOperator, VqseOptions, build_pool, reference_rdms
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -209,6 +215,16 @@ def eri_phys_antisym(mol: MolecularIntegrals) -> np.ndarray:
     return v - v.transpose(0, 1, 3, 2)
 
 
+def restricted_pool(partition: OrbitalPartition, targets) -> list:
+    """The canonical pool cut to the operators whose annihilated active
+    spin orbitals (p of a single, q and r of a double) all lie in
+    ``targets``."""
+    return [
+        op for op in build_pool(partition)
+        if all(i in targets for i, dagger in op.ladder_ops() if not dagger)
+    ]
+
+
 def adjoint_ops(op: ExpansionOperator) -> tuple:
     """(index, dagger) pairs of the operator's adjoint, leftmost first."""
     return tuple((i, not d) for i, d in reversed(op.ladder_ops()))
@@ -252,6 +268,21 @@ class RotationParameters:
         for (i, b), theta in zip(self.pairs, self.angles):
             u = u @ givens_matrix(self.n_spatial, i, b, theta)
         return u
+
+
+def sector_blocks(action, n_electrons: int, sz=None) -> list[SectorBlock]:
+    """The (n_alpha, n_beta) blocks of the sector, n_alpha ascending: the
+    one block ``sz`` names, or every block when ``sz`` is None."""
+    n = action.n_spatial
+    if sz is None:
+        counts = range(n_electrons + 1)
+    else:
+        counts = [(n_electrons + sz) // 2] if (n_electrons + sz) % 2 == 0 else []
+    return [
+        SectorBlock(action, a, n_electrons - a)
+        for a in counts
+        if 0 <= a <= n and 0 <= n_electrons - a <= n
+    ]
 
 
 def sector_determinants(n_spin_orbitals: int, n_electrons: int, sz=None) -> list[int]:

@@ -444,7 +444,7 @@ def test_retained_dimension_monotone_in_threshold():
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     dims = []
     for eps in (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1):
-        x, _ = canonical_orthogonalize(pair.s, eps)
+        x, _, _ = canonical_orthogonalize(pair.s, eps)
         dims.append(x.shape[1])
     assert all(b <= a for a, b in zip(dims, dims[1:])), dims
     assert dims[-1] < dims[0]

@@ -187,6 +187,21 @@ def test_scan_cli_config_error_exit_code(tmp_path):
     assert main(["scan", "--config", str(missing), "--output", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "points",
+    [["x"], "0.7", [0.0], [math.nan], [-0.7, 0.7]],
+    ids=["string_entry", "string", "zero", "nan", "negative"],
+)
+def test_scan_cli_rejects_points_that_are_not_positive_lengths(tmp_path, capsys, points):
+    """A string escaped as a ValueError traceback, 0.0 wrote a failed
+    ZeroDivisionError row, NaN a failed row, and -0.7 ran as a bond length."""
+    path = write_config(tmp_path, points_angstrom=points)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(path), "--output", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "curve.csv").exists()
+
+
 def test_scan_seed_override(tmp_path):
     config_path = write_config(tmp_path, seed=0, shots=1e6)
     assert main([

@@ -16,6 +16,7 @@ from conftest import (
     normalized,
     overlap,
     random_wavefunction,
+    sector_blocks,
     sector_determinants,
     wavefunction_norm,
 )
@@ -37,7 +38,7 @@ def sector_matrix(mol, n_electrons, sz=None):
     """The production blocks put together over the sector's interleaved
     determinants, ascending, with zeros between blocks."""
     dets, blocks = [], []
-    for block in build_hamiltonian_action(mol).blocks(n_electrons, sz):
+    for block in sector_blocks(build_hamiltonian_action(mol), n_electrons, sz):
         phase = block.phase()
         dets += block.determinants()
         blocks.append(phase[:, None] * block.matrix() * phase[None, :])
@@ -137,7 +138,7 @@ def test_zero_integrals_zero_action():
     mol = MolecularIntegrals(
         n_spatial=2, e_nuc=0.0, h1=np.zeros((2, 2)), eri=np.zeros((2, 2, 2, 2))
     )
-    for block in build_hamiltonian_action(mol).blocks(2):
+    for block in sector_blocks(build_hamiltonian_action(mol), 2):
         c = np.zeros(block.shape)
         c[0, 0] = 1.0
         assert np.all(np.abs(block.sigma(c)) < TOL_EXACT)
@@ -169,7 +170,7 @@ def test_apply_matches_dense_matrix():
     h = SlaterCondon(mol).dense_matrix(dets)
     x = rng.normal(size=len(dets))
     ref = dict(zip(dets, h @ x))
-    for block in action.blocks(2):
+    for block in sector_blocks(action, 2):
         phase = block.phase()
         xb = np.array([x[dets.index(d)] for d in block.determinants()]) * phase
         hx = block.sigma(xb.reshape(block.shape)).ravel() * phase
@@ -202,7 +203,7 @@ def test_sigma_matches_dense_matrix(molecule):
     else:
         mol, n_electrons = h4_chain_mol("6-31g"), 4
     rng = np.random.default_rng(22)
-    for block in build_hamiltonian_action(mol).blocks(n_electrons):
+    for block in sector_blocks(build_hamiltonian_action(mol), n_electrons):
         c = rng.normal(size=block.shape)
         ref = block.matrix() @ c.ravel()
         assert np.max(np.abs(block.sigma(c).ravel() - ref)) < TOL_EXACT
@@ -271,11 +272,12 @@ def test_one_dimensional_sector_is_diagonal_element():
 
 
 def test_ground_state_variational_under_sz_restriction():
-    """The sz = 0 ground state of H2 equals the unrestricted one."""
+    """The sz = 0 ground state of H2 is the lowest over every 2-electron
+    sector, sz = -2, 0 and 2."""
     case = h2_case(1.4 * ANGSTROM_PER_BOHR, "6-31g")
     action = build_hamiltonian_action(case["mol"])
     e_sz0, _ = ground_state(action, 2, sz=0)
-    e_all, _ = ground_state(action, 2)
+    e_all = min(ground_state(action, 2, sz=sz)[0] for sz in (-2, 0, 2))
     assert e_sz0 == pytest.approx(e_all, abs=1e-10)
 
 
@@ -283,8 +285,11 @@ def test_empty_sector_raises():
     mol = MolecularIntegrals(
         n_spatial=1, e_nuc=0.0, h1=np.zeros((1, 1)), eri=np.zeros((1,) * 4)
     )
+    action = build_hamiltonian_action(mol)
     with pytest.raises(ValueError):
-        ground_state(build_hamiltonian_action(mol), 3)
+        ground_state(action, 3, sz=1)  # 2 alpha electrons in 1 orbital
+    with pytest.raises(ValueError):
+        ground_state(action, 2, sz=1)  # 2 S_z of odd parity
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from conftest import (
     h4_chain_mol,
     higher_cumulants,
     random_wavefunction,
+    restricted_pool,
     sector_determinants,
 )
 from vqse import ANGSTROM_PER_BOHR
@@ -125,12 +126,6 @@ def test_pool_singles_only_one_spatial_active():
     assert pool[0].kind == "identity"
 
 
-def test_pool_empty_restriction_leaves_identity():
-    partition = OrbitalPartition.from_counts(0, 2, 4)
-    pool = build_pool(partition, restrict_to=())
-    assert len(pool) == 1 and pool[0].kind == "identity"
-
-
 def test_pool_closed_form_count_ccpvdz():
     partition = OrbitalPartition.from_counts(0, 2, 10)  # 4 active + 16 virtual spin
     pool = unpruned_pool(partition)
@@ -160,9 +155,6 @@ def test_pool_sz_pruning_matches_manual_filter():
 def test_pool_validation_errors():
     with pytest.raises(PartitionError):
         build_pool(OrbitalPartition(core=(0,), active=(), virtual=(1,)))
-    partition = OrbitalPartition.from_counts(0, 2, 4)
-    with pytest.raises(PartitionError):
-        build_pool(partition, restrict_to=(99,))
 
 
 def test_adjoint_ops_reverse_and_flip():
@@ -217,7 +209,7 @@ def test_vectorized_assembly_matches_elementwise_path():
     case = h2_case(R_A, "6-31g")
     mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
     rdms = exact_rdms(wfn)
-    pool = build_pool(partition, restrict_to=(2, 3))
+    pool = restricted_pool(partition, (2, 3))
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
     assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
@@ -271,7 +263,7 @@ def test_assembly_of_single_target_pool():
     a+_mu a_0 a+_nu a_0, has mu != nu, so the support of mu = nu' is empty."""
     mol, wfn, partition = four_electron_slice()
     rdms = exact_rdms(wfn)
-    pool = build_pool(partition, restrict_to=(0,))
+    pool = restricted_pool(partition, (0,))
     assert [op.kind for op in pool].count("double") == 1
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
@@ -377,8 +369,8 @@ def test_assembly_rejects_core_partition():
 
 
 def test_orthogonalize_identity_metric():
-    x, discarded = canonical_orthogonalize(np.eye(5))
-    assert discarded.size == 0
+    x, discarded, n_blocks = canonical_orthogonalize(np.eye(5))
+    assert discarded.size == 0 and n_blocks == 5  # each row is a block of its own
     assert np.allclose(x.T @ np.eye(5) @ x, np.eye(5), atol=TOL_EXACT)
 
 
@@ -386,7 +378,8 @@ def test_orthogonalize_whitens_random_metric():
     rng = np.random.default_rng(51)
     a = rng.normal(size=(6, 6))
     s = a @ a.T + 6 * np.eye(6)
-    x, _ = canonical_orthogonalize(s)
+    x, _, n_blocks = canonical_orthogonalize(s)
+    assert n_blocks == 1
     assert np.max(np.abs(x.T @ s @ x - np.eye(x.shape[1]))) < 1e-10
 
 
@@ -483,7 +476,8 @@ def test_block_orthogonalization_matches_dense(system, options, n_null):
         assert solution.retained_dimension == x.shape[1]
         assert abs(solution.ground_energy - e0) <= (1e-12 if exact else 1e-9 * abs(e0))
         assert solution.metric_blocks == n_components - n_null
-        x_blocks, _ = canonical_orthogonalize(pair.s, eps)
+        x_blocks, _, n_blocks = canonical_orthogonalize(pair.s, eps)
+        assert n_blocks == solution.metric_blocks
         for column in x_blocks.T:
             assert len(set(component[np.flatnonzero(column)])) == 1
 
@@ -504,6 +498,24 @@ def test_gevp_diagonalizes_no_matrix_wider_than_the_retained_space(monkeypatch):
     solution = solve_gevp(pair)
     assert solution.retained_dimension == 100
     assert widths and max(widths) <= solution.retained_dimension
+
+
+def test_gevp_labels_the_metric_blocks_once(monkeypatch):
+    """On H2/cc-pVDZ ``solve_gevp`` finds the connected components of the
+    metric once, inside ``canonical_orthogonalize``, and reports the block
+    count found there."""
+    _, pair = ccpvdz_pair()
+    original = vqse.subspace._metric_blocks
+    found = []
+
+    def recording(s):
+        found.append(original(s))
+        return found[-1]
+
+    monkeypatch.setattr(vqse.subspace, "_metric_blocks", recording)
+    solution = solve_gevp(pair)
+    assert len(found) == 1
+    assert solution.metric_blocks == len(found[0]) == 81
 
 
 def test_null_operators_have_zero_h_rows():
