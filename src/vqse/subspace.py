@@ -38,18 +38,24 @@ non-zero entry only merges two blocks.
 
 One rule contracts every term: its active residue is expanded in normal
 order right there, and each normal-ordering term reads the bare RDM of
-its rank.  When Hamiltonian letters sit on active slots (they are then
-summed), the coefficient slice W is contracted with that RDM first
-(W-first), by one batched ``matmul`` on a reshaped view of the RDM.  So no
-tensor over an operator pattern is built, in particular not the dense
-rank-8 pattern of a double-double block with an all-active two-body term
-(8^8 entries, 134 MB, for 4 active orbitals).
+its rank, unless that RDM vanishes identically (ranks 3 and 4 of a
+2-electron state).  The RDMs stay packed (C(n, k)^2 entries per rank).
+When Hamiltonian letters sit on active slots (they are then summed), the
+coefficient slice W is contracted with that RDM first (W-first): W is
+antisymmetrized over each group of summed letters and meets a split
+layout of the packed RDM in one batched ``matmul``.  Every rank-3 and
+rank-4 term of the canonical pool sums letters of W, so the other terms
+read only dense ranks 0-2.  So no tensor over an operator pattern is
+built (the rank-8 pattern of a double-double block with an all-active
+two-body term has 8^8 entries for 4 active orbitals), and no dense rank-3
+or rank-4 RDM either (8^8 entries, 128 MiB, for the rank-4 one).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +63,14 @@ import numpy as np
 from . import wick
 from .exceptions import DegenerateMetricError, PartitionError, VqseError
 from .integrals import MolecularIntegrals
+from .rdm import (
+    compute_rdm,
+    cumulant_3rdm,
+    cumulant_4rdm,
+    inject_shot_noise,
+    pack_antisymmetrized,
+    unpack_ends,
+)
 from .spaces import OrbitalPartition
 from .wick import ACTIVE, VIRTUAL, RdmSet
 
@@ -154,22 +168,48 @@ def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _gathered_block(pattern_i, pattern_j, idx_i, idx_j, supports, rdms, dtype, groups):
+class _RdmForms:
+    """What one assembly reads of the packed RDMs, each form built on first
+    use and dropped with the assembly: the dense tensor of a rank read by
+    terms that share no letter with W (ranks 0-2 on the canonical pool,
+    whose rank-3 and rank-4 terms all sum letters of W) and the split
+    layout (:meth:`vqse.rdm.Rdm.split`) of each W-first split."""
+
+    def __init__(self, rdms: RdmSet):
+        self.rdms = rdms
+        self.n = rdms.n_active
+        self.vanishing = {k for k, rdm in rdms.rdms.items() if not rdm.packed.any()}
+        self._built = {}
+
+    def dense(self, k: int) -> np.ndarray:
+        if k not in self._built:
+            self._built[k] = self.rdms.tensor(k)
+        return self._built[k]
+
+    def split(self, k: int, upper: int, lower: int) -> np.ndarray:
+        key = (k, upper, lower)
+        if key not in self._built:
+            self._built[key] = self.rdms.rdm(k).split(upper, lower)
+        return self._built[key]
+
+
+def _gathered_block(pattern_i, pattern_j, idx_i, idx_j, supports, forms, dtype, groups):
     """<O_i+ (op group) O_j> at the pool's own index tuples, shape (n_i, n_j).
 
     ``pattern_i``/``pattern_j`` are the (space, dagger) ladder patterns of
     the two operator classes, and ``idx_i``/``idx_j`` hold the local index
     of each of their ladder operators, one row per pool operator.  Every
-    output letter of a Wick term is an index column, (n_i, 1) on the bra
-    side and (1, n_j) on the ket side.  A letter shared by a bra and a ket
+    output letter of a Wick term is an index column of the bra or the ket
+    side.  A letter shared by a bra and a ket
     parameter (a virtual or active delta between them) restricts the term
     to its support, the (row, col) pairs where the delta holds;
     ``supports`` caches these per delta signature, and the caller shares it
     between the S and H blocks of one class pair.
 
     Each normal-ordering term of the active residue joins its delta pairs
-    to the virtual pairs and reads the bare RDM; W meets that RDM directly
-    when they share summed H letters (W-first).
+    to the virtual pairs and reads the bare RDM of its rank, unless that
+    RDM is identically zero; W meets that RDM directly when they share
+    summed H letters (W-first).
     """
     block = np.zeros((len(idx_i), len(idx_j)), dtype=dtype)
     bra = tuple((sp, not dg) for sp, dg in reversed(pattern_i))  # O_i+
@@ -187,19 +227,18 @@ def _gathered_block(pattern_i, pattern_j, idx_i, idx_j, supports, rdms, dtype, g
         for sign, vpairs, active_slots in wick.contract_virtuals_symbolic(pattern):
             daggers = tuple(pattern[s][1] for s in active_slots)
             for no_sign, dpairs, cres, anns in wick.normal_order_symbolic(daggers):
+                if len(cres) in forms.vanishing:
+                    continue
                 pairs = vpairs + tuple((active_slots[a], active_slots[c]) for a, c in dpairs)
                 rdm_slots = [active_slots[s] for s in reversed(cres)] + [
                     active_slots[s] for s in anns
                 ]
-                _gathered_term(
-                    block, supports, sign * no_sign, pairs, rdms.tensor(len(cres)), rdm_slots,
-                    *term,
-                )
+                _gathered_term(block, supports, sign * no_sign, pairs, forms, rdm_slots, *term)
     return block
 
 
 def _gathered_term(
-    block, supports, sign, pairs, tensor, t_positions, w, h_positions, out_positions, columns, n
+    block, supports, sign, pairs, forms, t_positions, w, h_positions, out_positions, columns, n
 ):
     """Add one Wick term, sign * W * RDM with the slots in ``pairs``
     merged, to ``block`` at the output columns.
@@ -207,9 +246,10 @@ def _gathered_term(
     Letters are the classes of the n slots under ``pairs``.  A term whose
     output letters include a delta is evaluated on 1-D columns gathered at
     its support and scattered there (the pairs are unique); any other term
-    broadcasts the bra columns against the ket columns and is added to the
-    whole block in place.  W and the RDM are reduced separately to their
-    output letters, unless they share a summed letter;
+    is read from each reduced factor as a [bra letters | ket letters]
+    matrix (:func:`_block_read`), and the broadcast product is added to
+    the whole block in place.  W and the RDM are reduced separately to
+    their output letters, unless they share a summed letter;
     :func:`_contract_with_rdm` then sums the shared letters.
     """
     parent = list(range(n))
@@ -232,7 +272,6 @@ def _gathered_term(
             deltas.append((first[ch], k))
         else:
             first[ch] = k
-    target = ...  # the whole block
     if deltas:
         key = tuple(deltas)
         target = supports.get(key)
@@ -248,27 +287,57 @@ def _gathered_term(
             )
         if not target[0].size:  # no operator pair meets the deltas
             return
-    column = {}
-    for ch, k in first.items():
-        axis, col, spread = columns[k]
-        column[ch] = col[target[axis]] if deltas else spread
+        column = {ch: columns[k][1][target[columns[k][0]]] for ch, k in first.items()}
+
+        def read(reduced, out):
+            return reduced[tuple(column[ch] for ch in out)]
+    else:
+        target = ...  # the whole block
+        column = {ch: columns[k][1] for ch, k in first.items()}
+        axis = {ch: columns[k][0] for ch, k in first.items()}
+
+        def read(reduced, out):
+            return _block_read(reduced, out, column, axis)
+
     w_spec = "".join(letter[find(p)] for p in h_positions)
     t_spec = "".join(letter[find(p)] for p in t_positions)
     if set(w_spec) & set(t_spec):
-        reduced, out = _contract_with_rdm(w, w_spec, tensor, t_spec, column)
-        value = reduced[tuple(column[ch] for ch in out)]
+        value = read(*_contract_with_rdm(w, w_spec, forms, t_spec, column))
     else:
         factors = [] if np.ndim(w) else [float(w)]
-        for operand, spec in ((w, w_spec), (tensor, t_spec)):
+        for operand, spec in ((w, w_spec), (forms.dense(len(t_spec) // 2), t_spec)):
             if spec:
                 out = "".join(ch for ch in dict.fromkeys(spec) if ch in column)
-                reduced = np.einsum(spec + "->" + out, operand)
-                factors.append(reduced[tuple(column[ch] for ch in out)])
+                factors.append(read(np.einsum(spec + "->" + out, operand), out))
         value = functools.reduce(_product, factors)
     if sign > 0:  # sign is +-1; negating value would copy it
         block[target] += value
     else:
         block[target] -= value
+
+
+def _block_read(reduced, out, column, axis):
+    """``reduced``, one axis per letter of ``out``, read at every (row,
+    col) pair of the block: its bra letters are flattened into the rows and
+    its ket letters into the columns of a matrix, and one ``take`` per side
+    gathers that matrix at the flat index of the side's columns, the side
+    that shrinks most first.  Shape (n_i, n_j), with 1 for a side without
+    letters."""
+    sides = [[p for p, ch in enumerate(out) if axis[ch] == a] for a in (0, 1)]
+    shape = reduced.shape
+    matrix = reduced.transpose(sides[0] + sides[1]).reshape(
+        math.prod(shape[p] for p in sides[0]), -1
+    )
+    takes = []
+    for a, side in enumerate(sides):
+        if side:
+            flat = np.ravel_multi_index(
+                tuple(column[out[p]] for p in side), tuple(shape[p] for p in side)
+            )
+            takes.append((flat.size / matrix.shape[a], a, flat))
+    for _, a, flat in sorted(takes, key=lambda take: take[:2]):
+        matrix = matrix.take(flat, axis=a)
+    return matrix
 
 
 def _product(a, b):
@@ -279,14 +348,17 @@ def _product(a, b):
     return np.multiply(a, b, out=out)
 
 
-def _contract_with_rdm(w, w_spec, d, d_spec, column):
-    """Sum of W * d over the letters W shares with the RDM d; returns the
-    result and its letters.
+def _contract_with_rdm(w, w_spec, forms, d_spec, column):
+    """Sum of W * D over the letters W shares with the rank-k RDM D; returns
+    the result, dense over its letters, and its letters.
 
     Each RDM letter is either shared with W or an output letter.  Letters
-    are reordered within each antisymmetric half of d, with the permutation
-    sign, to [upper outputs | shared | lower outputs], so d is read through a
-    reshaped view by one batched ``matmul`` and never copied.
+    are reordered within each antisymmetric half of D, with the permutation
+    sign, to [upper outputs | shared | lower outputs].  D is read through
+    its split layout over these four groups, each packed, and W is
+    antisymmetrized and packed over the two shared groups to match, so the
+    contraction is one batched ``matmul`` over the independent entries.
+    Output groups of two or more letters are unpacked afterwards.
     """
     k = len(d_spec) // 2
     shared = set(w_spec)
@@ -299,13 +371,19 @@ def _contract_with_rdm(w, w_spec, d, d_spec, column):
     summed = "".join(upper[n_up:] + lower[:n_lo])
     w_out = "".join(ch for ch in dict.fromkeys(w_spec) if ch in column)
     wr = np.einsum(w_spec + "->" + w_out + summed, w)
-    n = d.shape[0]
+    n = forms.n
+    out_shape = wr.shape[: len(w_out)]
+    wr = sign * wr.reshape(-1, n ** (k - n_up), n**n_lo)
+    wr = pack_antisymmetrized(pack_antisymmetrized(wr, 1, n, k - n_up), 2, n, n_lo)
     product = np.matmul(
-        wr.reshape(-1, n ** len(summed)),
-        d.reshape(n**n_up, n ** len(summed), -1),
+        wr.reshape(len(wr), -1),
+        forms.split(k, n_up, n_lo).reshape(math.comb(n, n_up), wr[0].size, -1),
     )
-    shape = (n,) * n_up + wr.shape[: len(w_out)] + (n,) * (k - n_lo)
-    return sign * product.reshape(shape), "".join(upper[:n_up]) + w_out + "".join(lower[n_lo:])
+    shape = (n,) * n_up + out_shape + (n,) * (k - n_lo)
+    return (
+        unpack_ends(product, n, n_up, k - n_lo).reshape(shape),
+        "".join(upper[:n_up]) + w_out + "".join(lower[n_lo:]),
+    )
 
 
 @dataclass
@@ -339,7 +417,8 @@ def assemble_subspace(
         for space, spins in ((ACTIVE, partition.active_spin), (VIRTUAL, partition.virtual_spin))
         for k, so in enumerate(spins)
     }
-    dtype = np.result_type(float, *(r.tensor.dtype for r in rdms.rdms.values()))
+    dtype = np.result_type(float, *(r.packed.dtype for r in rdms.rdms.values()))
+    forms = _RdmForms(rdms)  # shared by S and H
 
     # group pool entries by the (space, dagger) pattern of their ladder
     # strings, in order of first appearance, with their local indices
@@ -361,7 +440,7 @@ def assemble_subspace(
         for cj, rows_j, idx_j in classes:
             cache = supports[ci, cj] = {}
             s[np.ix_(rows_i, rows_j)] = _gathered_block(
-                ci, cj, idx_i, idx_j, cache, rdms, dtype, [(np.float64(1.0), ())]
+                ci, cj, idx_i, idx_j, cache, forms, dtype, [(np.float64(1.0), ())]
             )
 
     # S_ii = |O_i psi|^2, so a zero S row means O_i psi = 0: H row and column
@@ -377,7 +456,7 @@ def assemble_subspace(
             cache = supports.pop((ci, cj))
             if rows_i.size and rows_j.size:
                 h[np.ix_(rows_i, rows_j)] = _gathered_block(
-                    ci, cj, idx_i, idx_j, cache if whole_i and whole_j else {}, rdms, dtype,
+                    ci, cj, idx_i, idx_j, cache if whole_i and whole_j else {}, forms, dtype,
                     h_groups,
                 )
     h += mol.constant * s
@@ -521,8 +600,6 @@ def reference_rdms(wfn, options: VqseOptions) -> RdmSet:
     and 4-body parts dropped; ``shots`` adds Gaussian noise to the
     measured ranks first.
     """
-    from .rdm import compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise
-
     if options.cumulant:
         r1 = compute_rdm(wfn, 1)
         r2 = compute_rdm(wfn, 2)

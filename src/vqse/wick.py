@@ -122,12 +122,17 @@ class RdmSet:
             raise ValueError("RDMs have inconsistent dimensions")
         self.n_active = ns.pop() if ns else 0
 
-    def tensor(self, rank: int) -> np.ndarray:
-        if rank == 0:
-            return np.array(1.0)
+    def rdm(self, rank: int):
+        """The rank-``rank`` Rdm; raises MissingRdmError if it was not supplied."""
         if rank not in self.rdms:
             raise MissingRdmError(rank)
-        return self.rdms[rank].tensor
+        return self.rdms[rank]
+
+    def tensor(self, rank: int) -> np.ndarray:
+        """The dense rank-``rank`` tensor, unpacked on every call; 1 at rank 0."""
+        if rank == 0:
+            return np.array(1.0)
+        return self.rdm(rank).tensor
 
 
 def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
@@ -141,7 +146,7 @@ def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
     if L == 0:
         return np.array(1.0)
     letters = "abcdefghijklmnop"
-    dtype = np.result_type(float, *(r.tensor.dtype for r in rdms.rdms.values()))
+    dtype = np.result_type(float, *(r.packed.dtype for r in rdms.rdms.values()))
     out = np.zeros((n,) * L, dtype=dtype)
     eye = np.eye(n)
     for sign, dpairs, cres, anns in normal_order_symbolic(tuple(daggers)):

@@ -34,6 +34,8 @@ from vqse.integrals.gaussians import _boys_rows, build_ao_basis
 from vqse.rdm import (
     Rdm,
     _antisymmetric_packed,
+    _gather,
+    _tuples,
     _unpack,
     compute_rdm,
     delta2,
@@ -163,11 +165,26 @@ def antisymmetry_project(t: np.ndarray) -> np.ndarray:
     return _unpack(_antisymmetric_packed(t), t.shape[0], t.ndim // 2)
 
 
+def rdm_from_tensor(t: np.ndarray) -> Rdm:
+    """The Rdm of a dense antisymmetric tensor (n,)*2k: its entries at the
+    ascending upper and lower index tuples."""
+    n, k = t.shape[0], t.ndim // 2
+    cols = list(_tuples(n, k).T)
+    return Rdm(k, n, _gather(t, cols, cols))
+
+
+def dense_w_first(w, w_spec: str, tensor, d_spec: str, out: str) -> np.ndarray:
+    """Oracle of the assembly's W-first kernel: W contracted with the dense
+    RDM tensor over their shared letters by one einsum, with the output
+    letters in the order ``out``."""
+    return np.einsum(f"{w_spec},{d_spec}->{out}", w, tensor, optimize=True)
+
+
 def hermitized(rdm: Rdm) -> Rdm:
     """(D + D+) / 2 with D+ the conjugate swap of the upper and lower groups."""
     k = rdm.k
     dag = np.conj(rdm.tensor.transpose(tuple(range(k, 2 * k)) + tuple(range(k))))
-    return Rdm(k, rdm.n, 0.5 * (rdm.tensor + dag))
+    return rdm_from_tensor(0.5 * (rdm.tensor + dag))
 
 
 def exact_rdms(wfn: Wavefunction) -> wick.RdmSet:

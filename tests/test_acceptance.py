@@ -29,7 +29,7 @@ from conftest import (
     rdm_trace,
     wick_expectation,
 )
-from vqse.cli import ScanConfig, _scan_point
+from vqse.cli import ScanConfig, _scan_point, run_scan
 from vqse.fci import (
     Wavefunction,
     build_hamiltonian_action,
@@ -217,6 +217,20 @@ def test_ccpvdz_expansion_matches_full_diagonalization():
     print(f"\nmax |E_vqse - E_fci| = {max(errors):.2e} hartree, {elapsed:.0f} s")
     assert max(errors) <= TOL_CURVE
     assert elapsed < 600.0
+
+
+def test_six_active_orbitals_reach_the_fci_sector(tmp_path):
+    """H2/cc-pVDZ at 0.7414 A with 6 of its 10 orbitals active (12 active
+    spin orbitals, a 1705-operator pool) runs through ``run_scan``: the
+    expansion retains the whole Sz = 0 FCI sector (100 determinants) and
+    reaches its energy.  The RDMs stay packed; stored dense, the zero
+    rank-4 RDM alone would take 12^8 entries (3.4 GB)."""
+    config = ScanConfig(points_angstrom=[0.7414], basis="cc-pvdz", n_active_spatial=6)
+    assert run_scan(config, tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["points"][0]
+    assert report["pool_size"] == 1705
+    assert report["retained_dimension"] == 100
+    assert abs(report["e_vqse"] - report["e_fci_full"]) <= TOL_ORDER
 
 
 def test_energy_ordering_improves_with_virtual_count():

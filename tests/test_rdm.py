@@ -16,6 +16,7 @@ from conftest import (
     higher_cumulants,
     lifted_rdms,
     random_wavefunction,
+    rdm_from_tensor,
     rdm_trace,
 )
 from vqse import ANGSTROM_PER_BOHR
@@ -24,7 +25,6 @@ from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
 from vqse.integrals import rotate_integrals
 from vqse.oo import core_active_rdms
 from vqse.rdm import (
-    Rdm,
     compute_rdm,
     cumulant_3rdm,
     cumulant_4rdm,
@@ -289,8 +289,8 @@ def test_composite_passthrough_without_core_or_virtual():
 
 def test_composite_all_core_gives_determinant_rdms():
     partition = OrbitalPartition(core=(0, 1), active=(), virtual=())
-    empty1 = Rdm(1, 0, np.zeros((0, 0)))
-    empty2 = Rdm(2, 0, np.zeros((0, 0, 0, 0)))
+    empty1 = rdm_from_tensor(np.zeros((0, 0)))
+    empty2 = rdm_from_tensor(np.zeros((0, 0, 0, 0)))
     gamma, big_gamma = core_active_rdms(empty1, empty2, partition)
     det = Wavefunction({0b1111: 1.0}, 4, 4)
     expected1, expected2 = spin_summed_rdms(compute_rdm(det, 1), compute_rdm(det, 2))

@@ -16,12 +16,14 @@ from conftest import (
     adjoint_ops,
     apply_ladder_string,
     dense_canonical_orthogonalize,
+    dense_w_first,
     embed_wavefunction,
     exact_rdms,
     h2_case,
     h4_chain_mol,
     higher_cumulants,
     random_wavefunction,
+    rdm_from_tensor,
     restricted_pool,
     sector_determinants,
 )
@@ -41,7 +43,7 @@ from vqse.integrals import (
     run_rhf,
     transform_to_mo,
 )
-from vqse.rdm import Rdm, compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise, wedge
+from vqse.rdm import compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise, wedge
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     ExpansionOperator,
@@ -299,6 +301,72 @@ def h4_631g_reference():
     return mol, wfn, partition
 
 
+@pytest.mark.parametrize("cumulant", [False, True], ids=["exact", "cumulant"])
+def test_h4_rdms_and_assembly_peak_memory(cumulant):
+    """H4/6-31G at 1.8 bohr, 4 active orbitals (8 spin orbitals): the RDMs
+    stay packed from ``reference_rdms`` through the assembly, so together
+    they peak far below the dense rank-4 RDM alone (8^8 entries, 128 MiB);
+    the largest form the assembly reads is a 784 x 784 split layout of it."""
+    mol, wfn, partition = h4_631g_reference()
+    pool = build_pool(partition)
+    tracemalloc.start()
+    try:
+        rdms = reference_rdms(wfn, VqseOptions(cumulant=cumulant))
+        assemble_subspace(pool, mol, rdms, partition)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    print(f"RDMs and assembly peak {peak_mb:.1f} MB")
+    assert peak_mb <= 64
+
+
+def test_packed_w_first_kernel_matches_dense_einsum(monkeypatch):
+    """The W-first kernel, which reads the packed RDM through split
+    layouts, against the dense einsum of W with the RDM tensor: one
+    recorded call per split (rank k, upper output letters, lower shared
+    letters) of the H2/cc-pVDZ assembly (11 splits of ranks 1-2; its
+    ranks 3-4 vanish) and the H4/6-31G one (18 splits of ranks 1-4), each
+    on the state's real RDMs and on the complex RDMs of a random state of
+    the same size."""
+    case = h2_case(R_A, "cc-pvdz")
+    systems = [(case["mol"], case["wfn"], case["partition"]), h4_631g_reference()]
+    original = vqse.subspace._contract_with_rdm
+    calls = {}
+
+    def recording(w, w_spec, forms, d_spec, column):
+        k = len(d_spec) // 2
+        split = (
+            k,
+            sum(ch not in w_spec for ch in d_spec[:k]),
+            sum(ch in w_spec for ch in d_spec[k:]),
+        )
+        calls.setdefault(forms.n, {}).setdefault(split, (w, w_spec, d_spec, column))
+        return original(w, w_spec, forms, d_spec, column)
+
+    monkeypatch.setattr(vqse.subspace, "_contract_with_rdm", recording)
+    for mol, wfn, partition in systems:
+        assemble_subspace(build_pool(partition), mol, exact_rdms(wfn), partition)
+    monkeypatch.undo()
+    assert {n: len(splits) for n, splits in calls.items()} == {4: 11, 8: 18}
+
+    rng = np.random.default_rng(17)
+    for _, wfn, _ in systems:
+        n, n_electrons = wfn.n_spin_orbitals, wfn.n_electrons
+        complex_wfn = random_wavefunction(n, n_electrons, rng, sz=0, complex_amps=True)
+        for rdms in (exact_rdms(wfn), exact_rdms(complex_wfn)):
+            forms = vqse.subspace._RdmForms(rdms)
+            for k in sorted({split[0] for split in calls[n]}):
+                dense = rdms.tensor(k)
+                for split, (w, w_spec, d_spec, column) in calls[n].items():
+                    if split[0] != k:
+                        continue
+                    got, out = original(w, w_spec, forms, d_spec, column)
+                    want = dense_w_first(w, w_spec, dense, d_spec, out)
+                    assert got.dtype == want.dtype, split
+                    assert np.max(np.abs(got - want), initial=0.0) < TOL_EXACT, split
+                del dense
+
+
 def test_h4_assembly_skips_terms_without_support(monkeypatch):
     """H4/6-31G at 1.8 bohr, 4 active orbitals: a Wick term whose bra-ket
     deltas no operator pair meets (in the D x D H block, mu = nu' and
@@ -308,9 +376,9 @@ def test_h4_assembly_skips_terms_without_support(monkeypatch):
     original = vqse.subspace._contract_with_rdm
     sizes = []
 
-    def recording(w, w_spec, d, d_spec, column):
+    def recording(w, w_spec, forms, d_spec, column):
         sizes.extend(np.size(c) for c in column.values())
-        return original(w, w_spec, d, d_spec, column)
+        return original(w, w_spec, forms, d_spec, column)
 
     monkeypatch.setattr(vqse.subspace, "_contract_with_rdm", recording)
     assemble_subspace(build_pool(partition), mol, exact_rdms(wfn), partition)
@@ -605,7 +673,7 @@ def test_cumulant_substitution_recovers_exact_assembly():
     exact = {k: compute_rdm(wfn, k) for k in range(1, 5)}
     delta3, delta4 = higher_cumulants(exact)
     connected = 24.0 * (4.0 * wedge(delta3, exact[1].tensor) + delta4)
-    r4 = Rdm(4, exact[4].n, cumulant_4rdm(exact[1], exact[2]).tensor + connected)
+    r4 = rdm_from_tensor(cumulant_4rdm(exact[1], exact[2]).tensor + connected)
     assert np.max(np.abs(r4.tensor - exact[4].tensor)) < TOL_ORACLE
     rebuilt = RdmSet({1: exact[1], 2: exact[2], 3: exact[3], 4: r4})
     pool = build_pool(case["partition"])
