@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,17 @@ class ScanConfig:
         if not pts:
             raise VqseError("the scan needs at least one point")
         self.points_angstrom = pts
+        from .integrals import load_basis
+
+        if not isinstance(self.basis, str):
+            raise VqseError(f"basis must be the name of a bundled basis, not {self.basis!r}")
+        try:
+            load_basis(self.basis)
+        except ValueError as exc:  # no bundled basis of that name
+            raise VqseError(str(exc)) from None
+        for key in ("vqse", "full_fci"):
+            if type(getattr(self, key)) is not bool:  # the string "false" is truthy
+                raise VqseError(f"{key} must be true or false, not {getattr(self, key)!r}")
         if self.oo not in ("none", "iterate"):
             raise VqseError(
                 f'oo must be "none" or "iterate", not {self.oo!r}; one relaxation '
@@ -77,10 +88,15 @@ class ScanConfig:
                 f"cumulant_rank must be 2 (3- and 4-RDMs rebuilt from the 1- and "
                 f"2-RDMs), 4 (exact RDMs) or omitted, not {self.cumulant_rank!r}"
             )
-        if not (math.isfinite(self.eps) and self.eps > 0):
+        # JSON true reads as 1: eps 1 keeps no direction, shots 1 is one shot
+        if isinstance(self.eps, bool) or not (math.isfinite(self.eps) and self.eps > 0):
             raise VqseError(f"eps must be a positive finite threshold, not {self.eps!r}")
-        if self.shots is not None and not (math.isfinite(self.shots) and self.shots > 0):
+        if self.shots is not None and (
+            isinstance(self.shots, bool) or not (math.isfinite(self.shots) and self.shots > 0)
+        ):
             raise VqseError(f"shots must be omitted or a positive finite count, not {self.shots!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise VqseError(f"seed must be a non-negative integer, not {self.seed!r}")
         if type(self.oo_cycles) is not int or self.oo_cycles < 1:
             raise VqseError(f"oo_cycles must be an integer of at least 1, not {self.oo_cycles!r}")
         if type(self.n_active_spatial) is not int or self.n_active_spatial < 1:
@@ -334,11 +350,11 @@ def diff_curves(path_a, path_b, tol: float) -> tuple:
 def _cmd_scan(args) -> int:
     try:
         config = ScanConfig.from_file(args.config)
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
     except (OSError, json.JSONDecodeError, VqseError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.seed = args.seed
     failures = run_scan(config, args.output)
     if failures:
         print(f"{failures} point(s) failed; see report.json", file=sys.stderr)

@@ -307,34 +307,19 @@ def energy_from_rdms(mol, gamma: np.ndarray, big_gamma: np.ndarray) -> float:
     return float(e) + mol.constant
 
 
-def _antisymmetric_packed(t: np.ndarray) -> np.ndarray:
-    """Packed (C, C) entries of the projection of ``t`` onto tensors
-    antisymmetric in upper and lower index groups: the signed average over
-    all k!^2 index permutations, read at the packed tuples."""
-    k = t.ndim // 2
-    n = t.shape[0]
-    cols = _tuples(n, k).T
-    out = np.zeros((len(cols[0]),) * 2, dtype=t.dtype)
-    for pu in permutations(range(k)):
-        su = _perm_sign(pu)
-        upper = [cols[pu.index(i)] for i in range(k)]
-        for pl in permutations(range(k)):
-            sl = _perm_sign(pl)
-            out += su * sl * _gather(t, upper, [cols[pl.index(i)] for i in range(k)])
-    return out / (math.factorial(k) ** 2)
-
-
 def inject_shot_noise(rdm: Rdm, n_shots: float, seed: int) -> Rdm:
-    """Gaussian measurement-noise model: std 1/sqrt(n_shots) per element,
-    followed by re-symmetrization (antisymmetry + Hermiticity).
+    """Gaussian measurement-noise model: std 1/sqrt(n_shots) per dense
+    element, projected onto antisymmetric tensors and Hermitized.
 
-    The noise is drawn over every dense entry, which fixes the seeded
-    stream, then projected onto the packed tuples and added to the RDM's
-    packed entries; the packed matrix P is Hermitized as (P + P+) / 2.
+    The projection of i.i.d. N(0, sigma^2) dense noise reads, at each pair
+    of ascending tuples, the signed mean of k!^2 draws over sets that do not
+    overlap.  So the projected noise is i.i.d. N(0, (sigma / k!)^2) on the
+    packed entries, and it is drawn there; the packed matrix P is then
+    Hermitized as (P + P+) / 2.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
     rng = np.random.default_rng(seed)
-    noise = rng.normal(scale=n_shots**-0.5, size=(rdm.n,) * (2 * rdm.k))
-    packed = rdm.packed + _antisymmetric_packed(noise)
+    scale = n_shots**-0.5 / math.factorial(rdm.k)
+    packed = rdm.packed + rng.normal(scale=scale, size=rdm.packed.shape)
     return Rdm(rdm.k, rdm.n, (packed + packed.conj().T) / 2)

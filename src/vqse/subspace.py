@@ -1,20 +1,20 @@
 """Subspace expansion over virtual-reaching excitation operators.
 
 Builds the operator pool {identity} u {a+_i a_p} u {a+_mu a_q a+_nu a_r},
+each operator held as its ladder string of (spin orbital, dagger) pairs,
 assembles the subspace matrices H_ij = <O_i+ H O_j> and S_ij = <O_i+ O_j>
 on the (active state) x (virtual vacuum) reference from active-space RDMs,
 and solves the generalized eigenvalue problem H C = S C E after canonical
 orthogonalization of the metric.
 
 The assembly is vectorized per operator class: the pool operators whose
-ladder strings share one (space, dagger) pattern, read off each
-operator's own ``ladder_ops`` (on the canonical pool: identity,
-active->active single, virtual-reaching single, double).  Each Wick term
-of each Hamiltonian index block is contracted down to its output letters,
-and the result is indexed directly at the pool's own index tuples, so no work
-or memory is spent on index combinations the pool does not contain.  This
-is what makes a ~10^3 operator pool with a 20-spatial-orbital Hamiltonian
-tractable in pure numpy.  A term whose output carries a delta between a
+ladder strings share one (space, dagger) pattern (on the canonical pool:
+identity, active->active single, virtual-reaching single, double).  Each
+Wick term of each Hamiltonian index block is contracted down to its output
+letters, and the result is indexed directly at the pool's own index
+tuples, so no work or memory is spent on index combinations the pool does
+not contain.  This is what makes a ~10^3 operator pool with a
+20-spatial-orbital Hamiltonian tractable in pure numpy.  A term whose output carries a delta between a
 bra and a ket parameter (mu = mu', say) is evaluated only on its support,
 the (row, col) pairs of the block where every such delta holds, and
 scattered there; the support of each delta signature is computed once per
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wick
-from .exceptions import DegenerateMetricError, PartitionError, VqseError
+from .exceptions import DegenerateMetricError, PartitionError
 from .integrals import MolecularIntegrals
 from .rdm import (
     compute_rdm,
@@ -82,60 +82,31 @@ NOISY_EPS = 1e-3
 # pool
 
 
-@dataclass(frozen=True)
-class ExpansionOperator:
-    """Identity, single a+_i a_p, or double a+_mu a_q a+_nu a_r.
-
-    ``indices`` holds full-space spin orbitals: () for the identity,
-    (i, p) for a single, (mu, q, nu, r) for a double.
-    """
-
-    kind: str  # "identity" | "single" | "double"
-    indices: tuple = ()
-
-    def __post_init__(self):
-        expected = {"identity": 0, "single": 2, "double": 4}
-        if self.kind not in expected:
-            raise VqseError(f"unknown operator kind {self.kind!r}")
-        if len(self.indices) != expected[self.kind]:
-            raise VqseError(f"{self.kind} operator takes {expected[self.kind]} indices")
-
-    def ladder_ops(self) -> tuple:
-        """(index, dagger) pairs, leftmost first."""
-        if self.kind == "identity":
-            return ()
-        if self.kind == "single":
-            i, p = self.indices
-            return ((i, True), (p, False))
-        mu, q, nu, r = self.indices
-        return ((mu, True), (q, False), (nu, True), (r, False))
-
-    def delta_sz(self) -> int:
-        """Change in 2*S_z caused by the operator (alpha = even index)."""
-        return sum(
-            (1 if d else -1) * (1 if i % 2 == 0 else -1) for i, d in self.ladder_ops()
-        )
-
-
 def build_pool(partition: OrbitalPartition) -> list:
-    """Enumerate the S_z-conserving expansion-operator pool, canonically ordered.
+    """The S_z-conserving expansion-operator pool, canonically ordered.
 
-    Operators that change S_z are dropped: their subspace rows decouple
-    from the S_z-conserving reference sector.
+    Each operator is its ladder string, a tuple of (spin orbital, dagger)
+    pairs, leftmost first: () for the identity, ((i, True), (p, False))
+    for a single a+_i a_p and ((mu, True), (q, False), (nu, True),
+    (r, False)) for a double a+_mu a_q a+_nu a_r (mu < nu virtual).  Only
+    strings that conserve S_z are enumerated (alpha = even index): the
+    others decouple from the S_z-conserving reference sector.
     """
     if not partition.active:
         raise PartitionError("the active space is empty")
     active = partition.active_spin
     virtual = partition.virtual_spin
-    pool = [ExpansionOperator("identity")]
+    pool = [()]
     for i in sorted(active + virtual):
         for p in active:
-            pool.append(ExpansionOperator("single", (i, p)))
+            if i % 2 == p % 2:
+                pool.append(((i, True), (p, False)))
     for mu, nu in itertools.combinations(sorted(virtual), 2):
         for q in active:
             for r in active:
-                pool.append(ExpansionOperator("double", (mu, q, nu, r)))
-    return [op for op in pool if op.delta_sz() == 0]
+                if mu % 2 + nu % 2 == q % 2 + r % 2:
+                    pool.append(((mu, True), (q, False), (nu, True), (r, False)))
+    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +373,10 @@ def assemble_subspace(
 ) -> SubspacePair:
     """H_ij = <O_i+ H O_j>, S_ij = <O_i+ O_j> on the active (x) vacuum state.
 
-    ``mol`` must already be dressed of core orbitals (the partition may not
-    contain core), and the active RDMs must reach the rank demanded by the
-    pool (4 for doubles).
+    Each pool entry is a ladder string of (spin orbital, dagger) pairs, as
+    :func:`build_pool` makes them.  ``mol`` must already be dressed of core
+    orbitals (the partition may not contain core), and the active RDMs must
+    reach the rank demanded by the pool (4 for doubles).
     """
     if partition.core:
         raise PartitionError("dress core orbitals into the integrals first")
@@ -424,7 +396,7 @@ def assemble_subspace(
     # strings, in order of first appearance, with their local indices
     by_class: dict = {}
     for row, op in enumerate(pool):
-        ladder = [(*local[index], dagger) for index, dagger in op.ladder_ops()]
+        ladder = [(*local[index], dagger) for index, dagger in op]
         rows, params = by_class.setdefault(tuple((sp, dg) for sp, _, dg in ladder), ([], []))
         rows.append(row)
         params.append([k for _, k, _ in ladder])
@@ -596,21 +568,18 @@ def reference_rdms(wfn, options: VqseOptions) -> RdmSet:
     """Active-space RDM set for the assembly, per the options.
 
     Exact mode computes ranks 1-4 from the wavefunction; cumulant mode
-    keeps only ranks 1-2 and reconstructs 3 and 4 with the connected 3-
-    and 4-body parts dropped; ``shots`` adds Gaussian noise to the
-    measured ranks first.
+    measures only ranks 1-2 and reconstructs 3 and 4 with the connected 3-
+    and 4-body parts dropped.  ``shots`` adds Gaussian noise to each
+    measured rank k, seeded with ``seed + k``, before any reconstruction.
     """
-    if options.cumulant:
-        r1 = compute_rdm(wfn, 1)
-        r2 = compute_rdm(wfn, 2)
-        if options.shots:
-            r1 = inject_shot_noise(r1, options.shots, options.seed)
-            r2 = inject_shot_noise(r2, options.shots, options.seed + 1)
-        return RdmSet({1: r1, 2: r2, 3: cumulant_3rdm(r1, r2), 4: cumulant_4rdm(r1, r2)})
-    rdms = {k: compute_rdm(wfn, k) for k in range(1, 5)}
+    measured = (1, 2) if options.cumulant else (1, 2, 3, 4)
+    rdms = {k: compute_rdm(wfn, k) for k in measured}
     if options.shots:
         rdms = {
             k: inject_shot_noise(r, options.shots, options.seed + k)
             for k, r in rdms.items()
         }
+    if options.cumulant:
+        rdms[3] = cumulant_3rdm(rdms[1], rdms[2])
+        rdms[4] = cumulant_4rdm(rdms[1], rdms[2])
     return RdmSet(rdms)

@@ -33,17 +33,15 @@ from vqse.integrals import (
 from vqse.integrals.gaussians import _boys_rows, build_ao_basis
 from vqse.rdm import (
     Rdm,
-    _antisymmetric_packed,
     _gather,
     _tuples,
-    _unpack,
     compute_rdm,
     delta2,
     spin_summed_rdms,
     wedge,
 )
 from vqse.spaces import OrbitalPartition
-from vqse.subspace import ExpansionOperator, VqseOptions, build_pool, reference_rdms
+from vqse.subspace import VqseOptions, build_pool, reference_rdms
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -159,12 +157,6 @@ def rdm_trace(rdm: Rdm) -> complex:
     return complex(np.trace(rdm.tensor.reshape(size, size)))
 
 
-def antisymmetry_project(t: np.ndarray) -> np.ndarray:
-    """Projection onto tensors antisymmetric in upper and lower index
-    groups, through the package's packed projection."""
-    return _unpack(_antisymmetric_packed(t), t.shape[0], t.ndim // 2)
-
-
 def rdm_from_tensor(t: np.ndarray) -> Rdm:
     """The Rdm of a dense antisymmetric tensor (n,)*2k: its entries at the
     ascending upper and lower index tuples."""
@@ -191,11 +183,6 @@ def exact_rdms(wfn: Wavefunction) -> wick.RdmSet:
     """The exact RDMs of ranks 1-4, as the scan prepares them without shot
     noise or cumulants."""
     return reference_rdms(wfn, VqseOptions())
-
-
-# tests/test_tracing.py, which changes only together with perfbench/, still
-# reads the former classmethod of that name
-wick.RdmSet.from_wavefunction = staticmethod(exact_rdms)
 
 
 def dense_canonical_orthogonalize(s: np.ndarray, eps: float):
@@ -238,13 +225,19 @@ def restricted_pool(partition: OrbitalPartition, targets) -> list:
     ``targets``."""
     return [
         op for op in build_pool(partition)
-        if all(i in targets for i, dagger in op.ladder_ops() if not dagger)
+        if all(i in targets for i, dagger in op if not dagger)
     ]
 
 
-def adjoint_ops(op: ExpansionOperator) -> tuple:
-    """(index, dagger) pairs of the operator's adjoint, leftmost first."""
-    return tuple((i, not d) for i, d in reversed(op.ladder_ops()))
+def adjoint_ops(op: tuple) -> tuple:
+    """The ladder string of the operator's adjoint: ``op`` reversed, with
+    each dagger flipped."""
+    return tuple((i, not d) for i, d in reversed(op))
+
+
+def delta_sz(op: tuple) -> int:
+    """Change in 2 S_z caused by a ladder string (alpha = even index)."""
+    return sum((1 if d else -1) * (1 if i % 2 == 0 else -1) for i, d in op)
 
 
 def givens_matrix(n: int, i: int, b: int, theta: float) -> np.ndarray:

@@ -63,13 +63,14 @@ def test_config_validation():
         ScanConfig(cumulant_rank=3)
     for rank in (None, 2, 4):
         assert ScanConfig(cumulant_rank=rank).cumulant_rank == rank
-    # eps 0 wrote e_vqse = -1.05e7 Ha and eps -1e-3 wrote nan, both as "ok"
-    for eps in (0.0, -1e-3, math.nan, math.inf):
+    # eps 0 wrote e_vqse = -1.05e7 Ha and eps -1e-3 wrote nan, both as "ok";
+    # eps true, read as 1, kept no direction and failed every row
+    for eps in (0.0, -1e-3, math.nan, math.inf, True):
         with pytest.raises(VqseError, match="eps"):
             ScanConfig(eps=eps)
-    # shots 0 gave exact RDMs under the noisy eps floor; negative shots and
-    # oo_cycles 0 failed every row at run time
-    for shots in (0, -1e4, math.nan, math.inf):
+    # shots 0 gave exact RDMs under the noisy eps floor, shots true ran as
+    # one shot; negative shots and oo_cycles 0 failed every row at run time
+    for shots in (0, -1e4, math.nan, math.inf, True):
         with pytest.raises(VqseError, match="shots"):
             ScanConfig(shots=shots)
     for shots in (None, 1e4, 100):
@@ -91,6 +92,20 @@ def test_config_validation():
     assert ScanConfig(n_active_spatial=1, n_electrons=2).n_active_spatial == 1
     with pytest.raises(VqseError, match="at most 2 \\* n_active_spatial = 2"):
         ScanConfig(n_active_spatial=1, n_electrons=4)
+    # "false" is truthy, so the scan ran VQSE (or the full FCI) anyway
+    for key in ("vqse", "full_fci"):
+        for value in ("false", 0, 1, None):
+            with pytest.raises(VqseError, match=key):
+                ScanConfig(**{key: value})
+        assert getattr(ScanConfig(**{key: False}), key) is False
+    # a fractional seed or an unknown basis wrote a failed row at every point
+    for seed in (1.5, -1, True, "3"):
+        with pytest.raises(VqseError, match="seed"):
+            ScanConfig(seed=seed)
+    for basis in ("cc-pvtz", "", None):
+        with pytest.raises(VqseError, match="basis"):
+            ScanConfig(basis=basis)
+    assert ScanConfig(basis="CC-pVDZ").basis == "CC-pVDZ"
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -179,12 +194,20 @@ def test_scan_fail_soft_keeps_grid_order(tmp_path):
     assert "error" in report["points"][0]
 
 
-def test_scan_cli_config_error_exit_code(tmp_path):
+def test_scan_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["scan", "--config", str(bad), "--output", str(tmp_path / "o")]) == 2
     missing = tmp_path / "missing.json"
     assert main(["scan", "--config", str(missing), "--output", str(tmp_path / "o")]) == 2
+    # a value the config refuses, in the file or in the --seed override
+    capsys.readouterr()
+    for config, extra in (({"vqse": "false"}, []), ({}, ["--seed", "-1"])):
+        path = write_config(tmp_path, **config)
+        args = ["scan", "--config", str(path), "--output", str(tmp_path / "o")] + extra
+        assert main(args) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import (
     SlaterCondon,
-    antisymmetry_project,
     embed_wavefunction,
     full_space_expectation,
     h2_case,
@@ -25,6 +24,7 @@ from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
 from vqse.integrals import rotate_integrals
 from vqse.oo import core_active_rdms
 from vqse.rdm import (
+    Rdm,
     compute_rdm,
     cumulant_3rdm,
     cumulant_4rdm,
@@ -139,7 +139,7 @@ def test_rdm_hermiticity_and_antisymmetry():
     d2 = compute_rdm(wfn, 2)
     herm = hermitized(d2)
     assert np.max(np.abs(herm.tensor - d2.tensor)) < TOL_EXACT
-    assert np.max(np.abs(antisymmetry_project(d2.tensor) - d2.tensor)) < TOL_EXACT
+    assert np.max(np.abs(antisymmetry_oracle(d2.tensor) - d2.tensor)) < TOL_EXACT
     # swapping two creators flips the sign
     assert np.max(np.abs(d2.tensor + d2.tensor.transpose(1, 0, 2, 3))) >= 0.0
     assert np.allclose(d2.tensor, -d2.tensor.transpose(1, 0, 2, 3), atol=TOL_EXACT)
@@ -189,12 +189,12 @@ def test_wedge_matches_permutation_sum_oracle():
     a1 = rng.normal(size=(n, n))
     b1 = rng.normal(size=(n, n))
     assert np.max(np.abs(wedge(a1, b1) - wedge_oracle(a1, b1))) < TOL_EXACT
-    a2 = antisymmetry_project(rng.normal(size=(n,) * 4))
+    a2 = antisymmetry_oracle(rng.normal(size=(n,) * 4))
     assert np.max(np.abs(wedge(a1, a2) - wedge_oracle(a1, a2))) < TOL_EXACT
     assert np.max(np.abs(wedge(a2, b1) - wedge_oracle(a2, b1))) < TOL_EXACT
-    b2 = antisymmetry_project(rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
+    b2 = antisymmetry_oracle(rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
     assert np.max(np.abs(wedge(a2, b2) - wedge_oracle(a2, b2))) < TOL_EXACT
-    a3 = antisymmetry_project(rng.normal(size=(n,) * 6))
+    a3 = antisymmetry_oracle(rng.normal(size=(n,) * 6))
     assert np.max(np.abs(wedge(a3, b1) - wedge_oracle(a3, b1))) < TOL_EXACT
     assert np.max(np.abs(wedge(b1, a3) - wedge_oracle(b1, a3))) < TOL_EXACT
 
@@ -379,28 +379,29 @@ def test_shot_noise_preserves_structure():
     d2 = compute_rdm(wfn, 2)
     noisy = inject_shot_noise(d2, 1e4, seed=1)
     assert np.max(np.abs(noisy.tensor - hermitized(noisy).tensor)) < TOL_EXACT
-    assert np.max(np.abs(noisy.tensor - antisymmetry_project(noisy.tensor))) < TOL_EXACT
+    assert np.max(np.abs(noisy.tensor - antisymmetry_oracle(noisy.tensor))) < TOL_EXACT
     with pytest.raises(ValueError):
         inject_shot_noise(d2, 0, seed=0)
 
 
-def test_antisymmetry_project_idempotent():
-    rng = np.random.default_rng(38)
-    t = rng.normal(size=(3,) * 4)
-    once = antisymmetry_project(t)
-    assert np.max(np.abs(antisymmetry_project(once) - once)) < TOL_EXACT
-
-
-def test_antisymmetry_project_matches_transpose_oracle():
-    """The packed projection equals the signed average of all k!^2 full
-    transposes, real and complex, at ranks 1-4."""
-    rng = np.random.default_rng(39)
-    for k, n in ((1, 6), (2, 6), (3, 6), (4, 5)):
-        t = rng.normal(size=(n,) * (2 * k))
-        for tensor in (t, t + 1j * rng.normal(size=t.shape)):
-            projected = antisymmetry_project(tensor)
-            assert projected.dtype == tensor.dtype
-            assert np.max(np.abs(projected - antisymmetry_oracle(tensor))) < TOL_EXACT, k
+def test_shot_noise_is_packed_gaussian_of_std_over_k_factorial():
+    """The noise on the packed entries is i.i.d. Gaussian with std
+    n_shots^-1/2 / k!, the projection of i.i.d. dense noise of std
+    n_shots^-1/2: after the Hermitization each diagonal entry keeps that
+    std and each entry above it has 1/sqrt(2) of it, at ranks 1-3."""
+    n, n_shots = 12, 100.0
+    for k in (1, 2, 3):
+        zero = Rdm(k, n, np.zeros((math.comb(n, k),) * 2))
+        upper = np.triu_indices(math.comb(n, k), 1)
+        samples, seed = [], 0
+        while sum(x.size for x in samples) < 20000:
+            noise = inject_shot_noise(zero, n_shots, seed).packed
+            samples += [np.diag(noise), np.sqrt(2.0) * noise[upper]]
+            seed += 1
+        z = np.concatenate(samples) * n_shots**0.5 * math.factorial(k)
+        print(f"rank {k}: std {z.std():.4f} over {z.size} entries, mean {z.mean():+.4f}")
+        assert abs(z.std() - 1.0) < 0.03, k
+        assert abs(z.mean()) < 0.03, k
 
 
 def test_rank4_shot_noise_over_eight_spin_orbitals():

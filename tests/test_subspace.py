@@ -15,6 +15,7 @@ from conftest import (
     SlaterCondon,
     adjoint_ops,
     apply_ladder_string,
+    delta_sz,
     dense_canonical_orthogonalize,
     dense_w_first,
     embed_wavefunction,
@@ -29,7 +30,7 @@ from conftest import (
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.cli import ScanConfig, _scan_point
-from vqse.exceptions import DegenerateMetricError, PartitionError, VqseError
+from vqse.exceptions import DegenerateMetricError, PartitionError
 from vqse.fci import (
     Wavefunction,
     build_hamiltonian_action,
@@ -46,7 +47,6 @@ from vqse.integrals import (
 from vqse.rdm import compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise, wedge
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
-    ExpansionOperator,
     SubspacePair,
     VqseOptions,
     assemble_subspace,
@@ -83,7 +83,7 @@ def oracle_pair(pool, mol, wfn, partition):
     for k, det in enumerate(dets):
         v[k] = full.amplitudes.get(det, 0.0).real if det in full.amplitudes else 0.0
     h_full = SlaterCondon(mol).dense_matrix(dets)
-    ops = [operator_matrix(op.ladder_ops(), dets, n_spin) for op in pool]
+    ops = [operator_matrix(op, dets, n_spin) for op in pool]
     cols = [m @ v for m in ops]
     n = len(pool)
     h = np.zeros((n, n))
@@ -100,13 +100,14 @@ def oracle_pair(pool, mol, wfn, partition):
 
 
 def unpruned_pool(partition):
-    """Every identity, single a+_i a_p and double a+_mu a_q a+_nu a_r
-    (mu < nu virtual), S_z-changing ones included, in canonical order."""
+    """The ladder strings of every identity, single a+_i a_p and double
+    a+_mu a_q a+_nu a_r (mu < nu virtual), S_z-changing ones included, in
+    canonical order."""
     active, virtual = partition.active_spin, partition.virtual_spin
-    pool = [ExpansionOperator("identity")]
-    pool += [ExpansionOperator("single", (i, p)) for i in sorted(active + virtual) for p in active]
+    pool = [()]
+    pool += [((i, True), (p, False)) for i in sorted(active + virtual) for p in active]
     pool += [
-        ExpansionOperator("double", (mu, q, nu, r))
+        ((mu, True), (q, False), (nu, True), (r, False))
         for mu, nu in itertools.combinations(sorted(virtual), 2)
         for q in active
         for r in active
@@ -114,18 +115,11 @@ def unpruned_pool(partition):
     return pool
 
 
-def test_expansion_operator_validation():
-    with pytest.raises(VqseError):
-        ExpansionOperator("triple")
-    with pytest.raises(VqseError):
-        ExpansionOperator("single", (1, 2, 3))
-
-
 def test_pool_singles_only_one_spatial_active():
     partition = OrbitalPartition(core=(), active=(0,), virtual=())
     pool = unpruned_pool(partition)
     assert len(pool) == 1 + 2 * 2  # identity + a+_i a_p over 2 spin orbitals
-    assert pool[0].kind == "identity"
+    assert pool[0] == ()
 
 
 def test_pool_closed_form_count_ccpvdz():
@@ -149,8 +143,8 @@ def test_pool_sz_pruning_matches_manual_filter():
     partition = OrbitalPartition.from_counts(0, 2, 6)
     full = unpruned_pool(partition)
     pruned = build_pool(partition)
-    assert pruned == [op for op in full if op.delta_sz() == 0]
-    assert all(op.delta_sz() == 0 for op in pruned)
+    assert pruned == [op for op in full if delta_sz(op) == 0]
+    assert all(delta_sz(op) == 0 for op in pruned)
     assert len(pruned) < len(full)
 
 
@@ -160,7 +154,7 @@ def test_pool_validation_errors():
 
 
 def test_adjoint_ops_reverse_and_flip():
-    op = ExpansionOperator("double", (8, 1, 10, 3))
+    op = ((8, True), (1, False), (10, True), (3, False))
     assert adjoint_ops(op) == ((3, True), (10, False), (1, True), (8, False))
 
 
@@ -172,7 +166,7 @@ def test_identity_pool_gives_reference_expectation():
     case = h2_case(R_A, "6-31g")
     wfn = case["wfn"]
     rdms = exact_rdms(wfn)
-    pool = [ExpansionOperator("identity")]
+    pool = [()]
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     assert pair.s[0, 0] == pytest.approx(1.0, abs=TOL_ORACLE)
     assert pair.h[0, 0] == pytest.approx(case["e_ref"], abs=TOL_ORACLE)
@@ -266,7 +260,7 @@ def test_assembly_of_single_target_pool():
     mol, wfn, partition = four_electron_slice()
     rdms = exact_rdms(wfn)
     pool = restricted_pool(partition, (0,))
-    assert [op.kind for op in pool].count("double") == 1
+    assert [len(op) for op in pool].count(4) == 1
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
     assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
@@ -301,17 +295,22 @@ def h4_631g_reference():
     return mol, wfn, partition
 
 
-@pytest.mark.parametrize("cumulant", [False, True], ids=["exact", "cumulant"])
-def test_h4_rdms_and_assembly_peak_memory(cumulant):
+@pytest.mark.parametrize(
+    "options",
+    [VqseOptions(), VqseOptions(cumulant=True), VqseOptions(shots=1e4, seed=3)],
+    ids=["exact", "cumulant", "1e4_shots"],
+)
+def test_h4_rdms_and_assembly_peak_memory(options):
     """H4/6-31G at 1.8 bohr, 4 active orbitals (8 spin orbitals): the RDMs
-    stay packed from ``reference_rdms`` through the assembly, so together
-    they peak far below the dense rank-4 RDM alone (8^8 entries, 128 MiB);
-    the largest form the assembly reads is a 784 x 784 split layout of it."""
+    stay packed from ``reference_rdms`` through the assembly, shot noise
+    included, so together they peak far below the dense rank-4 RDM alone
+    (8^8 entries, 128 MiB); the largest form the assembly reads is a
+    784 x 784 split layout of it."""
     mol, wfn, partition = h4_631g_reference()
     pool = build_pool(partition)
     tracemalloc.start()
     try:
-        rdms = reference_rdms(wfn, VqseOptions(cumulant=cumulant))
+        rdms = reference_rdms(wfn, options)
         assemble_subspace(pool, mol, rdms, partition)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
@@ -429,7 +428,7 @@ def test_assembly_rejects_core_partition():
     rdms = exact_rdms(case["wfn"])
     partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     with pytest.raises(PartitionError):
-        assemble_subspace([ExpansionOperator("identity")], case["mol"], rdms, partition)
+        assemble_subspace([()], case["mol"], rdms, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +524,7 @@ def test_block_orthogonalization_matches_dense(system, options, n_null):
         partition = h2_case(0.7414, "cc-pvdz", n_active)["partition"]
         pool, pair = ccpvdz_pair(n_active)
     virtual = set(partition.virtual_spin)
-    created = [tuple(i for i, dagger in op.ladder_ops() if dagger and i in virtual) for op in pool]
+    created = [tuple(i for i, dagger in op if dagger and i in virtual) for op in pool]
     groups = {}
     group = np.array([groups.setdefault(key, len(groups)) for key in created])
     assert np.all(pair.s[group[:, np.newaxis] != group[np.newaxis, :]] == 0.0)
@@ -594,7 +593,7 @@ def test_null_operators_have_zero_h_rows():
     null = ~pair.s.any(axis=1)
     assert pair.null_operators == np.count_nonzero(null) == 224
     # the doubles a+_mu a_q a+_nu a_q vanish identically
-    q_equals_r = [op.kind == "double" and op.indices[1] == op.indices[3] for op in pool]
+    q_equals_r = [len(op) == 4 and op[1] == op[3] for op in pool]
     assert np.all(null[q_equals_r])
     assert np.all(pair.h[null] == 0.0) and np.all(pair.h[:, null] == 0.0)
 
@@ -614,7 +613,7 @@ def test_gevp_identity_pool_returns_reference_energy():
     case = h2_case(R_A, "sto-3g")
     rdms = exact_rdms(case["wfn"])
     pair = assemble_subspace(
-        [ExpansionOperator("identity")], case["mol"], rdms, case["partition"]
+        [()], case["mol"], rdms, case["partition"]
     )
     sol = solve_gevp(pair)
     assert sol.ground_energy == pytest.approx(case["e_ref"], abs=TOL_ORACLE)
@@ -640,8 +639,8 @@ def test_nested_pools_monotone_ground_energy():
     energies = []
     full_pool = build_pool(partition)
     pools = [
-        [ExpansionOperator("identity")],
-        [op for op in full_pool if op.kind != "double"],
+        [()],
+        [op for op in full_pool if len(op) != 4],
         full_pool,
     ]
     for pool in pools:

@@ -14,7 +14,7 @@ import vqse.integrals
 import vqse.oo
 import vqse.subspace
 import vqse.wick
-from conftest import h2_case
+from conftest import exact_rdms, h2_case
 from vqse.rdm import compute_rdm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -79,7 +79,7 @@ def test_assembly_builds_no_pattern_tensor(monkeypatch):
     makes no call to ``vqse.wick.active_pattern_tensor`` (the attribute the
     tracer rebinds for its ``wick.pattern_tensor_*`` metrics)."""
     case = h2_case(0.7414, "6-31g")
-    rdms = vqse.wick.RdmSet.from_wavefunction(case["wfn"])
+    rdms = exact_rdms(case["wfn"])
     pool = vqse.subspace.build_pool(case["partition"])
     calls = []
     monkeypatch.setattr(vqse.wick, "active_pattern_tensor", lambda *args: calls.append(args))
