@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ANGSTROM_PER_BOHR, __version__
-from .exceptions import VqseError
+from .exceptions import ParseError, VqseError
 
 CSV_COLUMNS = (
     "r_angstrom",
@@ -72,7 +72,7 @@ class ScanConfig:
         if not isinstance(self.basis, str):
             raise VqseError(f"basis must be the name of a bundled basis, not {self.basis!r}")
         try:
-            load_basis(self.basis)
+            basis = load_basis(self.basis)
         except ValueError as exc:  # no bundled basis of that name
             raise VqseError(str(exc)) from None
         for key in ("vqse", "full_fci"):
@@ -102,6 +102,12 @@ class ScanConfig:
         if type(self.n_active_spatial) is not int or self.n_active_spatial < 1:
             raise VqseError(
                 f"n_active_spatial must be an integer of at least 1, not {self.n_active_spatial!r}"
+            )
+        n_orbitals = 2 * sum(1 + 2 * shell.l for shell in basis.shells_for("H"))  # s and p shells
+        if self.n_active_spatial > n_orbitals:
+            raise VqseError(
+                f"n_active_spatial must be at most {n_orbitals}, the orbital count of H2 in "
+                f"{self.basis}, not {self.n_active_spatial}"
             )
         n = self.n_electrons
         if type(n) is not int or n < 2 or n % 2 or n > 2 * self.n_active_spatial:
@@ -244,7 +250,10 @@ def run_scan(config: ScanConfig, output_dir, threads: int = 1) -> int:
     if threads != 1:
         raise VqseError(f"the scan runs serially; threads must be 1, not {threads!r}")
     output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, or one on its path
+        raise VqseError(f"cannot make the output directory: {exc}") from None
     rows, reports = [], []
     for r in config.points_angstrom:
         try:
@@ -355,7 +364,11 @@ def _cmd_scan(args) -> int:
     except (OSError, json.JSONDecodeError, VqseError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    failures = run_scan(config, args.output)
+    try:
+        failures = run_scan(config, args.output)
+    except VqseError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     if failures:
         print(f"{failures} point(s) failed; see report.json", file=sys.stderr)
     return 1 if failures else 0
@@ -372,6 +385,14 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_fcidump(args) -> int:
+    try:
+        return _fcidump(args)
+    except (OSError, ParseError, ValueError) as exc:  # the file, --basis or --n-electrons
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _fcidump(args) -> int:
     from .fci import build_hamiltonian_action, ground_state
     from .integrals import (
         compute_ao_integrals,

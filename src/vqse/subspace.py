@@ -24,9 +24,8 @@ delta are evaluated on the whole block.
 S is assembled first, over the whole pool.  An operator whose S row is
 exactly zero annihilates the reference (S_ii = |O_i psi|^2), so its H row
 and column are zero; H is assembled only over the other operators.  On
-H2/cc-pVDZ these are 224 of 777: the doubles a+_mu a_q a+_nu a_q, which
-vanish identically, and the same-spin pairs a 2-electron singlet cannot
-reach.
+H2/cc-pVDZ these are 56 of 353: the doubles that annihilate two
+same-spin electrons, which a 2-electron singlet does not have.
 
 The metric is block diagonal: every virtual is contracted against the
 vacuum, so S_ij vanishes unless O_i and O_j create the same virtual spin
@@ -88,9 +87,10 @@ def build_pool(partition: OrbitalPartition) -> list:
     Each operator is its ladder string, a tuple of (spin orbital, dagger)
     pairs, leftmost first: () for the identity, ((i, True), (p, False))
     for a single a+_i a_p and ((mu, True), (q, False), (nu, True),
-    (r, False)) for a double a+_mu a_q a+_nu a_r (mu < nu virtual).  Only
-    strings that conserve S_z are enumerated (alpha = even index): the
-    others decouple from the S_z-conserving reference sector.
+    (r, False)) for a double a+_mu a_q a+_nu a_r (mu < nu virtual, q < r
+    active: the (r, q) double is minus the (q, r) one, and the q = r double
+    is zero).  Only strings that conserve S_z are enumerated (alpha = even
+    index): the others decouple from the S_z-conserving reference sector.
     """
     if not partition.active:
         raise PartitionError("the active space is empty")
@@ -102,10 +102,9 @@ def build_pool(partition: OrbitalPartition) -> list:
             if i % 2 == p % 2:
                 pool.append(((i, True), (p, False)))
     for mu, nu in itertools.combinations(sorted(virtual), 2):
-        for q in active:
-            for r in active:
-                if mu % 2 + nu % 2 == q % 2 + r % 2:
-                    pool.append(((mu, True), (q, False), (nu, True), (r, False)))
+        for q, r in itertools.combinations(sorted(active), 2):
+            if mu % 2 + nu % 2 == q % 2 + r % 2:
+                pool.append(((mu, True), (q, False), (nu, True), (r, False)))
     return pool
 
 

@@ -229,6 +229,31 @@ def restricted_pool(partition: OrbitalPartition, targets) -> list:
     ]
 
 
+def ordered_pair_pool(partition: OrbitalPartition) -> list:
+    """The S_z-conserving pool with its doubles a+_mu a_q a+_nu a_r over
+    ordered active pairs (q, r), q = r included, in the loop order of
+    :func:`vqse.subspace.build_pool`: the oracle of its q < r doubles.
+    Each (r, q) double with q != r is minus the (q, r) one, and each q = r
+    double is zero, so it spans what ``build_pool`` spans, and
+    ``build_pool`` is a subsequence of it."""
+    active, virtual = partition.active_spin, partition.virtual_spin
+    pool = [()]
+    pool += [
+        ((i, True), (p, False))
+        for i in sorted(active + virtual)
+        for p in active
+        if i % 2 == p % 2
+    ]
+    pool += [
+        ((mu, True), (q, False), (nu, True), (r, False))
+        for mu, nu in combinations(sorted(virtual), 2)
+        for q in active
+        for r in active
+        if mu % 2 + nu % 2 == q % 2 + r % 2
+    ]
+    return pool
+
+
 def adjoint_ops(op: tuple) -> tuple:
     """The ladder string of the operator's adjoint: ``op`` reversed, with
     each dagger flipped."""

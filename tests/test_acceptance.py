@@ -221,14 +221,16 @@ def test_ccpvdz_expansion_matches_full_diagonalization():
 
 def test_six_active_orbitals_reach_the_fci_sector(tmp_path):
     """H2/cc-pVDZ at 0.7414 A with 6 of its 10 orbitals active (12 active
-    spin orbitals, a 1705-operator pool) runs through ``run_scan``: the
+    spin orbitals, an 877-operator pool) runs through ``run_scan``: the
     expansion retains the whole Sz = 0 FCI sector (100 determinants) and
     reaches its energy.  The RDMs stay packed; stored dense, the zero
     rank-4 RDM alone would take 12^8 entries (3.4 GB)."""
     config = ScanConfig(points_angstrom=[0.7414], basis="cc-pvdz", n_active_spatial=6)
     assert run_scan(config, tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())["points"][0]
-    assert report["pool_size"] == 1705
+    # 1 + 20 * 6 singles + 2 * C(4, 2) * C(6, 2) same-spin + 4^2 * 6^2
+    # mixed-spin doubles over 6 active and 4 virtual spatial orbitals
+    assert report["pool_size"] == 877
     assert report["retained_dimension"] == 100
     assert abs(report["e_vqse"] - report["e_fci_full"]) <= TOL_ORDER
 

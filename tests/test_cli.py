@@ -92,6 +92,12 @@ def test_config_validation():
     assert ScanConfig(n_active_spatial=1, n_electrons=2).n_active_spatial == 1
     with pytest.raises(VqseError, match="at most 2 \\* n_active_spatial = 2"):
         ScanConfig(n_active_spatial=1, n_electrons=4)
+    # more active orbitals than H2 has in the basis wrote a failed
+    # PartitionError row at every point
+    for basis, n_orbitals in (("sto-3g", 2), ("6-31g", 4), ("cc-pvdz", 10)):
+        assert ScanConfig(basis=basis, n_active_spatial=n_orbitals).n_active_spatial == n_orbitals
+        with pytest.raises(VqseError, match=f"n_active_spatial must be at most {n_orbitals}"):
+            ScanConfig(basis=basis, n_active_spatial=n_orbitals + 1)
     # "false" is truthy, so the scan ran VQSE (or the full FCI) anyway
     for key in ("vqse", "full_fci"):
         for value in ("false", 0, 1, None):
@@ -185,13 +191,17 @@ def test_iterated_relaxation_reports_sweeps_and_evaluations(tmp_path):
 
 
 def test_scan_fail_soft_keeps_grid_order(tmp_path):
-    config = ScanConfig(**{**FAST_SCAN, "n_active_spatial": 9})
+    """At 1e-6 A the two 1s functions coincide and RHF refuses the singular
+    AO overlap; that point is written as failed, in its place, and the
+    next one still runs."""
+    config = ScanConfig(**{**FAST_SCAN, "points_angstrom": [1e-6, 0.7414]})
     failures = run_scan(config, tmp_path / "out")
     assert failures == 1
     names, rows = read_curve(tmp_path / "out" / "curve.csv")
-    assert rows[0][names.index("status")].startswith("failed")
+    status = [row[names.index("status")] for row in rows]
+    assert status[0].startswith("failed: ValueError") and status[1] == "ok"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert "error" in report["points"][0]
+    assert "error" in report["points"][0] and "error" not in report["points"][1]
 
 
 def test_scan_cli_config_error_exit_code(tmp_path, capsys):
@@ -223,6 +233,17 @@ def test_scan_cli_rejects_points_that_are_not_positive_lengths(tmp_path, capsys,
     assert main(["scan", "--config", str(path), "--output", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / "curve.csv").exists()
+
+
+def test_scan_cli_output_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    """The FileExistsError of making the output directory escaped as a
+    traceback with exit 1, which otherwise means failed points."""
+    path = write_config(tmp_path)
+    output = tmp_path / "taken"
+    output.write_text("")
+    assert main(["scan", "--config", str(path), "--output", str(output)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert output.read_text() == ""
 
 
 def test_scan_seed_override(tmp_path):
@@ -390,6 +411,28 @@ def test_fcidump_import_h4_631g_matches_oracle(tmp_path, capsys):
     dets = sector_determinants(written.n_spin, 4, 0)
     e_oracle = np.linalg.eigvalsh(SlaterCondon(written).dense_matrix(dets))[0]
     assert e_fci == pytest.approx(e_oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "args, content",
+    [
+        (["import", "{file}"], None),
+        (["import", "{file}"], " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n0.5 1 x 1 1\n"),
+        (["export", "{file}", "--basis", "cc-pvtz"], None),
+        (["export", "{file}", "--n-electrons", "3"], None),
+    ],
+    ids=["missing_file", "malformed_file", "unknown_basis", "odd_electrons"],
+)
+def test_fcidump_usage_errors_exit_2(tmp_path, capsys, args, content):
+    """Each of these ended in a traceback with exit 1, which elsewhere means
+    a tolerance exceeded or failed points."""
+    path = tmp_path / "h2.fcidump"
+    if content is not None:
+        path.write_text(content)
+    assert main(["fcidump"] + [a.format(file=path) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    if args[0] == "export":
+        assert not path.exists()
 
 
 def test_cli_requires_subcommand():

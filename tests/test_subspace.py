@@ -23,6 +23,7 @@ from conftest import (
     h2_case,
     h4_chain_mol,
     higher_cumulants,
+    ordered_pair_pool,
     random_wavefunction,
     rdm_from_tensor,
     restricted_pool,
@@ -101,16 +102,15 @@ def oracle_pair(pool, mol, wfn, partition):
 
 def unpruned_pool(partition):
     """The ladder strings of every identity, single a+_i a_p and double
-    a+_mu a_q a+_nu a_r (mu < nu virtual), S_z-changing ones included, in
-    canonical order."""
+    a+_mu a_q a+_nu a_r (mu < nu virtual, q < r active), S_z-changing ones
+    included, in canonical order."""
     active, virtual = partition.active_spin, partition.virtual_spin
     pool = [()]
     pool += [((i, True), (p, False)) for i in sorted(active + virtual) for p in active]
     pool += [
         ((mu, True), (q, False), (nu, True), (r, False))
         for mu, nu in itertools.combinations(sorted(virtual), 2)
-        for q in active
-        for r in active
+        for q, r in itertools.combinations(sorted(active), 2)
     ]
     return pool
 
@@ -126,17 +126,17 @@ def test_pool_closed_form_count_ccpvdz():
     partition = OrbitalPartition.from_counts(0, 2, 10)  # 4 active + 16 virtual spin
     pool = unpruned_pool(partition)
     n_act, n_virt = 4, 16
-    expected = 1 + (n_act + n_virt) * n_act + math.comb(n_virt, 2) * n_act * n_act
-    assert len(pool) == expected == 2001
+    expected = 1 + (n_act + n_virt) * n_act + math.comb(n_virt, 2) * math.comb(n_act, 2)
+    assert len(pool) == expected == 801
     assert len(set(pool)) == len(pool)  # no duplicates
     # S_z-conserving: same-spin singles, and doubles whose two active
     # targets carry the spins of the two virtuals
     half_act, half_virt = n_act // 2, n_virt // 2
     singles = (n_act + n_virt) * half_act
-    same_spin_doubles = 2 * math.comb(half_virt, 2) * half_act**2
-    mixed_spin_doubles = half_virt**2 * 2 * half_act**2
+    same_spin_doubles = 2 * math.comb(half_virt, 2) * math.comb(half_act, 2)
+    mixed_spin_doubles = half_virt**2 * half_act**2
     sz_expected = 1 + singles + same_spin_doubles + mixed_spin_doubles
-    assert len(build_pool(partition)) == sz_expected == 777
+    assert len(build_pool(partition)) == sz_expected == 353
 
 
 def test_pool_sz_pruning_matches_manual_filter():
@@ -146,6 +146,76 @@ def test_pool_sz_pruning_matches_manual_filter():
     assert pruned == [op for op in full if delta_sz(op) == 0]
     assert all(delta_sz(op) == 0 for op in pruned)
     assert len(pruned) < len(full)
+
+
+def test_dropped_doubles_are_sign_pairs_or_zero():
+    """Each double of the ordered-pair pool that ``build_pool`` leaves out
+    is, as a matrix on the whole Fock space of H2/6-31G (2^8
+    determinants), minus the kept double with q and r swapped, or zero
+    (q = r): 18 sign pairs and 4 zeros."""
+    partition = h2_case(R_A, "6-31g")["partition"]
+    pool, oracle = build_pool(partition), ordered_pair_pool(partition)
+    kept = set(pool)
+    assert len(kept) == len(pool) and kept <= set(oracle)
+    n_spin = 2 * partition.n_spatial
+    dets = list(range(2**n_spin))
+    dropped = [op for op in oracle if op not in kept]
+    zero = [op for op in dropped if op[1] == op[3]]
+    assert (len(dropped), len(zero)) == (22, 4)
+    for op in dropped:
+        matrix = operator_matrix(op, dets, n_spin)
+        if op in zero:
+            assert not matrix.any(), op
+            continue
+        (mu, _), (q, _), (nu, _), (r, _) = op
+        swapped = ((mu, True), (r, False), (nu, True), (q, False))
+        assert swapped in kept, op
+        kept_matrix = operator_matrix(swapped, dets, n_spin)
+        assert kept_matrix.any() and np.array_equal(matrix, -kept_matrix), op
+
+
+@pytest.mark.parametrize(
+    "system, options",
+    [
+        ("h2_2", VqseOptions()),
+        ("h2_2", VqseOptions(cumulant=True)),
+        ("h2_2", VqseOptions(shots=1e4, seed=3)),
+        ("h2_3", VqseOptions()),
+        ("h4", VqseOptions()),
+        ("h4", VqseOptions(cumulant=True)),
+        ("h4", VqseOptions(shots=1e4, seed=3)),
+    ],
+    ids=["h2_exact", "h2_cumulant", "h2_1e4_shots", "h2_3_active", "h4_exact", "h4_cumulant",
+         "h4_1e4_shots"],
+)
+def test_pool_keeps_the_ordered_pair_span(system, options):
+    """H and S over ``build_pool`` (H2/cc-pVDZ at 0.7414 A with 2 or 3
+    active orbitals, H4/6-31G with 4) equal those over the ordered-pair
+    pool at the kept rows, bit for bit.  At eps <= 1e-4 the GEVP retains
+    as many directions from both pools and finds the same ground energy,
+    to 1e-12 Ha with exact RDMs (relative 1e-9 otherwise: cumulant H4 sits
+    at -3393 Ha at eps 1e-8).  Above that the dropped copies, which double
+    their metric block's eigenvalues, shift what eps * lambda_max cuts."""
+    if system == "h4":
+        mol, wfn, partition = h4_631g_reference()
+    else:
+        case = h2_case(0.7414, "cc-pvdz", int(system[-1]))
+        mol, wfn, partition = case["mol"], case["wfn"], case["partition"]
+    pool, oracle = build_pool(partition), ordered_pair_pool(partition)
+    position = {op: k for k, op in enumerate(oracle)}
+    kept = np.array([position[op] for op in pool])
+    assert np.all(np.diff(kept) > 0)  # a subsequence of the oracle
+    rdms = reference_rdms(wfn, options)
+    pair = assemble_subspace(pool, mol, rdms, partition)
+    full = assemble_subspace(oracle, mol, rdms, partition)
+    assert np.array_equal(pair.h, full.h[np.ix_(kept, kept)])
+    assert np.array_equal(pair.s, full.s[np.ix_(kept, kept)])
+    for eps in (1e-8, 1e-6, 1e-4):
+        solution, reference = solve_gevp(pair, eps), solve_gevp(full, eps)
+        e0 = reference.ground_energy
+        assert solution.retained_dimension == reference.retained_dimension, eps
+        tol = 1e-12 if options == VqseOptions() else 1e-9 * abs(e0)
+        assert abs(solution.ground_energy - e0) <= tol, eps
 
 
 def test_pool_validation_errors():
@@ -228,7 +298,9 @@ def test_assembly_matches_full_space_oracle_four_electrons():
     mol, wfn, partition = four_electron_slice()
     rdms = exact_rdms(wfn)
     pool = build_pool(partition)
-    assert len(pool) == 121
+    # 1 + 10 * 3 singles + 2 * C(2, 2) * C(3, 2) same-spin + 2 * 2 * 3 * 3
+    # mixed-spin doubles over 3 active and 2 virtual spatial orbitals
+    assert len(pool) == 73
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
     assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
@@ -255,12 +327,15 @@ def test_assembly_of_shuffled_pool_with_duplicate():
 
 
 def test_assembly_of_single_target_pool():
-    """A pool restricted to one active spin orbital: its one double,
-    a+_mu a_0 a+_nu a_0, has mu != nu, so the support of mu = nu' is empty."""
+    """A pool restricted to one active spin orbital, with the one double
+    a+_mu a_0 a+_nu a_0 (zero, and not in the canonical pool) added: it has
+    mu != nu, so the support of mu = nu' is empty."""
     mol, wfn, partition = four_electron_slice()
     rdms = exact_rdms(wfn)
     pool = restricted_pool(partition, (0,))
-    assert [len(op) for op in pool].count(4) == 1
+    assert [len(op) for op in pool].count(4) == 0
+    mu, nu = (v for v in partition.virtual_spin if v % 2 == 0)  # the two alpha virtuals
+    pool.append(((mu, True), (0, False), (nu, True), (0, False)))
     pair = assemble_subspace(pool, mol, rdms, partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
     assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
@@ -268,13 +343,13 @@ def test_assembly_of_single_target_pool():
 
 
 def test_ccpvdz_assembly_peak_memory():
-    """The full H2/cc-pVDZ pool (777 operators) assembles in far less memory
+    """The full H2/cc-pVDZ pool (353 operators) assembles in far less memory
     than a dense buffer over the doubles' parameter grid (4096^2 entries,
     128 MB per block) would take."""
     case = h2_case(R_A, "cc-pvdz")
     rdms = exact_rdms(case["wfn"])
     pool = build_pool(case["partition"])
-    assert len(pool) == 777
+    assert len(pool) == 353
     tracemalloc.start()
     try:
         assemble_subspace(pool, case["mol"], rdms, case["partition"])
@@ -397,7 +472,9 @@ def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):
     e_ref, wfn = ground_state(build_hamiltonian_action(dress_core(mol, partition)), 4, sz=0)
     rdms = exact_rdms(wfn)
     pool = build_pool(partition)
-    assert len(pool) == 769
+    # 1 + 16 * 4 singles + 2 * C(4, 2) * C(4, 2) same-spin + 4^2 * 4^2
+    # mixed-spin doubles over 4 active and 4 virtual spatial orbitals
+    assert len(pool) == 393
     e_fci, _ = ground_state(build_hamiltonian_action(mol), 4, sz=0)
     original = vqse.wick.active_pattern_tensor
     daggers = []
@@ -500,12 +577,12 @@ def ccpvdz_pair(n_active_spatial=2):
 @pytest.mark.parametrize(
     "system, options, n_null",
     [
-        ("h2_2", VqseOptions(), 224),
-        ("h2_3", VqseOptions(), 378),
-        ("h4", VqseOptions(), 48),
-        ("h4", VqseOptions(cumulant=True), 48),
-        ("h4", VqseOptions(shots=1e4, seed=3), 48),
-        ("h4", VqseOptions(shots=1e6, seed=3), 48),
+        ("h2_2", VqseOptions(), 56),
+        ("h2_3", VqseOptions(), 126),
+        ("h4", VqseOptions(), 0),
+        ("h4", VqseOptions(cumulant=True), 0),
+        ("h4", VqseOptions(shots=1e4, seed=3), 0),
+        ("h4", VqseOptions(shots=1e6, seed=3), 0),
     ],
     ids=["h2_ccpvdz_2", "h2_ccpvdz_3", "h4_exact", "h4_cumulant", "h4_1e4_shots", "h4_1e6_shots"],
 )
@@ -550,7 +627,7 @@ def test_block_orthogonalization_matches_dense(system, options, n_null):
 
 
 def test_gevp_diagonalizes_no_matrix_wider_than_the_retained_space(monkeypatch):
-    """On H2/cc-pVDZ the GEVP keeps 100 of 777 directions, and no ``eigh``
+    """On H2/cc-pVDZ the GEVP keeps 100 of 353 directions, and no ``eigh``
     it makes sees a wider matrix: the metric is diagonalized block by
     block, and H~ spans only the retained directions."""
     _, pair = ccpvdz_pair()
@@ -591,10 +668,11 @@ def test_null_operators_have_zero_h_rows():
     Fock-space oracle agrees that they vanish."""
     pool, pair = ccpvdz_pair()
     null = ~pair.s.any(axis=1)
-    assert pair.null_operators == np.count_nonzero(null) == 224
-    # the doubles a+_mu a_q a+_nu a_q vanish identically
-    q_equals_r = [len(op) == 4 and op[1] == op[3] for op in pool]
-    assert np.all(null[q_equals_r])
+    assert pair.null_operators == np.count_nonzero(null) == 56
+    # exactly the doubles that annihilate two same-spin electrons, which
+    # the 2-electron singlet does not have: 2 * C(8, 2) * C(2, 2) of them
+    same_spin = [len(op) == 4 and op[1][0] % 2 == op[3][0] % 2 for op in pool]
+    assert np.array_equal(null, same_spin)
     assert np.all(pair.h[null] == 0.0) and np.all(pair.h[:, null] == 0.0)
 
     case = h2_case(R_A, "6-31g")
@@ -718,8 +796,8 @@ def test_scan_point_variational_and_report():
     # canonical orthogonalization keeps lambda > eps * lambda_max, eps = 1e-8
     assert 1.0 <= report["retained_metric_condition"] < 1e8
     # one metric block per set of created virtual spin orbitals: none, each
-    # of the 4, and each of the 6 pairs; the 8 doubles into the 2 same-spin
-    # pairs annihilate the 2-electron singlet and form no block
+    # of the 4, and each of the 6 pairs; the 2 doubles into the 2 same-spin
+    # pairs, one each, annihilate the 2-electron singlet and form no block
     assert report["metric_blocks"] == 1 + 4 + 6 - 2
-    assert report["null_operators"] == 8
+    assert report["null_operators"] == 2
     assert report["discarded_metric_count"] >= report["null_operators"]
