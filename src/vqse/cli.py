@@ -385,9 +385,10 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_fcidump(args) -> int:
+    # a file that is missing, malformed or too large to hold; --basis; --n-electrons
     try:
         return _fcidump(args)
-    except (OSError, ParseError, ValueError) as exc:  # the file, --basis or --n-electrons
+    except (OSError, MemoryError, ParseError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

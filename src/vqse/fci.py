@@ -18,10 +18,11 @@ E^s_pq = a+_{ps} a_{qs},
 
 and every E^s_pq matrix element is read from a per-spin excitation table
 (:func:`string_table`).  Blocks up to ``DENSE_LIMIT`` determinants are
-built densely and solved with ``eigh``.  Larger ones go to Lanczos
-(``eigsh``) over the sigma-build C[I_a, I_b] -> (HC)[J_a, J_b], from a
-fixed start vector.  The interleaved determinant equals the product state
-times a reorder phase, applied once to the eigenvector.
+built densely and solved with ``eigh``.  Larger ones go to Davidson's
+method (J. Comput. Phys. 17, 87 (1975)) over the sigma-build
+C[I_a, I_b] -> (HC)[J_a, J_b], preconditioned by the block's diagonal,
+from a fixed start subspace.  The interleaved determinant equals the
+product state times a reorder phase, applied once to the eigenvector.
 """
 
 from __future__ import annotations
@@ -32,11 +33,16 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse.linalg
 
+from .exceptions import ConvergenceError
 from .integrals import MolecularIntegrals
 
 DENSE_LIMIT = 2000
+# Davidson: converged when |H x - theta x| is below the tolerance; the
+# subspace collapses to the current Ritz vector when it reaches the size.
+_DAVIDSON_TOL = 1e-10
+_DAVIDSON_SUBSPACE = 12
+_DAVIDSON_MAX_ITER = 200
 
 
 def _parity_below(det: int, index: int) -> int:
@@ -191,6 +197,17 @@ class SectorBlock:
         h[np.diag_indices(self.size)] += self.action.constant
         return h
 
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of H as a CI matrix [I_a, I_b]: the same-spin
+        diagonals plus sum_pr (pp|rr) n^a_p n^b_r."""
+        n = self.action.n_spatial
+        coulomb = self.action.g[:: n + 1, :: n + 1]  # (pp|rr)
+        return (
+            np.add.outer(np.diag(self.k_alpha), np.diag(self.k_beta))
+            + self.alpha.occupation @ coulomb @ self.beta.occupation.T
+            + self.action.constant
+        )
+
     @cached_property
     def _g_alpha(self) -> np.ndarray:
         """[J_a, rs, k] = sign * (pq|rs) for entry k = (pq, I_a) of row J_a."""
@@ -218,21 +235,55 @@ def build_hamiltonian_action(mol: MolecularIntegrals) -> HamiltonianAction:
     return HamiltonianAction(mol)
 
 
+def _davidson(block: SectorBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpair of a block by Davidson's method over the
+    sigma-build, with the diagonal preconditioner (D - theta)^-1.
+
+    The start subspace holds the lowest-diagonal determinant and a
+    fixed-seed random vector.  H and D both commute with the alpha <-> beta
+    flip, so from one closed-shell determinant alone every iterate would
+    keep its flip parity and a ground state of the other parity would be
+    missed; the random vector has both.  Raises ``ConvergenceError`` after
+    ``_DAVIDSON_MAX_ITER`` iterations.
+    """
+    diag = block.diagonal().ravel()
+
+    def sigma(v):
+        return block.sigma(v.reshape(block.shape)).ravel()
+
+    start = np.zeros((block.size, 2))
+    start[np.argmin(diag), 0] = 1.0
+    start[:, 1] = np.random.default_rng(0).standard_normal(block.size)
+    basis = np.linalg.qr(start)[0].T
+    images = np.array([sigma(v) for v in basis])
+    for _ in range(_DAVIDSON_MAX_ITER):
+        theta, y = np.linalg.eigh(basis @ images.T)
+        x, hx = y[:, 0] @ basis, y[:, 0] @ images
+        residual = hx - theta[0] * x
+        if np.linalg.norm(residual) < _DAVIDSON_TOL:
+            return theta[:1], x
+        if len(basis) >= _DAVIDSON_SUBSPACE:
+            basis, images = x[None], hx[None]
+        shift = diag - theta[0]
+        t = residual / np.where(np.abs(shift) > 1e-8, shift, 1e-8)
+        for _ in range(2):
+            t -= (basis @ t) @ basis
+        t /= np.linalg.norm(t)
+        basis, images = np.vstack([basis, t]), np.vstack([images, sigma(t)])
+    raise ConvergenceError(
+        f"Davidson did not converge in {_DAVIDSON_MAX_ITER} iterations",
+        last_energy=float(theta[0]),
+    )
+
+
 def _solve_block(block: SectorBlock) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, ground-state vector in block order): every eigenvalue
     from ``eigh`` up to ``DENSE_LIMIT`` determinants, the lowest one from
-    Lanczos above."""
+    :func:`_davidson` above."""
     if block.size <= DENSE_LIMIT:
         evals, evecs = np.linalg.eigh(block.matrix())
         return evals, evecs[:, 0]
-    op = scipy.sparse.linalg.LinearOperator(
-        (block.size, block.size),
-        matvec=lambda x: block.sigma(x.reshape(block.shape)).ravel(),
-        dtype=float,
-    )
-    v0 = np.random.default_rng(0).standard_normal(block.size)
-    evals, evecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=1e-12, v0=v0)
-    return evals, evecs[:, 0]
+    return _davidson(block)
 
 
 def ground_state(
@@ -243,8 +294,9 @@ def ground_state(
     The sector is the one (n_alpha, n_beta) block that sz names; an odd or
     out-of-range sector raises ``ValueError``.  It is solved by dense
     ``eigh`` of the string-built matrix up to ``DENSE_LIMIT`` determinants,
-    and above that by Lanczos (``eigsh``) over the sigma-build, started from
-    a fixed-seed vector so that repeated solves are bit-identical.  A gap
+    and above that by Davidson's method over the sigma-build, started from
+    a fixed subspace so that repeated solves are bit-identical (and raising
+    ``ConvergenceError`` if it does not converge).  A gap
     under 1e-10 between the block's two lowest eigenvalues is warned about.
     The eigenvector is returned over the interleaved determinants,
     ascending, with its largest-magnitude amplitude real positive.

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .basis import BasisSet, Geometry
 
@@ -83,7 +82,7 @@ def _boys_rows(mmax: int, x: np.ndarray) -> np.ndarray:
     Small x: Kummer series at the highest order, then downward recursion
     (stable in that direction). The series runs until the term of the
     largest x is below 1e-17 of its sum; the relative size of a term grows
-    with x, so every smaller x has converged too. Large x: F_0 from erf,
+    with x, so every smaller x has converged too. Large x: F_0 from math.erf,
     then upward recursion, which is stable once x > m + 1/2.
     """
     out = np.empty((mmax + 1, x.size))
@@ -111,7 +110,8 @@ def _boys_rows(mmax: int, x: np.ndarray) -> np.ndarray:
         xl, el = x[large], ex[large]
         rows = np.empty((mmax + 1, xl.size))
         sx = np.sqrt(xl)
-        rows[0] = math.sqrt(math.pi) / (2.0 * sx) * erf(sx)
+        erf = np.fromiter(map(math.erf, sx), float, sx.size)
+        rows[0] = math.sqrt(math.pi) / (2.0 * sx) * erf
         for m in range(1, mmax + 1):
             rows[m] = ((2 * m - 1) * rows[m - 1] - el) / (2.0 * xl)
         out[:, large] = rows

@@ -418,10 +418,12 @@ def test_fcidump_import_h4_631g_matches_oracle(tmp_path, capsys):
     [
         (["import", "{file}"], None),
         (["import", "{file}"], " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n0.5 1 x 1 1\n"),
+        # a 71 PiB ERI array, beyond any address space
+        (["import", "{file}"], " &FCI NORB=10000,NELEC=2,MS2=0,\n &END\n"),
         (["export", "{file}", "--basis", "cc-pvtz"], None),
         (["export", "{file}", "--n-electrons", "3"], None),
     ],
-    ids=["missing_file", "malformed_file", "unknown_basis", "odd_electrons"],
+    ids=["missing_file", "malformed_file", "oversized_header", "unknown_basis", "odd_electrons"],
 )
 def test_fcidump_usage_errors_exit_2(tmp_path, capsys, args, content):
     """Each of these ended in a traceback with exit 1, which elsewhere means

@@ -22,6 +22,7 @@ from conftest import (
 )
 from test_integrals import random_symmetric_integrals
 from vqse import ANGSTROM_PER_BOHR, fci
+from vqse.exceptions import ConvergenceError
 from vqse.fci import (
     Wavefunction,
     apply_ladder,
@@ -224,9 +225,10 @@ def test_ground_state_matches_oracle_eigenvector():
     assert np.max(np.abs(amps - ref)) < TOL_VECTOR
 
 
-def test_lanczos_branch_is_deterministic(monkeypatch):
-    """Above DENSE_LIMIT the solve goes through eigsh over the sigma-build;
-    its fixed start vector makes repeated calls bit-identical."""
+def test_davidson_branch_matches_dense_and_is_deterministic(monkeypatch):
+    """Above DENSE_LIMIT the solve goes through Davidson over the
+    sigma-build; its fixed start subspace makes repeated calls
+    bit-identical."""
     action = build_hamiltonian_action(h4_chain_mol("6-31g"))
     e_dense, dense = ground_state(action, 4, sz=0)
     monkeypatch.setattr(fci, "DENSE_LIMIT", 500)
@@ -238,6 +240,70 @@ def test_lanczos_branch_is_deterministic(monkeypatch):
     assert list(first.amplitudes) == list(dense.amplitudes)
     diff = [first.amplitudes[d] - a for d, a in dense.amplitudes.items()]
     assert np.max(np.abs(diff)) < TOL_VECTOR
+
+
+def test_block_diagonal_matches_dense_matrix():
+    for block in sector_blocks(build_hamiltonian_action(h4_chain_mol("6-31g")), 4):
+        assert np.max(np.abs(block.diagonal().ravel() - np.diag(block.matrix()))) < TOL_EXACT
+
+
+def test_davidson_finds_flip_odd_ground_state(monkeypatch):
+    """A 2-electron S_z = 0 block whose ground state a start from one
+    closed-shell determinant cannot reach.
+
+    With one alpha and one beta string set equal, sigma and the diagonal
+    both map a symmetric CI matrix to a symmetric one, so from the
+    symmetric start C = e_I e_I^T every Davidson iterate stays symmetric;
+    this ground state's C is antisymmetric, orthogonal to all of them.
+    """
+    mol = random_symmetric_integrals(3, np.random.default_rng(118))
+    action = build_hamiltonian_action(mol)
+    (block,) = sector_blocks(action, 2, sz=0)
+    assert block.size == 9
+    evals, evecs = np.linalg.eigh(block.matrix())
+    ground = evecs[:, 0].reshape(block.shape)
+    assert np.max(np.abs(ground + ground.T)) < TOL_EXACT
+    diag = block.diagonal()
+    assert np.allclose(diag, diag.T, rtol=0, atol=TOL_EXACT)
+    i, j = np.unravel_index(np.argmin(diag), block.shape)
+    assert i == j
+    c = np.random.default_rng(0).normal(size=block.shape)
+    image = block.sigma(c + c.T)
+    assert np.max(np.abs(image - image.T)) < TOL_EXACT
+
+    _, dense = ground_state(action, 2, sz=0)
+    monkeypatch.setattr(fci, "DENSE_LIMIT", 8)
+    energy, wfn = ground_state(action, 2, sz=0)
+    assert energy == pytest.approx(evals[0], abs=TOL_EXACT)
+    assert energy < evals[1] - 0.1  # not the flip-even -2.5009 Ha
+    assert list(wfn.amplitudes) == list(dense.amplitudes)
+    diff = [wfn.amplitudes[d] - a for d, a in dense.amplitudes.items()]
+    assert np.max(np.abs(diff)) < TOL_VECTOR
+
+
+def test_davidson_out_of_iterations_raises(monkeypatch):
+    action = build_hamiltonian_action(h4_chain_mol("6-31g"))
+    e_dense, _ = ground_state(action, 4, sz=0)
+    monkeypatch.setattr(fci, "DENSE_LIMIT", 500)
+    monkeypatch.setattr(fci, "_DAVIDSON_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError) as info:
+        ground_state(action, 4, sz=0)
+    assert e_dense < info.value.last_energy < e_dense + 1.0
+
+
+def test_h4_ccpvdz_ground_state_above_dense_limit():
+    """H4/cc-pVDZ at 1.8 bohr: 36 100 determinants, past DENSE_LIMIT with
+    no patching.  The residual bound is ten times the solver's stopping
+    tolerance on |H v - E v|."""
+    action = build_hamiltonian_action(h4_chain_mol("cc-pvdz"))
+    energy, wfn = ground_state(action, 4, sz=0)
+    assert energy == pytest.approx(-2.260047334, abs=1e-9)
+    (block,) = sector_blocks(action, 4, sz=0)
+    assert block.size == 36100 > fci.DENSE_LIMIT
+    v = block.phase() * np.array([wfn.amplitudes.get(d, 0.0) for d in block.determinants()])
+    residual = block.sigma(v.reshape(block.shape)).ravel() - energy * v
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=TOL_EXACT)
+    assert np.linalg.norm(residual) < 1e-9
 
 
 def test_h2_sto3g_ground_energy():

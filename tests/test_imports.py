@@ -1,22 +1,18 @@
-"""Which scipy modules the package may import.
+"""The package imports no scipy.
 
 numpy and scipy each load their own OpenBLAS, each with its own worker
 threads.  A hot loop that alternates calls into both leaves one library's
-idle workers spinning on the cores the other needs, so the package keeps
-its BLAS work on numpy and imports scipy only where listed here.  The
-modules are read with ``ast``, not imported."""
+idle workers spinning on the cores the other needs, so the package runs on
+numpy alone; scipy is a test dependency, for the oracles.  The modules are
+read with ``ast``, not imported, and a fresh interpreter confirms that
+importing the package loads no scipy module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "vqse"
-
-ALLOWED = {
-    # the Boys function; scipy.special runs no BLAS
-    ("integrals/gaussians.py", "scipy.special"),
-    # the Lanczos solve runs only on FCI blocks above DENSE_LIMIT determinants
-    ("fci.py", "scipy.sparse.linalg"),
-}
 
 
 def scipy_imports(path: Path) -> set:
@@ -33,13 +29,30 @@ def scipy_imports(path: Path) -> set:
     return {name for name in found if name == "scipy" or name.startswith("scipy.")}
 
 
-def test_scipy_imports_are_allow_listed():
+def test_package_imports_no_scipy():
     imports = {
         (path.relative_to(PACKAGE).as_posix(), name)
         for path in sorted(PACKAGE.rglob("*.py"))
         for name in scipy_imports(path)
     }
-    assert imports - ALLOWED == set()
+    assert imports == set()
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "import vqse.cli, vqse.fci, vqse.integrals, vqse.oo, vqse.subspace\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_scipy_import_scan_sees_every_form(tmp_path):

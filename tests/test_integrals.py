@@ -91,7 +91,7 @@ def test_boys_at_zero_closed_form():
 
 def test_boys_against_quadrature():
     for m in range(5):
-        for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 4.0, 17.3, 40.0):
+        for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 4.0, 17.3, 25.0, 40.0, 60.0):
             ref, err = scipy.integrate.quad(
                 lambda t: t ** (2 * m) * np.exp(-x * t * t), 0.0, 1.0, epsabs=1e-14
             )
