@@ -4,8 +4,8 @@ Builds the operator pool {identity} u {a+_i a_p} u {a+_mu a_q a+_nu a_r},
 each operator held as its ladder string of (spin orbital, dagger) pairs,
 assembles the subspace matrices H_ij = <O_i+ H O_j> and S_ij = <O_i+ O_j>
 on the (active state) x (virtual vacuum) reference from active-space RDMs,
-and solves the generalized eigenvalue problem H C = S C E after canonical
-orthogonalization of the metric.
+and solves the generalized eigenvalue problem H C = S C E for its lowest
+root after canonical orthogonalization of the metric.
 
 The assembly is vectorized per operator class: the pool operators whose
 ladder strings share one (space, dagger) pattern (on the canonical pool:
@@ -61,6 +61,7 @@ import numpy as np
 
 from . import wick
 from .exceptions import DegenerateMetricError, PartitionError
+from .fci import lowest_eigenpair
 from .integrals import MolecularIntegrals
 from .rdm import (
     compute_rdm,
@@ -452,16 +453,12 @@ def _hermitized_pair(h: np.ndarray, s: np.ndarray, null_operators: int) -> Subsp
 
 @dataclass
 class GevpSolution:
-    eigenvalues: np.ndarray  # ascending, hartree
+    ground_energy: float  # lowest root of H C = S C E, hartree
     retained_dimension: int
     discarded_metric_eigenvalues: np.ndarray
-    residual_norm: float  # largest column norm of H C - S C E
+    residual_norm: float  # |H c - E S c| of the ground pair
     metric_condition: float  # lambda_max / lambda_min of the retained metric
     metric_blocks: int  # blocks of the metric orthogonalized apart
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
 
 
 def _metric_blocks(s: np.ndarray) -> list:
@@ -485,17 +482,22 @@ def _metric_blocks(s: np.ndarray) -> list:
     return [live[labels[live] == root] for root in np.unique(labels[live])]
 
 
-def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
-    """X = V_r L_r^(-1/2) over metric eigenpairs with lambda > eps * lambda_max.
+def _retained_directions(s: np.ndarray, eps: float):
+    """Canonical orthogonalization: the columns of X = V_r L_r^(-1/2) over
+    the metric eigenpairs with lambda > eps * lambda_max, X+ S X = identity.
 
-    Returns (X, discarded eigenvalues ascending, number of blocks);
-    X+ S X = identity.
     ``s`` must be exactly Hermitian, as ``assemble_subspace`` leaves it.
     S is block diagonal over the connected components of its non-zero
     pattern (on the subspace pool: operators that create different
     virtuals have zero overlap), so each block is diagonalized on its own,
     one batched ``eigh`` per block size, against the one lambda_max of all
-    blocks.  A zero row is in no block and adds a discarded eigenvalue 0.
+    blocks, and each column of X lies in one block.  A zero row is in no
+    block and adds a discarded eigenvalue 0.
+
+    Returns (directions, discarded eigenvalues ascending, number of
+    blocks).  ``directions`` holds, per block size k, the pair (rows,
+    values) of shape (c, k): column c of X is ``values[c]`` at the metric
+    rows ``rows[c]`` and zero elsewhere.
     """
     blocks = _metric_blocks(s)
     stacks = []  # per block size k: rows (m, k), then eigh's values (m, k) and vectors (m, k, k)
@@ -505,42 +507,51 @@ def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
     lam_max = max((float(evals.max()) for _, evals, _ in stacks), default=0.0)
     if lam_max <= 0.0:
         raise DegenerateMetricError("the metric has no positive eigenvalues")
-    x_t, discarded = [], [np.zeros(len(s) - sum(block.size for block in blocks))]
+    directions, discarded = [], [np.zeros(len(s) - sum(block.size for block in blocks))]
     for rows, evals, evecs in stacks:
         keep = evals > eps * lam_max
         b, j = np.nonzero(keep)
-        part = np.zeros((b.size, len(s)), dtype=evecs.dtype)
-        np.put_along_axis(part, rows[b], evecs[b, :, j] / np.sqrt(evals[b, j])[:, np.newaxis], 1)
-        x_t.append(part)
+        directions.append((rows[b], evecs[b, :, j] / np.sqrt(evals[b, j])[:, np.newaxis]))
         discarded.append(evals[~keep])
-    x = np.concatenate(x_t).T
-    if not x.shape[1]:
+    if not any(rows.size for rows, _ in directions):
         raise DegenerateMetricError("all metric eigenvalues fall below the threshold")
-    return x, np.sort(np.concatenate(discarded)), len(blocks)
+    return directions, np.sort(np.concatenate(discarded)), len(blocks)
+
+
+def _dense_columns(directions, n: int) -> np.ndarray:
+    """X over all n metric rows from its retained directions."""
+    x_t = []
+    for rows, values in directions:
+        part = np.zeros((len(rows), n), dtype=values.dtype)
+        np.put_along_axis(part, rows, values, 1)
+        x_t.append(part)
+    return np.concatenate(x_t).T
 
 
 def solve_gevp(pair: SubspacePair, eps: float = DEFAULT_EPS) -> GevpSolution:
-    """Solve H C = S C E on the canonically orthogonalized subspace.
+    """The lowest root of H C = S C E on the canonically orthogonalized
+    subspace, by :func:`vqse.fci.lowest_eigenpair` over H~ = X+ H X.
 
-    X, and so C, is zero outside the metric blocks that retain a
-    direction.  H~ = X+ H X is formed over those rows only, and S C is zero
-    outside them.  C serves only the residual and is not returned.
+    H~ is never formed: its action on y is X+ (H (X y)), and its diagonal
+    x_k+ H x_k is read block by block, since each column x_k of X lies in
+    one metric block.  X keeps the rows where it is zero: copying H to the
+    other rows costs more than the products save.  The residual is that of
+    the ground pair (E, c = X y).
     """
-    x, discarded, n_blocks = canonical_orthogonalize(pair.s, eps)
-    rows = np.flatnonzero(x.any(axis=1))
-    x = x[rows]
-    h_cols = pair.h[:, rows]
-    h_tilde = x.conj().T @ h_cols[rows] @ x
-    h_tilde = 0.5 * (h_tilde + h_tilde.conj().T)
-    evals, evecs = np.linalg.eigh(h_tilde)
-    c_rows = x @ evecs
-    residual = h_cols @ c_rows
-    residual[rows] -= pair.s[np.ix_(rows, rows)] @ c_rows * evals[np.newaxis, :]
-    res_norm = float(np.max(np.linalg.norm(residual, axis=0), initial=0.0))
+    directions, discarded, n_blocks = _retained_directions(pair.s, eps)
+    x = _dense_columns(directions, len(pair.s))
+    x_h = x.conj().T
+    diagonal = np.concatenate([
+        np.einsum("ci,cij,cj->c", values.conj(), pair.h[r[:, :, None], r[:, None, :]], values)
+        for r, values in directions
+    ]).real
+    energy, y = lowest_eigenpair(lambda v: x_h @ (pair.h @ (x @ v)), diagonal)
+    c = x @ y
+    residual = float(np.linalg.norm(pair.h @ c - energy * (pair.s @ c)))
     # column k of X has norm lambda_k^(-1/2)
     inv_sqrt = np.linalg.norm(x, axis=0)
     condition = float((inv_sqrt.max() / inv_sqrt.min()) ** 2)
-    return GevpSolution(evals, x.shape[1], discarded, res_norm, condition, n_blocks)
+    return GevpSolution(energy, x.shape[1], discarded, residual, condition, n_blocks)
 
 
 # ---------------------------------------------------------------------------

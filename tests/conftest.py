@@ -41,7 +41,14 @@ from vqse.rdm import (
     wedge,
 )
 from vqse.spaces import OrbitalPartition
-from vqse.subspace import VqseOptions, build_pool, reference_rdms
+from vqse.subspace import (
+    DEFAULT_EPS,
+    VqseOptions,
+    _dense_columns,
+    _retained_directions,
+    build_pool,
+    reference_rdms,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -185,12 +192,33 @@ def exact_rdms(wfn: Wavefunction) -> wick.RdmSet:
     return reference_rdms(wfn, VqseOptions())
 
 
+def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
+    """(X, discarded eigenvalues ascending, number of blocks) of the
+    per-block canonical orthogonalization ``solve_gevp`` runs, with X dense
+    over every metric row; X+ S X = identity."""
+    directions, discarded, n_blocks = _retained_directions(s, eps)
+    return _dense_columns(directions, len(s)), discarded, n_blocks
+
+
 def dense_canonical_orthogonalize(s: np.ndarray, eps: float):
     """(X, discarded eigenvalues) from one dense ``eigh`` of the whole
     metric: the oracle of the per-block canonical orthogonalization."""
     evals, evecs = np.linalg.eigh(s)
     keep = evals > eps * evals[-1]
     return evecs[:, keep] / np.sqrt(evals[keep]), evals[~keep]
+
+
+def dense_gevp(pair, eps: float) -> np.ndarray:
+    """Every root of H C = S C E, ascending, from one dense ``eigh`` of
+    H~ = X+ H X, with X from ``canonical_orthogonalize`` kept to its
+    non-zero rows: the oracle of ``solve_gevp``, which finds the lowest
+    root alone and never forms H~."""
+    x, _, _ = canonical_orthogonalize(pair.s, eps)
+    rows = np.flatnonzero(x.any(axis=1))
+    x = x[rows]
+    h_tilde = x.conj().T @ pair.h[np.ix_(rows, rows)] @ x
+    h_tilde = 0.5 * (h_tilde + h_tilde.conj().T)
+    return np.linalg.eigvalsh(h_tilde)
 
 
 def translated(geometry: Geometry, shift) -> Geometry:

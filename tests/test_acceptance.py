@@ -19,6 +19,7 @@ import pytest
 
 from conftest import (
     DATA_DIR,
+    canonical_orthogonalize,
     casscf_2_2,
     embed_wavefunction,
     exact_rdms,
@@ -49,7 +50,6 @@ from vqse.subspace import (
     VqseOptions,
     assemble_subspace,
     build_pool,
-    canonical_orthogonalize,
     reference_rdms,
     solve_gevp,
 )

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def sector_matrix(mol, n_electrons, sz=None):
     dets, blocks = [], []
     for block in sector_blocks(build_hamiltonian_action(mol), n_electrons, sz):
         phase = block.phase()
-        dets += block.determinants()
+        dets += block.determinants().tolist()
         blocks.append(phase[:, None] * block.matrix() * phase[None, :])
     order = np.argsort(dets)
     h = scipy.linalg.block_diag(*blocks)
@@ -230,10 +231,12 @@ def test_davidson_branch_matches_dense_and_is_deterministic(monkeypatch):
     sigma-build; its fixed start subspace makes repeated calls
     bit-identical."""
     action = build_hamiltonian_action(h4_chain_mol("6-31g"))
-    e_dense, dense = ground_state(action, 4, sz=0)
-    monkeypatch.setattr(fci, "DENSE_LIMIT", 500)
+    (block,) = sector_blocks(action, 4, sz=0)
+    assert block.size == 784 > fci.DENSE_LIMIT
     e_first, first = ground_state(action, 4, sz=0)
     e_second, second = ground_state(action, 4, sz=0)
+    monkeypatch.setattr(fci, "DENSE_LIMIT", block.size)
+    e_dense, dense = ground_state(action, 4, sz=0)
     assert e_first == e_second
     assert list(first.amplitudes.items()) == list(second.amplitudes.items())
     assert e_first == pytest.approx(e_dense, abs=TOL_VECTOR)
@@ -281,14 +284,66 @@ def test_davidson_finds_flip_odd_ground_state(monkeypatch):
     assert np.max(np.abs(diff)) < TOL_VECTOR
 
 
+def test_davidson_stops_once_its_subspace_spans_the_matrix():
+    """On matrices of 2 to 9 rows with norms up to 1e8 the residual can
+    stay above the stopping tolerance from rounding alone; once the
+    subspace spans every dimension its lowest Ritz pair is exact and is
+    returned."""
+    rng = np.random.default_rng(40)
+    for _ in range(100):
+        n = int(rng.integers(2, 10))
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        a = q @ np.diag(rng.normal(size=n) * 10.0 ** rng.uniform(0, 8)) @ q.T
+        a = 0.5 * (a + a.T)
+        energy, x = fci.lowest_eigenpair(lambda v: a @ v, np.diag(a).copy())
+        evals = np.linalg.eigvalsh(a)
+        scale = max(1.0, np.max(np.abs(evals)))
+        assert abs(energy - evals[0]) <= 1e-13 * scale
+        assert np.linalg.norm(a @ x - energy * x) <= 1e-13 * scale
+
+
 def test_davidson_out_of_iterations_raises(monkeypatch):
     action = build_hamiltonian_action(h4_chain_mol("6-31g"))
-    e_dense, _ = ground_state(action, 4, sz=0)
-    monkeypatch.setattr(fci, "DENSE_LIMIT", 500)
+    (block,) = sector_blocks(action, 4, sz=0)
+    assert block.size > fci.DENSE_LIMIT
+    e_dense = np.linalg.eigvalsh(block.matrix())[0]
     monkeypatch.setattr(fci, "_DAVIDSON_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
         ground_state(action, 4, sz=0)
     assert e_dense < info.value.last_energy < e_dense + 1.0
+
+
+def test_near_degenerate_dense_block_warns(monkeypatch):
+    """Two orbitals with equal h1 and no interaction: the four
+    determinants of the 2-electron S_z = 0 block share one energy.  A
+    dense block is gap-checked; above ``DENSE_LIMIT`` only the lowest
+    eigenvalue is computed, and nothing is checked."""
+    mol = MolecularIntegrals(
+        n_spatial=2, e_nuc=0.0, h1=np.diag([-0.5, -0.5]), eri=np.zeros((2,) * 4)
+    )
+    action = build_hamiltonian_action(mol)
+    with pytest.warns(UserWarning, match="nearly degenerate"):
+        energy, _ = ground_state(action, 2, sz=0)
+    assert energy == pytest.approx(-1.0, abs=TOL_EXACT)
+    monkeypatch.setattr(fci, "DENSE_LIMIT", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy, _ = ground_state(action, 2, sz=0)
+    assert energy == pytest.approx(-1.0, abs=TOL_EXACT)
+
+
+def test_determinants_past_63_spin_orbitals():
+    """Past 63 spin orbitals an interleaved determinant does not fit in
+    int64; the 2-electron block over 32 orbitals still lists every one,
+    and its ground state is ordered by them."""
+    mol = random_symmetric_integrals(32, np.random.default_rng(31))
+    action = build_hamiltonian_action(mol)
+    (block,) = sector_blocks(action, 2, sz=0)
+    dets = sector_determinants(64, 2, 0)
+    assert max(dets) >= 2**63
+    assert sorted(block.determinants().tolist()) == dets
+    _, wfn = ground_state(action, 2, sz=0)
+    assert list(wfn.amplitudes) == [d for d in dets if d in wfn.amplitudes]
 
 
 def test_h4_ccpvdz_ground_state_above_dense_limit():

@@ -74,3 +74,35 @@ def test_scipy_import_scan_sees_every_form(tmp_path):
         "scipy.sparse.linalg",
         "scipy.optimize",
     }
+
+
+def test_exact_scan_point_loads_no_numpy_random(tmp_path):
+    """An exact-RDM scan point with the full-FCI oracle, and an FCI solve
+    past ``DENSE_LIMIT``, draw nothing at random: their Davidson start
+    vectors are fixed, and loading ``numpy.random`` costs a process about
+    5 MB of resident memory.  Configs with shots draw their noise from it."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from vqse import fci\n"
+        "from vqse.cli import ScanConfig, run_scan\n"
+        "from vqse.integrals import MolecularIntegrals\n"
+        "config = ScanConfig(points_angstrom=[0.75], basis='6-31g', vqse=True, full_fci=True)\n"
+        f"assert run_scan(config, {str(tmp_path)!r}) == 0\n"
+        "n = 17\n"
+        "h1 = np.diag(np.arange(n, dtype=float)) + 0.1\n"
+        "mol = MolecularIntegrals(n_spatial=n, e_nuc=0.0, h1=h1, eri=np.zeros((n,) * 4))\n"
+        "action = fci.build_hamiltonian_action(mol)\n"
+        "assert fci.SectorBlock(action, 1, 1).size > fci.DENSE_LIMIT\n"
+        "fci.ground_state(action, 2, sz=0)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "False"

@@ -15,8 +15,10 @@ from conftest import (
     SlaterCondon,
     adjoint_ops,
     apply_ladder_string,
+    canonical_orthogonalize,
     delta_sz,
     dense_canonical_orthogonalize,
+    dense_gevp,
     dense_w_first,
     embed_wavefunction,
     exact_rdms,
@@ -52,7 +54,6 @@ from vqse.subspace import (
     VqseOptions,
     assemble_subspace,
     build_pool,
-    canonical_orthogonalize,
     reference_rdms,
     solve_gevp,
 )
@@ -626,6 +627,56 @@ def test_block_orthogonalization_matches_dense(system, options, n_null):
             assert len(set(component[np.flatnonzero(column)])) == 1
 
 
+@pytest.mark.parametrize(
+    "system, options",
+    [
+        ("h2_2", VqseOptions()),
+        ("h2_3", VqseOptions()),
+        ("h4", VqseOptions()),
+        ("h4", VqseOptions(cumulant=True)),
+        ("h4", VqseOptions(shots=1e4, seed=3)),
+        ("h4", VqseOptions(shots=1e6, seed=3)),
+    ],
+    ids=["h2_ccpvdz_2", "h2_ccpvdz_3", "h4_exact", "h4_cumulant", "h4_1e4_shots", "h4_1e6_shots"],
+)
+def test_gevp_ground_pair_matches_dense_oracle(system, options):
+    """``solve_gevp`` finds the lowest root of the dense ``eigh`` of the same
+    H~, with as many retained directions, at every threshold: to 1e-12 Ha
+    with exact RDMs, and to 1e-13 of max(1, |H~|) with approximate ones,
+    whose |H~| reaches 1.4e4 Ha (cumulant RDMs at eps 1e-8)."""
+    if system == "h4":
+        mol, wfn, partition = h4_631g_reference()
+        pair = assemble_subspace(
+            build_pool(partition), mol, reference_rdms(wfn, options), partition
+        )
+    else:
+        _, pair = ccpvdz_pair(int(system[-1]))
+    exact = options == VqseOptions()
+    for eps in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2):
+        solution = solve_gevp(pair, eps)
+        eigenvalues = dense_gevp(pair, eps)
+        scale = max(1.0, np.max(np.abs(eigenvalues)))
+        error = abs(solution.ground_energy - eigenvalues[0])
+        print(f"{system} eps={eps:.0e} dim={solution.retained_dimension} |H~|={scale:.1e} "
+              f"dE={error:.1e} residual={solution.residual_norm:.1e}")
+        assert solution.retained_dimension == len(eigenvalues)
+        assert error <= (1e-12 if exact else 1e-13 * scale), eps
+
+
+@pytest.mark.parametrize("n_ops", [1, 2])
+def test_gevp_start_subspace_spanning_the_retained_space(n_ops):
+    """With one or two retained directions the Davidson start subspace
+    already spans H~, and the lowest root is exact."""
+    case = h2_case(R_A, "6-31g")
+    pool = build_pool(case["partition"])[:n_ops]
+    pair = assemble_subspace(pool, case["mol"], exact_rdms(case["wfn"]), case["partition"])
+    solution = solve_gevp(pair)
+    eigenvalues = dense_gevp(pair, vqse.subspace.DEFAULT_EPS)
+    assert solution.retained_dimension == len(eigenvalues) == n_ops
+    assert solution.ground_energy == pytest.approx(eigenvalues[0], abs=TOL_EXACT)
+    assert solution.residual_norm < TOL_ORACLE
+
+
 def test_gevp_diagonalizes_no_matrix_wider_than_the_retained_space(monkeypatch):
     """On H2/cc-pVDZ the GEVP keeps 100 of 353 directions, and no ``eigh``
     it makes sees a wider matrix: the metric is diagonalized block by
@@ -646,7 +697,7 @@ def test_gevp_diagonalizes_no_matrix_wider_than_the_retained_space(monkeypatch):
 
 def test_gevp_labels_the_metric_blocks_once(monkeypatch):
     """On H2/cc-pVDZ ``solve_gevp`` finds the connected components of the
-    metric once, inside ``canonical_orthogonalize``, and reports the block
+    metric once, in its canonical orthogonalization, and reports the block
     count found there."""
     _, pair = ccpvdz_pair()
     original = vqse.subspace._metric_blocks
@@ -734,12 +785,12 @@ def test_excited_state_bound_reported():
     rdms = exact_rdms(case["wfn"])
     pool = build_pool(case["partition"])
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
-    sol = solve_gevp(pair)
+    eigenvalues = dense_gevp(pair, vqse.subspace.DEFAULT_EPS)
     dets = sector_determinants(8, 2, sz=0)
     exact = np.linalg.eigvalsh(SlaterCondon(case["mol"]).dense_matrix(dets))
-    print(f"E1 subspace {sol.eigenvalues[1]:+.8f} vs exact {exact[1]:+.8f} "
-          f"(excess {sol.eigenvalues[1] - exact[1]:.3e})")
-    assert sol.eigenvalues[1] >= exact[1] - 1e-9
+    print(f"E1 subspace {eigenvalues[1]:+.8f} vs exact {exact[1]:+.8f} "
+          f"(excess {eigenvalues[1] - exact[1]:.3e})")
+    assert eigenvalues[1] >= exact[1] - 1e-9
 
 
 def test_cumulant_substitution_recovers_exact_assembly():
