@@ -44,10 +44,8 @@ from .integrals import MolecularIntegrals
 # against 5.5 at 225 (4 electrons), 9.1 against 9.0 at 256 (2 electrons),
 # 29 against 8.3 at 441 and 96 against 13 at 784.
 DENSE_LIMIT = 256
-# Davidson: converged when |H x - theta x| is below the tolerance; the
-# subspace collapses to the current Ritz vector when it reaches the size.
+# Davidson: converged when |H x - theta x| is below the tolerance.
 _DAVIDSON_TOL = 1e-10
-_DAVIDSON_SUBSPACE = 12
 _DAVIDSON_MAX_ITER = 200
 
 
@@ -256,9 +254,8 @@ def lowest_eigenpair(matvec, diagonal: np.ndarray) -> tuple[float, np.ndarray]:
     iterate would keep its flip parity; the sine vector has both.  It is
     not drawn from a generator, so solves are bit-identical.  Converged at
     |A x - theta x| < ``_DAVIDSON_TOL`` or once the subspace spans all n
-    dimensions; the subspace collapses to the Ritz vector at
-    ``_DAVIDSON_SUBSPACE`` vectors.  Raises ``ConvergenceError`` after
-    ``_DAVIDSON_MAX_ITER`` iterations.
+    dimensions.  The subspace grows by one vector per iteration;
+    ``ConvergenceError`` is raised after ``_DAVIDSON_MAX_ITER`` iterations.
     """
     n = diagonal.size
     start = np.zeros((n, 2))
@@ -272,8 +269,6 @@ def lowest_eigenpair(matvec, diagonal: np.ndarray) -> tuple[float, np.ndarray]:
         residual = ax - theta[0] * x
         if len(basis) == n or np.linalg.norm(residual) < _DAVIDSON_TOL:
             return float(theta[0]), x
-        if len(basis) >= _DAVIDSON_SUBSPACE:
-            basis, images = x[None], ax[None]
         shift = diagonal - theta[0]
         t = residual / np.where(np.abs(shift) > 1e-8, shift, 1e-8)
         for _ in range(2):

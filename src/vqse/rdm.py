@@ -3,15 +3,15 @@
 Index layout: an Rdm of rank k stores D[u1..uk, p1..pk] =
 <a+_{uk} ... a+_{u1} a_{p1} ... a_{pk}>, i.e. raw expectation values with
 trace N!/(N-k)!.  Wedge products and cumulant arithmetic internally use
-the normalized convention D_norm = D_raw / k!, in which the cumulant
-expansion of the 4-RDM reads
+the normalized convention D_k = D_raw / k!, with the wedge carrying the
+full 1/(a+b)!^2 antisymmetrization.  With the two-body cumulant
+Delta2 = D2 - D1 ^ D1 and the connected 3- and 4-body parts dropped, the
+cumulant expansion (Mazziotti, CPL 289, 419 (1998)) collapses to one
+recursion,
 
-    D4 = Delta4 + 4 Delta3 ^ Delta1 + 3 Delta2 ^ Delta2
-         + 6 Delta2 ^ Delta1 ^ Delta1 + Delta1 ^ Delta1 ^ Delta1 ^ Delta1
+    D_k = D1 ^ D_(k-1) + (k - 1) Delta2 ^ D_(k-2),    k = 3, 4,
 
-with integer coefficients and the wedge carrying the full 1/(a+b)!^2
-antisymmetrization.  The reconstructions keep Delta1 = D1 and Delta2 and
-drop the connected 3- and 4-body parts.
+which rebuilds D3 from the measured D1 and D2, and D4 from D3 and D2.
 
 Every tensor here is antisymmetric within its upper and within its lower
 index group, so it is computed and stored only on strictly ordered
@@ -133,10 +133,23 @@ def _split_index(n: int, k: int, a: int):
     return _sorted_position(np.concatenate([s, t], axis=1), n)
 
 
-def _gather(t: np.ndarray, upper: list, lower: list) -> np.ndarray:
-    """t read at index columns, (C, 1) per upper and (1, C) per lower
-    axis: shape (C, C)."""
-    return t[tuple(c[:, None] for c in upper) + tuple(c[None, :] for c in lower)]
+@lru_cache(maxsize=None)
+def _coset_index(n: int, k: int, a: int):
+    """For each choice of a of the k positions of an ascending k-tuple of
+    range(n), in ``combinations`` order: the sign of moving the chosen
+    positions to the front, and the packed index of the chosen sub-tuple
+    and of the rest at every ascending k-tuple.  Both sub-tuples are
+    ascending, so their packed entries are read without sorting."""
+    tuples = _tuples(n, k)
+    cosets = []
+    for chosen in combinations(range(k), a):
+        rest = tuple(i for i in range(k) if i not in chosen)
+        cosets.append((
+            _perm_sign(chosen + rest),
+            _sorted_position(tuples[:, chosen], n)[0],
+            _sorted_position(tuples[:, rest], n)[0],
+        ))
+    return cosets
 
 
 @dataclass
@@ -219,71 +232,38 @@ def compute_rdm(wfn: Wavefunction, k: int) -> Rdm:
     return Rdm(k, n, b.conj().T @ b)
 
 
-def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Grassmann wedge of antisymmetric tensors of rank (ka, ka), (kb, kb),
-    as a dense tensor."""
-    packed = _wedge_packed(a, b)
-    return _unpack(packed, a.shape[0], (a.ndim + b.ndim) // 2)
-
-
-def _wedge_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Packed entries of the Grassmann wedge of dense antisymmetric tensors
-    of rank (ka, ka), (kb, kb).
+def wedge(a: Rdm, b: Rdm) -> Rdm:
+    """Grassmann wedge of RDMs of ranks ka and kb, normalized convention,
+    read from and written to packed entries.
 
     Carries the full 1/(ka+kb)!^2 antisymmetrization.  Since both factors
     are antisymmetric, the permutation sum reduces to one term per pair of
     coset representatives (which output positions take the upper and the
     lower indices of a), each read at the packed output tuples.
     """
-    ka = a.ndim // 2
-    kb = b.ndim // 2
-    if a.ndim % 2 or b.ndim % 2:
-        raise ValueError("wedge operands must have even rank")
-    n = a.shape[0]
-    if a.shape != (n,) * (2 * ka) or b.shape != (n,) * (2 * kb):
-        raise ValueError("wedge operands must be cubic and matching")
-    k = ka + kb
-    cols = _tuples(n, k).T
-    cosets = []
-    for su in combinations(range(k), ka):
-        rest = tuple(i for i in range(k) if i not in su)
-        cosets.append(([cols[i] for i in su], [cols[i] for i in rest], _perm_sign(su + rest)))
-    out = np.zeros((len(cols[0]),) * 2, dtype=np.result_type(a, b))
-    for au, bu, sgn_u in cosets:
-        for al, bl, sgn_l in cosets:
-            out += sgn_u * sgn_l * (_gather(a, au, al) * _gather(b, bu, bl))
-    norm = (math.factorial(ka) * math.factorial(kb) / math.factorial(k)) ** 2
-    return norm * out
-
-
-def delta2(rdm1: Rdm, rdm2: Rdm) -> np.ndarray:
-    """Two-body cumulant D2/2 - D1 ^ D1, normalized convention."""
-    if rdm1.n != rdm2.n:
+    if a.n != b.n:
         raise ValueError("RDM dimensions disagree")
-    return rdm2.tensor / 2.0 - wedge(rdm1.tensor, rdm1.tensor)
+    k = a.k + b.k
+    cosets = _coset_index(a.n, k, a.k)
+    out = np.zeros((math.comb(a.n, k),) * 2, dtype=np.result_type(a.packed, b.packed))
+    for sign_u, au, bu in cosets:
+        for sign_l, al, bl in cosets:
+            out += sign_u * sign_l * (a.packed[np.ix_(au, al)] * b.packed[np.ix_(bu, bl)])
+    norm = (math.factorial(a.k) * math.factorial(b.k) / math.factorial(k)) ** 2
+    return Rdm(k, a.n, norm * out)
 
 
-def cumulant_4rdm(rdm1: Rdm, rdm2: Rdm) -> Rdm:
-    """Reconstruct the 4-RDM from 1- and 2-RDMs with the connected 3- and
-    4-body parts set to zero.  Only the rank-4 wedges are packed; their
-    rank-2 and rank-3 operands are dense."""
-    d1 = rdm1.tensor
-    d2c = delta2(rdm1, rdm2)
-    w11 = wedge(d1, d1)
-    d4n = (
-        3.0 * _wedge_packed(d2c, d2c)
-        + 6.0 * _wedge_packed(wedge(d2c, d1), d1)
-        + _wedge_packed(wedge(w11, d1), d1)
-    )
-    return Rdm(4, rdm1.n, 24.0 * d4n)
-
-
-def cumulant_3rdm(rdm1: Rdm, rdm2: Rdm) -> Rdm:
-    """Reconstruct the 3-RDM from 1- and 2-RDMs with the connected 3-body
-    part set to zero."""
-    d1 = rdm1.tensor
-    d3n = 3.0 * _wedge_packed(delta2(rdm1, rdm2), d1) + _wedge_packed(wedge(d1, d1), d1)
-    return Rdm(3, rdm1.n, 6.0 * d3n)
+def cumulant_rdms(rdm1: Rdm, rdm2: Rdm) -> dict[int, Rdm]:
+    """The 3- and 4-RDMs rebuilt from the 1- and 2-RDMs with the connected
+    3- and 4-body parts set to zero, by the recursion of the module
+    docstring: {3: D3, 4: D4}, raw convention.  Raises ``ValueError`` if
+    the two are over different orbital counts."""
+    n = rdm1.n
+    d = {1: rdm1, 2: Rdm(2, n, rdm2.packed / 2.0)}
+    delta2 = Rdm(2, n, d[2].packed - wedge(rdm1, rdm1).packed)
+    for k in (3, 4):
+        d[k] = Rdm(k, n, wedge(rdm1, d[k - 1]).packed + (k - 1) * wedge(delta2, d[k - 2]).packed)
+    return {k: Rdm(k, n, math.factorial(k) * d[k].packed) for k in (3, 4)}
 
 
 def spin_summed_rdms(rdm1: Rdm, rdm2: Rdm):

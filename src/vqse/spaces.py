@@ -56,10 +56,6 @@ class OrbitalPartition:
         return len(self.core) + len(self.active) + len(self.virtual)
 
     @property
-    def core_spin(self) -> tuple[int, ...]:
-        return spatial_to_spin(self.core)
-
-    @property
     def active_spin(self) -> tuple[int, ...]:
         return spatial_to_spin(self.active)
 

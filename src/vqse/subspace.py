@@ -65,8 +65,7 @@ from .fci import lowest_eigenpair
 from .integrals import MolecularIntegrals
 from .rdm import (
     compute_rdm,
-    cumulant_3rdm,
-    cumulant_4rdm,
+    cumulant_rdms,
     inject_shot_noise,
     pack_antisymmetrized,
     unpack_ends,
@@ -590,6 +589,5 @@ def reference_rdms(wfn, options: VqseOptions) -> RdmSet:
             for k, r in rdms.items()
         }
     if options.cumulant:
-        rdms[3] = cumulant_3rdm(rdms[1], rdms[2])
-        rdms[4] = cumulant_4rdm(rdms[1], rdms[2])
+        rdms.update(cumulant_rdms(rdms[1], rdms[2]))
     return RdmSet(rdms)

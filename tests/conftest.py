@@ -31,16 +31,8 @@ from vqse.integrals import (
     transform_to_mo,
 )
 from vqse.integrals.gaussians import _boys_rows, build_ao_basis
-from vqse.rdm import (
-    Rdm,
-    _gather,
-    _tuples,
-    compute_rdm,
-    delta2,
-    spin_summed_rdms,
-    wedge,
-)
-from vqse.spaces import OrbitalPartition
+from vqse.rdm import Rdm, _tuples, compute_rdm, spin_summed_rdms, wedge
+from vqse.spaces import OrbitalPartition, spatial_to_spin
 from vqse.subspace import (
     DEFAULT_EPS,
     VqseOptions,
@@ -168,8 +160,8 @@ def rdm_from_tensor(t: np.ndarray) -> Rdm:
     """The Rdm of a dense antisymmetric tensor (n,)*2k: its entries at the
     ascending upper and lower index tuples."""
     n, k = t.shape[0], t.ndim // 2
-    cols = list(_tuples(n, k).T)
-    return Rdm(k, n, _gather(t, cols, cols))
+    cols = _tuples(n, k).T
+    return Rdm(k, n, t[tuple(c[:, None] for c in cols) + tuple(c[None, :] for c in cols)])
 
 
 def dense_w_first(w, w_spec: str, tensor, d_spec: str, out: str) -> np.ndarray:
@@ -692,13 +684,14 @@ def embed_wavefunction(wfn: Wavefunction, partition: OrbitalPartition, n_full: i
     putting its mapped creators in ascending order; a core pair commutes
     with every creator."""
     spots = partition.active_spin
-    core = sum(1 << so for so in partition.core_spin)
+    core_spin = spatial_to_spin(partition.core)
+    core = sum(1 << so for so in core_spin)
     amplitudes = {}
     for det, amp in wfn.amplitudes.items():
         occupied = [spots[i] for i in range(wfn.n_spin_orbitals) if det >> i & 1]
         inversions = sum(a > b for a, b in combinations(occupied, 2))
         amplitudes[core | sum(1 << so for so in occupied)] = (-1) ** inversions * amp
-    return Wavefunction(amplitudes, n_full, wfn.n_electrons + len(partition.core_spin))
+    return Wavefunction(amplitudes, n_full, wfn.n_electrons + len(core_spin))
 
 
 def lifted_rdms(wfn: Wavefunction, partition: OrbitalPartition):
@@ -732,24 +725,34 @@ def wick_expectation(ops, rdms, partition: OrbitalPartition) -> complex:
     return complex(total)
 
 
+def combined(*terms) -> Rdm:
+    """The Rdm sum of coefficient * rdm over the (coefficient, rdm) pairs,
+    all of one rank over one orbital count."""
+    first = terms[0][1]
+    return Rdm(first.k, first.n, sum(c * r.packed for c, r in terms))
+
+
 def higher_cumulants(rdms):
-    """Connected 3- and 4-body parts Delta3, Delta4 (normalized convention)
-    of the RDMs ``{1: .., 4: ..}``, from the cumulant expansion written out
+    """Cumulants Delta2, Delta3, Delta4 (normalized convention, packed) of
+    the RDMs ``{1: .., 4: ..}``, from the cumulant expansion written out
     with ``wedge``:
 
+        D2 / 2! = Delta2 + D1 ^ D1
         D3 / 3! = Delta3 + 3 Delta2 ^ D1 + D1 ^ D1 ^ D1
         D4 / 4! = Delta4 + 4 Delta3 ^ D1 + 3 Delta2 ^ Delta2
                   + 6 Delta2 ^ D1 ^ D1 + D1 ^ D1 ^ D1 ^ D1
     """
-    d1 = rdms[1].tensor
-    d2c = delta2(rdms[1], rdms[2])
-    w111 = wedge(wedge(d1, d1), d1)
-    delta3 = rdms[3].tensor / 6.0 - 3.0 * wedge(d2c, d1) - w111
-    delta4 = (
-        rdms[4].tensor / 24.0
-        - 4.0 * wedge(delta3, d1)
-        - 3.0 * wedge(d2c, d2c)
-        - 6.0 * wedge(wedge(d2c, d1), d1)
-        - wedge(w111, d1)
+    d1 = rdms[1]
+    w11 = wedge(d1, d1)
+    w111 = wedge(w11, d1)
+    delta2 = combined((0.5, rdms[2]), (-1.0, w11))
+    w21 = wedge(delta2, d1)
+    delta3 = combined((1 / 6, rdms[3]), (-3.0, w21), (-1.0, w111))
+    delta4 = combined(
+        (1 / 24, rdms[4]),
+        (-4.0, wedge(delta3, d1)),
+        (-3.0, wedge(delta2, delta2)),
+        (-6.0, wedge(w21, d1)),
+        (-1.0, wedge(w111, d1)),
     )
-    return delta3, delta4
+    return delta2, delta3, delta4

@@ -31,16 +31,11 @@ from conftest import (
     wick_expectation,
 )
 from vqse.cli import ScanConfig, _scan_point, run_scan
-from vqse.fci import (
-    Wavefunction,
-    build_hamiltonian_action,
-    ground_state,
-)
+from vqse.fci import build_hamiltonian_action, ground_state
 from vqse.integrals import dress_core, read_fcidump
 from vqse.oo import core_active_rdms, givens_sweep, relax_then_resolve
 from vqse.rdm import (
     compute_rdm,
-    cumulant_4rdm,
     energy_from_rdms,
     spin_summed_rdms,
 )
@@ -362,25 +357,6 @@ def test_single_relaxation_step_never_raises_energy():
 
 # ---------------------------------------------------------------------------
 # density matrices
-
-
-def test_cumulant_4rdm_exact_on_determinants():
-    """Reconstructing the 4-RDM from the 1-/2-RDM alone is exact on
-    single determinants; the error on a correlated state is reported."""
-    for det in (0b00001111, 0b01010101, 0b11000011):
-        wfn_det = Wavefunction({det: 1.0}, 8, 4)
-        r1 = compute_rdm(wfn_det, 1)
-        r2 = compute_rdm(wfn_det, 2)
-        d4 = compute_rdm(wfn_det, 4)
-        rec = cumulant_4rdm(r1, r2)
-        assert np.max(np.abs(rec.tensor - d4.tensor)) <= TOL_EIG, bin(det)
-
-    rng = np.random.default_rng(7)
-    wfn = random_wavefunction(8, 4, rng, sz=0)
-    rec = cumulant_4rdm(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
-    err = np.max(np.abs(rec.tensor - compute_rdm(wfn, 4).tensor))
-    print(f"\ncorrelated 4-electron reconstruction error: {err:.3e}")
-    assert np.isfinite(err)
 
 
 def test_energy_from_rdms_equals_eigenvalue():

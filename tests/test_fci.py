@@ -302,6 +302,19 @@ def test_davidson_stops_once_its_subspace_spans_the_matrix():
         assert np.linalg.norm(a @ x - energy * x) <= 1e-13 * scale
 
 
+def test_davidson_converges_on_a_dense_matrix_of_large_norm():
+    """A 60 x 60 dense symmetric matrix with eigenvalues of order 1e6: the
+    whole subspace is kept, so the solve converges (it reaches the spanning
+    stop) instead of running out of iterations."""
+    rng = np.random.default_rng(2)
+    q = np.linalg.qr(rng.normal(size=(60, 60)))[0]
+    scale = 1e6
+    a = q @ np.diag(rng.normal(size=60) * scale) @ q.T
+    energy, x = fci.lowest_eigenpair(lambda v: a @ v, np.diag(a).copy())
+    assert abs(energy - np.linalg.eigvalsh(a)[0]) <= 1e-13 * scale
+    assert np.linalg.norm(a @ x - energy * x) <= 1e-13 * scale
+
+
 def test_davidson_out_of_iterations_raises(monkeypatch):
     action = build_hamiltonian_action(h4_chain_mol("6-31g"))
     (block,) = sector_blocks(action, 4, sz=0)

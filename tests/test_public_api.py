@@ -1,8 +1,9 @@
-"""Every public function and class of the package has a caller outside the
-tests.
+"""Every public function, class, method and property of the package has a
+caller outside the tests.
 
-A public module-level function or class of ``src/vqse`` that only the
-tests reach is test-only API, and belongs in ``tests/conftest.py``.  A
+A public module-level function or class of ``src/vqse``, or a public
+method or property of one of its classes, that only the tests reach is
+test-only API, and belongs in ``tests/conftest.py``.  A
 name counts as used when it is read, as a name or an attribute, anywhere
 in ``src/vqse`` or ``perfbench/`` outside its own definition, or when it
 appears as a string constant: ``perfbench/tracing.py`` rebinds module
@@ -40,10 +41,26 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
+def public_definitions(tree: ast.Module):
+    """(name, node) of each public module-level function or class of
+    ``tree``, and of each public method or property of its classes, named
+    ``Class.member``."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                methods = (ast.FunctionDef, ast.AsyncFunctionDef)
+                if isinstance(member, methods) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unused_public_names(package: Path, readers) -> set:
     """(module path relative to ``package``, name) of each public
-    module-level function or class of ``package`` that nothing under
-    ``readers`` reads outside the definition itself."""
+    definition of ``package`` (:func:`public_definitions`) that nothing
+    under ``readers`` reads outside the definition itself."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for reader in readers
@@ -54,11 +71,9 @@ def unused_public_names(package: Path, readers) -> set:
     for path, tree in trees.items():
         if not path.is_relative_to(package):
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if not node.name.startswith("_") and total[node.name] == references(node)[node.name]:
-                unused.add((path.relative_to(package).as_posix(), node.name))
+        for name, node in public_definitions(tree):
+            if total[node.name] == references(node)[node.name]:
+                unused.add((path.relative_to(package).as_posix(), name))
     return unused
 
 
@@ -93,6 +108,19 @@ def test_public_name_scan_sees_every_form(tmp_path):
         "def main():\n"
         "    called()\n"
         "    return Read\n"
+        "class Kept:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "    def used(self):\n"
+        "        return self.size\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.n\n"
+        "    def unused(self):\n"
+        "        return self.unused\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "VALUE = Kept().used()\n"
     )
     (package / "b.py").write_text("from . import a\nVALUE = a.by_attribute\n")
     (bench / "run.py").write_text(
@@ -102,4 +130,5 @@ def test_public_name_scan_sees_every_form(tmp_path):
         ("a.py", "exported"),
         ("a.py", "recursive"),
         ("a.py", "main"),
+        ("a.py", "Kept.unused"),
     }

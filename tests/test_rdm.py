@@ -1,6 +1,7 @@
 """RDMs, wedge products, cumulant reconstruction, and noise injection."""
 
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import (
     SlaterCondon,
+    combined,
     embed_wavefunction,
     full_space_expectation,
     h2_case,
@@ -26,9 +28,7 @@ from vqse.oo import core_active_rdms
 from vqse.rdm import (
     Rdm,
     compute_rdm,
-    cumulant_3rdm,
-    cumulant_4rdm,
-    delta2,
+    cumulant_rdms,
     energy_from_rdms,
     inject_shot_noise,
     spin_summed_rdms,
@@ -172,15 +172,15 @@ def test_energy_from_rdms_matches_fci_eigenvalue():
 
 def test_wedge_with_zero_is_zero():
     rng = np.random.default_rng(25)
-    a = rng.normal(size=(3, 3))
-    assert not np.any(wedge(a, np.zeros((3, 3))))
+    a = Rdm(1, 3, rng.normal(size=(3, 3)))
+    assert not np.any(wedge(a, Rdm(1, 3, np.zeros((3, 3)))).packed)
 
 
 def test_wedge_determinant_reconstructs_2rdm():
     wfn = Wavefunction({0b0101: 1.0}, 4, 2)
     d1 = compute_rdm(wfn, 1)
     d2 = compute_rdm(wfn, 2)
-    assert np.max(np.abs(2.0 * wedge(d1.tensor, d1.tensor) - d2.tensor)) < TOL_EXACT
+    assert np.max(np.abs(2.0 * wedge(d1, d1).packed - d2.packed)) < TOL_EXACT
 
 
 def test_wedge_matches_permutation_sum_oracle():
@@ -188,15 +188,12 @@ def test_wedge_matches_permutation_sum_oracle():
     n = 4
     a1 = rng.normal(size=(n, n))
     b1 = rng.normal(size=(n, n))
-    assert np.max(np.abs(wedge(a1, b1) - wedge_oracle(a1, b1))) < TOL_EXACT
     a2 = antisymmetry_oracle(rng.normal(size=(n,) * 4))
-    assert np.max(np.abs(wedge(a1, a2) - wedge_oracle(a1, a2))) < TOL_EXACT
-    assert np.max(np.abs(wedge(a2, b1) - wedge_oracle(a2, b1))) < TOL_EXACT
     b2 = antisymmetry_oracle(rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
-    assert np.max(np.abs(wedge(a2, b2) - wedge_oracle(a2, b2))) < TOL_EXACT
     a3 = antisymmetry_oracle(rng.normal(size=(n,) * 6))
-    assert np.max(np.abs(wedge(a3, b1) - wedge_oracle(a3, b1))) < TOL_EXACT
-    assert np.max(np.abs(wedge(b1, a3) - wedge_oracle(b1, a3))) < TOL_EXACT
+    for a, b in ((a1, b1), (a1, a2), (a2, b1), (a2, b2), (a3, b1), (b1, a3)):
+        packed = wedge(rdm_from_tensor(a), rdm_from_tensor(b))
+        assert np.max(np.abs(packed.tensor - wedge_oracle(a, b))) < TOL_EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -206,37 +203,69 @@ def test_wedge_matches_permutation_sum_oracle():
 def test_determinant_cumulants_vanish_beyond_rank_one():
     wfn = Wavefunction({0b00110011: 1.0}, 8, 4)
     rdms = {k: compute_rdm(wfn, k) for k in (1, 2, 3, 4)}
-    delta3, delta4 = higher_cumulants(rdms)
-    assert np.max(np.abs(delta2(rdms[1], rdms[2]))) < TOL_RECON
-    assert np.max(np.abs(delta3)) < TOL_RECON
-    assert np.max(np.abs(delta4)) < TOL_RECON
+    for cumulant in higher_cumulants(rdms):
+        assert np.max(np.abs(cumulant.packed)) < TOL_RECON
 
 
-def test_cumulant_4rdm_exact_on_determinants():
-    # the mean-field determinant of a 4-orbital (8 spin orbital) problem
-    # and a 4-electron determinant
-    hf = Wavefunction({0b11: 1.0}, 8, 2)
-    for wfn in (hf, Wavefunction({0b01010101: 1.0}, 8, 4)):
-        d1 = compute_rdm(wfn, 1)
-        d2 = compute_rdm(wfn, 2)
-        d4 = compute_rdm(wfn, 4)
-        recon = cumulant_4rdm(d1, d2)
-        assert np.max(np.abs(recon.tensor - d4.tensor)) < TOL_RECON
+@pytest.mark.parametrize(
+    "det, n_electrons",
+    [(0b11, 2), (0b00001111, 4), (0b01010101, 4), (0b11000011, 4), (0b00011011, 4)],
+    ids=["0b11", "0b00001111", "0b01010101", "0b11000011", "0b00011011"],
+)
+def test_cumulant_rdms_exact_on_determinants(det, n_electrons):
+    """The rank-3 and rank-4 RDMs of a single determinant over 8 spin
+    orbitals are rebuilt exactly from its 1- and 2-RDMs."""
+    wfn = Wavefunction({det: 1.0}, 8, n_electrons)
+    rebuilt = cumulant_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
+    for k in (3, 4):
+        assert np.max(np.abs(rebuilt[k].packed - compute_rdm(wfn, k).packed)) < TOL_RECON
 
 
-def test_cumulant_3rdm_exact_on_determinants():
-    wfn = Wavefunction({0b00011011: 1.0}, 8, 4)
-    recon = cumulant_3rdm(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
-    assert np.max(np.abs(recon.tensor - compute_rdm(wfn, 3).tensor)) < TOL_RECON
+@pytest.mark.parametrize("n, n_electrons", [(6, 3), (8, 2), (8, 4), (10, 4)])
+def test_cumulant_rdms_match_the_explicit_expansion(n, n_electrons):
+    """The recursion equals the cumulant expansion written out term by
+    term with Delta3 = Delta4 = 0:
+    D3 / 3! = 3 Delta2 ^ D1 + D1 ^ D1 ^ D1 and
+    D4 / 4! = 3 Delta2 ^ Delta2 + 6 Delta2 ^ D1 ^ D1 + D1 ^ D1 ^ D1 ^ D1."""
+    wfn = random_wavefunction(n, n_electrons, np.random.default_rng(n + n_electrons))
+    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+    w11 = wedge(d1, d1)
+    w111 = wedge(w11, d1)
+    delta2 = combined((0.5, d2), (-1.0, w11))
+    w21 = wedge(delta2, d1)
+    expected = {
+        3: combined((18.0, w21), (6.0, w111)),
+        4: combined(
+            (72.0, wedge(delta2, delta2)), (144.0, wedge(w21, d1)), (24.0, wedge(w111, d1))
+        ),
+    }
+    rebuilt = cumulant_rdms(d1, d2)
+    for k in (3, 4):
+        assert np.max(np.abs(rebuilt[k].packed - expected[k].packed)) < 1e-15
+
+
+def test_cumulant_rdms_peak_memory_over_twelve_spin_orbitals():
+    """The rebuild reads and writes packed entries only: under 16 MB at 12
+    spin orbitals, where one dense rank-3 tensor alone takes 24 MB."""
+    wfn = random_wavefunction(12, 4, np.random.default_rng(32))
+    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+    tracemalloc.start()
+    try:
+        cumulant_rdms(d1, d2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"cumulant rebuild peak over 12 spin orbitals: {peak / 1e6:.1f} MB")
+    assert peak < 16e6
 
 
 def test_two_electron_state_has_zero_4rdm_and_reports_error():
     rng = np.random.default_rng(28)
     wfn = random_wavefunction(8, 2, rng, sz=0)
     d4 = compute_rdm(wfn, 4)
-    assert not np.any(d4.tensor)
-    recon = cumulant_4rdm(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
-    err = float(np.max(np.abs(recon.tensor)))
+    assert not np.any(d4.packed)
+    recon = cumulant_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2))[4]
+    err = float(np.max(np.abs(recon.packed)))
     print(f"rank-2 truncated 4-RDM reconstruction error, 2-electron state: {err:.3e}")
     assert err >= 0.0  # reported, nonzero in general
 
@@ -246,18 +275,18 @@ def test_correlated_four_electron_reconstruction_error_reported():
     rng = np.random.default_rng(29)
     wfn = random_wavefunction(8, 4, rng, sz=0)
     rdms = {k: compute_rdm(wfn, k) for k in (1, 2, 3, 4)}
-    exact = rdms[4].tensor
+    exact = rdms[4].packed
     scale = float(np.max(np.abs(exact)))
-    delta3, delta4 = higher_cumulants(rdms)
-    rank2 = cumulant_4rdm(rdms[1], rdms[2]).tensor
-    rank3 = rank2 + 24.0 * 4.0 * wedge(delta3, rdms[1].tensor)
+    _, delta3, delta4 = higher_cumulants(rdms)
+    rank2 = cumulant_rdms(rdms[1], rdms[2])[4].packed
+    rank3 = rank2 + 24.0 * 4.0 * wedge(delta3, rdms[1]).packed
     for rank, recon in ((2, rank2), (3, rank3)):
         err = float(np.max(np.abs(recon - exact)))
         print(f"truncation rank {rank}: max 4-RDM reconstruction error {err:.3e} "
               f"(exact scale {scale:.3e})")
         assert err > 0.0
     # retaining every cumulant reproduces the exact tensor identically
-    full = rank3 + 24.0 * delta4
+    full = rank3 + 24.0 * delta4.packed
     assert np.max(np.abs(full - exact)) < TOL_RECON
 
 
@@ -265,7 +294,7 @@ def test_cumulant_4rdm_validation():
     rng = np.random.default_rng(30)
     d1 = compute_rdm(random_wavefunction(4, 2, rng), 1)
     d2 = compute_rdm(random_wavefunction(6, 2, rng), 2)
-    for reconstruct in (delta2, cumulant_3rdm, cumulant_4rdm):
+    for reconstruct in (cumulant_rdms, wedge):
         with pytest.raises(ValueError):
             reconstruct(d1, d2)
 

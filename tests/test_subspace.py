@@ -27,7 +27,6 @@ from conftest import (
     higher_cumulants,
     ordered_pair_pool,
     random_wavefunction,
-    rdm_from_tensor,
     restricted_pool,
     sector_determinants,
 )
@@ -47,7 +46,7 @@ from vqse.integrals import (
     run_rhf,
     transform_to_mo,
 )
-from vqse.rdm import compute_rdm, cumulant_3rdm, cumulant_4rdm, inject_shot_noise, wedge
+from vqse.rdm import Rdm, compute_rdm, cumulant_rdms, inject_shot_noise, wedge
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     SubspacePair,
@@ -554,7 +553,7 @@ def test_noisy_metric_eps_sweep_dimension_monotone():
     wfn = case["wfn"]
     r1 = inject_shot_noise(compute_rdm(wfn, 1), 1e4, seed=3)
     r2 = inject_shot_noise(compute_rdm(wfn, 2), 1e4, seed=4)
-    rdms = RdmSet({1: r1, 2: r2, 3: cumulant_3rdm(r1, r2), 4: cumulant_4rdm(r1, r2)})
+    rdms = RdmSet({1: r1, 2: r2, **cumulant_rdms(r1, r2)})
     pool = build_pool(case["partition"])
     pair = assemble_subspace(pool, case["mol"], rdms, case["partition"])
     dims, rows = [], []
@@ -799,10 +798,10 @@ def test_cumulant_substitution_recovers_exact_assembly():
     case = h2_case(R_A, "6-31g")
     wfn = case["wfn"]
     exact = {k: compute_rdm(wfn, k) for k in range(1, 5)}
-    delta3, delta4 = higher_cumulants(exact)
-    connected = 24.0 * (4.0 * wedge(delta3, exact[1].tensor) + delta4)
-    r4 = rdm_from_tensor(cumulant_4rdm(exact[1], exact[2]).tensor + connected)
-    assert np.max(np.abs(r4.tensor - exact[4].tensor)) < TOL_ORACLE
+    _, delta3, delta4 = higher_cumulants(exact)
+    connected = 24.0 * (4.0 * wedge(delta3, exact[1]).packed + delta4.packed)
+    r4 = Rdm(4, exact[4].n, cumulant_rdms(exact[1], exact[2])[4].packed + connected)
+    assert np.max(np.abs(r4.packed - exact[4].packed)) < TOL_ORACLE
     rebuilt = RdmSet({1: exact[1], 2: exact[2], 3: exact[3], 4: r4})
     pool = build_pool(case["partition"])
     a = assemble_subspace(pool, case["mol"], RdmSet(exact), case["partition"])
