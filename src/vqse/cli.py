@@ -16,8 +16,6 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import ANGSTROM_PER_BOHR, __version__
 from .exceptions import ParseError, VqseError
 

@@ -6,7 +6,7 @@ Spatial orbital ``p`` maps to spin orbitals ``2p`` (alpha) and ``2p + 1``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import PartitionError
 

@@ -11,15 +11,13 @@ The assembly is vectorized per operator class: the pool operators whose
 ladder strings share one (space, dagger) pattern (on the canonical pool:
 identity, active->active single, virtual-reaching single, double).  Each
 Wick term of each Hamiltonian index block is contracted down to its output
-letters, and the result is indexed directly at the pool's own index
-tuples, so no work or memory is spent on index combinations the pool does
-not contain.  This is what makes a ~10^3 operator pool with a
-20-spatial-orbital Hamiltonian tractable in pure numpy.  A term whose output carries a delta between a
-bra and a ket parameter (mu = mu', say) is evaluated only on its support,
-the (row, col) pairs of the block where every such delta holds, and
-scattered there; the support of each delta signature is computed once per
-class pair and shared by its S and H blocks.  Only terms without such a
-delta are evaluated on the whole block.
+letters and read directly at the pool's own index tuples, a packed group
+of letters at the sorted position of its tuple, so no work or memory is
+spent on index combinations the pool does not contain.  A term whose
+output carries a delta between a bra and a ket parameter (mu = mu', say)
+is evaluated only on its support, the (row, col) pairs of the block where
+every such delta holds, and scattered there; the support of each delta
+signature is computed once per class pair, for both its S and H blocks.
 
 S is assembled first, over the whole pool.  An operator whose S row is
 exactly zero annihilates the reference (S_ii = |O_i psi|^2), so its H row
@@ -42,12 +40,12 @@ its rank, unless that RDM vanishes identically (ranks 3 and 4 of a
 When Hamiltonian letters sit on active slots (they are then summed), the
 coefficient slice W is contracted with that RDM first (W-first): W is
 antisymmetrized over each group of summed letters and meets a split
-layout of the packed RDM in one batched ``matmul``.  Every rank-3 and
-rank-4 term of the canonical pool sums letters of W, so the other terms
-read only dense ranks 0-2.  So no tensor over an operator pattern is
-built (the rank-8 pattern of a double-double block with an all-active
-two-body term has 8^8 entries for 4 active orbitals), and no dense rank-3
-or rank-4 RDM either (8^8 entries, 128 MiB, for the rank-4 one).
+layout of the packed RDM in one batched ``matmul``, whose product is
+read as it is.  Every rank-3 and rank-4 term of the canonical pool sums
+letters of W, so the other terms read only dense ranks 0-2.  So no tensor
+over an operator pattern is built (the rank-8 pattern of a double-double
+block with an all-active two-body term has 8^8 entries for 4 active
+orbitals), and no dense rank-3 or rank-4 RDM either (8^8 entries, 128 MiB).
 """
 
 from __future__ import annotations
@@ -64,11 +62,11 @@ from .exceptions import DegenerateMetricError, PartitionError
 from .fci import lowest_eigenpair
 from .integrals import MolecularIntegrals
 from .rdm import (
+    _sorted_index,
     compute_rdm,
     cumulant_rdms,
     inject_shot_noise,
     pack_antisymmetrized,
-    unpack_ends,
 )
 from .spaces import OrbitalPartition
 from .wick import ACTIVE, VIRTUAL, RdmSet
@@ -216,11 +214,9 @@ def _gathered_term(
     Letters are the classes of the n slots under ``pairs``.  A term whose
     output letters include a delta is evaluated on 1-D columns gathered at
     its support and scattered there (the pairs are unique); any other term
-    is read from each reduced factor as a [bra letters | ket letters]
-    matrix (:func:`_block_read`), and the broadcast product is added to
-    the whole block in place.  W and the RDM are reduced separately to
-    their output letters, unless they share a summed letter;
-    :func:`_contract_with_rdm` then sums the shared letters.
+    is added to the whole block in place.  W and the RDM are reduced
+    separately to their output letters (:func:`_contract_with_rdm` if they
+    share a summed letter), and :func:`_packed_read` reads each factor.
     """
     parent = list(range(n))
 
@@ -258,17 +254,12 @@ def _gathered_term(
         if not target[0].size:  # no operator pair meets the deltas
             return
         column = {ch: columns[k][1][target[columns[k][0]]] for ch, k in first.items()}
-
-        def read(reduced, out):
-            return reduced[tuple(column[ch] for ch in out)]
+        axis = None
     else:
         target = ...  # the whole block
-        column = {ch: columns[k][1] for ch, k in first.items()}
+        column = {ch: columns[k][2] for ch, k in first.items()}
         axis = {ch: columns[k][0] for ch, k in first.items()}
-
-        def read(reduced, out):
-            return _block_read(reduced, out, column, axis)
-
+    read = functools.partial(_packed_read, column=column, axis=axis, n=forms.n)
     w_spec = "".join(letter[find(p)] for p in h_positions)
     t_spec = "".join(letter[find(p)] for p in t_positions)
     if set(w_spec) & set(t_spec):
@@ -286,28 +277,42 @@ def _gathered_term(
         block[target] -= value
 
 
-def _block_read(reduced, out, column, axis):
-    """``reduced``, one axis per letter of ``out``, read at every (row,
-    col) pair of the block: its bra letters are flattened into the rows and
-    its ket letters into the columns of a matrix, and one ``take`` per side
-    gathers that matrix at the flat index of the side's columns, the side
-    that shrinks most first.  Shape (n_i, n_j), with 1 for a side without
-    letters."""
-    sides = [[p for p, ch in enumerate(out) if axis[ch] == a] for a in (0, 1)]
-    shape = reduced.shape
-    matrix = reduced.transpose(sides[0] + sides[1]).reshape(
-        math.prod(shape[p] for p in sides[0]), -1
-    )
-    takes = []
-    for a, side in enumerate(sides):
-        if side:
-            flat = np.ravel_multi_index(
-                tuple(column[out[p]] for p in side), tuple(shape[p] for p in side)
-            )
-            takes.append((flat.size / matrix.shape[a], a, flat))
-    for _, a, flat in sorted(takes, key=lambda take: take[:2]):
-        matrix = matrix.take(flat, axis=a)
-    return matrix
+def _packed_read(reduced, groups, column, axis, n):
+    """``reduced`` read at the block's columns, its axis p at those of the
+    letters ``groups[p]``.  A packed axis (two or more letters) reads the
+    sorted position of their tuple over range(n), times the sign of sorting
+    it (0 where an index repeats); a one-letter axis reads its column, and
+    an axis without letters reads 0.  Columns are 1-D at a support
+    (``axis`` None) or broadcast along their block axis ``axis[ch]``.  If
+    no group spans both block axes, the [bra axes | ket axes] matrix is
+    gathered by one ``take`` per block axis, the one that shrinks most
+    first."""
+    read = []  # (index, sign) of each axis
+    for group in groups:
+        if len(group) < 2:
+            read.append(((column[group] if group else 0), 1))
+        else:
+            positions, signs = _sorted_index(n, len(group))
+            flat = np.ravel_multi_index([column[ch] for ch in group], (n,) * len(group))
+            read.append((positions[flat], signs[flat]))
+    if axis is None or any(len({axis[ch] for ch in group}) > 1 for group in groups):
+        value = reduced[tuple(index for index, _ in read)]
+    else:
+        side = [axis[group[0]] if group else 0 for group in groups]
+        order = sorted(range(len(groups)), key=side.__getitem__)
+        value = reduced.transpose(order)
+        value, takes = value.reshape(math.prod(value.shape[: side.count(0)]), -1), []
+        for a in (0, 1):
+            if axes := [p for p in order if side[p] == a]:
+                dims = [reduced.shape[p] for p in axes]
+                flat = np.ravel_multi_index([read[p][0] for p in axes], dims).ravel()
+                takes.append((flat.size / value.shape[a], a, flat))
+        for _, a, flat in sorted(takes, key=lambda take: take[:2]):
+            value = value.take(flat, axis=a)
+    for _, sign in read:
+        if np.ndim(sign):
+            value *= sign
+    return value
 
 
 def _product(a, b):
@@ -320,7 +325,7 @@ def _product(a, b):
 
 def _contract_with_rdm(w, w_spec, forms, d_spec, column):
     """Sum of W * D over the letters W shares with the rank-k RDM D; returns
-    the result, dense over its letters, and its letters.
+    the result and the letter group of each of its axes.
 
     Each RDM letter is either shared with W or an output letter.  Letters
     are reordered within each antisymmetric half of D, with the permutation
@@ -328,7 +333,7 @@ def _contract_with_rdm(w, w_spec, forms, d_spec, column):
     its split layout over these four groups, each packed, and W is
     antisymmetrized and packed over the two shared groups to match, so the
     contraction is one batched ``matmul`` over the independent entries.
-    Output groups of two or more letters are unpacked afterwards.
+    The product is returned as it is, its output groups still packed.
     """
     k = len(d_spec) // 2
     shared = set(w_spec)
@@ -349,11 +354,8 @@ def _contract_with_rdm(w, w_spec, forms, d_spec, column):
         wr.reshape(len(wr), -1),
         forms.split(k, n_up, n_lo).reshape(math.comb(n, n_up), wr[0].size, -1),
     )
-    shape = (n,) * n_up + out_shape + (n,) * (k - n_lo)
-    return (
-        unpack_ends(product, n, n_up, k - n_lo).reshape(shape),
-        "".join(upper[:n_up]) + w_out + "".join(lower[n_lo:]),
-    )
+    groups = ["".join(upper[:n_up]), *w_out, "".join(lower[n_lo:])]
+    return product.reshape(len(product), *out_shape, -1), groups
 
 
 @dataclass

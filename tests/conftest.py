@@ -5,7 +5,6 @@ from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
-import pytest
 import scipy.linalg
 import scipy.optimize
 

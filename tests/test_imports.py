@@ -55,6 +55,26 @@ def test_importing_the_package_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_numpy():
+    """``vqse diff`` and ``vqse --version`` need no numpy, and the CLI
+    module imports the numerical layers only inside the commands that run
+    them, so importing it loads no numpy module."""
+    code = (
+        "import sys\n"
+        "import vqse.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_scipy_import_scan_sees_every_form(tmp_path):
     path = tmp_path / "module.py"
     path.write_text(

@@ -1,7 +1,6 @@
 """Gaussian integrals, SCF, MO transforms, core dressing, and FCIDUMP I/O."""
 
 import dataclasses
-import itertools
 import json
 import tracemalloc
 
@@ -14,7 +13,6 @@ from conftest import (
     DATA_DIR,
     SlaterCondon,
     boys_function,
-    embed_wavefunction,
     full_space_expectation,
     h2_case,
     random_wavefunction,

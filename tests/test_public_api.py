@@ -8,7 +8,13 @@ name counts as used when it is read, as a name or an attribute, anywhere
 in ``src/vqse`` or ``perfbench/`` outside its own definition, or when it
 appears as a string constant: ``perfbench/tracing.py`` rebinds module
 attributes it names by string.  An import or an ``__all__`` entry alone
-is no use.  The modules are read with ``ast``, not imported."""
+is no use.
+
+Every imported name is read, too: a name that a module of ``src/vqse`` or
+``tests`` imports and never reads, as a name, is dead weight (an unused
+``numpy`` import made ``vqse --version`` load numpy).  A name listed in
+``__all__`` counts as read, and ``from __future__`` imports are not
+names.  The modules are read with ``ast``, not imported."""
 
 import ast
 from collections import Counter
@@ -17,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "vqse"
 READERS = (PACKAGE, ROOT / "perfbench")
+IMPORTERS = (PACKAGE, ROOT / "tests")
 
 
 def references(tree: ast.AST) -> Counter:
@@ -132,3 +139,56 @@ def test_public_name_scan_sees_every_form(tmp_path):
         ("a.py", "main"),
         ("a.py", "Kept.unused"),
     }
+
+
+def unread_imports(path: Path) -> set:
+    """The names that the module at ``path`` binds by an import and never
+    reads as a name; a string listed in ``__all__`` is read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return imported - read
+
+
+def test_every_imported_name_is_read():
+    unread = {
+        (path.relative_to(ROOT).as_posix(), name)
+        for importer in IMPORTERS
+        for path in sorted(importer.rglob("*.py"))
+        for name in unread_imports(path)
+    }
+    assert unread == set()
+
+
+def test_unread_import_scan_sees_every_form(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import sys\n"
+        "from dataclasses import dataclass, field\n"
+        "from .a import exported, unused as renamed\n"
+        "__all__ = ['exported']\n"
+        "def f(x: np.ndarray):\n"
+        "    from math import pi, tau\n"
+        "    return os.path.join(str(pi), sys.argv[0])\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    pass\n"
+        "def g():\n"
+        "    json = 1\n"
+        "    return 'field'\n"
+    )
+    assert unread_imports(path) == {"json", "field", "renamed", "tau"}
