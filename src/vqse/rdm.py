@@ -19,9 +19,14 @@ index group, so it is computed and stored only on strictly ordered
 C(n, k)^2 independent entries out of n^(2k) (4900 of 16.7 M for the
 4-RDM over 8 spin orbitals).  Packed arrays have one row and one column
 per ascending k-tuple, in ``itertools.combinations`` order.  An Rdm holds
-only its packed matrix; its dense tensor is gathered from it, with signs,
-only when asked for, and the subspace assembly reads split layouts
-gathered from the packed matrix instead (:meth:`Rdm.split`).
+only its packed matrix, and the subspace assembly reads only that matrix
+and split layouts gathered from it (:meth:`Rdm.split`).  The dense tensor
+(:attr:`Rdm.tensor`) is gathered only when asked for: by the spin-summed
+RDMs of the orbital relaxation and by the Wick oracle
+(:func:`vqse.wick.active_pattern_tensor`).  Every read or write at index
+tuples that need not ascend goes through one table, the packed index of
+each tuple's ascending order and the sign of sorting it
+(:func:`_sorted_position`).
 """
 
 from __future__ import annotations
@@ -29,78 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .fci import Wavefunction, apply_ladder
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def _tuples(n: int, k: int) -> np.ndarray:
     """Ascending k-tuples of range(n), one row each, shape (C(n, k), k)."""
     return np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
-
-
-@lru_cache(maxsize=None)
-def _scatter_index(n: int, k: int):
-    """Flat dense index of every permutation of every ascending tuple,
-    (k! * C(n, k),) permutation-major, and the permutation signs (k!,)."""
-    perms = list(permutations(range(k)))
-    flat = _tuples(n, k)[:, perms] @ (n ** np.arange(k - 1, -1, -1))
-    return flat.T.ravel(), np.array([_perm_sign(p) for p in perms])
-
-
-def unpack_ends(t: np.ndarray, n: int, first: int, last: int) -> np.ndarray:
-    """The 3-D ``t``, its first axis packed over the ascending
-    ``first``-tuples and its last axis over the ascending ``last``-tuples
-    of range(n), written out flat over all tuples (n**first and n**last
-    entries): each tuple reads the entry of its ascending order with the
-    sign of sorting it, and a tuple with a repeated index reads zero.  An
-    axis of at most one index is already flat."""
-    rows, row_signs = _sorted_index(n, first)
-    cols, col_signs = _sorted_index(n, last)
-    if first > 1:
-        t = t.take(rows, axis=0)
-    if last > 1:
-        t = t.take(cols, axis=2)
-    return t * (row_signs[:, np.newaxis, np.newaxis] * col_signs)
-
-
-def pack_antisymmetrized(t: np.ndarray, axis: int, n: int, m: int) -> np.ndarray:
-    """``t`` with its flat ``axis`` over all m-tuples of range(n) (n**m
-    entries) summed over the m! orderings of each ascending tuple, with the
-    ordering's sign: one entry per ascending tuple.  Contracting the result
-    with an antisymmetric tensor's packed entries equals contracting ``t``
-    with its dense entries.  The identity for m <= 1."""
-    if m < 2:
-        return t
-    flat, signs = _scatter_index(n, m)
-    return sum(
-        sign * np.take(t, positions, axis=axis)
-        for positions, sign in zip(flat.reshape(len(signs), -1), signs)
-    )
-
-
-def _unpack(packed: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Dense antisymmetric tensor (n,)*2k from its packed (C, C) entries."""
-    return unpack_ends(packed[:, np.newaxis, :], n, k, k).reshape((n,) * (2 * k))
 
 
 def _sorted_position(tuples: np.ndarray, n: int):
@@ -125,6 +69,27 @@ def _sorted_index(n: int, m: int):
 
 
 @lru_cache(maxsize=None)
+def _antisymmetrizer(n: int, m: int) -> np.ndarray:
+    """(n**m, C(n, m)) matrix with one entry per m-tuple of range(n), the
+    sign of sorting it, in the column of its ascending order."""
+    positions, signs = _sorted_index(n, m)
+    out = np.zeros((n**m, math.comb(n, m)))
+    out[np.arange(n**m), positions] = signs
+    return out
+
+
+def pack_antisymmetrized(t: np.ndarray, axis: int, n: int, m: int) -> np.ndarray:
+    """``t`` with its flat ``axis`` over all m-tuples of range(n) (n**m
+    entries) summed over the m! orderings of each ascending tuple, with the
+    ordering's sign: one entry per ascending tuple.  Contracting the result
+    with an antisymmetric tensor's packed entries equals contracting ``t``
+    with its dense entries.  The identity for m <= 1."""
+    if m < 2:
+        return t
+    return np.moveaxis(np.moveaxis(t, axis, -1) @ _antisymmetrizer(n, m), -1, axis)
+
+
+@lru_cache(maxsize=None)
 def _split_index(n: int, k: int, a: int):
     """:func:`_sorted_position` of the k-tuple (s, t) that joins every
     ascending a-tuple s to every ascending (k - a)-tuple t, s-major."""
@@ -145,7 +110,7 @@ def _coset_index(n: int, k: int, a: int):
     for chosen in combinations(range(k), a):
         rest = tuple(i for i in range(k) if i not in chosen)
         cosets.append((
-            _perm_sign(chosen + rest),
+            _sorted_position(np.array([chosen + rest]), k)[1][0],
             _sorted_position(tuples[:, chosen], n)[0],
             _sorted_position(tuples[:, rest], n)[0],
         ))
@@ -168,8 +133,14 @@ class Rdm:
 
     @property
     def tensor(self) -> np.ndarray:
-        """The dense tensor (n,)*2k, written out anew on every access."""
-        return _unpack(self.packed, self.n, self.k)
+        """The dense tensor (n,)*2k, written out anew on every access: each
+        index tuple reads the entry of its ascending order with the sign of
+        sorting it, and a tuple with a repeated index reads zero."""
+        positions, signs = _sorted_index(self.n, self.k)
+        dense = self.packed[np.ix_(positions, positions)]
+        dense *= signs[:, np.newaxis]
+        dense *= signs
+        return dense.reshape((self.n,) * (2 * self.k))
 
     def split(self, upper: int, lower: int) -> np.ndarray:
         """The RDM as a matrix whose rows join the first ``upper`` upper

@@ -41,11 +41,11 @@ When Hamiltonian letters sit on active slots (they are then summed), the
 coefficient slice W is contracted with that RDM first (W-first): W is
 antisymmetrized over each group of summed letters and meets a split
 layout of the packed RDM in one batched ``matmul``, whose product is
-read as it is.  Every rank-3 and rank-4 term of the canonical pool sums
-letters of W, so the other terms read only dense ranks 0-2.  So no tensor
-over an operator pattern is built (the rank-8 pattern of a double-double
-block with an all-active two-body term has 8^8 entries for 4 active
-orbitals), and no dense rank-3 or rank-4 RDM either (8^8 entries, 128 MiB).
+read as it is.  A term whose RDM shares no letter with W reads the packed
+RDM itself at the pool's tuples.  So no tensor over an operator pattern is
+built (the rank-8 pattern of a double-double block with an all-active
+two-body term has 8^8 entries for 4 active orbitals), and no dense RDM of
+any rank either (the rank-4 one has 8^8 entries, 128 MiB).
 """
 
 from __future__ import annotations
@@ -137,22 +137,16 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class _RdmForms:
-    """What one assembly reads of the packed RDMs, each form built on first
-    use and dropped with the assembly: the dense tensor of a rank read by
-    terms that share no letter with W (ranks 0-2 on the canonical pool,
-    whose rank-3 and rank-4 terms all sum letters of W) and the split
-    layout (:meth:`vqse.rdm.Rdm.split`) of each W-first split."""
+    """What one assembly reads of the RDMs: the packed matrix of each rank,
+    read as it is by terms that share no letter with W, and the split
+    layout (:meth:`vqse.rdm.Rdm.split`) of each W-first split, built on
+    first use and dropped with the assembly."""
 
     def __init__(self, rdms: RdmSet):
         self.rdms = rdms
         self.n = rdms.n_active
         self.vanishing = {k for k, rdm in rdms.rdms.items() if not rdm.packed.any()}
         self._built = {}
-
-    def dense(self, k: int) -> np.ndarray:
-        if k not in self._built:
-            self._built[k] = self.rdms.tensor(k)
-        return self._built[k]
 
     def split(self, k: int, upper: int, lower: int) -> np.ndarray:
         key = (k, upper, lower)
@@ -214,9 +208,10 @@ def _gathered_term(
     Letters are the classes of the n slots under ``pairs``.  A term whose
     output letters include a delta is evaluated on 1-D columns gathered at
     its support and scattered there (the pairs are unique); any other term
-    is added to the whole block in place.  W and the RDM are reduced
-    separately to their output letters (:func:`_contract_with_rdm` if they
-    share a summed letter), and :func:`_packed_read` reads each factor.
+    is added to the whole block in place.  If W and the RDM share a summed
+    letter, :func:`_contract_with_rdm` reduces them together; otherwise W
+    is reduced to its output letters alone and the RDM, whose letters are
+    all outputs, is read packed.  :func:`_packed_read` reads each factor.
     """
     parent = list(range(n))
 
@@ -265,11 +260,13 @@ def _gathered_term(
     if set(w_spec) & set(t_spec):
         value = read(*_contract_with_rdm(w, w_spec, forms, t_spec, column))
     else:
+        # every RDM slot is in no pair, so its letters are distinct outputs
         factors = [] if np.ndim(w) else [float(w)]
-        for operand, spec in ((w, w_spec), (forms.dense(len(t_spec) // 2), t_spec)):
-            if spec:
-                out = "".join(ch for ch in dict.fromkeys(spec) if ch in column)
-                factors.append(read(np.einsum(spec + "->" + out, operand), out))
+        if w_spec:
+            out = "".join(ch for ch in dict.fromkeys(w_spec) if ch in column)
+            factors.append(read(np.einsum(w_spec + "->" + out, w), out))
+        if k := len(t_spec) // 2:
+            factors.append(read(forms.rdms.rdm(k).packed, [t_spec[:k], t_spec[k:]]))
         value = functools.reduce(_product, factors)
     if sign > 0:  # sign is +-1; negating value would copy it
         block[target] += value
@@ -278,15 +275,15 @@ def _gathered_term(
 
 
 def _packed_read(reduced, groups, column, axis, n):
-    """``reduced`` read at the block's columns, its axis p at those of the
-    letters ``groups[p]``.  A packed axis (two or more letters) reads the
-    sorted position of their tuple over range(n), times the sign of sorting
-    it (0 where an index repeats); a one-letter axis reads its column, and
-    an axis without letters reads 0.  Columns are 1-D at a support
-    (``axis`` None) or broadcast along their block axis ``axis[ch]``.  If
-    no group spans both block axes, the [bra axes | ket axes] matrix is
-    gathered by one ``take`` per block axis, the one that shrinks most
-    first."""
+    """``reduced`` (a W-first product, a reduced W or a packed RDM) read at
+    the block's columns, its axis p at those of the letters ``groups[p]``.
+    A packed axis (two or more letters) reads the sorted position of their
+    tuple over range(n), times the sign of sorting it (0 where an index
+    repeats); a one-letter axis reads its column, and an axis without
+    letters reads 0.  Columns are 1-D at a support (``axis`` None) or
+    broadcast along their block axis ``axis[ch]``.  If no group spans both
+    block axes, the [bra axes | ket axes] matrix is gathered by one
+    ``take`` per block axis, the one that shrinks most first."""
     read = []  # (index, sign) of each axis
     for group in groups:
         if len(group) < 2:
@@ -317,9 +314,11 @@ def _packed_read(reduced, groups, column, axis, n):
 
 def _product(a, b):
     """a * b, written into an operand that already has the result's shape
-    (the operands are fresh gathers or scalars)."""
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-    out = next((f for f in (a, b) if isinstance(f, np.ndarray) and f.shape == shape), None)
+    and dtype (the operands are fresh gathers or scalars)."""
+    form = (np.broadcast_shapes(np.shape(a), np.shape(b)), np.result_type(a, b))
+    out = next(
+        (f for f in (a, b) if isinstance(f, np.ndarray) and (f.shape, f.dtype) == form), None
+    )
     return np.multiply(a, b, out=out)
 
 

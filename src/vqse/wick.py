@@ -7,12 +7,13 @@ ordering (Kutzelnigg & Mukherjee, JCP 110, 2800 (1999)).  Symbolic results
 are cached per operator pattern (space labels and dagger flags only).
 
 The subspace assembly has one contraction rule: it expands every active
-residue into its normal-ordering terms and reads the bare RDM of each,
-contracting the Hamiltonian coefficients W into it first when W's indices
-are summed over active slots (W-first).  :func:`active_pattern_tensor`, the
-residue instantiated as one dense tensor over the active indices of its
-slots, is not on that path; it serves as a direct elementwise evaluation
-(the test suite's Wick oracle reads it).
+residue into its normal-ordering terms and reads the bare RDM of each in
+its packed form, contracting the Hamiltonian coefficients W into it first
+when W's indices are summed over active slots (W-first).
+:func:`active_pattern_tensor`, the residue instantiated as one dense tensor
+over the active indices of its slots from the dense RDM tensors, is not on
+that path; it serves as a direct elementwise evaluation (the test suite's
+Wick oracle reads it).
 """
 
 from __future__ import annotations
@@ -128,12 +129,6 @@ class RdmSet:
             raise MissingRdmError(rank)
         return self.rdms[rank]
 
-    def tensor(self, rank: int) -> np.ndarray:
-        """The dense rank-``rank`` tensor, unpacked on every call; 1 at rank 0."""
-        if rank == 0:
-            return np.array(1.0)
-        return self.rdm(rank).tensor
-
 
 def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
     """Dense tensor T[i1..iL] = <pattern instantiated with those indices>.
@@ -156,7 +151,7 @@ def active_pattern_tensor(daggers: tuple, rdms: RdmSet) -> np.ndarray:
             specs.append(letters[a] + letters[c])
         k = len(cres)
         if k > 0:
-            operands.append(rdms.tensor(k))
+            operands.append(rdms.rdm(k).tensor)
             specs.append(
                 "".join(letters[s] for s in reversed(cres))
                 + "".join(letters[s] for s in anns)

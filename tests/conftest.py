@@ -30,7 +30,7 @@ from vqse.integrals import (
     transform_to_mo,
 )
 from vqse.integrals.gaussians import _boys_rows, build_ao_basis
-from vqse.rdm import Rdm, _tuples, compute_rdm, spin_summed_rdms, wedge
+from vqse.rdm import Rdm, _sorted_index, _tuples, compute_rdm, spin_summed_rdms, wedge
 from vqse.spaces import OrbitalPartition, spatial_to_spin
 from vqse.subspace import (
     DEFAULT_EPS,
@@ -161,6 +161,23 @@ def rdm_from_tensor(t: np.ndarray) -> Rdm:
     n, k = t.shape[0], t.ndim // 2
     cols = _tuples(n, k).T
     return Rdm(k, n, t[tuple(c[:, None] for c in cols) + tuple(c[None, :] for c in cols)])
+
+
+def unpack_ends(t: np.ndarray, n: int, first: int, last: int) -> np.ndarray:
+    """Oracle of the assembly's packed reads: the 3-D ``t``, its first axis
+    packed over the ascending ``first``-tuples and its last axis over the
+    ascending ``last``-tuples of range(n), written out flat over all tuples
+    (n**first and n**last entries).  Each tuple reads the entry of its
+    ascending order with the sign of sorting it, and a tuple with a
+    repeated index reads zero.  An axis of at most one index is already
+    flat."""
+    rows, row_signs = _sorted_index(n, first)
+    cols, col_signs = _sorted_index(n, last)
+    if first > 1:
+        t = t.take(rows, axis=0)
+    if last > 1:
+        t = t.take(cols, axis=2)
+    return t * (row_signs[:, np.newaxis, np.newaxis] * col_signs)
 
 
 def dense_w_first(w, w_spec: str, tensor, d_spec: str, out: str) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Every public function, class, method and property of the package has a
-caller outside the tests.
+caller outside the tests, and every private one a reader in the package.
 
 A public module-level function or class of ``src/vqse``, or a public
 method or property of one of its classes, that only the tests reach is
@@ -8,7 +8,9 @@ name counts as used when it is read, as a name or an attribute, anywhere
 in ``src/vqse`` or ``perfbench/`` outside its own definition, or when it
 appears as a string constant: ``perfbench/tracing.py`` rebinds module
 attributes it names by string.  An import or an ``__all__`` entry alone
-is no use.
+is no use.  A private (``_name``, not dunder) function, class or method
+must be read so in ``src/vqse`` itself: one that only the tests or the
+benchmark read is a test helper, and belongs in ``tests/conftest.py``.
 
 Every imported name is read, too: a name that a module of ``src/vqse`` or
 ``tests`` imports and never reads, as a name, is dead weight (an unused
@@ -48,26 +50,33 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
-def public_definitions(tree: ast.Module):
+def definitions(tree: ast.Module, private: bool = False):
     """(name, node) of each public module-level function or class of
     ``tree``, and of each public method or property of its classes, named
-    ``Class.member``."""
+    ``Class.member``; with ``private``, of each private (``_name``, not
+    dunder) one instead."""
+
+    def wanted(name: str) -> bool:
+        if private:
+            return name.startswith("_") and not name.startswith("__")
+        return not name.startswith("_")
+
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
+        if wanted(node.name):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 methods = (ast.FunctionDef, ast.AsyncFunctionDef)
-                if isinstance(member, methods) and not member.name.startswith("_"):
+                if isinstance(member, methods) and wanted(member.name):
                     yield f"{node.name}.{member.name}", member
 
 
-def unused_public_names(package: Path, readers) -> set:
-    """(module path relative to ``package``, name) of each public
-    definition of ``package`` (:func:`public_definitions`) that nothing
-    under ``readers`` reads outside the definition itself."""
+def unused_names(package: Path, readers, private: bool = False) -> set:
+    """(module path relative to ``package``, name) of each public (or, with
+    ``private``, private) definition of ``package`` (:func:`definitions`)
+    that nothing under ``readers`` reads outside the definition itself."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for reader in readers
@@ -78,14 +87,18 @@ def unused_public_names(package: Path, readers) -> set:
     for path, tree in trees.items():
         if not path.is_relative_to(package):
             continue
-        for name, node in public_definitions(tree):
+        for name, node in definitions(tree, private):
             if total[node.name] == references(node)[node.name]:
                 unused.add((path.relative_to(package).as_posix(), name))
     return unused
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    assert unused_public_names(PACKAGE, READERS) == set()
+    assert unused_names(PACKAGE, READERS) == set()
+
+
+def test_every_private_name_is_read_in_the_package():
+    assert unused_names(PACKAGE, (PACKAGE,), private=True) == set()
 
 
 def test_public_name_scan_sees_every_form(tmp_path):
@@ -133,11 +146,48 @@ def test_public_name_scan_sees_every_form(tmp_path):
     (bench / "run.py").write_text(
         "import pkg.a\npkg.a.by_bench()\nTABLE = [(pkg.a, 'by_string')]\n"
     )
-    assert unused_public_names(package, (package, bench)) == {
+    assert unused_names(package, (package, bench)) == {
         ("a.py", "exported"),
         ("a.py", "recursive"),
         ("a.py", "main"),
         ("a.py", "Kept.unused"),
+    }
+
+
+def test_private_name_scan_sees_every_form(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "a.py").write_text(
+        "def _unread():\n"
+        "    pass\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+        "def _called():\n"
+        "    pass\n"
+        "def _by_attribute():\n"
+        "    pass\n"
+        "def _by_bench():\n"
+        "    pass\n"
+        "class _Forms:\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "    def _used(self):\n"
+        "        return self._cache\n"
+        "    def _unused(self):\n"
+        "        return self._unused\n"
+        "    def public(self):\n"
+        "        return self._used()\n"
+        "def public():\n"
+        "    return _Forms, _called()\n"
+    )
+    (package / "b.py").write_text("from . import a\nVALUE = a._by_attribute\n")
+    (bench / "run.py").write_text("import pkg.a\npkg.a._by_bench()\n")
+    assert unused_names(package, (package,), private=True) == {
+        ("a.py", "_unread"),
+        ("a.py", "_recursive"),
+        ("a.py", "_by_bench"),
+        ("a.py", "_Forms._unused"),
     }
 
 

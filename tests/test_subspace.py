@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.csgraph
 
+import vqse.rdm
 import vqse.subspace
 import vqse.wick
 from conftest import (
@@ -29,6 +30,7 @@ from conftest import (
     random_wavefunction,
     restricted_pool,
     sector_determinants,
+    unpack_ends,
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.cli import ScanConfig, _scan_point
@@ -42,7 +44,7 @@ from vqse.integrals import (
     run_rhf,
     transform_to_mo,
 )
-from vqse.rdm import Rdm, compute_rdm, cumulant_rdms, inject_shot_noise, unpack_ends, wedge
+from vqse.rdm import Rdm, compute_rdm, cumulant_rdms, inject_shot_noise, wedge
 from vqse.spaces import OrbitalPartition
 from vqse.subspace import (
     VqseOptions,
@@ -75,19 +77,17 @@ def oracle_pair(pool, mol, wfn, partition):
     n_spin = mol.n_spin
     dets = sector_determinants(n_spin, wfn.n_electrons)
     full = embed_wavefunction(wfn, partition, n_spin)
-    v = np.zeros(len(dets))
-    for k, det in enumerate(dets):
-        v[k] = full.amplitudes.get(det, 0.0).real if det in full.amplitudes else 0.0
+    v = np.array([full.amplitudes.get(det, 0.0) for det in dets])
     h_full = SlaterCondon(mol).dense_matrix(dets)
     ops = [operator_matrix(op, dets, n_spin) for op in pool]
     cols = [m @ v for m in ops]
     n = len(pool)
-    h = np.zeros((n, n))
-    s = np.zeros((n, n))
+    h = np.zeros((n, n), dtype=v.dtype)
+    s = np.zeros((n, n), dtype=v.dtype)
     for i in range(n):
         for j in range(n):
-            s[i, j] = cols[i] @ cols[j]
-            h[i, j] = cols[i] @ h_full @ cols[j]
+            s[i, j] = cols[i].conj() @ cols[j]
+            h[i, j] = cols[i].conj() @ h_full @ cols[j]
     return h, s
 
 
@@ -337,6 +337,20 @@ def test_assembly_of_single_target_pool():
     assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
 
 
+def test_assembly_of_complex_rdms_matches_full_space_oracle():
+    """The RDMs of a seeded random complex state over the active space of
+    the 4-electron slice: a real W factor read on the whole block meets a
+    complex RDM read, and H and S still match the full-space oracle."""
+    mol, _, partition = four_electron_slice()
+    wfn = random_wavefunction(6, 4, np.random.default_rng(5), sz=0, complex_amps=True)
+    pool = build_pool(partition)
+    pair = assemble_subspace(pool, mol, exact_rdms(wfn), partition)
+    h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
+    assert np.max(np.abs(h_ref.imag)) > 1e-3 and np.max(np.abs(s_ref.imag)) > 1e-3
+    assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
+    assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
+
+
 def test_ccpvdz_assembly_peak_memory():
     """The full H2/cc-pVDZ pool (353 operators) assembles in far less memory
     than a dense buffer over the doubles' parameter grid (4096^2 entries,
@@ -427,7 +441,7 @@ def test_packed_w_first_kernel_matches_dense_einsum(monkeypatch):
         for rdms in (exact_rdms(wfn), exact_rdms(complex_wfn)):
             forms = vqse.subspace._RdmForms(rdms)
             for k in sorted({split[0] for split in calls[n]}):
-                dense = rdms.tensor(k)
+                dense = rdms.rdm(k).tensor
                 for split, (w, w_spec, d_spec, column) in calls[n].items():
                     if split[0] != k:
                         continue
@@ -501,6 +515,22 @@ def test_h4_assembly_skips_terms_without_support(monkeypatch):
     monkeypatch.setattr(vqse.subspace, "_contract_with_rdm", recording)
     assemble_subspace(build_pool(partition), mol, exact_rdms(wfn), partition)
     assert sizes and min(sizes) > 0
+
+
+def test_assembly_builds_no_dense_rdm(monkeypatch):
+    """H4/6-31G at 1.8 bohr, 4 active orbitals, with exact and with
+    cumulant RDMs: every term reads the packed RDMs, so the assembly never
+    asks an RDM for its dense tensor."""
+    mol, wfn, partition = h4_631g_reference()
+    pool = build_pool(partition)
+
+    def refuse(rdm):
+        raise AssertionError(f"the dense rank-{rdm.k} RDM was built")
+
+    monkeypatch.setattr(vqse.rdm.Rdm, "tensor", property(refuse))
+    for options in (VqseOptions(), VqseOptions(cumulant=True)):
+        pair = assemble_subspace(pool, mol, reference_rdms(wfn, options), partition)
+        assert pair.h.shape == (len(pool), len(pool))
 
 
 def test_h4_assembly_builds_no_rank8_pattern(monkeypatch):

@@ -168,11 +168,9 @@ def test_missing_rdm_raises():
         active_pattern_tensor((True, True, False, False), rdms)  # needs the 2-RDM
 
 
-def test_rdm_set_rank_zero_and_dimension_check():
+def test_rdm_set_dimension_check():
     rng = np.random.default_rng(46)
     wfn = random_wavefunction(4, 2, rng)
-    rdms = exact_rdms(wfn)
-    assert rdms.tensor(0) == 1.0
     with pytest.raises(ValueError):
         RdmSet({1: compute_rdm(wfn, 1), 2: compute_rdm(random_wavefunction(6, 2, rng), 2)})
 
