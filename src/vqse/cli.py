@@ -309,6 +309,9 @@ def read_curve(path) -> tuple:
 
 def diff_curves(path_a, path_b, tol: float) -> tuple:
     """Compare two curve files; returns (report text, worst offence or None)."""
+    # every difference compares False with nan, and even 0 exceeds -1
+    if not (math.isfinite(tol) and tol >= 0):
+        raise VqseError(f"--tol must be a finite tolerance of at least 0, not {tol!r}")
     names_a, rows_a = read_curve(path_a)
     names_b, rows_b = read_curve(path_b)
     if names_a != names_b:
@@ -404,6 +407,9 @@ def _fcidump(args) -> int:
     )
 
     if args.action == "export":
+        r = args.r_angstrom
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"--r-angstrom must be a positive finite bond length, not {r!r}")
         ao = compute_ao_integrals(
             h2_geometry(args.r_angstrom / ANGSTROM_PER_BOHR), load_basis(args.basis)
         )

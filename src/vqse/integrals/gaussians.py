@@ -6,12 +6,16 @@ chemist notation (pq|rs) with the full 8-fold permutational symmetry.
 Every integral is evaluated over arrays of primitive pairs, not one
 primitive at a time (McMurchie & Davidson, J. Comput. Phys. 26, 218
 (1978)). ``_pair_table`` lists the primitive pairs of all AO pairs i >= j
-once per call, with their Gaussian-product data and Hermite products E_tuv;
-s and p shells need only t + u + v <= 2. The overlap and kinetic energy
-come from the 1D Hermite tables. The nuclear attraction and the ERIs share
-one batched Hermite-Coulomb recursion, ``_hermite_coulomb``. The ERIs run
-over blocks of primitive quartets, are summed into the canonical AO pair x
-pair matrix, and one gather unpacks that matrix to (pq|rs).
+once per call, with their Gaussian-product data and Hermite products E_tuv,
+grouped by pair degree d = l_a + l_b: a pair of degree d needs only
+t + u + v <= d, so s and p shells need at most 2. The overlap and kinetic
+energy come from the 1D Hermite tables. The nuclear attraction and the ERIs
+share one batched Hermite-Coulomb recursion, ``_hermite_coulomb``, run only
+to the degree each class of pairs (V) or quartets (ERIs, d_bra + d_ket)
+reads; an (ss|ss) quartet reads R_000 = F_0 alone. The ERIs run over blocks
+of primitive quartets sized to a fixed byte budget, are summed into the
+canonical AO pair x pair matrix, and one gather unpacks that matrix to
+(pq|rs).
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from .basis import BasisSet, Geometry
 # Boys function: Kummer series below this argument, erf and upward
 # recursion above it.
 _SERIES_LIMIT = 25.0
-# Primitive quartets per ERI block. About 1 kB of temporaries per quartet,
-# so a block stays near 2 MB whatever the basis size.
-_BLOCK_QUARTETS = 2048
+# Bytes of temporaries per ERI block, whatever the basis size and degree.
+_BLOCK_BYTES = 2 << 20
 
 # Hermite components (t, u, v), ordered by degree t + u + v. The first 10
 # (degree <= 2) index the pair products E_tuv; all 35 (degree <= 4) index
@@ -198,16 +201,23 @@ def build_ao_basis(geometry: Geometry, basis: BasisSet) -> list[_Ao]:
 
 @dataclass(frozen=True)
 class _PairTable:
-    """Primitive pairs of every AO pair i >= j, ordered by the pair index
-    ij = i (i + 1) / 2 + j."""
+    """Primitive pairs of every AO pair i >= j, grouped by pair degree
+    d = l_a + l_b and, within one degree, ordered by the pair index
+    ij = i (i + 1) / 2 + j. All primitive pairs of one AO pair share d."""
 
     pair: np.ndarray  # (N,) owning AO pair index
+    degree_end: np.ndarray  # (3,) the rows of degree <= d end at degree_end[d]
     p: np.ndarray  # (N,) total exponent
     P: np.ndarray  # (3, N) product center
     coef: np.ndarray  # (N,) contraction coefficients times exp(-mu AB^2)
     E: np.ndarray  # (N, 10) E_tuv = E_t^x E_u^y E_v^z over _TUV[:10]
     overlap: np.ndarray  # (N,) primitive overlap, coef included
     kinetic: np.ndarray  # (N,) primitive kinetic energy, coef included
+
+    def classes(self) -> list[tuple[int, slice]]:
+        """(d, rows of degree d) for each pair degree present."""
+        starts = [0, *self.degree_end[:-1]]
+        return [(d, slice(a, b)) for d, (a, b) in enumerate(zip(starts, self.degree_end)) if b > a]
 
 
 def _pair_table(aos: list[_Ao]) -> _PairTable:
@@ -218,8 +228,10 @@ def _pair_table(aos: list[_Ao]) -> _PairTable:
     powers = np.array([ao.powers for ao in aos])[prim_ao].T
     a, b = np.nonzero(prim_ao[:, None] >= prim_ao[None, :])
     pair = prim_ao[a] * (prim_ao[a] + 1) // 2 + prim_ao[b]
-    order = np.argsort(pair, kind="stable")
+    degree = powers.sum(axis=0)[a] + powers.sum(axis=0)[b]
+    order = np.lexsort((pair, degree))
     a, b, pair = a[order], b[order], pair[order]
+    degree_end = np.searchsorted(degree[order], np.arange(3), side="right")
 
     ea, eb = exps[a], exps[b]
     p = ea + eb
@@ -240,49 +252,70 @@ def _pair_table(aos: list[_Ao]) -> _PairTable:
     k1 = eb * (2 * lb + 1) * s1 - 2.0 * eb**2 * E1[la, lb + 2, 0, dims, rows]
     norm = coef * (math.pi / p) ** 1.5
     kinetic = k1[0] * s1[1] * s1[2] + s1[0] * k1[1] * s1[2] + s1[0] * s1[1] * k1[2]
-    return _PairTable(pair, p, P, coef, E, norm * E[:, 0], norm * kinetic)
+    return _PairTable(pair, degree_end, p, P, coef, E, norm * E[:, 0], norm * kinetic)
 
 
 def _nuclear_rows(table: _PairTable, geometry: Geometry) -> np.ndarray:
-    """Nuclear attraction of each primitive pair, coef included."""
+    """Nuclear attraction of each primitive pair, coef included; the pairs
+    of degree d read R_tuv up to degree d only."""
     s = np.zeros(table.p.size)
-    for atom in geometry.atoms:
-        pc = table.P - np.asarray(atom.position, dtype=float)[:, None]
-        R = _hermite_coulomb(2, table.p, pc)
-        s -= atom.charge * np.einsum("nc,cn->n", table.E, R)
+    for d, rows in table.classes():
+        E = table.E[rows, : _N_TUV[d]]
+        for atom in geometry.atoms:
+            pc = table.P[:, rows] - np.asarray(atom.position, dtype=float)[:, None]
+            R = _hermite_coulomb(d, table.p[rows], pc)
+            s[rows] -= atom.charge * np.einsum("nc,cn->n", E, R)
     return 2.0 * math.pi / table.p * table.coef * s
 
 
 def _eri_pairs(table: _PairTable, n_pairs: int) -> np.ndarray:
     """(ij|kl) over AO pairs, as a symmetric n_pairs x n_pairs matrix.
 
-    Each block of bra rows meets the ket rows of every pair up to its last
-    bra pair, so every (ij|kl) with ij >= kl is summed once; the entries
-    above the diagonal are discarded and mirrored from below.
+    The quartets fall into classes by the degrees of their two pairs,
+    d_bra >= d_ket, and each class runs the Hermite-Coulomb recursion to
+    degree d_bra + d_ket only. Each block of bra rows meets every ket row
+    of a lower degree, and those of its own degree up to its last bra pair,
+    so every (ij|kl) with (d_ij, ij) >= (d_kl, kl) is summed once; the other
+    entries are discarded and mirrored. A block holds as many quartets as
+    fit in ``_BLOCK_BYTES``, so the low-degree classes run in larger blocks.
     """
-    n_rows = table.p.size
+    classes = table.classes()
     scaled = table.E * (table.coef / table.p)[:, None]
-    ket = scaled * _KET_SIGN
-    pair_end = np.searchsorted(table.pair, np.arange(n_pairs), side="right")
-    block = max(1, _BLOCK_QUARTETS // n_rows)
     out = np.zeros((n_pairs, n_pairs))
-    for b0 in range(0, n_rows, block):
-        b1 = min(b0 + block, n_rows)
-        first, last = table.pair[b0], table.pair[b1 - 1]
-        k1 = pair_end[last]
-        p, q = table.p[b0:b1, None], table.p[None, :k1]
-        pq = p + q
-        pc = table.P[:, b0:b1, None] - table.P[:, None, :k1]
-        R = _hermite_coulomb(4, (p * q / pq).ravel(), pc.reshape(3, -1))
-        # C[k, b, m] = sum_j ket[k, j] E_bra[b] at component m - j
-        shifted = np.einsum("bi,ijm->jbm", scaled[b0:b1], _SHIFT)
-        C = ket[:k1] @ shifted.reshape(_N_PAIR_TUV, -1)
-        W = np.einsum("kbm,mbk->bk", C.reshape(k1, b1 - b0, -1), R.reshape(-1, b1 - b0, k1))
-        W *= 2.0 * math.pi**2.5 / np.sqrt(pq)
-        index = (table.pair[b0:b1, None] - first) * (last + 1) + table.pair[None, :k1]
-        sums = np.bincount(index.ravel(), W.ravel(), (last - first + 1) * (last + 1))
-        out[first : last + 1, : last + 1] += sums.reshape(last - first + 1, last + 1)
-    return np.where(np.tri(n_pairs, dtype=bool), out, out.T)
+    for k, (d_bra, bra) in enumerate(classes):
+        for d_ket, ket in classes[: k + 1]:
+            degree = d_bra + d_ket
+            n_bra, n_ket, n_tuv = _N_TUV[d_bra], _N_TUV[d_ket], _N_TUV[degree]
+            ket_E = scaled[ket, :n_ket] * _KET_SIGN[:n_ket]
+            ket_pair, ket_p, ket_P = table.pair[ket], table.p[ket], table.P[:, ket]
+            shift = _SHIFT[:n_bra, :n_ket, :n_tuv]
+            # the recursion's two levels and index gathers, C and R hold
+            # about 5 doubles per component of a quartet, and its Boys rows
+            # and geometry 12 more
+            block = max(1, _BLOCK_BYTES // (8 * (5 * n_tuv + 12) * ket_p.size))
+            for b0 in range(bra.start, bra.stop, block):
+                b1 = min(b0 + block, bra.stop)
+                first, last = table.pair[b0], table.pair[b1 - 1]
+                k1 = np.searchsorted(ket_pair, last, "right") if d_ket == d_bra else ket_p.size
+                cols = ket_pair[k1 - 1] + 1
+                p, q = table.p[b0:b1, None], ket_p[None, :k1]
+                pq = p + q
+                pc = table.P[:, b0:b1, None] - ket_P[:, None, :k1]
+                R = _hermite_coulomb(degree, (p * q / pq).ravel(), pc.reshape(3, -1))
+                # C[k, b, m] = sum_j ket[k, j] E_bra[b] at component m - j
+                shifted = np.einsum("bi,ijm->jbm", scaled[b0:b1, :n_bra], shift)
+                C = ket_E[:k1] @ shifted.reshape(n_ket, -1)
+                W = np.einsum(
+                    "kbm,mbk->bk", C.reshape(k1, b1 - b0, -1), R.reshape(-1, b1 - b0, k1)
+                )
+                W *= 2.0 * math.pi**2.5 / np.sqrt(pq)
+                index = (table.pair[b0:b1, None] - first) * cols + ket_pair[None, :k1]
+                sums = np.bincount(index.ravel(), W.ravel(), (last - first + 1) * cols)
+                out[first : last + 1, :cols] += sums.reshape(last - first + 1, cols)
+    key = np.empty(n_pairs, dtype=int)  # (d_ij, ij) as one number
+    for d, rows in classes:
+        key[table.pair[rows]] = d * n_pairs + table.pair[rows]
+    return np.where(np.greater_equal.outer(key, key), out, out.T)
 
 
 def nuclear_repulsion(geometry: Geometry) -> float:

@@ -347,6 +347,25 @@ def test_diff_rejects_mismatched_grids(tmp_path, capsys):
         assert "usage error" in err and name in err and message in err
 
 
+def test_diff_rejects_tolerance_that_is_not_finite_and_non_negative(tmp_path, capsys):
+    """--tol nan passed curves that differ (every comparison with nan is
+    False) and --tol -1 failed a file against itself; both are usage
+    errors now, like inf."""
+    header = "# " + ",".join(CSV_COLUMNS)
+    row = "0.741400,-1.137270174658,-1.151688458349,nan,-1.151688458349,0.000000000000,nan,ok"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(f"{header}\n{row}\n")
+    b.write_text(f"{header}\n{row.replace('-1.151688458349,nan', '-1.129688458349,nan')}\n")
+    for tol, pair in (("nan", (a, b)), ("-1", (a, a)), ("inf", (a, b)), ("-inf", (a, a))):
+        assert main(["diff", f"--tol={tol}", *map(str, pair)]) == 2, tol
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: "), tol
+        assert "TOLERANCE EXCEEDED" not in captured.out
+    assert main(["diff", "--tol", "0", str(a), str(a)]) == 0
+    assert main(["diff", "--tol", "0", str(a), str(b)]) == 1
+    capsys.readouterr()
+
+
 def test_read_curve_requires_header(tmp_path):
     path = tmp_path / "noheader.csv"
     path.write_text("1.0,2.0\n")
@@ -422,8 +441,18 @@ def test_fcidump_import_h4_631g_matches_oracle(tmp_path, capsys):
         (["import", "{file}"], " &FCI NORB=10000,NELEC=2,MS2=0,\n &END\n"),
         (["export", "{file}", "--basis", "cc-pvtz"], None),
         (["export", "{file}", "--n-electrons", "3"], None),
+        (["export", "{file}", "--r-angstrom", "0"], None),
+        (["export", "{file}", "--r-angstrom", "-0.7414"], None),
     ],
-    ids=["missing_file", "malformed_file", "oversized_header", "unknown_basis", "odd_electrons"],
+    ids=[
+        "missing_file",
+        "malformed_file",
+        "oversized_header",
+        "unknown_basis",
+        "odd_electrons",
+        "zero_bond",
+        "negative_bond",
+    ],
 )
 def test_fcidump_usage_errors_exit_2(tmp_path, capsys, args, content):
     """Each of these ended in a traceback with exit 1, which elsewhere means

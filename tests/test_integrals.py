@@ -31,6 +31,7 @@ from vqse.integrals import (
     MolecularIntegrals,
     compute_ao_integrals,
     dress_core,
+    gaussians,
     h2_geometry,
     load_basis,
     nuclear_repulsion,
@@ -150,12 +151,50 @@ def test_translational_invariance():
 
 def test_batched_ao_integrals_match_scalar_oracle():
     """S, T, V and (pq|rs) equal the scalar one-quartet-at-a-time oracle, on
-    the z axis and off it."""
-    basis = load_basis("cc-pvdz")
-    for geometry in (h2_geometry(R_REF), H2_GENERIC, H3_TRIANGLE):
-        ao = compute_ao_integrals(geometry, basis)
-        for field, ref in zip(AO_FIELDS, scalar_ao_integrals(geometry, basis)):
-            assert np.max(np.abs(getattr(ao, field) - ref)) < TOL_EXACT, field
+    the z axis and off it, in the s-only bases (where only the (ss|ss)
+    quartet class runs) and in cc-pVDZ (every class)."""
+    for name in ("sto-3g", "6-31g", "cc-pvdz"):
+        basis = load_basis(name)
+        for geometry in (h2_geometry(R_REF), H2_GENERIC, H3_TRIANGLE):
+            ao = compute_ao_integrals(geometry, basis)
+            for field, ref in zip(AO_FIELDS, scalar_ao_integrals(geometry, basis)):
+                assert np.max(np.abs(getattr(ao, field) - ref)) < TOL_EXACT, (name, field)
+
+
+def test_hermite_coulomb_runs_to_each_class_degree_only():
+    """Each ERI quartet class runs the Hermite-Coulomb recursion to
+    d_bra + d_ket and each nuclear pair class to its pair degree d, not to
+    the basis-wide maximum: an s-only basis asks for degree 0 alone."""
+    chain = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
+    for geometry, name, eri_degrees, nuclear_degrees in (
+        (chain, "6-31g", {0}, {0}),
+        (h2_geometry(R_REF), "cc-pvdz", {0, 1, 2, 3, 4}, {0, 1, 2}),
+    ):
+        hermite_coulomb = gaussians._hermite_coulomb
+        calls = {"eri": [], "nuclear": []}
+        caller = []
+
+        def tagged(kind, fn):
+            def run(*args):
+                caller.append(kind)
+                try:
+                    return fn(*args)
+                finally:
+                    caller.pop()
+
+            return run
+
+        def recorded(degree, alpha, pc):
+            calls[caller[-1]].append(degree)
+            return hermite_coulomb(degree, alpha, pc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaussians, "_hermite_coulomb", recorded)
+            mp.setattr(gaussians, "_eri_pairs", tagged("eri", gaussians._eri_pairs))
+            mp.setattr(gaussians, "_nuclear_rows", tagged("nuclear", gaussians._nuclear_rows))
+            compute_ao_integrals(geometry, load_basis(name))
+        assert set(calls["eri"]) == eri_degrees, name
+        assert set(calls["nuclear"]) == nuclear_degrees, name
 
 
 def _rotated(geometry, rotation):
@@ -194,11 +233,13 @@ def test_rotated_geometry_transforms_integrals():
 
 
 def test_ao_integrals_memory_bounded():
-    """The batched kernel works in fixed-size blocks of primitive quartets,
-    so one warm call stays within a few MB of traced allocations."""
+    """The batched kernel works in blocks of primitive quartets sized to a
+    fixed byte budget, so one warm call stays within a few MB of traced
+    allocations."""
     chain = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
-    basis = load_basis("cc-pvdz")
-    for geometry in (h2_geometry(R_REF), chain):
+    # H4/6-31G has s functions only: its (ss|ss) blocks are the largest
+    for geometry, name in ((h2_geometry(R_REF), "cc-pvdz"), (chain, "cc-pvdz"), (chain, "6-31g")):
+        basis = load_basis(name)
         compute_ao_integrals(geometry, basis)
         tracemalloc.start()
         try:
