@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import ANGSTROM_PER_BOHR, __version__
-from .exceptions import ParseError, VqseError
+from .exceptions import VqseError
 
 CSV_COLUMNS = (
     "r_angstrom",
@@ -386,10 +386,11 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_fcidump(args) -> int:
-    # a file that is missing, malformed or too large to hold; --basis; --n-electrons
+    # a file that is missing, malformed or too large to hold; --basis;
+    # --n-electrons; an --r-angstrom that puts the nuclei at zero distance
     try:
         return _fcidump(args)
-    except (OSError, MemoryError, ParseError, ValueError) as exc:
+    except (OSError, MemoryError, VqseError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import VqseError
 from .basis import BasisSet, Geometry
 
 # Boys function: Kummer series below this argument, erf and upward
 # recursion above it.
 _SERIES_LIMIT = 25.0
+_ERF_IS_ONE = 5.921587195794507  # math.erf(y) == 1.0 exactly from here on (checked to y = 50)
 # Bytes of temporaries per ERI block, whatever the basis size and degree.
 _BLOCK_BYTES = 2 << 20
 
@@ -86,7 +88,8 @@ def _boys_rows(mmax: int, x: np.ndarray) -> np.ndarray:
     (stable in that direction). The series runs until the term of the
     largest x is below 1e-17 of its sum; the relative size of a term grows
     with x, so every smaller x has converged too. Large x: F_0 from math.erf,
-    then upward recursion, which is stable once x > m + 1/2.
+    then upward recursion, which is stable once x > m + 1/2; math.erf is
+    called only where it differs from 1.0.
     """
     out = np.empty((mmax + 1, x.size))
     ex = np.exp(-x)
@@ -113,7 +116,9 @@ def _boys_rows(mmax: int, x: np.ndarray) -> np.ndarray:
         xl, el = x[large], ex[large]
         rows = np.empty((mmax + 1, xl.size))
         sx = np.sqrt(xl)
-        erf = np.fromiter(map(math.erf, sx), float, sx.size)
+        erf = np.ones(sx.size)
+        below = sx < _ERF_IS_ONE
+        erf[below] = np.fromiter(map(math.erf, sx[below]), float, np.count_nonzero(below))
         rows[0] = math.sqrt(math.pi) / (2.0 * sx) * erf
         for m in range(1, mmax + 1):
             rows[m] = ((2 * m - 1) * rows[m - 1] - el) / (2.0 * xl)
@@ -319,12 +324,18 @@ def _eri_pairs(table: _PairTable, n_pairs: int) -> np.ndarray:
 
 
 def nuclear_repulsion(geometry: Geometry) -> float:
+    """Sum of Z_i Z_j / r_ij over the nuclei; raises VqseError if two of
+    them are at zero distance (their squared distance is 0, which a
+    positive one below about 1e-162 bohr underflows to)."""
     e = 0.0
     atoms = geometry.atoms
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
             rij = np.asarray(atoms[i].position) - np.asarray(atoms[j].position)
-            e += atoms[i].charge * atoms[j].charge / math.sqrt(float(rij @ rij))
+            r2 = float(rij @ rij)
+            if r2 == 0.0:
+                raise VqseError(f"nuclei {i} and {j} are at zero distance")
+            e += atoms[i].charge * atoms[j].charge / math.sqrt(r2)
     return e
 
 

@@ -153,8 +153,9 @@ class Rdm:
         is its dense (n^2, n^2) matrix."""
         rows, row_signs = _split_index(self.n, self.k, upper)
         cols, col_signs = _split_index(self.n, self.k, lower)
-        out = self.packed[np.ix_(rows, cols)]
-        out *= row_signs[:, np.newaxis]
+        out = self.packed.take(rows, axis=0)
+        out *= row_signs[:, np.newaxis]  # before the columns multiply its size
+        out = out.take(cols, axis=1)
         out *= col_signs
         return out
 

@@ -191,17 +191,20 @@ def test_iterated_relaxation_reports_sweeps_and_evaluations(tmp_path):
 
 
 def test_scan_fail_soft_keeps_grid_order(tmp_path):
-    """At 1e-6 A the two 1s functions coincide and RHF refuses the singular
-    AO overlap; that point is written as failed, in its place, and the
-    next one still runs."""
-    config = ScanConfig(**{**FAST_SCAN, "points_angstrom": [1e-6, 0.7414]})
+    """At 1e-300 A the nuclei are at zero distance (the squared distance
+    underflows), which ended in a ZeroDivisionError; at 1e-6 A the two 1s
+    functions coincide and RHF refuses the singular AO overlap.  Each point
+    is written as failed, in its place, and the next one still runs."""
+    config = ScanConfig(**{**FAST_SCAN, "points_angstrom": [1e-300, 1e-6, 0.7414]})
     failures = run_scan(config, tmp_path / "out")
-    assert failures == 1
+    assert failures == 2
     names, rows = read_curve(tmp_path / "out" / "curve.csv")
     status = [row[names.index("status")] for row in rows]
-    assert status[0].startswith("failed: ValueError") and status[1] == "ok"
+    assert status[0] == "failed: VqseError: nuclei 0 and 1 are at zero distance"
+    assert status[1].startswith("failed: ValueError")
+    assert status[2] == "ok"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert "error" in report["points"][0] and "error" not in report["points"][1]
+    assert ["error" in point for point in report["points"]] == [True, True, False]
 
 
 def test_scan_cli_config_error_exit_code(tmp_path, capsys):
@@ -443,6 +446,8 @@ def test_fcidump_import_h4_631g_matches_oracle(tmp_path, capsys):
         (["export", "{file}", "--n-electrons", "3"], None),
         (["export", "{file}", "--r-angstrom", "0"], None),
         (["export", "{file}", "--r-angstrom", "-0.7414"], None),
+        # positive and finite, but its square underflows: the nuclei coincide
+        (["export", "{file}", "--r-angstrom", "1e-300"], None),
     ],
     ids=[
         "missing_file",
@@ -452,6 +457,7 @@ def test_fcidump_import_h4_631g_matches_oracle(tmp_path, capsys):
         "odd_electrons",
         "zero_bond",
         "negative_bond",
+        "coincident_nuclei",
     ],
 )
 def test_fcidump_usage_errors_exit_2(tmp_path, capsys, args, content):

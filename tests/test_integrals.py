@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,28 @@ def test_boys_against_quadrature():
                 lambda t: t ** (2 * m) * np.exp(-x * t * t), 0.0, 1.0, epsabs=1e-14
             )
             assert boys_function(m, x) == pytest.approx(ref, abs=1e-12), (m, x)
+
+
+def test_boys_rows_call_erf_only_below_one():
+    """Above sqrt(x) = 5.921587195794507 math.erf returns exactly 1.0, so
+    the large-x rows skip it there: they equal, bit for bit, the rows with
+    math.erf evaluated at every point, on a grid that crosses the
+    threshold (and the float below it, where erf is still below 1)."""
+    threshold = 5.921587195794507
+    assert math.erf(threshold) == 1.0 and math.erf(np.nextafter(threshold, 0.0)) < 1.0
+    roots = np.concatenate([
+        np.linspace(5.0, 8.0, 3001),
+        [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 10.0)],
+    ])
+    x = roots**2
+    mmax = 8
+    want = np.empty((mmax + 1, x.size))
+    sx = np.sqrt(x)
+    want[0] = math.sqrt(math.pi) / (2.0 * sx) * np.array([math.erf(v) for v in sx])
+    for m in range(1, mmax + 1):
+        want[m] = ((2 * m - 1) * want[m - 1] - np.exp(-x)) / (2.0 * x)
+    large = x >= 25.0  # the rows below come from the series
+    assert np.array_equal(gaussians._boys_rows(mmax, x)[:, large], want[:, large])
 
 
 def test_boys_value_at_one():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.csgraph
 
+import vqse.assembly
 import vqse.rdm
 import vqse.subspace
 import vqse.wick
@@ -35,7 +36,7 @@ from conftest import (
 from vqse import ANGSTROM_PER_BOHR
 from vqse.cli import ScanConfig, _scan_point
 from vqse.exceptions import DegenerateMetricError, PartitionError
-from vqse.fci import build_hamiltonian_action, ground_state
+from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
 from vqse.integrals import (
     Geometry,
     compute_ao_integrals,
@@ -351,24 +352,129 @@ def test_assembly_of_complex_rdms_matches_full_space_oracle():
     assert np.max(np.abs(pair.s - s_ref)) < TOL_ORACLE
 
 
+def planned_pools() -> dict:
+    """(pool, integrals, exact RDMs, partition) of four pools: H2/6-31G,
+    the same pool reversed (one partition, other rows), H2/cc-pVDZ with 3
+    active orbitals, and H4/6-31G with 4."""
+    h2 = h2_case(R_A, "6-31g")
+    h2_3 = h2_case(R_A, "cc-pvdz", 3)
+    h4_mol, h4_wfn, h4_partition = h4_631g_reference()
+    pools = {
+        name: (build_pool(partition), mol, exact_rdms(wfn), partition)
+        for name, (mol, wfn, partition) in {
+            "h2_631g": (h2["mol"], h2["wfn"], h2["partition"]),
+            "h2_ccpvdz_3": (h2_3["mol"], h2_3["wfn"], h2_3["partition"]),
+            "h4_631g": (h4_mol, h4_wfn, h4_partition),
+        }.items()
+    }
+    pool, *rest = pools["h2_631g"]
+    pools["h2_631g_reversed"] = (pool[::-1], *rest)
+    return pools
+
+
+def assert_same_pair(pair, reference):
+    assert np.array_equal(pair.h, reference.h) and np.array_equal(pair.s, reference.s)
+    assert (pair.h_asymmetry, pair.s_asymmetry, pair.null_operators) == (
+        reference.h_asymmetry,
+        reference.s_asymmetry,
+        reference.null_operators,
+    )
+
+
+def test_planned_assembly_matches_the_call_that_plans_it():
+    """Every later call over a pool reuses the plan its first call built,
+    and gives that call's H and S bit for bit."""
+    for args in planned_pools().values():
+        vqse.assembly._plan.cache_clear()
+        cold = assemble_subspace(*args)
+        for _ in range(2):
+            assert_same_pair(assemble_subspace(*args), cold)
+
+
+def test_interleaved_pools_match_fresh_assemblies():
+    """Pools assembled in turn, each replacing the plan of the one before,
+    repeated or coming back, give what a call on a cleared cache gives,
+    bit for bit; the cache holds one plan throughout."""
+    pools = planned_pools()
+    fresh = {}
+    for name, args in pools.items():
+        vqse.assembly._plan.cache_clear()
+        fresh[name] = assemble_subspace(*args)
+    order = [
+        "h2_631g", "h2_631g_reversed", "h4_631g", "h4_631g", "h2_ccpvdz_3", "h2_631g",
+        "h2_631g_reversed", "h2_ccpvdz_3", "h4_631g",
+    ]
+    for name in order:
+        pair = assemble_subspace(*pools[name])
+        assert_same_pair(pair, fresh[name])
+        assert vqse.assembly._plan.cache_info().currsize == 1
+    # the reversed pool's matrices are the first pool's, reversed
+    canonical, reversed_pool = fresh["h2_631g"], fresh["h2_631g_reversed"]
+    assert np.array_equal(reversed_pool.h, canonical.h[::-1, ::-1])
+    assert np.array_equal(reversed_pool.s, canonical.s[::-1, ::-1])
+
+
+def test_plan_follows_the_live_rows():
+    """H is planned over the operators with a non-zero S row.  RDM sets
+    over one pool whose null operators differ (the exact H2/6-31G ground
+    state: 2; its HF determinant: 22; shot noise, which leaves no S row
+    exactly zero: none) each give what a call on a cleared cache gives,
+    in turn and back, from fewer live rows to more and the other way,
+    and the two exact ones match the full-space oracle."""
+    case = h2_case(R_A, "6-31g")
+    mol, partition = case["mol"], case["partition"]
+    pool = build_pool(partition)
+    determinant = Wavefunction({0b0011: 1.0}, 4, 2)
+    states = {"ground state": case["wfn"], "determinant": determinant}
+    rdm_sets = {name: exact_rdms(wfn) for name, wfn in states.items()}
+    rdm_sets["shots"] = reference_rdms(case["wfn"], VqseOptions(shots=1e4, seed=3))
+    fresh = {}
+    for name, rdms in rdm_sets.items():
+        vqse.assembly._plan.cache_clear()
+        fresh[name] = assemble_subspace(pool, mol, rdms, partition)
+    assert [pair.null_operators for pair in fresh.values()] == [2, 22, 0]
+    vqse.assembly._plan.cache_clear()
+    for name in ["determinant", "ground state", "shots", "determinant", "shots", "ground state"]:
+        assert_same_pair(assemble_subspace(pool, mol, rdm_sets[name], partition), fresh[name])
+    for name, wfn in states.items():
+        h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
+        assert np.max(np.abs(fresh[name].h - h_ref)) < TOL_ORACLE, name
+        assert np.max(np.abs(fresh[name].s - s_ref)) < TOL_ORACLE, name
+
+
+def assembly_peaks_mb(assemble) -> list:
+    """tracemalloc peaks of ``assemble()`` with the plan cache cleared
+    first (the call that plans the pool), then of a second call (which
+    reuses the plan, held in memory), in MB."""
+    peaks = []
+    vqse.assembly._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            assemble()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
 def test_ccpvdz_assembly_peak_memory():
     """The full H2/cc-pVDZ pool (353 operators) assembles in far less memory
     than a dense buffer over the doubles' parameter grid (4096^2 entries,
     128 MB per block) would take, and reads each W-first product packed:
     writing the products out dense over their output letters before the
-    read took 8.3 MB here."""
+    read took 8.3 MB here.  This holds for the call that plans the pool
+    and for a later one, which holds the plan."""
     case = h2_case(R_A, "cc-pvdz")
     rdms = exact_rdms(case["wfn"])
     pool = build_pool(case["partition"])
     assert len(pool) == 353
-    tracemalloc.start()
-    try:
-        assemble_subspace(pool, case["mol"], rdms, case["partition"])
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    print(f"assembly peak {peak_mb:.1f} MB")
-    assert peak_mb <= 7
+    cold, warm = assembly_peaks_mb(
+        lambda: assemble_subspace(pool, case["mol"], rdms, case["partition"])
+    )
+    print(f"assembly peak {cold:.1f} MB planning the pool, {warm:.1f} MB with the plan")
+    assert cold <= 7 and warm <= 7
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,66 +497,62 @@ def test_h4_rdms_and_assembly_peak_memory(options):
     stay packed from ``reference_rdms`` through the assembly, shot noise
     included, so together they peak far below the dense rank-4 RDM alone
     (8^8 entries, 128 MiB); the largest form the assembly reads is a
-    784 x 784 split layout of it."""
+    784 x 784 split layout of it.  This holds for the call that plans
+    the pool and for a later one, which holds the plan."""
     mol, wfn, partition = h4_631g_reference()
     pool = build_pool(partition)
-    tracemalloc.start()
-    try:
-        rdms = reference_rdms(wfn, options)
-        assemble_subspace(pool, mol, rdms, partition)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    print(f"RDMs and assembly peak {peak_mb:.1f} MB")
-    assert peak_mb <= 64
+    cold, warm = assembly_peaks_mb(
+        lambda: assemble_subspace(pool, mol, reference_rdms(wfn, options), partition)
+    )
+    print(f"RDMs and assembly peak {cold:.1f} MB planning the pool, {warm:.1f} MB with the plan")
+    assert cold <= 64 and warm <= 64
 
 
 def test_packed_w_first_kernel_matches_dense_einsum(monkeypatch):
     """The W-first kernel, which reads the packed RDM through split
     layouts, against the dense einsum of W with the RDM tensor: one
     recorded call per split (rank k, upper output letters, lower shared
-    letters) of the H2/cc-pVDZ assembly (11 splits of ranks 1-2; its
-    ranks 3-4 vanish) and the H4/6-31G one (18 splits of ranks 1-4), each
-    on the state's real RDMs and on the complex RDMs of a random state of
-    the same size."""
+    letters) of the H2/cc-pVDZ assembly (8 splits of ranks 1-2; its ranks
+    3-4 vanish) and the H4/6-31G one (14 splits of ranks 1-4), each on the
+    state's real RDMs and on the complex RDMs of a random state of the
+    same size.  The class pairs below the diagonal, which are mirrored,
+    read no split of their own."""
     case = h2_case(R_A, "cc-pvdz")
     systems = [(case["mol"], case["wfn"], case["partition"]), h4_631g_reference()]
-    original = vqse.subspace._contract_with_rdm
+    original = vqse.assembly._contract_with_rdm
     calls = {}
 
-    def recording(w, w_spec, forms, d_spec, column):
-        k = len(d_spec) // 2
-        split = (
-            k,
-            sum(ch not in w_spec for ch in d_spec[:k]),
-            sum(ch in w_spec for ch in d_spec[k:]),
-        )
-        calls.setdefault(forms.n, {}).setdefault(split, (w, w_spec, d_spec, column))
-        return original(w, w_spec, forms, d_spec, column)
+    def recording(w, contraction, forms):
+        split = (contraction.k, contraction.n_up, contraction.n_lo)
+        calls.setdefault(forms.n, {}).setdefault(split, (w, contraction))
+        return original(w, contraction, forms)
 
-    monkeypatch.setattr(vqse.subspace, "_contract_with_rdm", recording)
+    monkeypatch.setattr(vqse.assembly, "_contract_with_rdm", recording)
     for mol, wfn, partition in systems:
         assemble_subspace(build_pool(partition), mol, exact_rdms(wfn), partition)
     monkeypatch.undo()
-    assert {n: len(splits) for n, splits in calls.items()} == {4: 11, 8: 18}
+    assert {n: len(splits) for n, splits in calls.items()} == {4: 8, 8: 14}
 
     rng = np.random.default_rng(17)
     for _, wfn, _ in systems:
         n, n_electrons = wfn.n_spin_orbitals, wfn.n_electrons
         complex_wfn = random_wavefunction(n, n_electrons, rng, sz=0, complex_amps=True)
         for rdms in (exact_rdms(wfn), exact_rdms(complex_wfn)):
-            forms = vqse.subspace._RdmForms(rdms)
+            forms = vqse.assembly._RdmForms(rdms)
             for k in sorted({split[0] for split in calls[n]}):
                 dense = rdms.rdm(k).tensor
-                for split, (w, w_spec, d_spec, column) in calls[n].items():
+                for split, (w, contraction) in calls[n].items():
                     if split[0] != k:
                         continue
-                    got, groups = original(w, w_spec, forms, d_spec, column)
+                    got = original(w, contraction, forms)
+                    groups = contraction.groups
                     upper, lower = len(groups[0]), len(groups[-1])
                     got = unpack_ends(
                         got.reshape(len(got), -1, got.shape[-1]), n, upper, lower
                     ).reshape((n,) * upper + got.shape[1:-1] + (n,) * lower)
-                    want = dense_w_first(w, w_spec, dense, d_spec, "".join(groups))
+                    want = dense_w_first(
+                        w, contraction.w_spec, dense, contraction.d_spec, "".join(groups)
+                    )
                     assert got.dtype == want.dtype, split
                     assert np.max(np.abs(got - want), initial=0.0) < TOL_EXACT, split
                 del dense
@@ -488,7 +590,8 @@ def test_packed_read_matches_unpacked_indexing(dtype):
                 column[ch] = rng.integers(size, size=length)
             else:
                 column[ch] = rng.integers(size, size=(40, 1) if axis[ch] == 0 else (1, 30))
-        got = vqse.subspace._packed_read(packed, groups, column, axis, n)
+        index = vqse.assembly._read_index(packed.shape, groups, column, axis, n)
+        got = vqse.assembly._read(packed, index)
         a, b, c, d, e, f = (column[ch] for ch in "abcdef")
         want = dense[a, b, c, d, 0, e, f]
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -502,18 +605,23 @@ def test_packed_read_matches_unpacked_indexing(dtype):
 def test_h4_assembly_skips_terms_without_support(monkeypatch):
     """H4/6-31G at 1.8 bohr, 4 active orbitals: a Wick term whose bra-ket
     deltas no operator pair meets (in the D x D H block, mu = nu' and
-    nu = mu' under mu < nu, mu' < nu') is dropped before it reads the
-    rank-4 RDM, so no ``_contract_with_rdm`` call gets an empty column."""
+    nu = mu' under mu < nu, mu' < nu') is dropped when the block is
+    planned, before it reads the rank-4 RDM, so no factor is read at an
+    empty support, neither by the call that plans the pool nor by a later
+    one."""
     mol, wfn, partition = h4_631g_reference()
-    original = vqse.subspace._contract_with_rdm
+    original = vqse.assembly._read
     sizes = []
 
-    def recording(w, w_spec, forms, d_spec, column):
-        sizes.extend(np.size(c) for c in column.values())
-        return original(w, w_spec, forms, d_spec, column)
+    def recording(reduced, index):
+        value = original(reduced, index)
+        sizes.append(value.size)
+        return value
 
-    monkeypatch.setattr(vqse.subspace, "_contract_with_rdm", recording)
-    assemble_subspace(build_pool(partition), mol, exact_rdms(wfn), partition)
+    monkeypatch.setattr(vqse.assembly, "_read", recording)
+    vqse.assembly._plan.cache_clear()
+    for _ in range(2):
+        assemble_subspace(build_pool(partition), mol, exact_rdms(wfn), partition)
     assert sizes and min(sizes) > 0
 
 
