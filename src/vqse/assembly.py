@@ -62,25 +62,41 @@ from .subspace import SubspacePair
 from .wick import ACTIVE, VIRTUAL, RdmSet
 
 
+def _spin_blocks(block: np.ndarray, patterns) -> np.ndarray:
+    """``block``, over spatial orbitals, written at each spin pattern (one
+    spin per axis) of a zeroed array over the interleaved spin orbitals
+    2p + s of those spatial orbitals."""
+    out = np.zeros([d for m in block.shape for d in (m, 2)])
+    for spins in patterns:
+        out[tuple(x for s in spins for x in (slice(None), s))] = block
+    return out.reshape([2 * m for m in block.shape])
+
+
 def _hamiltonian_groups(mol: MolecularIntegrals, partition: OrbitalPartition):
     """Coefficient slices of H by the active/virtual pattern of its indices.
 
     Each group is (W, pattern): W the coefficient array over local indices
     and pattern the (space, dagger) pairs of the operators it multiplies,
-    one per axis of W.  The scalar part of H is handled separately (it is
-    just ``constant * S``).
+    one per axis of W.  W is the spin-orbital slice of h_ij delta(s_i,s_j)
+    or of 1/2 h_ijkl = 1/2 delta(s_i,s_l) delta(s_j,s_k) (il|jk), read
+    from the spatial integrals.  The scalar part of H is handled
+    separately (it is just ``constant * S``).
     """
-    lists = {ACTIVE: list(partition.active_spin), VIRTUAL: list(partition.virtual_spin)}
-    h1s = mol.h1_spin()
-    h2s = mol.h2_spin()
+    order = list(partition.active) + list(partition.virtual)
+    spaces = {ACTIVE: slice(0, len(partition.active)), VIRTUAL: slice(len(partition.active), None)}
+    h1 = mol.h1[np.ix_(order, order)]
+    half_eri = 0.5 * mol.eri[np.ix_(order, order, order, order)]
     groups = []
     for s0, s1 in itertools.product((ACTIVE, VIRTUAL), repeat=2):
-        w = h1s[np.ix_(lists[s0], lists[s1])]
-        if w.size and np.any(w):
+        block = h1[spaces[s0], spaces[s1]]
+        if block.size and np.any(block):
+            w = _spin_blocks(block, ((0, 0), (1, 1)))
             groups.append((w, ((s0, True), (s1, False))))
+    same_outer = [(a, b, b, a) for a in (0, 1) for b in (0, 1)]
     for s0, s1, s2, s3 in itertools.product((ACTIVE, VIRTUAL), repeat=4):
-        w = 0.5 * h2s[np.ix_(lists[s0], lists[s1], lists[s2], lists[s3])]
-        if w.size and np.any(w):
+        block = half_eri[spaces[s0], spaces[s3], spaces[s1], spaces[s2]].transpose(0, 2, 3, 1)
+        if block.size and np.any(block):
+            w = _spin_blocks(block, same_outer)
             groups.append((w, ((s0, True), (s1, True), (s2, False), (s3, False))))
     return groups
 

@@ -200,7 +200,10 @@ class SectorBlock:
         h = np.bincount(
             (rows * self.size + cols).ravel(), values.ravel(), minlength=self.size**2
         ).reshape(self.size, self.size).astype(float, copy=False)
-        h += np.kron(self.k_alpha, np.eye(n_b)) + np.kron(np.eye(n_a), self.k_beta)
+        h.reshape(n_a, n_b, n_a, n_b)[...] += (
+            self.k_alpha[:, None, :, None] * np.eye(n_b)[None, :, None, :]
+            + np.eye(n_a)[:, None, :, None] * self.k_beta[None, :, None, :]
+        )
         h[np.diag_indices(self.size)] += self.action.constant
         return h
 

@@ -28,8 +28,8 @@ import numpy as np
 from ..exceptions import VqseError
 from .basis import BasisSet, Geometry
 
-# Boys function: Kummer series below this argument, erf and upward
-# recursion above it.
+# Boys function: Taylor steps from a table below this argument, erf and
+# upward recursion above it.
 _SERIES_LIMIT = 25.0
 _ERF_IS_ONE = 5.921587195794507  # math.erf(y) == 1.0 exactly from here on (checked to y = 50)
 # Bytes of temporaries per ERI block, whatever the basis size and degree.
@@ -81,37 +81,70 @@ def _shift_table() -> np.ndarray:
 _SHIFT = _shift_table()
 
 
+def _boys_series(mmax: int, x: np.ndarray) -> np.ndarray:
+    """F_0(x) .. F_mmax(x) for an array of 0 <= x <= _SERIES_LIMIT, shape
+    (mmax + 1, x.size): Kummer series at the highest order, then downward
+    recursion (stable in that direction). The series runs until the term
+    of the largest x is below 1e-17 of its sum; the relative size of a term
+    grows with x, so every smaller x has converged too. It fills the Taylor
+    table once."""
+    ex = np.exp(-x)
+    top = int(np.argmax(x))
+    term = np.full(x.size, 1.0 / (2 * mmax + 1))
+    acc = term.copy()
+    k = 0
+    while True:
+        k += 1
+        term *= x / (mmax + k + 0.5)
+        acc += term
+        if term[top] < 1e-17 * acc[top]:
+            break
+    rows = np.empty((mmax + 1, x.size))
+    rows[mmax] = ex * acc
+    for m in range(mmax - 1, -1, -1):
+        rows[m] = (2.0 * x * rows[m + 1] + ex) / (2 * m + 1)
+    return rows
+
+
+# F_m(x_i) on x_i = i / _TABLE_DENSITY up to _SERIES_LIMIT, for every order
+# the Taylor steps of an F_mmax with mmax <= _TABLE_MAX_ORDER read.
+_TABLE_DENSITY = 16
+_TAYLOR_TERMS = 9
+_TABLE_MAX_ORDER = 8
+_BOYS_TABLE = _boys_series(
+    _TABLE_MAX_ORDER + _TAYLOR_TERMS - 1,
+    np.arange(int(_SERIES_LIMIT) * _TABLE_DENSITY + 1) / _TABLE_DENSITY,
+)
+
+
 def _boys_rows(mmax: int, x: np.ndarray) -> np.ndarray:
     """F_0(x) .. F_mmax(x) for an array of x >= 0, shape (mmax + 1, x.size).
 
-    Small x: Kummer series at the highest order, then downward recursion
-    (stable in that direction). The series runs until the term of the
-    largest x is below 1e-17 of its sum; the relative size of a term grows
-    with x, so every smaller x has converged too. Large x: F_0 from math.erf,
-    then upward recursion, which is stable once x > m + 1/2; math.erf is
-    called only where it differs from 1.0.
+    Small x (Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure
+    Theory, sec. 9.8): F_mmax(x) = sum_k F_mmax+k(x_i) (x_i - x)^k / k!
+    over _TAYLOR_TERMS terms at the nearest x_i of the table (|x_i - x| <=
+    1/32), then downward recursion. These rows are computed for every x,
+    at x clamped to _SERIES_LIMIT, and overwritten where x is large. Large
+    x: F_0 from math.erf, then upward recursion, which is stable once
+    x > m + 1/2; math.erf is called only where it differs from 1.0.
     """
+    if mmax > _TABLE_MAX_ORDER:
+        raise ValueError(f"Boys orders above {_TABLE_MAX_ORDER} are not tabulated")
+    clamped = np.minimum(x, _SERIES_LIMIT)
+    nearest = np.rint(clamped * _TABLE_DENSITY).astype(int)
+    dx = nearest / _TABLE_DENSITY - clamped
+    taylor = np.take(_BOYS_TABLE[mmax : mmax + _TAYLOR_TERMS], nearest, axis=1)
     out = np.empty((mmax + 1, x.size))
+    top = out[mmax]
+    top[:] = taylor[-1]
+    for k in range(_TAYLOR_TERMS - 2, -1, -1):
+        top *= dx
+        top /= k + 1
+        top += taylor[k]
     ex = np.exp(-x)
-    small = x < _SERIES_LIMIT
-    if small.any():
-        xs, es = x[small], ex[small]
-        top = int(np.argmax(xs))
-        term = np.full(xs.size, 1.0 / (2 * mmax + 1))
-        acc = term.copy()
-        k = 0
-        while True:
-            k += 1
-            term *= xs / (mmax + k + 0.5)
-            acc += term
-            if term[top] < 1e-17 * acc[top]:
-                break
-        rows = np.empty((mmax + 1, xs.size))
-        rows[mmax] = es * acc
-        for m in range(mmax - 1, -1, -1):
-            rows[m] = (2.0 * xs * rows[m + 1] + es) / (2 * m + 1)
-        out[:, small] = rows
-    large = ~small
+    for m in range(mmax - 1, -1, -1):
+        out[m] = (2.0 * x * out[m + 1] + ex) / (2 * m + 1)
+    large = x >= _SERIES_LIMIT
     if large.any():
         xl, el = x[large], ex[large]
         rows = np.empty((mmax + 1, xl.size))

@@ -46,32 +46,6 @@ class MolecularIntegrals:
     def n_spin(self) -> int:
         return 2 * self.n_spatial
 
-    def h1_spin(self) -> np.ndarray:
-        """One-body coefficients over spin orbitals."""
-        n = self.n_spin
-        out = np.zeros((n, n))
-        out[0::2, 0::2] = self.h1
-        out[1::2, 1::2] = self.h1
-        return out
-
-    def h2_spin(self) -> np.ndarray:
-        """Two-body coefficients h_ijkl of a+_i a+_j a_k a_l (spin orbitals).
-
-        The 1/2 prefactor of the Hamiltonian is NOT included.
-        """
-        n = self.n_spin
-        sp = np.arange(n) // 2
-        sz = np.arange(n) % 2
-        g = self.eri[
-            sp[:, None, None, None],
-            sp[None, None, None, :],
-            sp[None, :, None, None],
-            sp[None, None, :, None],
-        ]
-        g = g * (sz[:, None, None, None] == sz[None, None, None, :])
-        g = g * (sz[None, :, None, None] == sz[None, None, :, None])
-        return g
-
 
 @dataclass
 class ScfResult:

@@ -14,19 +14,23 @@ N_DAMPED = 5  # leading iterations whose density is damped
 DAMPING = 0.5  # weight of the new density in a damped iteration
 
 
-def _fock(hcore, eri, density):
-    j = np.einsum("pqrs,rs->pq", eri, density, optimize=True)
-    k = np.einsum("prqs,rs->pq", eri, density, optimize=True)
-    return hcore + 2.0 * j - k
+def _coulomb_exchange(eri):
+    """The (n^2, n^2) layouts [pq, rs] of (pq|rs) and of (pr|qs), so that
+    J and K are each one matrix-vector product with the flat density."""
+    n = eri.shape[0]
+    return eri.reshape(n * n, n * n), eri.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _fock(hcore, coulomb, exchange, density):
+    d = density.ravel()
+    return hcore + (2.0 * (coulomb @ d) - exchange @ d).reshape(hcore.shape)
 
 
 def _fix_column_signs(c: np.ndarray) -> np.ndarray:
-    c = c.copy()
-    for col in range(c.shape[1]):
-        pivot = np.argmax(np.abs(c[:, col]))
-        if c[pivot, col] < 0:
-            c[:, col] = -c[:, col]
-    return c
+    """Each column with its largest-magnitude entry (the first of equal
+    ones) made positive."""
+    pivot = c[np.argmax(np.abs(c), axis=0), np.arange(c.shape[1])]
+    return np.where(pivot < 0, -c, c)
 
 
 def run_rhf(ao: AoIntegrals, n_electrons: int) -> ScfResult:
@@ -41,6 +45,7 @@ def run_rhf(ao: AoIntegrals, n_electrons: int) -> ScfResult:
         raise ValueError("more electrons than spin orbitals")
     n_occ = n_electrons // 2
     s, h = ao.overlap, ao.hcore
+    coulomb, exchange = _coulomb_exchange(ao.eri)
 
     s_eval, s_evec = np.linalg.eigh(s)
     if s_eval.min() < 1e-10:
@@ -56,7 +61,7 @@ def run_rhf(ao: AoIntegrals, n_electrons: int) -> ScfResult:
     density = c[:, :n_occ] @ c[:, :n_occ].T
     energy = np.nan
     for it in range(1, MAX_ITER + 1):
-        f = _fock(h, ao.eri, density)
+        f = _fock(h, coulomb, exchange, density)
         energy = float(np.einsum("pq,pq->", density, h + f)) + ao.e_nuc
         err = f @ density @ s - s @ density @ f
         if np.max(np.abs(err)) < CONV_TOL:

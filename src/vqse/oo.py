@@ -8,10 +8,10 @@ kappa antisymmetric over the non-redundant (active, core or virtual)
 spatial pairs.  The relaxation takes second-order steps in kappa
 (Helgaker, Jorgensen & Olsen, Molecular Electronic-Structure Theory,
 ch. 10): the orbital gradient is read off the generalized Fock matrix,
-the exact Hessian off its linear response to each rotation generator,
-and the augmented-Hessian (rational-function) step of Sun, Yang & Chan
-(CPL 683, 291 (2017)), capped in length, goes downhill from a saddle as
-well as from a slope.
+the exact Hessian off its closed-form linear response to a rotation, read
+at the rotation pairs, and the augmented-Hessian (rational-function) step
+of Sun, Yang & Chan (CPL 683, 291 (2017)), capped in length, goes
+downhill from a saddle as well as from a slope.
 """
 
 from __future__ import annotations
@@ -54,41 +54,63 @@ def energy_of_rotation(u, mol: MolecularIntegrals, gamma, big_gamma) -> float:
     ``core_active_rdms``, which costs O(n^4 m).
     """
     u = np.asarray(u)
-    if not np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=UNITARITY_TOL):
+    overlap = u.conj().T @ u
+    overlap[np.diag_indices_from(overlap)] -= 1.0
+    if not np.max(np.abs(overlap)) <= UNITARITY_TOL:  # a NaN fails too
         raise VqseError("rotation matrix is not unitary")
     return energy_from_rdms(rotate_integrals(mol, u), gamma, big_gamma)
 
 
-def orbital_gradient_and_hessian(u, mol: MolecularIntegrals, support, gamma, big_gamma, generators):
+def orbital_gradient_and_hessian(rotated: MolecularIntegrals, support, pairs, gamma, big_gamma):
     """(g, H): the gradient and the exact Hessian of E(U exp(kappa)) at
-    kappa = 0 in the angles x of kappa = sum_a x_a K_a, for the
-    antisymmetric ``generators`` K_a (``rotation_generators``).
+    kappa = 0 in the angles x of kappa = sum_a x_a K_a, K_a = E_bi - E_ib
+    for each rotation pair (i, b) = ``pairs[a]`` (``rotation_pairs``, or
+    any (n_pairs, 2) integer array of distinct pairs).
 
-    g_a = 2 sum_pq (K_a)_pq F_pq, from the generalized Fock matrix
-    F_pq = sum_r h_pr gamma_qr + sum_rst (pr|st) Gamma_qrst in the orbitals
-    U.  ``gamma`` and ``big_gamma`` are ``spin_summed_rdms`` over the
-    ``support`` orbitals, so F has nonzero columns only there.  Row b of
-    the response R is the change of g along U exp(t K_b): F's response to
-    dh = K_b^T h + h K_b and to the four one-index terms of d(pr|st).  Its
-    antisymmetric part is the 1/2 [K_b, K_a] term of the gradient, so
-    (R + R^T) / 2 is the Hessian.  Both come from one ``rotate_integrals``.
+    ``rotated`` holds the integrals in the orbitals U.  g_a = 2 (F_bi -
+    F_ib), from the generalized Fock matrix F_pq = sum_r h_pr gamma_qr +
+    sum_rst (pr|st) Gamma_qrst.  ``gamma`` and ``big_gamma`` are
+    ``spin_summed_rdms`` over the ``support`` orbitals, so F has nonzero
+    columns only there.  The response of F to a rotation, U exp(t K), is
+    dF_pq/dt = sum_xy M[p, x, q, y] K_xy with
+    M[p, x, q, y] = h_px gamma_qy + sum_st (px|st) Gamma_qyst
+    + sum_rt (pr|xt) Gamma_qryt + sum_rs (pr|sx) Gamma_qrsy + delta_py F_xq,
+    nonzero for q in the support only.  R_ab, the change of g_a along
+    K_b, reads four entries of M; its antisymmetric part is the
+    1/2 [K_b, K_a] term of the gradient, so (R + R^T) / 2 is the Hessian.
     """
-    every = np.arange(mol.n_spatial)
-    ks = generators[:, :, support]
-    rotated = rotate_integrals(mol, u)
     h, eri = rotated.h1, rotated.eri
-    eri_s = eri[np.ix_(every, support, support, support)]
-    f = h[:, support] @ gamma.T + np.einsum("prst,qrst->pq", eri_s, big_gamma)
-    d_eri = (
-        np.einsum("bup,urst->bprst", generators, eri_s)
-        + np.einsum("bur,pust->bprst", ks, eri[np.ix_(every, every, support, support)])
-        + np.einsum("bus,prut->bprst", ks, eri[np.ix_(every, support, every, support)])
-        + np.einsum("but,prsu->bprst", ks, eri[np.ix_(every, support, support, every)])
+    n, m = rotated.n_spatial, len(support)
+    eri_s = eri[:, support]  # (pr|st), r in the support
+    eri_sss = eri_s[:, :, support][:, :, :, support]
+    f = h[:, support] @ gamma.T + np.einsum("prst,qrst->pq", eri_sss, big_gamma)
+    # M[px, qy]: the one-body term, then each two-body sum as one product
+    response = np.multiply.outer(h, gamma).reshape(n * n, m * m)
+    response += eri[:, :, support][:, :, :, support].reshape(n * n, -1) @ (
+        big_gamma.reshape(m * m, -1).T
     )
-    d_h = h @ ks - generators @ h[:, support]
-    d_f = d_h @ gamma.T + np.einsum("bprst,qrst->bpq", d_eri, big_gamma)
-    response = 2 * np.tensordot(d_f, ks, axes=([1, 2], [1, 2]))
-    return 2 * np.tensordot(ks, f, axes=2), (response + response.T) / 2
+    response += eri_s[:, :, :, support].transpose(0, 2, 1, 3).reshape(n * n, -1) @ (
+        big_gamma.transpose(1, 3, 0, 2).reshape(m * m, -1)
+    )
+    response += eri_s[:, :, support].transpose(0, 3, 1, 2).reshape(n * n, -1) @ (
+        big_gamma.transpose(1, 2, 0, 3).reshape(m * m, -1)
+    )
+    # slot m of a support axis is zero: F and M vanish off the support
+    slot = np.full(n, m)
+    slot[support] = np.arange(m)
+    f_pad = np.zeros((n, m + 1))
+    f_pad[:, :m] = f
+    response_pad = np.zeros((n, n, m + 1, m + 1))
+    response_pad[:, :, :m, :m] = response.reshape(n, n, m, m)
+
+    # K_a = E_bi - E_ib: (p, q) runs over (b_a, i_a), (i_a, b_a), and
+    # (x, y) over (b_b, i_b), (i_b, b_b), with signs +, -
+    i, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    p, q = np.array([b, i])[:, None, :, None], np.array([i, b])[:, None, :, None]
+    x, y = np.array([b, i])[None, :, None, :], np.array([i, b])[None, :, None, :]
+    r = response_pad[p, x, slot[q], slot[y]] + (p == y) * f_pad[x, slot[q]]
+    r = 2 * (r[0, 0] - r[0, 1] - r[1, 0] + r[1, 1])
+    return 2 * (f_pad[b, slot[i]] - f_pad[i, slot[b]]), (r + r.T) / 2
 
 
 def rotation_pairs(partition: OrbitalPartition):
@@ -96,16 +118,6 @@ def rotation_pairs(partition: OrbitalPartition):
     core-then-virtual partners (inner, ascending)."""
     partners = list(partition.core) + list(partition.virtual)
     return tuple((i, b) for i in partition.active for b in partners)
-
-
-def rotation_generators(partition: OrbitalPartition) -> np.ndarray:
-    """K_a = E_bi - E_ib for each ``rotation_pairs`` pair (i, b), stacked
-    into an (n_pairs, n, n) array."""
-    pairs = rotation_pairs(partition)
-    generators = np.zeros((len(pairs), partition.n_spatial, partition.n_spatial))
-    for k, (i, b) in zip(generators, pairs):
-        k[b, i], k[i, b] = 1.0, -1.0
-    return generators
 
 
 def exp_antisymmetric(kappa: np.ndarray) -> np.ndarray:
@@ -162,33 +174,40 @@ def givens_sweep(mol: MolecularIntegrals, gamma, big_gamma, partition: OrbitalPa
     ``gamma`` and ``big_gamma`` span the core and active orbitals
     (``core_active_rdms``); the virtuals carry no RDM weight.
     Returns (U, RelaxationReport): the n x n orthogonal U = exp(kappa_1)
-    exp(kappa_2) ... with each kappa over ``rotation_generators``, and the
+    exp(kappa_2) ... with each kappa over the ``rotation_pairs``, and the
     ``energy_of_rotation`` at its start and after each accepted step.  An
     iteration takes the gradient and the exact Hessian
-    (``orbital_gradient_and_hessian``) and the ``_rfo_step``.  The step,
+    (``orbital_gradient_and_hessian``) in the integrals of the current U,
+    which are ``mol`` itself at the start and are rotated once per
+    accepted step, and the ``_rfo_step``.  The step,
     halved after each of up to BACKTRACKS tries, is accepted on the first
     strict drop of the energy; the iterations end when the step is shorter
     than STEP_TOL or no try lowers the energy.  ``n_sweeps`` counts the
     iterations and ``n_evaluations`` the energies plus the one
     gradient-and-Hessian of each iteration.
     """
-    generators = rotation_generators(partition)
+    pairs = np.array(rotation_pairs(partition), dtype=int).reshape(-1, 2)
+    i, b = pairs.T
     support = np.array(sorted(partition.core + partition.active), dtype=int)
 
     def energy(u):
         return energy_of_rotation(u[:, support], mol, gamma, big_gamma)
 
     u = np.eye(mol.n_spatial)
+    rotated = mol
     e0 = e_current = energy(u)
     n_energies = 1
     sweep_energies: list = []
     for n_sweeps in range(1, MAX_STEPS + 1):
-        g, hessian = orbital_gradient_and_hessian(u, mol, support, gamma, big_gamma, generators)
+        g, hessian = orbital_gradient_and_hessian(rotated, support, pairs, gamma, big_gamma)
         step = _rfo_step(g, hessian)
         if np.linalg.norm(step) < STEP_TOL:
             break
         for _ in range(BACKTRACKS):
-            trial = u @ exp_antisymmetric(np.tensordot(step, generators, axes=1))
+            kappa = np.zeros_like(u)
+            kappa[b, i] = step
+            kappa[i, b] = -step
+            trial = u @ exp_antisymmetric(kappa)
             e_trial = energy(trial)
             n_energies += 1
             if e_trial < e_current:
@@ -197,6 +216,7 @@ def givens_sweep(mol: MolecularIntegrals, gamma, big_gamma, partition: OrbitalPa
         else:
             break
         u, e_current = trial, e_trial
+        rotated = rotate_integrals(mol, u)
         sweep_energies.append(e_current)
     return u, RelaxationReport(
         initial_energy=e0,

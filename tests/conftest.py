@@ -249,9 +249,36 @@ def validate_symmetry(mol: MolecularIntegrals, tol: float = 1e-12) -> None:
             raise ValueError(f"eri violates permutation symmetry {perm}")
 
 
+def h1_spin(mol: MolecularIntegrals) -> np.ndarray:
+    """One-body coefficients h_ij over the interleaved spin orbitals."""
+    n = mol.n_spin
+    out = np.zeros((n, n))
+    out[0::2, 0::2] = mol.h1
+    out[1::2, 1::2] = mol.h1
+    return out
+
+
+def h2_spin(mol: MolecularIntegrals) -> np.ndarray:
+    """Two-body coefficients h_ijkl of a+_i a+_j a_k a_l over the spin
+    orbitals, h_ijkl = delta(s_i,s_l) delta(s_j,s_k) (il|jk), without the
+    1/2 prefactor of the Hamiltonian."""
+    n = mol.n_spin
+    sp = np.arange(n) // 2
+    sz = np.arange(n) % 2
+    g = mol.eri[
+        sp[:, None, None, None],
+        sp[None, None, None, :],
+        sp[None, :, None, None],
+        sp[None, None, :, None],
+    ]
+    g = g * (sz[:, None, None, None] == sz[None, None, None, :])
+    g = g * (sz[None, :, None, None] == sz[None, None, :, None])
+    return g
+
+
 def eri_phys_antisym(mol: MolecularIntegrals) -> np.ndarray:
     """Antisymmetrized physicist integrals <ij||kl> over spin orbitals."""
-    v = mol.h2_spin().transpose(0, 1, 3, 2)  # <ij|kl> = h_{ijlk}
+    v = h2_spin(mol).transpose(0, 1, 3, 2)  # <ij|kl> = h_{ijlk}
     return v - v.transpose(0, 1, 3, 2)
 
 
@@ -412,6 +439,15 @@ def full_space_expectation(bra: Wavefunction, terms, ket: Wavefunction) -> compl
     return complex(total)
 
 
+def rotation_generators(n_spatial: int, pairs) -> np.ndarray:
+    """K_a = E_bi - E_ib for each rotation pair (i, b), stacked into an
+    (n_pairs, n, n) array: the rotation kappa = sum_a x_a K_a of angles x."""
+    generators = np.zeros((len(pairs), n_spatial, n_spatial))
+    for k, (i, b) in zip(generators, pairs):
+        k[b, i], k[i, b] = 1.0, -1.0
+    return generators
+
+
 def boys_function(m: int, x: float) -> float:
     """Boys function F_m(x) = int_0^1 t^{2m} exp(-x t^2) dt at one x, read
     off the package's batched Boys rows."""
@@ -428,14 +464,14 @@ class SlaterCondon:
     def __init__(self, mol: MolecularIntegrals):
         self.mol = mol
         self.n_spin = mol.n_spin
-        self.h1s = mol.h1_spin()
+        self.h1s = h1_spin(mol)
         self.vas = eri_phys_antisym(mol)  # <ij||kl>
         self.constant = mol.constant
 
     def hamiltonian_terms(self):
         """Explicit (coefficient, ladder string) list."""
         terms = [(self.constant, [])]
-        h2 = self.mol.h2_spin()
+        h2 = h2_spin(self.mol)
         n = self.n_spin
         for i in range(n):
             for j in range(n):

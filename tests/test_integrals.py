@@ -46,6 +46,7 @@ from vqse.integrals import (
 )
 from vqse.integrals.basis import Geometry
 from vqse.integrals.gaussians import build_ao_basis
+from vqse.integrals.scf import _coulomb_exchange, _fock
 from vqse.spaces import OrbitalPartition
 
 TOL_EXACT = 1e-12
@@ -118,6 +119,26 @@ def test_boys_rows_call_erf_only_below_one():
         want[m] = ((2 * m - 1) * want[m - 1] - np.exp(-x)) / (2.0 * x)
     large = x >= 25.0  # the rows below come from the series
     assert np.array_equal(gaussians._boys_rows(mmax, x)[:, large], want[:, large])
+
+
+def test_boys_taylor_table_matches_series():
+    """Below the series limit the Boys rows come from Taylor steps off the
+    tabulated F_m(x_i); for every order up to 8 they equal the Kummer
+    series that fills the table to 5e-15 relative, at every cell edge x_i
+    and midpoint of the table, the floats on both sides of each midpoint,
+    and the float below the limit.  Higher orders are refused: their Taylor
+    steps would read past the table."""
+    limit = gaussians._SERIES_LIMIT
+    edges = np.arange(int(limit) * gaussians._TABLE_DENSITY) / gaussians._TABLE_DENSITY
+    mids = edges + 0.5 / gaussians._TABLE_DENSITY
+    x = np.concatenate([
+        edges, mids, np.nextafter(mids, 0.0), np.nextafter(mids, limit), [np.nextafter(limit, 0.0)]
+    ])
+    for m in range(9):
+        rows, series = gaussians._boys_rows(m, x), gaussians._boys_series(m, x)
+        assert np.max(np.abs(rows - series) / series) < 5e-15, m
+    with pytest.raises(ValueError):
+        gaussians._boys_rows(9, x)
 
 
 def test_boys_value_at_one():
@@ -335,6 +356,27 @@ def test_rhf_basis_monotonicity():
     e_min = h2_case(R_REF * ANGSTROM_PER_BOHR, "sto-3g")["scf"].scf_energy
     e_dz = h2_case(R_REF * ANGSTROM_PER_BOHR, "cc-pvdz")["scf"].scf_energy
     assert e_dz < e_min
+
+
+def test_fock_layouts_match_einsum_fock():
+    """The RHF Fock matrix read off the (n^2, n^2) Coulomb and exchange
+    layouts equals the einsum contraction of the ERIs to 1e-14 at the
+    converged density, on H2/cc-pVDZ and on the H4/6-31G chain at 1.8 bohr
+    spacing, and the SCF keeps its iteration counts there."""
+    h4_chain = Geometry.from_list([("H", 1.0, (0.0, 0.0, 1.8 * k)) for k in range(4)])
+    for geometry, basis, n_electrons, n_iterations in (
+        (h2_geometry(R_REF), "cc-pvdz", 2, 16),
+        (h4_chain, "6-31g", 4, 18),
+    ):
+        ao = compute_ao_integrals(geometry, load_basis(basis))
+        result = run_rhf(ao, n_electrons)
+        assert result.n_iterations == n_iterations, basis
+        occupied = result.mo_coefficients[:, : n_electrons // 2]
+        density = occupied @ occupied.T
+        j = np.einsum("pqrs,rs->pq", ao.eri, density)
+        k = np.einsum("prqs,rs->pq", ao.eri, density)
+        fock = _fock(ao.hcore, *_coulomb_exchange(ao.eri), density)
+        assert np.max(np.abs(fock - (ao.hcore + 2.0 * j - k))) < 1e-14, basis
 
 
 def test_rhf_one_orbital_closed_form():

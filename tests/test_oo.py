@@ -14,6 +14,7 @@ from conftest import (
     h2_case,
     lifted_rdms,
     random_wavefunction,
+    rotation_generators,
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import VqseError
@@ -26,7 +27,6 @@ from vqse.oo import (
     givens_sweep,
     orbital_gradient_and_hessian,
     relax_then_resolve,
-    rotation_generators,
     rotation_pairs,
 )
 from vqse.rdm import compute_rdm, energy_from_rdms
@@ -80,7 +80,7 @@ def test_rotation_pairs_enumeration():
     partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3, 4))
     pairs = rotation_pairs(partition)
     assert pairs == ((1, 0), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4))
-    generators = rotation_generators(partition)
+    generators = rotation_generators(partition.n_spatial, pairs)
     assert generators.shape == (6, 5, 5)
     for k, (i, b) in zip(generators, pairs):
         assert k[b, i] == 1.0 and k[i, b] == -1.0 and np.count_nonzero(k) == 2
@@ -95,7 +95,7 @@ def test_exp_antisymmetric_matches_expm():
     partitions = [OrbitalPartition(core=(0,), active=(1, 2), virtual=(3, 4))]
     partitions += [OrbitalPartition.from_counts(0, m, 10) for m in (2, 3, 4)]
     for partition in partitions:
-        generators = rotation_generators(partition)
+        generators = rotation_generators(partition.n_spatial, rotation_pairs(partition))
         for _ in range(50):
             x = rng.normal(size=len(generators))
             x *= rng.uniform(0, vqse.oo.MAX_STEP) / np.linalg.norm(x)
@@ -138,8 +138,9 @@ def test_integral_and_rdm_rotation_paths_agree():
 def test_non_unitary_rotation_rejected():
     case = h2_case(R_A, "6-31g")
     d1, d2 = full_rdms(case)
-    with pytest.raises(VqseError):
-        energy_of_rotation(np.full((4, 4), 0.5), case["mol"], d1, d2)
+    for u in (np.full((4, 4), 0.5), np.full((4, 4), np.nan)):
+        with pytest.raises(VqseError):
+            energy_of_rotation(u, case["mol"], d1, d2)
 
 
 def test_rotation_matches_full_space_oracle():
@@ -230,43 +231,51 @@ def test_relaxation_builds_no_full_space_rdm(monkeypatch):
 
 
 def _derivative_cases(rng):
-    """(mol, partition, wfn): a core orbital with a random active state,
-    3 active orbitals, and the cc-pVDZ orbitals."""
+    """(mol, partition, wfn, pairs): a core orbital with a random active
+    state, its rotation pairs joined by the core-virtual pair (0, 3), 3
+    active orbitals, and the cc-pVDZ orbitals."""
     with_core = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
-    cases = [(h2_case(R_A, "6-31g")["mol"], with_core, random_wavefunction(4, 2, rng))]
+    wfn = random_wavefunction(4, 2, rng)
+    core_virtual = rotation_pairs(with_core) + ((0, 3),)
+    cases = [(h2_case(R_A, "6-31g")["mol"], with_core, wfn, core_virtual)]
     for basis, n_active in (("6-31g", 3), ("cc-pvdz", 2)):
         case = h2_case(R_A, basis, n_active)
-        cases.append((case["mol"], case["partition"], case["wfn"]))
+        partition = case["partition"]
+        cases.append((case["mol"], partition, case["wfn"], rotation_pairs(partition)))
     return cases
 
 
-def _derivatives_at_random_rotation(mol, partition, wfn, rng):
+def _derivatives_at_random_rotation(mol, partition, wfn, pairs, rng):
     """(energy, generators, g, H) at a random, non-stationary U: energy(K)
     is energy_of_rotation at U exp(K) with the core+active RDMs."""
     gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
     a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
     u = scipy.linalg.expm(a - a.T)
-    generators = rotation_generators(partition)
     support = sorted(partition.core + partition.active)
-    g, hessian = orbital_gradient_and_hessian(u, mol, support, gamma, big_gamma, generators)
+    g, hessian = orbital_gradient_and_hessian(
+        rotate_integrals(mol, u), support, pairs, gamma, big_gamma
+    )
 
     def energy(kappa):
         return energy_of_rotation(
             (u @ scipy.linalg.expm(kappa))[:, support], mol, gamma, big_gamma
         )
 
-    return energy, generators, g, hessian
+    return energy, rotation_generators(mol.n_spatial, pairs), g, hessian
 
 
 def test_orbital_gradient_matches_central_differences():
     """The generalized-Fock gradient at a random U equals central
-    differences of energy_of_rotation along each rotation_pairs generator,
+    differences of energy_of_rotation along each pair's generator,
     U exp(+-h K) with K_bi = 1 = -K_ib: with a core orbital and a random
-    active state, with 3 active orbitals, and over the cc-pVDZ orbitals."""
+    active state over the rotation_pairs and a core-virtual pair, with 3
+    active orbitals, and over the cc-pVDZ orbitals."""
     rng = np.random.default_rng(68)
     h = 1e-5
-    for mol, partition, wfn in _derivative_cases(rng):
-        energy, generators, g, _ = _derivatives_at_random_rotation(mol, partition, wfn, rng)
+    for mol, partition, wfn, pairs in _derivative_cases(rng):
+        energy, generators, g, _ = _derivatives_at_random_rotation(
+            mol, partition, wfn, pairs, rng
+        )
         for a, k in enumerate(generators):
             central = (energy(h * k) - energy(-h * k)) / (2 * h)
             assert g[a] == pytest.approx(central, abs=1e-8), (mol.n_spatial, a)
@@ -275,12 +284,14 @@ def test_orbital_gradient_matches_central_differences():
 def test_orbital_hessian_matches_central_differences():
     """The symmetrized Fock response at a random U is the Hessian of
     E(U exp(x_a K_a + x_b K_b)): it equals second central differences of
-    energy_of_rotation along each pair of rotation_pairs generators, in
+    energy_of_rotation along each two of the pairs' generators, in
     the same three cases as the gradient."""
     rng = np.random.default_rng(69)
     h = 1e-4
-    for mol, partition, wfn in _derivative_cases(rng):
-        energy, generators, _, hessian = _derivatives_at_random_rotation(mol, partition, wfn, rng)
+    for mol, partition, wfn, pairs in _derivative_cases(rng):
+        energy, generators, _, hessian = _derivatives_at_random_rotation(
+            mol, partition, wfn, pairs, rng
+        )
         for a, ka in enumerate(generators):
             for b, kb in enumerate(generators):
                 second = (
@@ -302,6 +313,25 @@ def test_sweep_monotone_and_below_start():
     assert energy_of_rotation(u, case["mol"], d1, d2) == pytest.approx(
         report.final_energy, abs=TOL_ORACLE
     )
+
+
+def test_sweep_with_core_ends_at_zero_gradient():
+    """With a core orbital (rotated against the active ones, with the
+    core below them in index order) and a random active state, the sweep
+    lowers the energy and ends where the gradient over every rotation pair
+    vanishes."""
+    rng = np.random.default_rng(71)
+    mol = h2_case(R_A, "6-31g")["mol"]
+    partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
+    wfn = random_wavefunction(4, 2, rng)
+    gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+    u, report = givens_sweep(mol, gamma, big_gamma, partition)
+    assert report.final_energy < report.initial_energy - 1e-6
+    support = sorted(partition.core + partition.active)
+    g, _ = orbital_gradient_and_hessian(
+        rotate_integrals(mol, u), support, rotation_pairs(partition), gamma, big_gamma
+    )
+    assert np.max(np.abs(g)) < 1e-6
 
 
 def test_sweep_stationary_at_optimum():

@@ -51,10 +51,11 @@ def test_instrument_wraps_every_layer_and_restores_it():
 
 def test_sweep_calls_the_traced_oo_layers():
     """Every evaluation of a relaxation goes through the module attributes
-    the tracer rebinds.  Each of its ``n_evaluations`` rotates the
-    integrals once: one gradient-and-Hessian for each of its ``n_sweeps``
-    iterations, and energies, which also contract the rotated integrals
-    with the RDMs."""
+    the tracer rebinds.  Each energy (``n_evaluations`` less one
+    gradient-and-Hessian for each of its ``n_sweeps`` iterations) rotates
+    the integrals once and contracts them with the RDMs, and each accepted
+    step rotates them once more for the next gradient and Hessian; the
+    first one, at U = I, reads the integrals as they are."""
     tracing = load_tracing()
     case = h2_case(0.7414, "6-31g")
     d1, d2 = vqse.oo.core_active_rdms(
@@ -68,9 +69,11 @@ def test_sweep_calls_the_traced_oo_layers():
         restore()
     names = [span.name for span in tracer.spans]
     assert names.count("oo.sweep") == 1
-    assert names.count("oo.rotate_integrals") == report.n_evaluations
+    n_energies = report.n_evaluations - report.n_sweeps
+    n_accepted = len(report.sweep_energies)
+    assert names.count("oo.rotate_integrals") == n_energies + n_accepted
     for layer in ("oo.energy_eval", "oo.energy_from_rdms"):
-        assert names.count(layer) == report.n_evaluations - report.n_sweeps, layer
+        assert names.count(layer) == n_energies, layer
     assert report.n_evaluations > report.n_sweeps
 
 
