@@ -187,7 +187,7 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
     report["e_scf"] = scf.scf_energy
 
     active_mol = dress_core(mol, partition)
-    e_ref, wfn = ground_state(
+    e_ref, state = ground_state(
         build_hamiltonian_action(active_mol), config.n_electrons, sz=0
     )
     row.e_ref = float(e_ref)
@@ -204,7 +204,7 @@ def _scan_point(r_angstrom: float, config: ScanConfig) -> tuple:
             shots=config.shots,
             seed=config.seed,
         )
-        rdms = reference_rdms(wfn, options)
+        rdms = reference_rdms(state, options)
         pool = build_pool(partition)
         pair = assemble_subspace(pool, mol, rdms, partition)
         eps = config.eps if config.shots is None else max(config.eps, NOISY_EPS)

@@ -1,16 +1,13 @@
-"""Exact diagonalization over spin-orbital determinants.
+"""Exact diagonalization of one (n_alpha, n_beta) block of strings.
 
-Determinants are integer bitmasks (bit i set means spin orbital i is
-occupied) with the reference ordering |det> = a+_{i1} a+_{i2} ... |0>,
-i1 < i2 < ...; spatial orbital p holds spin orbitals 2p (alpha) and 2p+1
-(beta).
-
-The solver works on the one (n_alpha, n_beta) block that the electron
-count and 2 S_z name, and factors it into alpha and beta strings (Knowles
-& Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185 (1988)).  A
-string is an occupation bitmask over spatial orbitals, and the
-block's product states are |I_a I_b> = A(I_a) B(I_b) |0>.  With
-E^s_pq = a+_{ps} a_{qs},
+The solver works on the one block that the electron count and 2 S_z
+name, and factors it into alpha and beta strings (Knowles & Handy, CPL
+111, 315 (1984); Olsen et al., JCP 89, 2185 (1988)).  A string is an
+occupation bitmask over spatial orbitals; spatial orbital p holds spin
+orbitals 2p (alpha) and 2p+1 (beta).  The block's product states are
+|I_a I_b> = A(I_a) B(I_b) |0>, where A(I) = a+_{2p1} a+_{2p2} ... and
+B(I) = a+_{2p1+1} a+_{2p2+1} ... create the string's orbitals
+p1 < p2 < ... in ascending order.  With E^s_pq = a+_{ps} a_{qs},
 
     H = K^a (x) 1 + 1 (x) K^b + sum_pqrs (pq|rs) E^a_pq (x) E^b_rs + const,
     K^s = sum_pq k_pq E^s_pq + 1/2 sum_pqrs (pq|rs) E^s_pq E^s_rs,
@@ -22,12 +19,13 @@ built densely and solved with ``eigh``.  For larger ones only the lowest
 eigenpair is found, by Davidson's method (J. Comput. Phys. 17, 87
 (1975); :func:`lowest_eigenpair`) over the sigma-build
 C[I_a, I_b] -> (HC)[J_a, J_b], preconditioned by the block's diagonal,
-from a fixed start subspace.  The interleaved determinant equals the
-product state times a reorder phase, applied once to the eigenvector.
+from a fixed start subspace.  The ground state is handed over in that
+one form, its CI matrix over the string tables (:class:`CiState`).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -54,25 +52,17 @@ def _parity_below(det: int, index: int) -> int:
     return -1 if bin(det & ((1 << index) - 1)).count("1") % 2 else 1
 
 
-def apply_ladder(det: int, index: int, dagger: bool) -> tuple[int, int]:
-    """Apply a single ladder operator; returns (sign, new_det), sign 0 if killed."""
-    bit = 1 << index
-    if dagger:
-        if det & bit:
-            return 0, det
-        return _parity_below(det, index), det | bit
-    if not det & bit:
-        return 0, det
-    return _parity_below(det, index), det & ~bit
+@dataclass(frozen=True, eq=False)
+class CiState:
+    """A state of one (n_alpha, n_beta) block as its CI matrix:
+    sum_{I_a, I_b} c[I_a, I_b] A(I_a) B(I_b) |0>, with rows over the
+    strings of ``string_table(n_spatial, n_alpha)`` and columns over
+    those of ``string_table(n_spatial, n_beta)``."""
 
-
-@dataclass
-class Wavefunction:
-    """Sparse determinant -> amplitude map over a fixed particle sector."""
-
-    amplitudes: dict
-    n_spin_orbitals: int
-    n_electrons: int
+    c: np.ndarray
+    n_spatial: int
+    n_alpha: int
+    n_beta: int
 
 
 @dataclass(frozen=True)
@@ -121,9 +111,31 @@ def string_table(n_orbitals: int, n_electrons: int) -> StringTable:
     )
 
 
-def _spread(string: int) -> int:
-    """Alpha string -> the bits of its spin orbitals 2p."""
-    return sum(1 << 2 * p for p in range(string.bit_length()) if string >> p & 1)
+@lru_cache(maxsize=None)
+def annihilation_table(n_orbitals: int, n_electrons: int, k: int):
+    """k-fold annihilations over the strings of ``string_table(n_orbitals,
+    n_electrons)``: arrays (target, sign, subset), each of shape
+    (number of strings, C(n_electrons, k)).  Entry [I, x] is the x-th
+    ascending k-subset p1 < ... < pk of the orbitals occupied in string
+    I: a_{p1} ... a_{pk} |I> = sign |target>, with ``target`` indexed in
+    ``string_table(n_orbitals, n_electrons - k)`` and ``subset`` the
+    index of (p1, ..., pk) in ``combinations(range(n_orbitals), k)``."""
+    strings = string_table(n_orbitals, n_electrons).strings
+    index = {s: j for j, s in enumerate(string_table(n_orbitals, n_electrons - k).strings)}
+    packed = {p: j for j, p in enumerate(combinations(range(n_orbitals), k))}
+    target, sign, subset = [], [], []
+    for s in strings:
+        for p in combinations([q for q in range(n_orbitals) if s >> q & 1], k):
+            target.append(index[s - sum(1 << q for q in p)])
+            # a_pk acts first, and each later a_q acts below the removed orbitals
+            sign.append(math.prod(_parity_below(s, q) for q in p))
+            subset.append(packed[p])
+    shape = (len(strings), math.comb(n_electrons, k))
+    return (
+        np.array(target, dtype=np.intp).reshape(shape),
+        np.array(sign, dtype=float).reshape(shape),
+        np.array(subset, dtype=np.intp).reshape(shape),
+    )
 
 
 class HamiltonianAction:
@@ -170,21 +182,6 @@ class SectorBlock:
         self.size = self.shape[0] * self.shape[1]
         self.k_alpha = action.same_spin(self.alpha)
         self.k_beta = self.k_alpha if n_beta == n_alpha else action.same_spin(self.beta)
-
-    def determinants(self) -> np.ndarray:
-        """Interleaved bitmasks, in block order: int64 up to 63 spin
-        orbitals, Python ints beyond."""
-        dtype = np.int64 if self.action.n_spin < 64 else object
-        alpha = np.array([_spread(s) for s in self.alpha.strings], dtype=dtype)
-        beta = np.array([_spread(s) << 1 for s in self.beta.strings], dtype=dtype)
-        return (alpha[:, None] | beta[None, :]).ravel()
-
-    def phase(self) -> np.ndarray:
-        """|interleaved det> = phase * |I_a I_b>: (-1) per beta orbital
-        below each occupied alpha orbital."""
-        n = self.action.n_spatial
-        below = self.alpha.occupation @ np.tri(n, n, -1, dtype=int) @ self.beta.occupation.T
-        return (1 - 2 * (below % 2)).ravel()
 
     def matrix(self) -> np.ndarray:
         """Dense H over the block, in block order."""
@@ -286,8 +283,9 @@ def lowest_eigenpair(matvec, diagonal: np.ndarray) -> tuple[float, np.ndarray]:
 
 def ground_state(
     action: HamiltonianAction, n_electrons: int, sz: int
-) -> tuple[float, Wavefunction]:
-    """Lowest eigenpair of the (n_electrons, sz) sector, sz = 2 S_z.
+) -> tuple[float, CiState]:
+    """Lowest eigenpair (energy, state) of the (n_electrons, sz) sector,
+    sz = 2 S_z.
 
     The sector is the one (n_alpha, n_beta) block that sz names; an odd or
     out-of-range sector raises ``ValueError``.  It is solved by dense
@@ -296,9 +294,11 @@ def ground_state(
     is bit-identical on repeated solves and raises ``ConvergenceError`` if
     it does not converge.  A gap under 1e-10 between a dense block's two
     lowest eigenvalues is warned about; a block above ``DENSE_LIMIT`` has
-    only its lowest eigenvalue computed and is not gap-checked.  The
-    eigenvector is returned over the interleaved determinants, ascending,
-    with its largest-magnitude amplitude real positive.
+    only its lowest eigenvalue computed and is not gap-checked.  The state
+    is the block's :class:`CiState`, its real CI matrix signed so that its
+    largest-magnitude entry is positive.  Where that magnitude is shared
+    by entries of opposite sign, as in the antisymmetric C of a triplet,
+    rounding picks the entry, so the sign is fixed only up to it.
     """
     n_alpha, odd = divmod(n_electrons + sz, 2)
     n_beta = n_electrons - n_alpha
@@ -317,15 +317,5 @@ def ground_state(
         energy, vec = lowest_eigenpair(
             lambda v: block.sigma(v.reshape(block.shape)).ravel(), block.diagonal().ravel()
         )
-    dets = block.determinants()
-    # the dets are distinct, so every sort gives one order; the default
-    # quicksort would page 0.2-0.4 MB more of numpy's code into the RSS
-    order = np.argsort(dets, kind="stable")
-    dets, vec = dets[order], (block.phase() * vec)[order]
-    pivot = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.sign(vec[pivot]) or 1.0)
-    nonzero = vec != 0.0
-    wfn = Wavefunction(
-        dict(zip(dets[nonzero].tolist(), vec[nonzero].tolist())), action.n_spin, n_electrons
-    )
-    return energy, wfn
+    vec = vec * (np.sign(vec[np.argmax(np.abs(vec))]) or 1.0)
+    return energy, CiState(vec.reshape(block.shape), action.n_spatial, n_alpha, n_beta)

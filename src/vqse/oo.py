@@ -173,16 +173,17 @@ def givens_sweep(mol: MolecularIntegrals, gamma, big_gamma, partition: OrbitalPa
 
     ``gamma`` and ``big_gamma`` span the core and active orbitals
     (``core_active_rdms``); the virtuals carry no RDM weight.
-    Returns (U, RelaxationReport): the n x n orthogonal U = exp(kappa_1)
-    exp(kappa_2) ... with each kappa over the ``rotation_pairs``, and the
+    Returns (U, rotated, RelaxationReport): the n x n orthogonal U =
+    exp(kappa_1) exp(kappa_2) ... with each kappa over the
+    ``rotation_pairs``, the integrals rotated by U, and the
     ``energy_of_rotation`` at its start and after each accepted step.  An
     iteration takes the gradient and the exact Hessian
     (``orbital_gradient_and_hessian``) in the integrals of the current U,
     which are ``mol`` itself at the start and are rotated once per
-    accepted step, and the ``_rfo_step``.  The step,
-    halved after each of up to BACKTRACKS tries, is accepted on the first
-    strict drop of the energy; the iterations end when the step is shorter
-    than STEP_TOL or no try lowers the energy.  ``n_sweeps`` counts the
+    accepted step, and the ``_rfo_step``.  The step, halved after each of
+    up to BACKTRACKS tries, is accepted on the first strict drop of the
+    energy; the iterations end when the step is shorter than STEP_TOL or
+    no try lowers the energy.  ``n_sweeps`` counts the
     iterations and ``n_evaluations`` the energies plus the one
     gradient-and-Hessian of each iteration.
     """
@@ -218,7 +219,7 @@ def givens_sweep(mol: MolecularIntegrals, gamma, big_gamma, partition: OrbitalPa
         u, e_current = trial, e_trial
         rotated = rotate_integrals(mol, u)
         sweep_energies.append(e_current)
-    return u, RelaxationReport(
+    return u, rotated, RelaxationReport(
         initial_energy=e0,
         final_energy=e_current,
         sweep_energies=sweep_energies,
@@ -235,10 +236,10 @@ def relax_then_resolve(
     Each cycle solves the active-space ground state (``dress_core``, at
     2 S_z = SZ) on the current orbitals, embeds its spin-summed RDMs over
     the core and active orbitals (``core_active_rdms``), and relaxes the
-    orbitals by ``givens_sweep``; ``cycles = 1`` is the single-step
-    post-processing.  The cycles end early once the active energy drops by
-    less than CYCLE_TOL.  Returns (final MolecularIntegrals, per-cycle
-    active energies, reports).
+    orbitals by ``givens_sweep``, whose rotated integrals the next cycle
+    starts from; ``cycles = 1`` is the single-step post-processing.  The
+    cycles end early once the active energy drops by less than CYCLE_TOL.
+    Returns (final MolecularIntegrals, per-cycle active energies, reports).
     """
     from .fci import build_hamiltonian_action, ground_state
     from .integrals import dress_core
@@ -252,14 +253,13 @@ def relax_then_resolve(
     n_active_electrons = n_electrons - 2 * len(partition.core)
     for _ in range(cycles):
         active_mol = dress_core(mol_current, partition)
-        e_active, wfn = ground_state(
+        e_active, state = ground_state(
             build_hamiltonian_action(active_mol), n_active_electrons, SZ
         )
         energies.append(float(e_active))
-        gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
-        u, report = givens_sweep(mol_current, gamma, big_gamma, partition)
+        gamma, big_gamma = core_active_rdms(compute_rdm(state, 1), compute_rdm(state, 2), partition)
+        _, mol_current, report = givens_sweep(mol_current, gamma, big_gamma, partition)
         reports.append(report)
-        mol_current = rotate_integrals(mol_current, u)
         if len(energies) >= 2 and energies[-2] - energies[-1] < CYCLE_TOL:
             break
     return mol_current, energies, reports

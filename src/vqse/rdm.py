@@ -13,6 +13,11 @@ recursion,
 
 which rebuilds D3 from the measured D1 and D2, and D4 from D3 and D2.
 
+The measured RDMs are gathered from a state's CI matrix with no list of
+determinants: D = B+ B, with one block B of annihilation amplitudes per
+split of k into alpha and beta spin orbitals, read off the per-spin
+annihilation tables; a sign common to a block cancels in its B+ B.
+
 Every tensor here is antisymmetric within its upper and within its lower
 index group, so it is computed and stored only on strictly ordered
 (packed) index tuples: a rank-k tensor over n spin orbitals has
@@ -38,7 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fci import Wavefunction, apply_ladder
+from .fci import CiState, annihilation_table
 
 
 @lru_cache(maxsize=None)
@@ -96,6 +101,16 @@ def _split_index(n: int, k: int, a: int):
     s = np.repeat(_tuples(n, a), math.comb(n, k - a), axis=0)
     t = np.tile(_tuples(n, k - a), (math.comb(n, a), 1))
     return _sorted_position(np.concatenate([s, t], axis=1), n)
+
+
+@lru_cache(maxsize=None)
+def _spin_split_index(n: int, k_alpha: int, k_beta: int):
+    """:func:`_sorted_position` over 2n spin orbitals of the tuple
+    (2P, 2Q + 1) that joins every ascending k_alpha-tuple P of range(n)
+    to every ascending k_beta-tuple Q, P-major."""
+    p = np.repeat(2 * _tuples(n, k_alpha), math.comb(n, k_beta), axis=0)
+    q = np.tile(2 * _tuples(n, k_beta) + 1, (math.comb(n, k_alpha), 1))
+    return _sorted_position(np.concatenate([p, q], axis=1), 2 * n)
 
 
 @lru_cache(maxsize=None)
@@ -160,48 +175,39 @@ class Rdm:
         return out
 
 
-def _annihilation_amplitudes(wfn: Wavefunction, k: int) -> np.ndarray:
-    """Matrix B, one row per reduced determinant r and one column per
-    ascending tuple p1 < ... < pk, with
-    a_{p1} ... a_{pk} |psi> = sum_r B[r, (p1..pk)] |r>,
-    in the amplitudes' dtype."""
-    n = wfn.n_spin_orbitals
-    col_of = {combo: c for c, combo in enumerate(combinations(range(n), k))}
-    row_of: dict[int, int] = {}
-    rows, cols, values = [], [], []
-    for det, amp in wfn.amplitudes.items():
-        occ = [i for i in range(n) if det >> i & 1]
-        for combo in combinations(occ, k):
-            # apply a_{p_k} first (rightmost), ascending combo
-            sign, d = 1, det
-            for p in reversed(combo):
-                s, d = apply_ladder(d, p, False)
-                sign *= s
-            rows.append(row_of.setdefault(d, len(row_of)))
-            cols.append(col_of[combo])
-            values.append(sign * amp)
-    values = np.asarray(values)
-    b = np.zeros((len(row_of), len(col_of)), dtype=np.result_type(float, values))
-    b[rows, cols] = values
-    return b
+def compute_rdm(state: CiState, k: int) -> Rdm:
+    """k-particle RDM of a normalized CI state (k <= 4), in the dtype of
+    its CI matrix.
 
-
-def compute_rdm(wfn: Wavefunction, k: int) -> Rdm:
-    """k-particle RDM of a normalized wavefunction (k <= 4).
-
-    The packed D = B+ B is one matrix product over the stacked
-    reduced-determinant rows of :func:`_annihilation_amplitudes`, in the
-    amplitudes' dtype: float64 for a real wavefunction, complex for a
-    complex one.  If k exceeds the electron count the RDM vanishes
-    identically and is returned as an explicit zero matrix.
+    D = B+ B, with B[r, P] the amplitude of the reduced determinant r in
+    a_{P1} ... a_{Pk} |psi> at each ascending spin-orbital tuple P.  B
+    falls into one block per split k = k_a + k_b of P into alpha and beta
+    spin orbitals, each one scatter of the CI matrix through the alpha and
+    beta annihilation tables (:func:`vqse.fci.annihilation_table`):
+    a_{2P_a} a_{2P_b+1} A(I_a) B(I_b) |0> = (-1)^(k_b n_alpha) s_a s_b
+    A(J_a) B(J_b) |0>, the beta annihilators passing the alpha creators.
+    That sign is common to the block, so it cancels in its B+ B; the sign
+    of sorting (2P_a, 2P_b+1) and its packed index come from
+    :func:`_spin_split_index`.  With k above the electron count no split
+    exists and D is zero.
     """
     if k > 4 or k < 1:
         raise ValueError("only ranks 1..4 are supported")
-    n = wfn.n_spin_orbitals
-    if k > wfn.n_electrons:
-        return Rdm(k, n, np.zeros((math.comb(n, k),) * 2))
-    b = _annihilation_amplitudes(wfn, k)
-    return Rdm(k, n, b.conj().T @ b)
+    n, c = state.n_spatial, state.c
+    packed = np.zeros((math.comb(2 * n, k),) * 2, dtype=np.result_type(float, c))
+    for k_alpha in range(max(0, k - state.n_beta), min(k, state.n_alpha) + 1):
+        k_beta = k - k_alpha
+        target_a, sign_a, subset_a = annihilation_table(n, state.n_alpha, k_alpha)
+        target_b, sign_b, subset_b = annihilation_table(n, state.n_beta, k_beta)
+        positions, signs = _spin_split_index(n, k_alpha, k_beta)
+        reduced = (math.comb(n, state.n_alpha - k_alpha), math.comb(n, state.n_beta - k_beta))
+        b = np.zeros((reduced[0] * reduced[1], len(positions)), packed.dtype)
+        rows = target_a[:, :, None, None] * reduced[1] + target_b
+        cols = subset_a[:, :, None, None] * math.comb(n, k_beta) + subset_b
+        b[rows, cols] = sign_a[:, :, None, None] * c[:, None, :, None] * sign_b
+        b *= signs
+        packed[np.ix_(positions, positions)] = b.conj().T @ b
+    return Rdm(k, 2 * n, packed)
 
 
 def wedge(a: Rdm, b: Rdm) -> Rdm:

@@ -234,16 +234,16 @@ class VqseOptions:
     seed: int = 0
 
 
-def reference_rdms(wfn, options: VqseOptions) -> RdmSet:
+def reference_rdms(state, options: VqseOptions) -> RdmSet:
     """Active-space RDM set for the assembly, per the options.
 
-    Exact mode computes ranks 1-4 from the wavefunction; cumulant mode
+    Exact mode computes ranks 1-4 from the CI state; cumulant mode
     measures only ranks 1-2 and reconstructs 3 and 4 with the connected 3-
     and 4-body parts dropped.  ``shots`` adds Gaussian noise to each
     measured rank k, seeded with ``seed + k``, before any reconstruction.
     """
     measured = (1, 2) if options.cumulant else (1, 2, 3, 4)
-    rdms = {k: compute_rdm(wfn, k) for k in measured}
+    rdms = {k: compute_rdm(state, k) for k in measured}
     if options.shots:
         rdms = {
             k: inject_shot_noise(r, options.shots, options.seed + k)

@@ -11,11 +11,11 @@ import scipy.optimize
 from vqse import ANGSTROM_PER_BOHR, wick
 from vqse.exceptions import VqseError
 from vqse.fci import (
+    CiState,
     SectorBlock,
-    Wavefunction,
-    apply_ladder,
     build_hamiltonian_action,
     ground_state,
+    string_table,
 )
 from vqse.integrals import (
     Atom,
@@ -30,7 +30,7 @@ from vqse.integrals import (
     transform_to_mo,
 )
 from vqse.integrals.gaussians import _boys_rows, build_ao_basis
-from vqse.rdm import Rdm, _sorted_index, _tuples, compute_rdm, spin_summed_rdms, wedge
+from vqse.rdm import Rdm, _sorted_index, _tuples, spin_summed_rdms, wedge
 from vqse.spaces import OrbitalPartition, spatial_to_spin
 from vqse.subspace import (
     DEFAULT_EPS,
@@ -130,6 +130,19 @@ def casscf_2_2(r_angstrom: float, basis: str) -> float:
 # test-only views of package objects
 
 
+@dataclasses.dataclass
+class Wavefunction:
+    """Sparse determinant -> amplitude map over a fixed particle sector:
+    the determinant form of a state that the Fock-space oracles read.
+    Determinants are integer bitmasks (bit i set means spin orbital i is
+    occupied) with |det> = a+_{i1} a+_{i2} ... |0>, i1 < i2 < ...;
+    spatial orbital p holds spin orbitals 2p (alpha) and 2p+1 (beta)."""
+
+    amplitudes: dict
+    n_spin_orbitals: int
+    n_electrons: int
+
+
 def wavefunction_norm(wfn: Wavefunction) -> float:
     return float(np.sqrt(sum(abs(a) ** 2 for a in wfn.amplitudes.values())))
 
@@ -150,9 +163,11 @@ def overlap(bra: Wavefunction, ket: Wavefunction) -> complex:
 
 
 def rdm_trace(rdm: Rdm) -> complex:
-    """Trace of the RDM as an (n^k, n^k) matrix, N! / (N - k)!."""
-    size = rdm.n**rdm.k
-    return complex(np.trace(rdm.tensor.reshape(size, size)))
+    """Trace of the RDM as an (n^k, n^k) matrix, N! / (N - k)!: k! times
+    the trace of the packed matrix, since each ascending tuple stands for
+    its k! orderings, each with the square of its sorting sign, and a
+    tuple with a repeated index is zero."""
+    return complex(math.factorial(rdm.k) * np.trace(rdm.packed))
 
 
 def rdm_from_tensor(t: np.ndarray) -> Rdm:
@@ -194,10 +209,10 @@ def hermitized(rdm: Rdm) -> Rdm:
     return rdm_from_tensor(0.5 * (rdm.tensor + dag))
 
 
-def exact_rdms(wfn: Wavefunction) -> wick.RdmSet:
-    """The exact RDMs of ranks 1-4, as the scan prepares them without shot
-    noise or cumulants."""
-    return reference_rdms(wfn, VqseOptions())
+def exact_rdms(state: CiState) -> wick.RdmSet:
+    """The exact RDMs of ranks 1-4 of a CI state, as the scan prepares
+    them without shot noise or cumulants."""
+    return reference_rdms(state, VqseOptions())
 
 
 def canonical_orthogonalize(s: np.ndarray, eps: float = DEFAULT_EPS):
@@ -408,6 +423,18 @@ def _parity_below(det: int, index: int) -> int:
     return -1 if bin(det & ((1 << index) - 1)).count("1") % 2 else 1
 
 
+def apply_ladder(det: int, index: int, dagger: bool) -> tuple[int, int]:
+    """Apply a single ladder operator; returns (sign, new_det), sign 0 if killed."""
+    bit = 1 << index
+    if dagger:
+        if det & bit:
+            return 0, det
+        return _parity_below(det, index), det | bit
+    if not det & bit:
+        return 0, det
+    return _parity_below(det, index), det & ~bit
+
+
 def apply_ladder_string(string, det: int, n_spin_orbitals: int | None = None):
     """Apply a product of ladder operators (leftmost acts last).
 
@@ -425,9 +452,73 @@ def apply_ladder_string(string, det: int, n_spin_orbitals: int | None = None):
     return sign, det
 
 
-def full_space_expectation(bra: Wavefunction, terms, ket: Wavefunction) -> complex:
+def ci_determinants(n_spatial: int, n_alpha: int, n_beta: int) -> list:
+    """(sign, interleaved determinant) of each product state of the
+    (n_alpha, n_beta) block, in block order: A(I_a) B(I_b) |0> = sign |det>,
+    from applying the string's alpha creators and then its beta
+    creators, each ascending, to the vacuum."""
+    out = []
+    for alpha in string_table(n_spatial, n_alpha).strings:
+        for beta in string_table(n_spatial, n_beta).strings:
+            creators = [(2 * p, True) for p in range(n_spatial) if alpha >> p & 1]
+            creators += [(2 * p + 1, True) for p in range(n_spatial) if beta >> p & 1]
+            out.append(apply_ladder_string(creators, 0))
+    return out
+
+
+def fock_state(state) -> Wavefunction:
+    """The determinant form of a state: a ``Wavefunction`` as it is, and a
+    ``CiState`` through :func:`ci_determinants`, ascending by determinant,
+    with its zero amplitudes dropped."""
+    if isinstance(state, Wavefunction):
+        return state
+    dets = ci_determinants(state.n_spatial, state.n_alpha, state.n_beta)
+    amplitudes = {
+        det: sign * amp for (sign, det), amp in zip(dets, state.c.ravel().tolist()) if amp != 0
+    }
+    return Wavefunction(
+        dict(sorted(amplitudes.items())), 2 * state.n_spatial, state.n_alpha + state.n_beta
+    )
+
+
+def oracle_rdm(state, k: int) -> Rdm:
+    """Brute-force k-RDM of a normalized state in either form, the oracle
+    of ``compute_rdm``: D = B+ B, with one row of B per reduced
+    determinant r and one column per ascending tuple p1 < ... < pk,
+    a_{p1} ... a_{pk} |psi> = sum_r B[r, (p1..pk)] |r>, gathered one
+    determinant and one k-subset at a time through ``apply_ladder``."""
+    wfn = fock_state(state)
+    n = wfn.n_spin_orbitals
+    col_of = {combo: c for c, combo in enumerate(combinations(range(n), k))}
+    row_of: dict[int, int] = {}
+    rows, cols, values = [], [], []
+    for det, amp in wfn.amplitudes.items():
+        occ = [i for i in range(n) if det >> i & 1]
+        for combo in combinations(occ, k):
+            # apply a_{p_k} first (rightmost), ascending combo
+            sign, d = 1, det
+            for p in reversed(combo):
+                s, d = apply_ladder(d, p, False)
+                sign *= s
+            rows.append(row_of.setdefault(d, len(row_of)))
+            cols.append(col_of[combo])
+            values.append(sign * amp)
+    values = np.asarray(values)
+    b = np.zeros((len(row_of), len(col_of)), dtype=np.result_type(float, values))
+    b[rows, cols] = values
+    return Rdm(k, n, b.conj().T @ b)
+
+
+def oracle_rdms(state) -> wick.RdmSet:
+    """The brute-force RDMs of ranks 1-4 (:func:`oracle_rdm`)."""
+    return wick.RdmSet({k: oracle_rdm(state, k) for k in range(1, 5)})
+
+
+def full_space_expectation(bra, terms, ket) -> complex:
     """Brute-force oracle for the RDM and Wick modules:
-    <bra| sum_t coeff_t string_t |ket> by explicit determinant application."""
+    <bra| sum_t coeff_t string_t |ket> by explicit determinant application,
+    on states in either form (:func:`fock_state`)."""
+    bra, ket = fock_state(bra), fock_state(ket)
     if bra.n_spin_orbitals != ket.n_spin_orbitals:
         raise ValueError("bra and ket live in different Fock spaces")
     total = 0.0 + 0.0j
@@ -728,13 +819,14 @@ def _md_eri(ab: _MdPair, cd: _MdPair) -> float:
     return val
 
 
-def embed_wavefunction(wfn: Wavefunction, partition: OrbitalPartition, n_full: int):
-    """Map an active-space wavefunction into the full Fock space of
-    ``n_full`` spin orbitals, next to a doubly occupied core (virtuals
-    empty): active spin orbital k becomes ``partition.active_spin[k]``, in
-    any order of the active orbitals.  Each determinant takes the sign of
-    putting its mapped creators in ascending order; a core pair commutes
-    with every creator."""
+def embed_wavefunction(state, partition: OrbitalPartition, n_full: int):
+    """Map an active-space state (in either form, :func:`fock_state`) into
+    the full Fock space of ``n_full`` spin orbitals, next to a doubly
+    occupied core (virtuals empty): active spin orbital k becomes
+    ``partition.active_spin[k]``, in any order of the active orbitals.
+    Each determinant takes the sign of putting its mapped creators in
+    ascending order; a core pair commutes with every creator."""
+    wfn = fock_state(state)
     spots = partition.active_spin
     core_spin = spatial_to_spin(partition.core)
     core = sum(1 << so for so in core_spin)
@@ -746,12 +838,12 @@ def embed_wavefunction(wfn: Wavefunction, partition: OrbitalPartition, n_full: i
     return Wavefunction(amplitudes, n_full, wfn.n_electrons + len(core_spin))
 
 
-def lifted_rdms(wfn: Wavefunction, partition: OrbitalPartition):
+def lifted_rdms(state, partition: OrbitalPartition):
     """(gamma, Gamma) over every orbital of ``partition``: the spin-summed
-    RDMs of the active state lifted next to its doubly occupied core
-    (``embed_wavefunction``)."""
-    full = embed_wavefunction(wfn, partition, 2 * partition.n_spatial)
-    return spin_summed_rdms(compute_rdm(full, 1), compute_rdm(full, 2))
+    brute-force RDMs of the active state lifted next to its doubly
+    occupied core (``embed_wavefunction``)."""
+    full = embed_wavefunction(state, partition, 2 * partition.n_spatial)
+    return spin_summed_rdms(oracle_rdm(full, 1), oracle_rdm(full, 2))
 
 
 def random_wavefunction(n_spin_orbitals, n_electrons, rng, sz=None, complex_amps=False):
@@ -760,6 +852,40 @@ def random_wavefunction(n_spin_orbitals, n_electrons, rng, sz=None, complex_amps
     if complex_amps:
         amps = amps + 1j * rng.normal(size=len(dets))
     return normalized(Wavefunction(dict(zip(dets, amps)), n_spin_orbitals, n_electrons))
+
+
+def random_ci_state(n_spatial, n_alpha, n_beta, rng, complex_amps=False) -> CiState:
+    """A normalized CI state of the (n_alpha, n_beta) block with
+    independent normal amplitudes (real and imaginary parts with
+    ``complex_amps``)."""
+    shape = (math.comb(n_spatial, n_alpha), math.comb(n_spatial, n_beta))
+    c = rng.normal(size=shape)
+    if complex_amps:
+        c = c + 1j * rng.normal(size=shape)
+    return CiState(c / np.linalg.norm(c), n_spatial, n_alpha, n_beta)
+
+
+def sector_states(n_spatial, n_electrons, rng, complex_amps=False) -> list:
+    """One :func:`random_ci_state` per (n_alpha, n_beta) block of
+    ``n_electrons`` over ``n_spatial`` orbitals, n_alpha ascending: the
+    blocks that a state of no fixed S_z spans."""
+    return [
+        random_ci_state(n_spatial, a, n_electrons - a, rng, complex_amps)
+        for a in range(max(0, n_electrons - n_spatial), min(n_electrons, n_spatial) + 1)
+    ]
+
+
+def determinant_state(n_spatial: int, det: int) -> CiState:
+    """The CI state of one interleaved determinant ``det``, amplitude 1 on
+    its product state (the determinant up to sign)."""
+    alpha = sum((det >> 2 * p & 1) << p for p in range(n_spatial))
+    beta = sum((det >> 2 * p + 1 & 1) << p for p in range(n_spatial))
+    n_alpha, n_beta = bin(alpha).count("1"), bin(beta).count("1")
+    rows = string_table(n_spatial, n_alpha).strings
+    cols = string_table(n_spatial, n_beta).strings
+    c = np.zeros((len(rows), len(cols)))
+    c[rows.index(alpha), cols.index(beta)] = 1.0
+    return CiState(c, n_spatial, n_alpha, n_beta)
 
 
 def wick_expectation(ops, rdms, partition: OrbitalPartition) -> complex:

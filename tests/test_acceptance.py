@@ -22,10 +22,11 @@ from conftest import (
     canonical_orthogonalize,
     casscf_2_2,
     embed_wavefunction,
-    exact_rdms,
     full_space_expectation,
     h2_case,
     h2_fci,
+    oracle_rdms,
+    random_ci_state,
     random_wavefunction,
     rdm_trace,
     wick_expectation,
@@ -122,7 +123,7 @@ def test_contraction_engine_matches_fock_space_oracle():
     partition = OrbitalPartition(core=(), active=(0, 1), virtual=(2, 3))
     spins = partition.active_spin + partition.virtual_spin
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = exact_rdms(wfn)
+    rdms = oracle_rdms(wfn)
     full = embed_wavefunction(wfn, partition, 8)
     for _ in range(1000):
         length = int(rng.integers(0, 7)) * 2  # even lengths 0..12
@@ -146,7 +147,7 @@ def test_double_double_matrix_element_closed_form():
     rng = np.random.default_rng(99)
     partition = OrbitalPartition(core=(), active=(0, 1), virtual=(2, 3))
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = exact_rdms(wfn)
+    rdms = oracle_rdms(wfn)
     full = embed_wavefunction(wfn, partition, 8)
     active = partition.active_spin
     virtual = partition.virtual_spin
@@ -340,7 +341,7 @@ def test_sweep_traces_monotone_non_increasing():
         d1 = compute_rdm(case["wfn"], 1)
         d2 = compute_rdm(case["wfn"], 2)
         gamma, big_gamma = core_active_rdms(d1, d2, case["partition"])
-        _, report = givens_sweep(case["mol"], gamma, big_gamma, case["partition"])
+        _, _, report = givens_sweep(case["mol"], gamma, big_gamma, case["partition"])
         trace = report.sweep_energies
         assert all(b <= a + TOL_EIG for a, b in zip(trace, trace[1:])), (r, trace)
 
@@ -371,10 +372,9 @@ def test_energy_from_rdms_equals_eigenvalue():
 def test_rdm_trace_identities():
     """tr D_k = N!/(N-k)! for a correlated 4-electron state and for the
     2-electron molecular ground states."""
-    rng = np.random.default_rng(12)
-    wfn = random_wavefunction(8, 4, rng, sz=0, complex_amps=True)
+    state = random_ci_state(4, 2, 2, np.random.default_rng(12), complex_amps=True)
     for k, expected in ((1, 4.0), (2, 12.0), (3, 24.0), (4, 24.0)):
-        assert rdm_trace(compute_rdm(wfn, k)) == pytest.approx(expected, abs=TOL_TRACE)
+        assert rdm_trace(compute_rdm(state, k)) == pytest.approx(expected, abs=TOL_TRACE)
     case = h2_case(0.7414, "6-31g")
     _, ground = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
     assert rdm_trace(compute_rdm(ground, 1)) == pytest.approx(2.0, abs=TOL_TRACE)

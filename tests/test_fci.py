@@ -10,7 +10,11 @@ import scipy.linalg
 
 from conftest import (
     SlaterCondon,
+    Wavefunction,
+    apply_ladder,
     apply_ladder_string,
+    ci_determinants,
+    fock_state,
     full_space_expectation,
     h2_case,
     h4_chain_mol,
@@ -24,16 +28,19 @@ from conftest import (
 from test_integrals import random_symmetric_integrals
 from vqse import ANGSTROM_PER_BOHR, fci
 from vqse.exceptions import ConvergenceError
-from vqse.fci import (
-    Wavefunction,
-    apply_ladder,
-    build_hamiltonian_action,
-    ground_state,
-)
+from vqse.fci import build_hamiltonian_action, ground_state
 from vqse.integrals import MolecularIntegrals
 
 TOL_EXACT = 1e-12
 TOL_VECTOR = 1e-10
+
+
+def block_determinants(block):
+    """(signs, interleaved determinants) of the block's product states, in
+    block order (:func:`ci_determinants`)."""
+    n_alpha, n_beta = (int(t.occupation[0].sum()) for t in (block.alpha, block.beta))
+    signs, dets = zip(*ci_determinants(block.action.n_spatial, n_alpha, n_beta))
+    return np.array(signs), list(dets)
 
 
 def sector_matrix(mol, n_electrons, sz=None):
@@ -41,8 +48,8 @@ def sector_matrix(mol, n_electrons, sz=None):
     determinants, ascending, with zeros between blocks."""
     dets, blocks = [], []
     for block in sector_blocks(build_hamiltonian_action(mol), n_electrons, sz):
-        phase = block.phase()
-        dets += block.determinants().tolist()
+        phase, block_dets = block_determinants(block)
+        dets += block_dets
         blocks.append(phase[:, None] * block.matrix() * phase[None, :])
     order = np.argsort(dets)
     h = scipy.linalg.block_diag(*blocks)
@@ -173,10 +180,10 @@ def test_apply_matches_dense_matrix():
     x = rng.normal(size=len(dets))
     ref = dict(zip(dets, h @ x))
     for block in sector_blocks(action, 2):
-        phase = block.phase()
-        xb = np.array([x[dets.index(d)] for d in block.determinants()]) * phase
+        phase, block_dets = block_determinants(block)
+        xb = np.array([x[dets.index(d)] for d in block_dets]) * phase
         hx = block.sigma(xb.reshape(block.shape)).ravel() * phase
-        for det, value in zip(block.determinants(), hx):
+        for det, value in zip(block_dets, hx):
             assert value == pytest.approx(ref[det], abs=1e-10)
 
 
@@ -219,11 +226,13 @@ def test_ground_state_matches_oracle_eigenvector():
     dets, h = h4_oracle()
     evals, evecs = np.linalg.eigh(h)
     ref = evecs[:, 0] * np.sign(evecs[np.argmax(np.abs(evecs[:, 0])), 0])
-    energy, wfn = ground_state(build_hamiltonian_action(h4_chain_mol("6-31g")), 4, sz=0)
+    energy, state = ground_state(build_hamiltonian_action(h4_chain_mol("6-31g")), 4, sz=0)
     assert energy == pytest.approx(evals[0], abs=TOL_VECTOR)
-    assert list(wfn.amplitudes) == dets
-    amps = np.array(list(wfn.amplitudes.values()))
-    assert np.max(np.abs(amps - ref)) < TOL_VECTOR
+    wfn = fock_state(state)
+    amps = np.array([wfn.amplitudes.get(d, 0.0) for d in dets])
+    # the CI matrix's largest entry is positive, so the vectors agree up to sign
+    assert np.max(np.abs(amps - ref * np.sign(ref @ amps))) < TOL_VECTOR
+    assert state.c.flat[np.argmax(np.abs(state.c))] > 0
 
 
 def test_davidson_branch_matches_dense_and_is_deterministic(monkeypatch):
@@ -238,11 +247,10 @@ def test_davidson_branch_matches_dense_and_is_deterministic(monkeypatch):
     monkeypatch.setattr(fci, "DENSE_LIMIT", block.size)
     e_dense, dense = ground_state(action, 4, sz=0)
     assert e_first == e_second
-    assert list(first.amplitudes.items()) == list(second.amplitudes.items())
+    assert first.c.tobytes() == second.c.tobytes()
     assert e_first == pytest.approx(e_dense, abs=TOL_VECTOR)
-    assert list(first.amplitudes) == list(dense.amplitudes)
-    diff = [first.amplitudes[d] - a for d, a in dense.amplitudes.items()]
-    assert np.max(np.abs(diff)) < TOL_VECTOR
+    assert first.c.shape == dense.c.shape == block.shape
+    assert np.max(np.abs(first.c - dense.c)) < TOL_VECTOR
 
 
 def test_block_diagonal_matches_dense_matrix():
@@ -276,12 +284,13 @@ def test_davidson_finds_flip_odd_ground_state(monkeypatch):
 
     _, dense = ground_state(action, 2, sz=0)
     monkeypatch.setattr(fci, "DENSE_LIMIT", 8)
-    energy, wfn = ground_state(action, 2, sz=0)
+    energy, state = ground_state(action, 2, sz=0)
     assert energy == pytest.approx(evals[0], abs=TOL_EXACT)
     assert energy < evals[1] - 0.1  # not the flip-even -2.5009 Ha
-    assert list(wfn.amplitudes) == list(dense.amplitudes)
-    diff = [wfn.amplitudes[d] - a for d, a in dense.amplitudes.items()]
-    assert np.max(np.abs(diff)) < TOL_VECTOR
+    # an antisymmetric C has its largest magnitude at two entries of
+    # opposite sign, so rounding alone picks which one is made positive
+    sign = np.sign(np.vdot(dense.c, state.c))
+    assert np.max(np.abs(sign * state.c - dense.c)) < TOL_VECTOR
 
 
 def test_davidson_stops_once_its_subspace_spans_the_matrix():
@@ -345,41 +354,28 @@ def test_near_degenerate_dense_block_warns(monkeypatch):
     assert energy == pytest.approx(-1.0, abs=TOL_EXACT)
 
 
-def test_determinants_past_63_spin_orbitals():
-    """Past 63 spin orbitals an interleaved determinant does not fit in
-    int64; the 2-electron block over 32 orbitals still lists every one,
-    and its ground state is ordered by them."""
-    mol = random_symmetric_integrals(32, np.random.default_rng(31))
-    action = build_hamiltonian_action(mol)
-    (block,) = sector_blocks(action, 2, sz=0)
-    dets = sector_determinants(64, 2, 0)
-    assert max(dets) >= 2**63
-    assert sorted(block.determinants().tolist()) == dets
-    _, wfn = ground_state(action, 2, sz=0)
-    assert list(wfn.amplitudes) == [d for d in dets if d in wfn.amplitudes]
-
-
 def test_h4_ccpvdz_ground_state_above_dense_limit():
     """H4/cc-pVDZ at 1.8 bohr: 36 100 determinants, past DENSE_LIMIT with
     no patching.  The residual bound is ten times the solver's stopping
     tolerance on |H v - E v|."""
     action = build_hamiltonian_action(h4_chain_mol("cc-pvdz"))
-    energy, wfn = ground_state(action, 4, sz=0)
+    energy, state = ground_state(action, 4, sz=0)
     assert energy == pytest.approx(-2.260047334, abs=1e-9)
     (block,) = sector_blocks(action, 4, sz=0)
     assert block.size == 36100 > fci.DENSE_LIMIT
-    v = block.phase() * np.array([wfn.amplitudes.get(d, 0.0) for d in block.determinants()])
-    residual = block.sigma(v.reshape(block.shape)).ravel() - energy * v
+    v = state.c.ravel()
+    residual = block.sigma(state.c).ravel() - energy * v
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=TOL_EXACT)
     assert np.linalg.norm(residual) < 1e-9
 
 
 def test_h2_sto3g_ground_energy():
     case = h2_case(1.4 * ANGSTROM_PER_BOHR, "sto-3g")
-    energy, wfn = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
+    energy, state = ground_state(build_hamiltonian_action(case["mol"]), 2, sz=0)
     assert energy == pytest.approx(-1.137, abs=1e-3)
     # eigenpair residual
     dets = sector_determinants(case["mol"].n_spin, 2)
+    wfn = fock_state(state)
     x = np.array([wfn.amplitudes.get(d, 0.0) for d in dets])
     hx = SlaterCondon(case["mol"]).dense_matrix(dets) @ x
     for k, det in enumerate(dets):
@@ -400,9 +396,10 @@ def test_noninteracting_sum_of_orbital_energies():
 def test_one_dimensional_sector_is_diagonal_element():
     rng = np.random.default_rng(8)
     mol = random_symmetric_integrals(1, rng, e_nuc=0.9)
-    energy, wfn = ground_state(build_hamiltonian_action(mol), 2, sz=0)
+    energy, state = ground_state(build_hamiltonian_action(mol), 2, sz=0)
     assert energy == pytest.approx(SlaterCondon(mol).diagonal(0b11), abs=TOL_EXACT)
-    assert wfn.amplitudes == {0b11: 1.0}
+    assert state.c.tolist() == [[1.0]]
+    assert fock_state(state).amplitudes == {0b11: 1.0}
 
 
 def test_ground_state_variational_under_sz_restriction():

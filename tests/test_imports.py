@@ -98,13 +98,15 @@ def test_scipy_import_scan_sees_every_form(tmp_path):
 
 def test_exact_scan_point_loads_no_numpy_random(tmp_path):
     """An exact-RDM scan point with the full-FCI oracle, and an FCI solve
-    past ``DENSE_LIMIT``, draw nothing at random: their Davidson start
-    vectors are fixed, and loading ``numpy.random`` costs a process about
-    5 MB of resident memory.  Configs with shots draw their noise from it."""
+    past ``DENSE_LIMIT`` with the 2-RDM of its CI state, draw nothing at
+    random: their Davidson start vectors are fixed, and loading
+    ``numpy.random`` costs a process about 5 MB of resident memory.
+    Configs with shots draw their noise from it.  None of them loads a
+    scipy module either, so they run on numpy's BLAS alone."""
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from vqse import fci\n"
+        "from vqse import fci, rdm\n"
         "from vqse.cli import ScanConfig, run_scan\n"
         "from vqse.integrals import MolecularIntegrals\n"
         "config = ScanConfig(points_angstrom=[0.75], basis='6-31g', vqse=True, full_fci=True)\n"
@@ -114,8 +116,10 @@ def test_exact_scan_point_loads_no_numpy_random(tmp_path):
         "mol = MolecularIntegrals(n_spatial=n, e_nuc=0.0, h1=h1, eri=np.zeros((n,) * 4))\n"
         "action = fci.build_hamiltonian_action(mol)\n"
         "assert fci.SectorBlock(action, 1, 1).size > fci.DENSE_LIMIT\n"
-        "fci.ground_state(action, 2, sz=0)\n"
+        "_, state = fci.ground_state(action, 2, sz=0)\n"
+        "assert rdm.compute_rdm(state, 2).packed.shape == (561, 561)\n"
         "print('numpy.random' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -125,4 +129,4 @@ def test_exact_scan_point_loads_no_numpy_random(tmp_path):
         cwd=PACKAGE.parent,
         timeout=120,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "[]"]

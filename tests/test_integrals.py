@@ -13,6 +13,7 @@ import scipy.linalg
 from conftest import (
     DATA_DIR,
     SlaterCondon,
+    Wavefunction,
     boys_function,
     full_space_expectation,
     h2_case,
@@ -23,11 +24,7 @@ from conftest import (
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import ParseError
-from vqse.fci import (
-    Wavefunction,
-    build_hamiltonian_action,
-    ground_state,
-)
+from vqse.fci import build_hamiltonian_action, ground_state
 from vqse.integrals import (
     MolecularIntegrals,
     compute_ao_integrals,

@@ -9,16 +9,19 @@ import vqse.oo
 from conftest import (
     RotationParameters,
     SlaterCondon,
+    Wavefunction,
+    fock_state,
     full_space_expectation,
     givens_matrix,
     h2_case,
     lifted_rdms,
+    oracle_rdm,
     random_wavefunction,
     rotation_generators,
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import VqseError
-from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
+from vqse.fci import build_hamiltonian_action, ground_state
 from vqse.integrals import dress_core, rotate_integrals
 from vqse.oo import (
     core_active_rdms,
@@ -150,7 +153,7 @@ def test_rotation_matches_full_space_oracle():
     case = h2_case(R_A, "6-31g")
     d1, d2 = full_rdms(case)
     wfn = case["wfn"]
-    embedded = Wavefunction(dict(wfn.amplitudes), 8, 2)
+    embedded = Wavefunction(dict(fock_state(wfn).amplitudes), 8, 2)
     for seed, scale in ((63, 0.1), (62, 1.0)):
         gen = scale * np.random.default_rng(seed).normal(size=(4, 4))
         u = scipy.linalg.expm(gen - gen.T)
@@ -176,7 +179,7 @@ def test_occupied_block_matches_full_rotation():
         (cc["mol"], cc["partition"], cc["wfn"]),
     )
     for mol, partition, wfn in cases:
-        a1, a2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+        a1, a2 = oracle_rdm(wfn, 1), oracle_rdm(wfn, 2)
         a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
         u = scipy.linalg.expm(a - a.T)
         e_full = energy_from_rdms(rotate_integrals(mol, u), *lifted_rdms(wfn, partition))
@@ -192,7 +195,7 @@ def test_core_active_rdms_are_the_full_embedding_block():
     orbitals are not in ascending order."""
     rng = np.random.default_rng(66)
     wfn = random_wavefunction(4, 2, rng)
-    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+    d1, d2 = oracle_rdm(wfn, 1), oracle_rdm(wfn, 2)
     for partition in (
         OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,)),
         OrbitalPartition(core=(1,), active=(2, 0), virtual=(3, 4)),
@@ -248,7 +251,7 @@ def _derivative_cases(rng):
 def _derivatives_at_random_rotation(mol, partition, wfn, pairs, rng):
     """(energy, generators, g, H) at a random, non-stationary U: energy(K)
     is energy_of_rotation at U exp(K) with the core+active RDMs."""
-    gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+    gamma, big_gamma = core_active_rdms(oracle_rdm(wfn, 1), oracle_rdm(wfn, 2), partition)
     a = rng.normal(size=(mol.n_spatial, mol.n_spatial))
     u = scipy.linalg.expm(a - a.T)
     support = sorted(partition.core + partition.active)
@@ -306,7 +309,7 @@ def test_orbital_hessian_matches_central_differences():
 def test_sweep_monotone_and_below_start():
     case = h2_case(R_A, "6-31g")
     d1, d2 = full_rdms(case)
-    u, report = givens_sweep(case["mol"], *sweep_rdms(case), case["partition"])
+    u, _, report = givens_sweep(case["mol"], *sweep_rdms(case), case["partition"])
     assert report.final_energy <= report.initial_energy + 1e-12
     trace = [report.initial_energy] + report.sweep_energies
     assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
@@ -324,8 +327,8 @@ def test_sweep_with_core_ends_at_zero_gradient():
     mol = h2_case(R_A, "6-31g")["mol"]
     partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     wfn = random_wavefunction(4, 2, rng)
-    gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
-    u, report = givens_sweep(mol, gamma, big_gamma, partition)
+    gamma, big_gamma = core_active_rdms(oracle_rdm(wfn, 1), oracle_rdm(wfn, 2), partition)
+    u, _, report = givens_sweep(mol, gamma, big_gamma, partition)
     assert report.final_energy < report.initial_energy - 1e-6
     support = sorted(partition.core + partition.active)
     g, _ = orbital_gradient_and_hessian(
@@ -338,9 +341,11 @@ def test_sweep_stationary_at_optimum():
     """Relaxing again in the relaxed orbitals finds no further rotation."""
     case = h2_case(R_A, "6-31g")
     d1, d2 = sweep_rdms(case)
-    u, report = givens_sweep(case["mol"], d1, d2, case["partition"])
-    relaxed = rotate_integrals(case["mol"], u)
-    u2, report2 = givens_sweep(relaxed, d1, d2, case["partition"])
+    u, relaxed, report = givens_sweep(case["mol"], d1, d2, case["partition"])
+    rotated = rotate_integrals(case["mol"], u)
+    assert relaxed.h1.tobytes() == rotated.h1.tobytes()
+    assert relaxed.eri.tobytes() == rotated.eri.tobytes()
+    u2, _, report2 = givens_sweep(relaxed, d1, d2, case["partition"])
     assert np.max(np.abs(u2 - np.eye(4))) < 1e-6
     assert report2.final_energy == pytest.approx(report.final_energy, abs=1e-9)
 
@@ -363,7 +368,7 @@ def test_relax_cycles_match_manual_single_step():
     case = h2_case(R_A, "6-31g")
     partition = case["partition"]
     _, energies, reports = relax_then_resolve(case["mol"], partition, 2, cycles=1)
-    _, manual = givens_sweep(case["mol"], *sweep_rdms(case), partition)
+    _, _, manual = givens_sweep(case["mol"], *sweep_rdms(case), partition)
     assert reports[0].final_energy == pytest.approx(manual.final_energy, abs=TOL_ORACLE)
 
 
@@ -416,8 +421,14 @@ def test_relax_full_active_space_is_idempotent():
     assert not partition.virtual and not partition.core
     _, energies, reports = relax_then_resolve(case["mol"], partition, 2, cycles=3)
     assert reports[0].final_energy == pytest.approx(energies[0], abs=TOL_ORACLE)
-    u, _ = givens_sweep(case["mol"], *sweep_rdms(case), partition)
+    u, rotated, _ = givens_sweep(case["mol"], *sweep_rdms(case), partition)
     assert np.array_equal(u, np.eye(2))
+    # with no step taken the sweep hands back the integrals it was given,
+    # byte for byte the rotation by the identity
+    assert rotated is case["mol"]
+    identity = rotate_integrals(case["mol"], u)
+    assert rotated.h1.tobytes() == identity.h1.tobytes()
+    assert rotated.eri.tobytes() == identity.eri.tobytes()
     with pytest.raises(VqseError):
         relax_then_resolve(case["mol"], partition, 2, cycles=0)
 

@@ -9,24 +9,31 @@ import pytest
 
 from conftest import (
     SlaterCondon,
+    Wavefunction,
     combined,
+    determinant_state,
     embed_wavefunction,
+    fock_state,
     full_space_expectation,
     h2_case,
     hermitized,
     higher_cumulants,
     lifted_rdms,
+    oracle_rdm,
+    random_ci_state,
     random_wavefunction,
     rdm_from_tensor,
     rdm_trace,
+    sector_states,
 )
 from vqse import ANGSTROM_PER_BOHR
 from vqse.exceptions import PartitionError
-from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
+from vqse.fci import build_hamiltonian_action, ground_state
 from vqse.integrals import rotate_integrals
 from vqse.oo import core_active_rdms
 from vqse.rdm import (
     Rdm,
+    _split_index,
     compute_rdm,
     cumulant_rdms,
     energy_from_rdms,
@@ -92,69 +99,115 @@ def antisymmetry_oracle(t):
 
 
 def test_determinant_1rdm_is_occupation_diagonal():
-    wfn = Wavefunction({0b01101: 1.0}, 5, 3)
-    d1 = compute_rdm(wfn, 1)
-    assert np.allclose(d1.tensor, np.diag([1.0, 0.0, 1.0, 1.0, 0.0]), atol=TOL_EXACT)
+    d1 = compute_rdm(determinant_state(3, 0b001101), 1)
+    assert np.allclose(d1.tensor, np.diag([1.0, 0.0, 1.0, 1.0, 0.0, 0.0]), atol=TOL_EXACT)
 
 
 def test_trace_identities():
-    rng = np.random.default_rng(21)
-    wfn = random_wavefunction(8, 4, rng, complex_amps=True)
+    """On a complex state of every (n_alpha, n_beta) block of 4 electrons
+    over 4 spatial orbitals."""
     n_e = 4
-    for k in range(1, 5):
-        d = compute_rdm(wfn, k)
-        expected = math.factorial(n_e) / math.factorial(n_e - k)
-        assert rdm_trace(d).real == pytest.approx(expected, abs=1e-9)
-        assert abs(rdm_trace(d).imag) < 1e-9
+    for state in sector_states(4, n_e, np.random.default_rng(21), complex_amps=True):
+        for k in range(1, 5):
+            d = compute_rdm(state, k)
+            expected = math.factorial(n_e) / math.factorial(n_e - k)
+            assert rdm_trace(d).real == pytest.approx(expected, abs=1e-9)
+            assert abs(rdm_trace(d).imag) < 1e-9
 
 
 def test_rdm_matches_fock_space_oracle():
     """Every ordered element of the 1- to 4-RDM of a correlated complex
-    4-electron state equals the brute-force expectation
-    <a+_uk .. a+_u1 a_p1 .. a_pk>; the dtype follows the amplitudes."""
+    4-electron state of each block over 3 spatial orbitals equals the
+    brute-force expectation <a+_uk .. a+_u1 a_p1 .. a_pk>; the dtype
+    follows the CI matrix."""
     rng = np.random.default_rng(24)
-    wfn = random_wavefunction(6, 4, rng, complex_amps=True)
+    for state in sector_states(3, 4, rng, complex_amps=True):
+        wfn = fock_state(state)
+        for k in range(1, 5):
+            t = compute_rdm(state, k).tensor
+            assert t.dtype == np.complex128
+            for upper in combinations(range(6), k):
+                for lower in combinations(range(6), k):
+                    ops = [(u, True) for u in reversed(upper)] + [(p, False) for p in lower]
+                    ref = full_space_expectation(wfn, [(1.0, ops)], wfn)
+                    assert t[upper + lower] == pytest.approx(ref, abs=TOL_EXACT)
+    for state in sector_states(3, 4, rng):
+        assert all(compute_rdm(state, k).tensor.dtype == np.float64 for k in range(1, 5))
+
+
+@pytest.mark.parametrize("n_spatial", [4, 6], ids=["8so", "12so"])
+@pytest.mark.parametrize("n_alpha, n_beta", [(2, 2), (3, 1), (2, 0), (0, 0)])
+@pytest.mark.parametrize("complex_amps", [False, True], ids=["real", "complex"])
+def test_rdm_matches_brute_force_oracle(n_spatial, n_alpha, n_beta, complex_amps):
+    """The packed RDMs of ranks 1-4 of a random CI state equal the
+    brute-force gather over its determinants to 1e-14, on 8 and 12 spin
+    orbitals, in the dtype of the CI matrix; ranks above n_alpha, and
+    above the electron count (the zero matrix), included."""
+    rng = np.random.default_rng(100 * n_spatial + 10 * n_alpha + n_beta)
+    state = random_ci_state(n_spatial, n_alpha, n_beta, rng, complex_amps)
     for k in range(1, 5):
-        d = compute_rdm(wfn, k)
-        assert d.tensor.dtype == np.complex128
-        for upper in combinations(range(6), k):
-            for lower in combinations(range(6), k):
-                ops = [(u, True) for u in reversed(upper)] + [(p, False) for p in lower]
-                ref = full_space_expectation(wfn, [(1.0, ops)], wfn)
-                assert d.tensor[upper + lower] == pytest.approx(ref, abs=TOL_EXACT)
-    real = random_wavefunction(6, 4, rng)
-    assert all(compute_rdm(real, k).tensor.dtype == np.float64 for k in range(1, 5))
+        d = compute_rdm(state, k)
+        assert d.packed.dtype == (np.complex128 if complex_amps else np.float64)
+        assert d.packed.shape == (math.comb(2 * n_spatial, k),) * 2
+        assert np.max(np.abs(d.packed - oracle_rdm(state, k).packed)) < 1e-14, k
+        if k > n_alpha + n_beta:
+            assert not np.any(d.packed)
+
+
+def test_rdm_peak_memory_over_sixteen_spin_orbitals():
+    """A 4 alpha, 4 beta CI matrix over 8 orbitals (4900 determinants):
+    ranks 1-2 equal the brute-force gather, ranks 3-4 pass the
+    partial-trace identity, contracting one upper-lower pair of D_k to
+    (N - k + 1) D_(k-1), and the rank 1-4 build stays under 45 MB.  The
+    four packed outputs take 29.1 MB (26.5 MB for the 1820 x 1820 4-RDM),
+    and the largest split of the 4-RDM holds a 784 x 784 B block, its
+    B+ B and its scatter indices (14 MB together) while it runs."""
+    state = random_ci_state(8, 4, 4, np.random.default_rng(16))
+    tracemalloc.start()
+    try:
+        rdms = {k: compute_rdm(state, k) for k in range(1, 5)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"rank 1-4 build peak over 16 spin orbitals: {peak / 1e6:.1f} MB")
+    assert peak < 45e6
+    for k in (1, 2):
+        assert np.max(np.abs(rdms[k].packed - oracle_rdm(state, k).packed)) < 1e-14, k
+    for k in (3, 4):
+        # sum_r D_k[(r, U), (r, P)] over the spin orbitals r, read at the
+        # packed index and sign of each joined tuple (r, U)
+        positions, signs = (a.reshape(16, -1) for a in _split_index(16, k, 1))
+        traced = sum(
+            np.outer(s, s) * rdms[k].packed[np.ix_(p, p)] for p, s in zip(positions, signs)
+        )
+        assert np.max(np.abs(traced - (8 - k + 1) * rdms[k - 1].packed)) < 1e-12, k
 
 
 def test_rdm_vanishes_beyond_electron_count():
-    rng = np.random.default_rng(22)
-    wfn = random_wavefunction(6, 2, rng)
-    d3 = compute_rdm(wfn, 3)
-    assert not np.any(d3.tensor)
+    for state in sector_states(3, 2, np.random.default_rng(22)):
+        assert not np.any(compute_rdm(state, 3).tensor)
 
 
 def test_rdm_hermiticity_and_antisymmetry():
-    rng = np.random.default_rng(23)
-    wfn = random_wavefunction(6, 3, rng, complex_amps=True)
-    d2 = compute_rdm(wfn, 2)
-    herm = hermitized(d2)
-    assert np.max(np.abs(herm.tensor - d2.tensor)) < TOL_EXACT
-    assert np.max(np.abs(antisymmetry_oracle(d2.tensor) - d2.tensor)) < TOL_EXACT
-    # swapping two creators flips the sign
-    assert np.max(np.abs(d2.tensor + d2.tensor.transpose(1, 0, 2, 3))) >= 0.0
-    assert np.allclose(d2.tensor, -d2.tensor.transpose(1, 0, 2, 3), atol=TOL_EXACT)
+    for state in sector_states(3, 3, np.random.default_rng(23), complex_amps=True):
+        d2 = compute_rdm(state, 2)
+        herm = hermitized(d2)
+        assert np.max(np.abs(herm.tensor - d2.tensor)) < TOL_EXACT
+        assert np.max(np.abs(antisymmetry_oracle(d2.tensor) - d2.tensor)) < TOL_EXACT
+        # swapping two creators flips the sign
+        assert np.max(np.abs(d2.tensor + d2.tensor.transpose(1, 0, 2, 3))) >= 0.0
+        assert np.allclose(d2.tensor, -d2.tensor.transpose(1, 0, 2, 3), atol=TOL_EXACT)
 
 
 def test_contracted_rdm_recursion():
     """Contracting one upper-lower index pair of D_k gives (N - k + 1) D_{k-1}."""
-    rng = np.random.default_rng(24)
-    wfn = random_wavefunction(8, 4, rng)
     n_e = 4
-    for k in (2, 3, 4):
-        dk = compute_rdm(wfn, k)
-        dk1 = compute_rdm(wfn, k - 1)
-        traced = np.trace(dk.tensor, axis1=0, axis2=k)
-        assert np.max(np.abs(traced - (n_e - k + 1) * dk1.tensor)) < 1e-9
+    for state in sector_states(4, n_e, np.random.default_rng(24)):
+        for k in (2, 3, 4):
+            dk = compute_rdm(state, k)
+            dk1 = compute_rdm(state, k - 1)
+            traced = np.trace(dk.tensor, axis1=0, axis2=k)
+            assert np.max(np.abs(traced - (n_e - k + 1) * dk1.tensor)) < 1e-9
 
 
 def test_energy_from_rdms_matches_fci_eigenvalue():
@@ -178,8 +231,8 @@ def test_wedge_with_zero_is_zero():
 
 def test_wedge_determinant_reconstructs_2rdm():
     wfn = Wavefunction({0b0101: 1.0}, 4, 2)
-    d1 = compute_rdm(wfn, 1)
-    d2 = compute_rdm(wfn, 2)
+    d1 = oracle_rdm(wfn, 1)
+    d2 = oracle_rdm(wfn, 2)
     assert np.max(np.abs(2.0 * wedge(d1, d1).packed - d2.packed)) < TOL_EXACT
 
 
@@ -202,7 +255,7 @@ def test_wedge_matches_permutation_sum_oracle():
 
 def test_determinant_cumulants_vanish_beyond_rank_one():
     wfn = Wavefunction({0b00110011: 1.0}, 8, 4)
-    rdms = {k: compute_rdm(wfn, k) for k in (1, 2, 3, 4)}
+    rdms = {k: oracle_rdm(wfn, k) for k in (1, 2, 3, 4)}
     for cumulant in higher_cumulants(rdms):
         assert np.max(np.abs(cumulant.packed)) < TOL_RECON
 
@@ -216,9 +269,9 @@ def test_cumulant_rdms_exact_on_determinants(det, n_electrons):
     """The rank-3 and rank-4 RDMs of a single determinant over 8 spin
     orbitals are rebuilt exactly from its 1- and 2-RDMs."""
     wfn = Wavefunction({det: 1.0}, 8, n_electrons)
-    rebuilt = cumulant_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2))
+    rebuilt = cumulant_rdms(oracle_rdm(wfn, 1), oracle_rdm(wfn, 2))
     for k in (3, 4):
-        assert np.max(np.abs(rebuilt[k].packed - compute_rdm(wfn, k).packed)) < TOL_RECON
+        assert np.max(np.abs(rebuilt[k].packed - oracle_rdm(wfn, k).packed)) < TOL_RECON
 
 
 @pytest.mark.parametrize("n, n_electrons", [(6, 3), (8, 2), (8, 4), (10, 4)])
@@ -228,7 +281,7 @@ def test_cumulant_rdms_match_the_explicit_expansion(n, n_electrons):
     D3 / 3! = 3 Delta2 ^ D1 + D1 ^ D1 ^ D1 and
     D4 / 4! = 3 Delta2 ^ Delta2 + 6 Delta2 ^ D1 ^ D1 + D1 ^ D1 ^ D1 ^ D1."""
     wfn = random_wavefunction(n, n_electrons, np.random.default_rng(n + n_electrons))
-    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+    d1, d2 = oracle_rdm(wfn, 1), oracle_rdm(wfn, 2)
     w11 = wedge(d1, d1)
     w111 = wedge(w11, d1)
     delta2 = combined((0.5, d2), (-1.0, w11))
@@ -248,7 +301,7 @@ def test_cumulant_rdms_peak_memory_over_twelve_spin_orbitals():
     """The rebuild reads and writes packed entries only: under 16 MB at 12
     spin orbitals, where one dense rank-3 tensor alone takes 24 MB."""
     wfn = random_wavefunction(12, 4, np.random.default_rng(32))
-    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+    d1, d2 = oracle_rdm(wfn, 1), oracle_rdm(wfn, 2)
     tracemalloc.start()
     try:
         cumulant_rdms(d1, d2)
@@ -260,11 +313,10 @@ def test_cumulant_rdms_peak_memory_over_twelve_spin_orbitals():
 
 
 def test_two_electron_state_has_zero_4rdm_and_reports_error():
-    rng = np.random.default_rng(28)
-    wfn = random_wavefunction(8, 2, rng, sz=0)
-    d4 = compute_rdm(wfn, 4)
+    state = random_ci_state(4, 1, 1, np.random.default_rng(28))
+    d4 = compute_rdm(state, 4)
     assert not np.any(d4.packed)
-    recon = cumulant_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2))[4]
+    recon = cumulant_rdms(compute_rdm(state, 1), compute_rdm(state, 2))[4]
     err = float(np.max(np.abs(recon.packed)))
     print(f"rank-2 truncated 4-RDM reconstruction error, 2-electron state: {err:.3e}")
     assert err >= 0.0  # reported, nonzero in general
@@ -274,7 +326,7 @@ def test_correlated_four_electron_reconstruction_error_reported():
     """Two stacked two-orbital subsystems, 4 electrons in 8 spin orbitals."""
     rng = np.random.default_rng(29)
     wfn = random_wavefunction(8, 4, rng, sz=0)
-    rdms = {k: compute_rdm(wfn, k) for k in (1, 2, 3, 4)}
+    rdms = {k: oracle_rdm(wfn, k) for k in (1, 2, 3, 4)}
     exact = rdms[4].packed
     scale = float(np.max(np.abs(exact)))
     _, delta3, delta4 = higher_cumulants(rdms)
@@ -292,8 +344,8 @@ def test_correlated_four_electron_reconstruction_error_reported():
 
 def test_cumulant_4rdm_validation():
     rng = np.random.default_rng(30)
-    d1 = compute_rdm(random_wavefunction(4, 2, rng), 1)
-    d2 = compute_rdm(random_wavefunction(6, 2, rng), 2)
+    d1 = oracle_rdm(random_wavefunction(4, 2, rng), 1)
+    d2 = oracle_rdm(random_wavefunction(6, 2, rng), 2)
     for reconstruct in (cumulant_rdms, wedge):
         with pytest.raises(ValueError):
             reconstruct(d1, d2)
@@ -308,7 +360,7 @@ def test_composite_passthrough_without_core_or_virtual():
     state's own spin-summed RDMs."""
     rng = np.random.default_rng(31)
     wfn = random_wavefunction(6, 3, rng)
-    d1, d2 = compute_rdm(wfn, 1), compute_rdm(wfn, 2)
+    d1, d2 = oracle_rdm(wfn, 1), oracle_rdm(wfn, 2)
     partition = OrbitalPartition(core=(), active=(0, 1, 2), virtual=())
     gamma, big_gamma = core_active_rdms(d1, d2, partition)
     expected1, expected2 = spin_summed_rdms(d1, d2)
@@ -322,7 +374,7 @@ def test_composite_all_core_gives_determinant_rdms():
     empty2 = rdm_from_tensor(np.zeros((0, 0, 0, 0)))
     gamma, big_gamma = core_active_rdms(empty1, empty2, partition)
     det = Wavefunction({0b1111: 1.0}, 4, 4)
-    expected1, expected2 = spin_summed_rdms(compute_rdm(det, 1), compute_rdm(det, 2))
+    expected1, expected2 = spin_summed_rdms(oracle_rdm(det, 1), oracle_rdm(det, 2))
     assert np.max(np.abs(gamma - expected1)) < TOL_EXACT
     assert np.max(np.abs(big_gamma - expected2)) < TOL_EXACT
 
@@ -332,7 +384,7 @@ def test_composite_dimension_mismatch_raises():
     wfn = random_wavefunction(4, 2, rng)
     partition = OrbitalPartition(core=(0,), active=(1, 2, 3), virtual=())
     with pytest.raises(PartitionError):
-        core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        core_active_rdms(oracle_rdm(wfn, 1), oracle_rdm(wfn, 2), partition)
 
 
 def test_composite_energy_identity_with_core():
@@ -344,7 +396,7 @@ def test_composite_energy_identity_with_core():
     mol = case["mol"]
     partition = OrbitalPartition(core=(0,), active=(1, 2), virtual=(3,))
     wfn = random_wavefunction(4, 2, rng, sz=0)
-    gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+    gamma, big_gamma = core_active_rdms(oracle_rdm(wfn, 1), oracle_rdm(wfn, 2), partition)
     occupied = rotate_integrals(mol, np.eye(4)[:, [0, 1, 2]])
     e_rdm = energy_from_rdms(occupied, gamma, big_gamma)
     embedded = embed_wavefunction(wfn, partition, 8)
@@ -371,7 +423,7 @@ def test_composite_embedding_matches_direct_rdms():
         (two_cores, random_wavefunction(6, 3, rng)),
     )
     for partition, wfn in cases:
-        gamma, big_gamma = core_active_rdms(compute_rdm(wfn, 1), compute_rdm(wfn, 2), partition)
+        gamma, big_gamma = core_active_rdms(oracle_rdm(wfn, 1), oracle_rdm(wfn, 2), partition)
         full1, full2 = lifted_rdms(wfn, partition)
         support = sorted(partition.core + partition.active)
         expected1, expected2 = full1[np.ix_(support, support)], full2[np.ix_(*[support] * 4)]
@@ -386,7 +438,7 @@ def test_composite_embedding_matches_direct_rdms():
 def test_shot_noise_deterministic():
     rng = np.random.default_rng(35)
     wfn = random_wavefunction(6, 2, rng)
-    d2 = compute_rdm(wfn, 2)
+    d2 = oracle_rdm(wfn, 2)
     a = inject_shot_noise(d2, 1e4, seed=7)
     b = inject_shot_noise(d2, 1e4, seed=7)
     assert np.array_equal(a.tensor, b.tensor)
@@ -397,7 +449,7 @@ def test_shot_noise_deterministic():
 def test_shot_noise_infinite_limit():
     rng = np.random.default_rng(36)
     wfn = random_wavefunction(6, 2, rng)
-    d2 = compute_rdm(wfn, 2)
+    d2 = oracle_rdm(wfn, 2)
     noisy = inject_shot_noise(d2, 1e16, seed=0)
     assert np.max(np.abs(noisy.tensor - d2.tensor)) < 1e-7
 
@@ -405,7 +457,7 @@ def test_shot_noise_infinite_limit():
 def test_shot_noise_preserves_structure():
     rng = np.random.default_rng(37)
     wfn = random_wavefunction(6, 2, rng)
-    d2 = compute_rdm(wfn, 2)
+    d2 = oracle_rdm(wfn, 2)
     noisy = inject_shot_noise(d2, 1e4, seed=1)
     assert np.max(np.abs(noisy.tensor - hermitized(noisy).tensor)) < TOL_EXACT
     assert np.max(np.abs(noisy.tensor - antisymmetry_oracle(noisy.tensor))) < TOL_EXACT
@@ -437,7 +489,7 @@ def test_rank4_shot_noise_over_eight_spin_orbitals():
     """The noisy 4-RDM of a 4-electron state over 8 spin orbitals is
     antisymmetric, Hermitian and fixed by its seed."""
     rng = np.random.default_rng(40)
-    d4 = compute_rdm(random_wavefunction(8, 4, rng, sz=0), 4)
+    d4 = oracle_rdm(random_wavefunction(8, 4, rng, sz=0), 4)
     noisy = inject_shot_noise(d4, 1e4, seed=5)
     # Hermitian as a packed matrix: swapping the upper and lower groups of
     # the tensor transposes the matrix over ascending tuples

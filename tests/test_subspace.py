@@ -22,11 +22,14 @@ from conftest import (
     dense_canonical_orthogonalize,
     dense_gevp,
     dense_w_first,
+    determinant_state,
     embed_wavefunction,
     exact_rdms,
+    fock_state,
     h2_case,
     h4_chain_mol,
     higher_cumulants,
+    oracle_rdms,
     ordered_pair_pool,
     random_wavefunction,
     restricted_pool,
@@ -36,7 +39,7 @@ from conftest import (
 from vqse import ANGSTROM_PER_BOHR
 from vqse.cli import ScanConfig, _scan_point
 from vqse.exceptions import DegenerateMetricError, PartitionError
-from vqse.fci import Wavefunction, build_hamiltonian_action, ground_state
+from vqse.fci import build_hamiltonian_action, ground_state
 from vqse.integrals import (
     Geometry,
     compute_ao_integrals,
@@ -75,6 +78,7 @@ def operator_matrix(op_ladder, dets, n_spin):
 def oracle_pair(pool, mol, wfn, partition):
     """Subspace matrices by explicit operator application in the full
     N-electron sector (independent of the Wick machinery)."""
+    wfn = fock_state(wfn)
     n_spin = mol.n_spin
     dets = sector_determinants(n_spin, wfn.n_electrons)
     full = embed_wavefunction(wfn, partition, n_spin)
@@ -345,7 +349,7 @@ def test_assembly_of_complex_rdms_matches_full_space_oracle():
     mol, _, partition = four_electron_slice()
     wfn = random_wavefunction(6, 4, np.random.default_rng(5), sz=0, complex_amps=True)
     pool = build_pool(partition)
-    pair = assemble_subspace(pool, mol, exact_rdms(wfn), partition)
+    pair = assemble_subspace(pool, mol, oracle_rdms(wfn), partition)
     h_ref, s_ref = oracle_pair(pool, mol, wfn, partition)
     assert np.max(np.abs(h_ref.imag)) > 1e-3 and np.max(np.abs(s_ref.imag)) > 1e-3
     assert np.max(np.abs(pair.h - h_ref)) < TOL_ORACLE
@@ -424,8 +428,7 @@ def test_plan_follows_the_live_rows():
     case = h2_case(R_A, "6-31g")
     mol, partition = case["mol"], case["partition"]
     pool = build_pool(partition)
-    determinant = Wavefunction({0b0011: 1.0}, 4, 2)
-    states = {"ground state": case["wfn"], "determinant": determinant}
+    states = {"ground state": case["wfn"], "determinant": determinant_state(2, 0b0011)}
     rdm_sets = {name: exact_rdms(wfn) for name, wfn in states.items()}
     rdm_sets["shots"] = reference_rdms(case["wfn"], VqseOptions(shots=1e4, seed=3))
     fresh = {}
@@ -535,9 +538,9 @@ def test_packed_w_first_kernel_matches_dense_einsum(monkeypatch):
 
     rng = np.random.default_rng(17)
     for _, wfn, _ in systems:
-        n, n_electrons = wfn.n_spin_orbitals, wfn.n_electrons
+        n, n_electrons = 2 * wfn.n_spatial, wfn.n_alpha + wfn.n_beta
         complex_wfn = random_wavefunction(n, n_electrons, rng, sz=0, complex_amps=True)
-        for rdms in (exact_rdms(wfn), exact_rdms(complex_wfn)):
+        for rdms in (exact_rdms(wfn), oracle_rdms(complex_wfn)):
             forms = vqse.assembly._RdmForms(rdms)
             for k in sorted({split[0] for split in calls[n]}):
                 dense = rdms.rdm(k).tensor

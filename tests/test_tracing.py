@@ -64,7 +64,7 @@ def test_sweep_calls_the_traced_oo_layers():
     tracer = tracing.Tracer()
     restore = tracing.instrument(tracer, 2)
     try:
-        _, report = vqse.oo.givens_sweep(case["mol"], d1, d2, case["partition"])
+        _, _, report = vqse.oo.givens_sweep(case["mol"], d1, d2, case["partition"])
     finally:
         restore()
     names = [span.name for span in tracer.spans]

@@ -7,12 +7,12 @@ import pytest
 
 from conftest import (
     embed_wavefunction,
-    exact_rdms,
     full_space_expectation,
+    oracle_rdm,
+    oracle_rdms,
     random_wavefunction,
     wick_expectation,
 )
-from vqse.rdm import compute_rdm
 from vqse.spaces import OrbitalPartition
 from vqse.wick import (
     ACTIVE,
@@ -55,7 +55,7 @@ def test_vacuum_pair_contraction():
     assert contract_virtuals_symbolic(((VIRTUAL, False), (VIRTUAL, True))) == (
         (1, ((0, 1),), ()),
     )
-    rdms = exact_rdms(random_wavefunction(4, 2, np.random.default_rng(40)))
+    rdms = oracle_rdms(random_wavefunction(4, 2, np.random.default_rng(40)))
     for mu, nu in itertools.product(PARTITION.virtual_spin, repeat=2):
         got = wick_expectation(((mu, False), (nu, True)), rdms, PARTITION)
         assert got == (1.0 if mu == nu else 0.0)
@@ -102,8 +102,8 @@ def test_normal_order_balanced_terms_only():
 def test_all_active_single_is_rdm_element():
     rng = np.random.default_rng(41)
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = exact_rdms(wfn)
-    d1 = compute_rdm(wfn, 1)
+    rdms = oracle_rdms(wfn)
+    d1 = oracle_rdm(wfn, 1)
     for p, q in itertools.product(range(4), repeat=2):
         assert wick_expectation(((p, True), (q, False)), rdms, PARTITION) == pytest.approx(
             d1.tensor[p, q], abs=TOL_EXACT
@@ -113,7 +113,7 @@ def test_all_active_single_is_rdm_element():
 def test_evaluate_matches_full_space_oracle():
     rng = np.random.default_rng(42)
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = exact_rdms(wfn)
+    rdms = oracle_rdms(wfn)
     for _ in range(150):
         length = int(rng.integers(0, 7)) * 2  # even lengths up to 12
         ops = random_labeled_ops(rng, length, PARTITION)
@@ -144,7 +144,7 @@ def test_three_electron_reference():
     rng = np.random.default_rng(44)
     partition = OrbitalPartition(core=(), active=(0, 1), virtual=(2,))
     wfn = random_wavefunction(4, 3, rng)
-    rdms = exact_rdms(wfn)
+    rdms = oracle_rdms(wfn)
     for _ in range(60):
         ops = random_labeled_ops(rng, int(rng.integers(0, 4)) * 2, partition)
         got = wick_expectation(ops, rdms, partition)
@@ -163,7 +163,7 @@ def test_three_electron_reference():
 def test_missing_rdm_raises():
     rng = np.random.default_rng(45)
     wfn = random_wavefunction(4, 2, rng)
-    rdms = RdmSet({1: compute_rdm(wfn, 1)})
+    rdms = RdmSet({1: oracle_rdm(wfn, 1)})
     with pytest.raises(MissingRdmError):
         active_pattern_tensor((True, True, False, False), rdms)  # needs the 2-RDM
 
@@ -172,7 +172,7 @@ def test_rdm_set_dimension_check():
     rng = np.random.default_rng(46)
     wfn = random_wavefunction(4, 2, rng)
     with pytest.raises(ValueError):
-        RdmSet({1: compute_rdm(wfn, 1), 2: compute_rdm(random_wavefunction(6, 2, rng), 2)})
+        RdmSet({1: oracle_rdm(wfn, 1), 2: oracle_rdm(random_wavefunction(6, 2, rng), 2)})
 
 
 def test_active_pattern_tensor_matches_elementwise():
@@ -180,7 +180,7 @@ def test_active_pattern_tensor_matches_elementwise():
     brute-force expectation of that ladder string."""
     rng = np.random.default_rng(47)
     wfn = random_wavefunction(4, 2, rng, complex_amps=True)
-    rdms = exact_rdms(wfn)
+    rdms = oracle_rdms(wfn)
     for daggers in itertools.chain.from_iterable(
         itertools.product((True, False), repeat=L) for L in (2, 3, 4)
     ):
