@@ -20,7 +20,10 @@ eigenpair is found, by Davidson's method (J. Comput. Phys. 17, 87
 (1975); :func:`lowest_eigenpair`) over the sigma-build
 C[I_a, I_b] -> (HC)[J_a, J_b], preconditioned by the block's diagonal,
 from a fixed start subspace.  The ground state is handed over in that
-one form, its CI matrix over the string tables (:class:`CiState`).
+one form, its CI matrix over the string tables (:class:`CiState`).  The
+sigma-build's opposite-spin term runs as one batched ``matmul`` per chunk
+of alpha strings, each chunk sized so that its intermediates stay within
+one byte budget (``_SIGMA_BYTES``).
 """
 
 from __future__ import annotations
@@ -38,13 +41,17 @@ from .integrals import MolecularIntegrals
 
 # Blocks up to this size are solved densely.  Whole ground-state solves,
 # dense against Davidson (warm medians on 2 cores, H4 chain integrals cut
-# to the first n orbitals): 1.8 against 3.7 ms at 100 determinants, 6.4
-# against 5.5 at 225 (4 electrons), 9.1 against 9.0 at 256 (2 electrons),
-# 29 against 8.3 at 441 and 96 against 13 at 784.
-DENSE_LIMIT = 256
+# to the first n orbitals): 0.95 against 1.56 ms at 100 determinants, 1.4
+# against 1.7 at 121 and 1.8 against 1.8 at 144 (2 electrons, cc-pVDZ),
+# 2.6 against 1.9 at 169, 4.2 against 2.6 at 225 and 6.1 against 2.6 at
+# 256; 5.0 against 1.5 at 225 (4 electrons, 6-31G), 19 against 2.0 at
+# 441 and 66 against 3.1 at 784.
+DENSE_LIMIT = 144
 # Davidson: converged when |H x - theta x| is below the tolerance.
 _DAVIDSON_TOL = 1e-10
 _DAVIDSON_MAX_ITER = 200
+# Bytes of the sigma-build's per-chunk intermediates (SectorBlock.sigma).
+_SIGMA_BYTES = 2 << 20
 
 
 def _parity_below(det: int, index: int) -> int:
@@ -227,14 +234,26 @@ class SectorBlock:
         """(H C)[J_a, J_b] for the CI matrix C[I_a, I_b].
 
         Row J of a table also lists the sources of J: E_pq |I> = s |J>
-        whenever E_qp |J> = s |I>.  The opposite-spin term goes one alpha
-        string J_a at a time, through an (rs, I_b) intermediate.
+        whenever E_qp |J> = s |I>.  The opposite-spin term goes over chunks
+        of alpha strings J_a: one batched ``matmul`` forms the (J_a, rs,
+        I_b) intermediate of a chunk, one flat ``take`` reads it at the
+        beta table and one ``einsum`` sums it into the chunk's rows.  A
+        chunk holds as many strings as keep that intermediate and its two
+        gathers within ``_SIGMA_BYTES`` (at least one string), so every
+        row sees the same operations whatever the chunk size.
         """
         a, b = self.alpha, self.beta
+        n_a, n_b = self.shape
         out = self.k_alpha @ c + c @ self.k_beta.T + self.action.constant * c
-        for j, g_j in enumerate(self._g_alpha):
-            y = g_j @ c[a.target[j]]
-            out[j] += np.einsum("bk,bk->b", y[b.pair, b.target], b.sign)
+        per_string = np.result_type(c, float).itemsize * n_b * (
+            self.action.g.shape[0] + a.target.shape[1] + b.target.shape[1]
+        )
+        step = max(1, _SIGMA_BYTES // per_string)
+        flat = b.pair * n_b + b.target  # (rs, I_b) of each beta table entry
+        for j in range(0, n_a, step):
+            y = np.matmul(self._g_alpha[j : j + step], c[a.target[j : j + step]])
+            y = y.reshape(len(y), -1).take(flat, axis=1)  # frees the (J_a, rs, I_b) product
+            out[j : j + step] += np.einsum("jbk,bk->jb", y, b.sign)
         return out
 
 

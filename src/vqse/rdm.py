@@ -182,8 +182,9 @@ def compute_rdm(state: CiState, k: int) -> Rdm:
     D = B+ B, with B[r, P] the amplitude of the reduced determinant r in
     a_{P1} ... a_{Pk} |psi> at each ascending spin-orbital tuple P.  B
     falls into one block per split k = k_a + k_b of P into alpha and beta
-    spin orbitals, each one scatter of the CI matrix through the alpha and
-    beta annihilation tables (:func:`vqse.fci.annihilation_table`):
+    spin orbitals, each scattered from the CI matrix one alpha subset P_a
+    at a time through the alpha and beta annihilation tables
+    (:func:`vqse.fci.annihilation_table`):
     a_{2P_a} a_{2P_b+1} A(I_a) B(I_b) |0> = (-1)^(k_b n_alpha) s_a s_b
     A(J_a) B(J_b) |0>, the beta annihilators passing the alpha creators.
     That sign is common to the block, so it cancels in its B+ B; the sign
@@ -202,9 +203,11 @@ def compute_rdm(state: CiState, k: int) -> Rdm:
         positions, signs = _spin_split_index(n, k_alpha, k_beta)
         reduced = (math.comb(n, state.n_alpha - k_alpha), math.comb(n, state.n_beta - k_beta))
         b = np.zeros((reduced[0] * reduced[1], len(positions)), packed.dtype)
-        rows = target_a[:, :, None, None] * reduced[1] + target_b
-        cols = subset_a[:, :, None, None] * math.comb(n, k_beta) + subset_b
-        b[rows, cols] = sign_a[:, :, None, None] * c[:, None, :, None] * sign_b
+        for x in range(sign_a.shape[1]):
+            rows = target_a[:, x, None, None] * reduced[1] + target_b
+            cols = subset_a[:, x, None, None] * math.comb(n, k_beta) + subset_b
+            b[rows, cols] = sign_a[:, x, None, None] * c[:, :, None] * sign_b
+        del rows, cols  # not held through B+ B
         b *= signs
         packed[np.ix_(positions, positions)] = b.conj().T @ b
     return Rdm(k, 2 * n, packed)

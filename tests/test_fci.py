@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,6 +219,26 @@ def test_sigma_matches_dense_matrix(molecule):
         assert np.max(np.abs(block.sigma(c).ravel() - ref)) < TOL_EXACT
 
 
+@pytest.mark.parametrize("strings_per_chunk", [1, 3])
+def test_sigma_chunks_give_the_default_bytes(monkeypatch, strings_per_chunk):
+    """The opposite-spin term runs over chunks of alpha strings.  On
+    H4/6-31G the default budget takes all 28 in one chunk; chunks of one
+    string, and of 3 strings with a last chunk of 1, give its bytes."""
+    (block,) = sector_blocks(build_hamiltonian_action(h4_chain_mol("6-31g")), 4, sz=0)
+    c = np.random.default_rng(32).normal(size=block.shape)
+    n_alpha, n_beta = block.shape
+    # the budget covers a chunk's (J_a, rs, I_b) intermediate and its two gathers
+    per_string = c.itemsize * n_beta * (
+        block.action.g.shape[0] + block.alpha.target.shape[1] + block.beta.target.shape[1]
+    )
+    assert n_alpha == 28 and n_alpha * per_string <= fci._SIGMA_BYTES
+    default = block.sigma(c)
+    monkeypatch.setattr(fci, "_SIGMA_BYTES", strings_per_chunk * per_string + per_string - 1)
+    chunked = block.sigma(c)
+    assert chunked.tobytes() == default.tobytes()
+    assert np.max(np.abs(chunked.ravel() - block.matrix() @ c.ravel())) < TOL_EXACT
+
+
 # ---------------------------------------------------------------------------
 # ground states
 
@@ -364,9 +385,22 @@ def test_h4_ccpvdz_ground_state_above_dense_limit():
     (block,) = sector_blocks(action, 4, sz=0)
     assert block.size == 36100 > fci.DENSE_LIMIT
     v = state.c.ravel()
-    residual = block.sigma(state.c).ravel() - energy * v
+    image = block.sigma(state.c)
+    residual = image.ravel() - energy * v
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=TOL_EXACT)
     assert np.linalg.norm(residual) < 1e-9
+    # One sigma-build holds its chunk's intermediates, within the budget,
+    # and a few CI-matrix-sized buffers (0.29 MB each); the unchunked
+    # (J_a, rs, I_b) intermediate would take 115 MB.
+    tracemalloc.start()
+    try:
+        again = block.sigma(state.c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"H4/cc-pVDZ sigma-build peak: {peak / 1e6:.2f} MB")
+    assert again.tobytes() == image.tobytes()
+    assert peak < fci._SIGMA_BYTES + 4 * state.c.nbytes
 
 
 def test_h2_sto3g_ground_energy():

@@ -200,14 +200,19 @@ def test_rdm_hermiticity_and_antisymmetry():
 
 
 def test_contracted_rdm_recursion():
-    """Contracting one upper-lower index pair of D_k gives (N - k + 1) D_{k-1}."""
+    """Contracting one upper-lower index pair of D_k gives (N - k + 1) D_{k-1},
+    read on the packed matrices: sum_r D_k[(r, U), (r, P)] at the packed
+    index and sign of each joined tuple (r, U)."""
     n_e = 4
     for state in sector_states(4, n_e, np.random.default_rng(24)):
         for k in (2, 3, 4):
             dk = compute_rdm(state, k)
             dk1 = compute_rdm(state, k - 1)
-            traced = np.trace(dk.tensor, axis1=0, axis2=k)
-            assert np.max(np.abs(traced - (n_e - k + 1) * dk1.tensor)) < 1e-9
+            positions, signs = (a.reshape(8, -1) for a in _split_index(8, k, 1))
+            traced = sum(
+                np.outer(s, s) * dk.packed[np.ix_(p, p)] for p, s in zip(positions, signs)
+            )
+            assert np.max(np.abs(traced - (n_e - k + 1) * dk1.packed)) < 1e-9
 
 
 def test_energy_from_rdms_matches_fci_eigenvalue():
